@@ -14,11 +14,10 @@ from .benchmarks import (CoolingReport, OccupationTriple, cooling_condition,
                          cooling_report, entropy_flow,
                          equilibrium_cold_occupation, equilibrium_shift,
                          extract_equilibrium_nc)
-from .dynamics import (EnsembleSpectrum, IncoherentConfig, PhononMoments,
-                       SectorHamiltonian, ThreeModeEnsemble, assemble_initial,
+from .dynamics import (EnsembleSpectrum, PhononMoments, SectorHamiltonian,
+                       ThreeModeEnsemble, assemble_initial,
                        build_sector_hamiltonian, default_incoherence_strength,
-                       dense_oracle_evolve, evolve, incoherent_evolve,
-                       long_time_average, mean_phonons)
+                       mean_phonons)
 from .errors import (CutoffError, DomainError, FitConvergenceError,
                      NumericsError, ScenarioError, SensitivityError,
                      TruncationError, ValidationError)
@@ -35,6 +34,7 @@ from .measurement import (BrightnessSample, EstimatorConfig, FitResult,
                           fit_preparation_curves, load_brightness_csv,
                           red_sideband_brightness, save_brightness_csv,
                           synthetic_brightness)
+from .oracle import dense_oracle_evolve
 from .states import (ModePrep, PhononDistribution, PreparationModel,
                      coherent_distribution, prep_mean, prep_to_distribution,
                      random_walk_nbar, squeezed_thermal_distribution,

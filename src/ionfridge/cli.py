@@ -30,12 +30,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import EnsembleSpectrum, assemble_initial, dense_oracle_evolve
+from .dynamics import EnsembleSpectrum, assemble_initial
 from .errors import NumericsError, ValidationError
 from .experiments import (Scenario, SteadyStateRule, fig2_dataset, fig3_dataset,
                           fig4_dataset, load_scenario, run_scenario, steady_state)
 from .fockspace import TruncationPolicy
 from .measurement import fit_distribution, load_brightness_csv
+from .oracle import dense_oracle_evolve
 from .states import ModePrep
 from .trap import coupling_rate, equilibrium_spacing, mode_frequencies
 

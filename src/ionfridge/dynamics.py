@@ -5,8 +5,9 @@ symmetric tridiagonal matrix
 
     (H/hbar)[k, k+1] = xi sqrt((k+1)(N-k)(M-k)),   (H/hbar)[k, k] = detuning * k,
 
-acting on |k, N-k, M-k>.  All evolution is done by eigendecomposition of
-these small matrices: unitary propagation, the infinite-time (dephased)
+acting on |k, N-k, M-k>.  :class:`EnsembleSpectrum` eigendecomposes these
+small matrices once per ensemble, and every result is a view of that
+spectrum: unitary populations on a time grid, the infinite-time (dephased)
 average, and an incoherent double-commutator model in which the coherence
 (i, j) decays as exp(-xi_in (w_i - w_j)^2 t).
 
@@ -17,12 +18,12 @@ dephasing in the eigenbasis therefore equals the long-time average exactly.
 Product initial states whose hot and cold factors are diagonal in the
 number basis carry no within-sector coherences, and cross-sector
 coherences never influence number observables, so ensembles here hold
-populations only (one small density matrix per sector).
+populations only (one real populations vector per sector).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -30,7 +31,8 @@ from scipy.linalg import eigh_tridiagonal
 
 from .errors import DomainError
 from .fockspace import SectorLabel, SectorSelection, TruncationPolicy, select_sectors
-from .oracle import dense_oracle_evolve  # noqa: F401  (re-exported reference path)
+# re-exported: perfbench/workloads.py imports the oracle from this module
+from .oracle import dense_oracle_evolve  # noqa: F401
 from .states import (DEFAULT_CUTOFF, ModePrep, PhononDistribution,
                      prep_to_distribution)
 
@@ -76,19 +78,19 @@ def build_sector_hamiltonian(label: SectorLabel, xi: float,
 
 @dataclass(eq=False)
 class SectorState:
-    """One sector's weight and normalized density matrix (Fock-index basis).
+    """One sector's weight and normalized populations (Fock-index basis).
 
-    Row ``i`` of ``rho`` corresponds to ``n_h = k_lo + i``.
+    Entry ``i`` of ``pops`` is the population of ``n_h = k_lo + i``.
     """
 
     label: SectorLabel
     weight: float
-    rho: np.ndarray
+    pops: np.ndarray
     k_lo: int = 0
 
     @property
     def window(self) -> tuple[int, int]:
-        return self.k_lo, self.k_lo + self.rho.shape[0] - 1
+        return self.k_lo, self.k_lo + self.pops.size - 1
 
 
 @dataclass(eq=False)
@@ -135,8 +137,7 @@ def assemble_from_distributions(dists: tuple[PhononDistribution, PhononDistribut
         if total <= 0.0:   # pragma: no cover - selection guarantees weight > 0
             continue
         sectors.append(SectorState(label=label, weight=float(weight),
-                                   rho=np.diag(joint / total).astype(complex),
-                                   k_lo=k_lo))
+                                   pops=joint / total, k_lo=k_lo))
     return ThreeModeEnsemble(sectors=sectors,
                              discarded_weight=selection.discarded_weight,
                              xi=xi, detuning=detuning)
@@ -185,12 +186,6 @@ def assemble_initial(preps: tuple[ModePrep, ModePrep, ModePrep],
 # ---------------------------------------------------------------------------
 
 
-def _sector_eigh(ham: SectorHamiltonian) -> tuple[np.ndarray, np.ndarray]:
-    if ham.dim == 1:
-        return ham.diag.copy(), np.ones((1, 1))
-    return eigh_tridiagonal(ham.diag, ham.offdiag)
-
-
 class PhononMoments(NamedTuple):
     """Mean occupations and per-mode marginal number distributions."""
 
@@ -206,14 +201,13 @@ def mean_phonons(ensemble: ThreeModeEnsemble) -> PhononMoments:
     Marginals sum to the retained weight (not to 1) so that truncation stays
     visible; normalize before feeding them to detection models.
     """
-    margs = _accumulate_marginals(
-        ensemble,
-        (np.real(np.diag(s.rho))[:, None] for s in ensemble.sectors),
-        n_times=1,
-    )
-    means = _means_from_marginals(margs)
-    return PhononMoments(nbar_h=float(means[0, 0]), nbar_w=float(means[1, 0]),
-                         nbar_c=float(means[2, 0]),
+    return _moments(ensemble, (s.pops for s in ensemble.sectors))
+
+
+def _moments(ensemble, pops_iter) -> PhononMoments:
+    """Moments of one populations vector per sector (in selection order)."""
+    margs = _accumulate_marginals(ensemble, (p[:, None] for p in pops_iter), n_times=1)
+    return PhononMoments(*map(float, _means_from_marginals(margs)[:, 0]),
                          marginals=tuple(m[:, 0] for m in margs))
 
 
@@ -234,17 +228,20 @@ def _accumulate_marginals(ensemble, pops_iter, n_times):
 
 
 def _means_from_marginals(margs) -> np.ndarray:
-    out = np.empty((3, margs[0].shape[1]))
-    for i, marg in enumerate(margs):
-        out[i] = np.arange(marg.shape[0]) @ marg
-    return out
+    return np.array([np.arange(marg.shape[0]) @ marg for marg in margs])
+
+
+def _unitary_kernel(t_grid: np.ndarray, gaps: np.ndarray) -> np.ndarray:
+    return np.cos(np.outer(t_grid, gaps))
 
 
 class EnsembleSpectrum:
-    """Eigendecomposition cache for fast evaluation on time grids.
+    """Per-sector eigendecomposition of an ensemble, the one spectral core.
 
-    Holds, per sector, the eigenvalues, eigenvectors and the initial density
-    matrix rotated to the eigenbasis.  All grid evaluations are vectorized
+    ``eig[i]`` holds sector ``i``'s eigenvalues ``lam``, eigenvectors ``vec``
+    (columns) and its initial populations rotated to the eigenbasis,
+    ``b = vec.T diag(pops) vec`` (real).  Time grids, the dephased state and
+    the incoherent model are all evaluated from these triples, vectorized
     per sector; reductions run in fixed (selection) order, so results do not
     depend on scheduling.
     """
@@ -254,160 +251,76 @@ class EnsembleSpectrum:
         self.eig: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for state in ensemble.sectors:
             ham = build_sector_hamiltonian(state.label, ensemble.xi, ensemble.detuning,
-                                       window=state.window)
-            lam, vec = _sector_eigh(ham)
-            b = vec.T @ state.rho @ vec
-            self.eig.append((lam, vec, b))
+                                           window=state.window)
+            if ham.dim == 1:
+                lam, vec = ham.diag.copy(), np.ones((1, 1))
+            else:
+                lam, vec = eigh_tridiagonal(ham.diag, ham.offdiag)
+            self.eig.append((lam, vec, (vec.T * state.pops) @ vec))
 
-    # -- population kernels -------------------------------------------------
+    def _populations(self, t_grid: np.ndarray, kernel):
+        """Per-sector populations P[k, t] on a time grid, in selection order.
 
-    def _sector_populations(self, idx: int, t_grid: np.ndarray) -> np.ndarray:
-        """Populations P[k, t] of sector ``idx`` on a time grid."""
-        lam, vec, b = self.eig[idx]
-        d = lam.size
-        if d == 1:
-            return np.ones((1, t_grid.size))
-        gaps = (lam[:, None] - lam[None, :]).reshape(-1)
-        w3 = (vec[:, :, None] * vec[:, None, :]) * b[None, :, :]
-        w3 = w3.reshape(d, d * d)
-        arg = np.outer(t_grid, gaps)
-        pops = np.cos(arg) @ w3.real.T
-        if np.abs(b.imag).max() > 1e-300:
-            pops += np.sin(arg) @ w3.imag.T
-        return pops.T
-
-    def _sector_populations_incoherent(self, idx: int, t_grid: np.ndarray,
-                                       xi_in: float) -> np.ndarray:
-        lam, vec, b = self.eig[idx]
-        d = lam.size
-        if d == 1:
-            return np.ones((1, t_grid.size))
-        gaps2 = ((lam[:, None] - lam[None, :]) ** 2).reshape(-1)
-        w3 = ((vec[:, :, None] * vec[:, None, :]) * b.real[None, :, :]).reshape(d, d * d)
-        kernel = np.exp(-xi_in * np.outer(t_grid, gaps2))
-        return (kernel @ w3.T).T
-
-    # -- aggregated quantities ----------------------------------------------
+        P[k, t] = sum_ij vec[k, i] vec[k, j] b[i, j] kernel(t, w_i - w_j), with
+        ``kernel(t_grid, gaps)`` returning the (len(t_grid), len(gaps)) factors.
+        """
+        for lam, vec, b in self.eig:
+            d = lam.size
+            if d == 1:
+                yield np.ones((1, t_grid.size))
+                continue
+            gaps = (lam[:, None] - lam[None, :]).reshape(-1)
+            w3 = ((vec[:, :, None] * vec[:, None, :]) * b[None, :, :]).reshape(d, d * d)
+            yield (kernel(t_grid, gaps) @ w3.T).T
 
     def marginals_at(self, t_grid: np.ndarray):
+        """Unitary per-mode marginals, each of shape (n_max + 1, len(t_grid))."""
         t_grid = np.asarray(t_grid, dtype=float)
-        pops = (self._sector_populations(i, t_grid) for i in range(len(self.eig)))
-        return _accumulate_marginals(self.ensemble, pops, t_grid.size)
+        return _accumulate_marginals(self.ensemble,
+                                     self._populations(t_grid, _unitary_kernel),
+                                     t_grid.size)
 
     def means_at(self, t_grid: np.ndarray) -> np.ndarray:
         """Mean occupations, shape (3, len(t_grid))."""
         return _means_from_marginals(self.marginals_at(t_grid))
 
     def incoherent_means_at(self, t_grid: np.ndarray, xi_in: float) -> np.ndarray:
+        """Means under the double-commutator model d rho/dt = -xi_in [H, [H, rho]].
+
+        ``xi_in`` has units of time (the commutators are taken with H/hbar);
+        coherence (i, j) decays at rate xi_in (w_i - w_j)^2.
+        """
         t_grid = np.asarray(t_grid, dtype=float)
-        pops = (self._sector_populations_incoherent(i, t_grid, xi_in)
-                for i in range(len(self.eig)))
-        return _means_from_marginals(
-            _accumulate_marginals(self.ensemble, pops, t_grid.size))
+        if not xi_in >= 0.0 or not np.all(t_grid >= 0.0):
+            raise DomainError("xi_in and every time must be >= 0")
+
+        def kernel(t, gaps):
+            return np.exp(-xi_in * np.outer(t, gaps ** 2))
+
+        return _means_from_marginals(_accumulate_marginals(
+            self.ensemble, self._populations(t_grid, kernel), t_grid.size))
 
     def dephased_moments(self) -> PhononMoments:
         """Moments of the infinite-time average (exact for simple spectra)."""
-        pops = []
-        for lam, vec, b in self.eig:
-            p_inf = (vec ** 2) @ np.real(np.diag(b))
-            pops.append(p_inf[:, None])
-        margs = _accumulate_marginals(self.ensemble, pops, 1)
-        means = _means_from_marginals(margs)
-        return PhononMoments(nbar_h=float(means[0, 0]), nbar_w=float(means[1, 0]),
-                             nbar_c=float(means[2, 0]),
-                             marginals=tuple(m[:, 0] for m in margs))
+        return _moments(self.ensemble, ((vec ** 2) @ np.diag(b) for _, vec, b in self.eig))
 
     def min_eigenvalue_gap(self) -> float:
         """Smallest nonzero eigenvalue gap across sectors with dim > 1 (rad/s)."""
-        best = np.inf
-        for lam, _, _ in self.eig:
-            if lam.size < 2:
-                continue
-            gaps = np.diff(np.sort(lam))
-            gaps = gaps[gaps > 0.0]
-            if gaps.size:
-                best = min(best, float(gaps.min()))
-        return best
+        gaps = (np.diff(np.sort(lam)) for lam, _, _ in self.eig)
+        return min((float(g[g > 0.0].min(initial=np.inf)) for g in gaps), default=np.inf)
 
 
-# ---------------------------------------------------------------------------
-# Single-time convenience operations
-# ---------------------------------------------------------------------------
-
-
-def evolve(ensemble: ThreeModeEnsemble, t: float) -> ThreeModeEnsemble:
-    """Unitary evolution of every sector by time ``t`` (seconds)."""
-    new_sectors = []
-    for state in ensemble.sectors:
-        ham = build_sector_hamiltonian(state.label, ensemble.xi, ensemble.detuning,
-                                       window=state.window)
-        lam, vec = _sector_eigh(ham)
-        phase = np.exp(-1j * lam * t)
-        b = vec.T @ state.rho @ vec
-        rho_t = vec @ ((phase[:, None] * b) * phase.conj()[None, :]) @ vec.T
-        new_sectors.append(replace(state, rho=rho_t))
-    return ThreeModeEnsemble(sectors=new_sectors,
-                             discarded_weight=ensemble.discarded_weight,
-                             xi=ensemble.xi, detuning=ensemble.detuning)
-
-
-def long_time_average(ensemble: ThreeModeEnsemble) -> ThreeModeEnsemble:
-    """Infinite-time averaged state: dephase each sector in its eigenbasis."""
-    new_sectors = []
-    for state in ensemble.sectors:
-        ham = build_sector_hamiltonian(state.label, ensemble.xi, ensemble.detuning,
-                                       window=state.window)
-        lam, vec = _sector_eigh(ham)
-        b_diag = np.real(np.einsum("ki,kl,li->i", vec, state.rho, vec, optimize=True))
-        rho_inf = (vec * b_diag[None, :]) @ vec.T
-        new_sectors.append(replace(state, rho=rho_inf.astype(complex)))
-    return ThreeModeEnsemble(sectors=new_sectors,
-                             discarded_weight=ensemble.discarded_weight,
-                             xi=ensemble.xi, detuning=ensemble.detuning)
-
-
-@dataclass(frozen=True)
-class IncoherentConfig:
-    """Double-commutator dephasing model d rho/dt = -xi_in [H, [H, rho]].
-
-    ``xi_in`` has units of time (the commutators are taken with H/hbar);
-    coherence (i, j) decays at rate xi_in (w_i - w_j)^2.
-    """
-
-    xi_in: float
-    t: float
-
-    def __post_init__(self):
-        if self.xi_in < 0.0 or self.t < 0.0:
-            raise DomainError("xi_in and t must be >= 0")
-
-
-def incoherent_evolve(ensemble: ThreeModeEnsemble, cfg: IncoherentConfig) -> ThreeModeEnsemble:
-    """Evolve under the incoherent model: pure Gaussian decay of coherences."""
-    new_sectors = []
-    for state in ensemble.sectors:
-        ham = build_sector_hamiltonian(state.label, ensemble.xi, ensemble.detuning,
-                                       window=state.window)
-        lam, vec = _sector_eigh(ham)
-        b = vec.T @ state.rho @ vec
-        decay = np.exp(-cfg.xi_in * (lam[:, None] - lam[None, :]) ** 2 * cfg.t)
-        rho_t = vec @ (b * decay) @ vec.T
-        new_sectors.append(replace(state, rho=rho_t))
-    return ThreeModeEnsemble(sectors=new_sectors,
-                             discarded_weight=ensemble.discarded_weight,
-                             xi=ensemble.xi, detuning=ensemble.detuning)
-
-
-def default_incoherence_strength(ensemble: ThreeModeEnsemble) -> float:
+def default_incoherence_strength(spectrum: EnsembleSpectrum) -> float:
     """xi_in making the slowest sector coherence decay with time constant 5/xi.
 
     The slowest coherence decays at xi_in * g_min^2 where g_min is the
     smallest nonzero eigenvalue gap in the ensemble.  Returns 0 when no
     sector carries coherences (all dims are 1).
     """
-    if ensemble.xi <= 0.0:
+    xi = spectrum.ensemble.xi
+    if xi <= 0.0:
         raise DomainError("xi must be > 0 to set a default incoherence strength")
-    g_min = EnsembleSpectrum(ensemble).min_eigenvalue_gap()
+    g_min = spectrum.min_eigenvalue_gap()
     if not np.isfinite(g_min):
         return 0.0
-    return ensemble.xi / (5.0 * g_min ** 2)
+    return xi / (5.0 * g_min ** 2)

@@ -754,7 +754,7 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
 
     nc_min_inc = math.nan
     if include_incoherent:
-        xi_in = default_incoherence_strength(ensemble)
+        xi_in = default_incoherence_strength(spectrum)
         nc_inc = spectrum.incoherent_means_at(grid, xi_in)[2]
         nc_min_inc = float(nc_inc.min())
     return SingleShotPoint(

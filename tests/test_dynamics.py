@@ -1,17 +1,17 @@
-"""Sector dynamics: Hamiltonian structure, evolution, dephasing, incoherence."""
+"""Sector dynamics: Hamiltonian structure and the spectral views (unitary,
+dephased, incoherent), checked against closed forms and the dense oracle."""
 
 import math
 
 import numpy as np
 import pytest
 
-from ionfridge.dynamics import (EnsembleSpectrum, IncoherentConfig,
-                                assemble_initial, build_sector_hamiltonian,
-                                default_incoherence_strength, evolve,
-                                incoherent_evolve, long_time_average,
-                                mean_phonons)
+from ionfridge.dynamics import (EnsembleSpectrum, assemble_initial,
+                                build_sector_hamiltonian,
+                                default_incoherence_strength, mean_phonons)
 from ionfridge.errors import DomainError
 from ionfridge.fockspace import SectorLabel, TruncationPolicy
+from ionfridge.oracle import dense_oracle_evolve
 from ionfridge.states import ModePrep
 
 TWO_PI = 2.0 * math.pi
@@ -49,109 +49,108 @@ def _single_quantum_ensemble(xi=XI):
     return assemble_initial(preps, TruncationPolicy(epsilon=1e-12), xi=xi)
 
 
+def _thermal_ensemble(nbars, epsilon=1e-5):
+    preps = tuple(ModePrep.thermal_state(v) for v in nbars)
+    return assemble_initial(preps, TruncationPolicy(epsilon=epsilon), xi=XI)
+
+
 def test_single_quantum_exchange_oscillation():
     """<n_c>(t) = cos^2(xi t) for the |0,1,1> preparation: the textbook case."""
-    ens = _single_quantum_ensemble()
-    for t in (0.0, 37e-6, 81e-6, 140e-6):
-        m = mean_phonons(evolve(ens, t))
-        assert m.nbar_c == pytest.approx(math.cos(XI * t) ** 2, abs=1e-12)
-        assert m.nbar_w == pytest.approx(math.cos(XI * t) ** 2, abs=1e-12)
-        assert m.nbar_h == pytest.approx(math.sin(XI * t) ** 2, abs=1e-12)
+    times = np.array([0.0, 37e-6, 81e-6, 140e-6])
+    means = EnsembleSpectrum(_single_quantum_ensemble()).means_at(times)
+    np.testing.assert_allclose(means[2], np.cos(XI * times) ** 2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(means[1], np.cos(XI * times) ** 2, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(means[0], np.sin(XI * times) ** 2, rtol=0, atol=1e-12)
 
 
 def test_single_quantum_doublet_splitting_is_twice_xi():
-    """Population oscillates at 2 xi: the quoted exchange rate convention."""
-    ens = _single_quantum_ensemble()
-    half_period = math.pi / (2.0 * XI)  # populations return after pi / (2 xi)... no:
-    # eigenvalues are +-xi, populations beat at the gap 2 xi, full revival at
-    # t = pi / xi; the first full swap happens at half of that.
-    m = mean_phonons(evolve(ens, math.pi / (2.0 * XI)))
-    assert m.nbar_h == pytest.approx(1.0, abs=1e-12)
-    m = mean_phonons(evolve(ens, math.pi / XI))
-    assert m.nbar_h == pytest.approx(0.0, abs=1e-12)
-    spectrum = EnsembleSpectrum(ens)
+    """Eigenvalues are +-xi, so populations beat at the gap 2 xi: the first
+    full swap happens at t = pi / (2 xi) and the revival at t = pi / xi."""
+    spectrum = EnsembleSpectrum(_single_quantum_ensemble())
+    nbar_h = spectrum.means_at(np.array([math.pi / (2.0 * XI), math.pi / XI]))[0]
+    assert nbar_h[0] == pytest.approx(1.0, abs=1e-12)
+    assert nbar_h[1] == pytest.approx(0.0, abs=1e-12)
     assert spectrum.min_eigenvalue_gap() == pytest.approx(2.0 * XI, rel=1e-12)
 
 
 def test_zero_time_is_identity():
-    preps = (ModePrep.thermal_state(0.4), ModePrep.thermal_state(0.9),
-             ModePrep.thermal_state(0.6))
-    ens = assemble_initial(preps, TruncationPolicy(epsilon=1e-6), xi=XI)
+    ens = _thermal_ensemble((0.4, 0.9, 0.6), epsilon=1e-6)
     m0 = mean_phonons(ens)
-    m1 = mean_phonons(evolve(ens, 0.0))
-    for a, b in zip(m0[:3], m1[:3]):
+    m1 = EnsembleSpectrum(ens).means_at(np.array([0.0]))[:, 0]
+    for a, b in zip(m0[:3], m1):
         assert a == pytest.approx(b, rel=1e-13)
 
 
-def test_evolution_preserves_trace_and_hermiticity():
+def test_marginals_at_conserve_retained_weight():
     preps = (ModePrep.thermal_state(0.4), ModePrep.squeezed_thermal_state(0.3, 0.6),
              ModePrep.thermal_state(0.6))
     ens = assemble_initial(preps, TruncationPolicy(epsilon=1e-5), xi=XI)
-    out = evolve(ens, 53e-6)
-    for before, after in zip(ens.sectors, out.sectors):
-        assert np.trace(after.rho).real == pytest.approx(np.trace(before.rho).real, abs=1e-12)
-        np.testing.assert_allclose(after.rho, after.rho.conj().T, atol=1e-12)
-        assert after.weight == before.weight
+    t_grid = np.array([0.0, 17e-6, 53e-6, 240e-6, 1e-3])
+    margs = EnsembleSpectrum(ens).marginals_at(t_grid)
+    w = ens.retained_weight
+    for marg in margs:
+        assert marg.shape[1] == t_grid.size
+        np.testing.assert_allclose(marg.sum(axis=0), w, rtol=1e-12)
+    for marg, initial in zip(margs, mean_phonons(ens).marginals):
+        np.testing.assert_allclose(marg[:, 0], initial, rtol=0, atol=1e-14)
 
 
-def test_dephased_state_is_stationary():
-    preps = (ModePrep.thermal_state(0.66), ModePrep.thermal_state(1.10),
-             ModePrep.thermal_state(0.8))
-    ens = assemble_initial(preps, TruncationPolicy(epsilon=1e-5), xi=XI)
-    fixed = long_time_average(ens)
-    moved = evolve(fixed, 77e-6)
-    ma, mb = mean_phonons(fixed), mean_phonons(moved)
-    assert mb.nbar_h == pytest.approx(ma.nbar_h, rel=1e-11)
-    assert mb.nbar_w == pytest.approx(ma.nbar_w, rel=1e-11)
-    assert mb.nbar_c == pytest.approx(ma.nbar_c, rel=1e-11)
-    # and the spectrum's closed-form dephased moments agree with it
-    dm = EnsembleSpectrum(ens).dephased_moments()
-    assert dm.nbar_c == pytest.approx(ma.nbar_c, rel=1e-11)
+def test_dephased_moments_are_the_long_time_average():
+    # the |0,1,1> doublet: <n_c> = cos^2(xi t) averages to 1/2 over whole periods
+    spectrum = EnsembleSpectrum(_single_quantum_ensemble())
+    assert spectrum.dephased_moments().nbar_c == pytest.approx(0.5, abs=1e-15)
+    revival = np.linspace(0.0, math.pi / XI, 16, endpoint=False)
+    assert spectrum.means_at(revival)[2].mean() == pytest.approx(0.5, abs=1e-13)
+
+    ens = _thermal_ensemble((0.66, 1.10, 0.8))
+    spectrum = EnsembleSpectrum(ens)
+    dm = spectrum.dephased_moments()
+    late = spectrum.means_at(np.linspace(0.0, 50e-3, 4001)).mean(axis=1)
+    np.testing.assert_allclose(late, dm[:3], rtol=0, atol=1e-4)
+    # the dephased state keeps both conserved sums of the initial one
+    m0 = mean_phonons(ens)
+    assert dm.nbar_h + dm.nbar_w == pytest.approx(m0.nbar_h + m0.nbar_w, abs=1e-12)
+    assert dm.nbar_h + dm.nbar_c == pytest.approx(m0.nbar_h + m0.nbar_c, abs=1e-12)
 
 
-def test_spectrum_means_match_single_time_evolve():
-    preps = (ModePrep.thermal_state(0.3), ModePrep.thermal_state(0.8),
-             ModePrep.thermal_state(0.5))
-    ens = assemble_initial(preps, TruncationPolicy(epsilon=1e-6), xi=XI)
-    t_grid = np.array([0.0, 40e-6, 90e-6, 210e-6])
-    means = EnsembleSpectrum(ens).means_at(t_grid)
-    for j, t in enumerate(t_grid):
-        # both are unnormalized sums over retained sectors
-        m = mean_phonons(evolve(ens, t))
-        assert means[0, j] == pytest.approx(m.nbar_h, rel=1e-10)
-        assert means[2, j] == pytest.approx(m.nbar_c, rel=1e-10)
+@pytest.mark.parametrize("detuning_khz", [0.0, 1.0, -40.0])
+def test_means_at_matches_dense_oracle_detuned(detuning_khz):
+    cap = 6
+    detuning = TWO_PI * detuning_khz * 1e3
+    preps = (ModePrep.thermal_state(0.3), ModePrep.squeezed_thermal_state(0.3, 0.6),
+             ModePrep.thermal_state(0.4))
+    policy = TruncationPolicy(epsilon=1e-12, n_max_h=cap, n_max_w=cap, n_max_c=cap)
+    grid = np.linspace(0.0, 400e-6, 10)
+    sector = EnsembleSpectrum(assemble_initial(preps, policy, XI, detuning)).means_at(grid)
+    dense = dense_oracle_evolve(preps, XI, grid, (cap, cap, cap), detuning)
+    np.testing.assert_allclose(sector, dense, rtol=0, atol=1e-9)
 
 
 def test_incoherent_zero_strength_matches_unitary_populations():
-    ens = _single_quantum_ensemble()
-    t = 63e-6
-    a = mean_phonons(incoherent_evolve(ens, IncoherentConfig(xi_in=0.0, t=t)))
-    # xi_in = 0 removes the phase rotation but not the coherences; the model
-    # keeps |b_ij| fixed, so populations match the *dephased-frame* unitary
-    # at t = 0 only through Re(b).  For a real initial rho the populations
-    # coincide with the unitary evolution at t = 0.
-    b = mean_phonons(ens)
-    assert a.nbar_c == pytest.approx(b.nbar_c, abs=1e-12)
+    """xi_in = 0 leaves every coherence in place, so the initial populations
+    (the unitary ones at t = 0) persist at all times."""
+    spectrum = EnsembleSpectrum(_thermal_ensemble((0.4, 1.1, 0.7)))
+    means = spectrum.incoherent_means_at(np.array([0.0, 63e-6, 1.0]), 0.0)
+    at_zero = spectrum.means_at(np.array([0.0]))
+    np.testing.assert_allclose(means, np.repeat(at_zero, 3, axis=1), rtol=1e-12)
 
 
 def test_incoherent_long_time_limit_is_dephased():
-    preps = (ModePrep.thermal_state(0.4), ModePrep.thermal_state(1.1),
-             ModePrep.thermal_state(0.7))
-    ens = assemble_initial(preps, TruncationPolicy(epsilon=1e-5), xi=XI)
-    xi_in = default_incoherence_strength(ens)
+    spectrum = EnsembleSpectrum(_thermal_ensemble((0.4, 1.1, 0.7)))
+    xi_in = default_incoherence_strength(spectrum)
     assert xi_in > 0.0
-    late = mean_phonons(incoherent_evolve(ens, IncoherentConfig(xi_in=xi_in, t=1.0)))
-    deph = mean_phonons(long_time_average(ens))
-    assert late.nbar_c == pytest.approx(deph.nbar_c, abs=1e-9)
-    assert late.nbar_h == pytest.approx(deph.nbar_h, abs=1e-9)
+    late = spectrum.incoherent_means_at(np.array([1.0]), xi_in)[:, 0]
+    deph = spectrum.dephased_moments()
+    assert late[2] == pytest.approx(deph.nbar_c, abs=1e-9)
+    assert late[0] == pytest.approx(deph.nbar_h, abs=1e-9)
 
 
 def test_incoherent_means_at_interpolates_between_limits():
-    ens = _single_quantum_ensemble()
-    xi_in = default_incoherence_strength(ens)
+    spectrum = EnsembleSpectrum(_single_quantum_ensemble())
+    xi_in = default_incoherence_strength(spectrum)
     t_grid = np.linspace(0.0, 10e-3, 9)
-    means = EnsembleSpectrum(ens).incoherent_means_at(t_grid, xi_in)
-    deph = EnsembleSpectrum(ens).dephased_moments()
+    means = spectrum.incoherent_means_at(t_grid, xi_in)
+    deph = spectrum.dephased_moments()
     # monotone relaxation of <n_c> from 1 toward the dephased value 0.5
     nc = means[2]
     assert nc[0] == pytest.approx(1.0, abs=1e-12)
@@ -159,15 +158,22 @@ def test_incoherent_means_at_interpolates_between_limits():
     assert nc[-1] == pytest.approx(deph.nbar_c, abs=1e-6)
 
 
+def test_incoherent_means_at_rejects_bad_inputs():
+    spectrum = EnsembleSpectrum(_single_quantum_ensemble())
+    for xi_in in (-1.0, math.nan):
+        with pytest.raises(DomainError):
+            spectrum.incoherent_means_at(np.array([0.0, 1e-6]), xi_in)
+    with pytest.raises(DomainError):
+        spectrum.incoherent_means_at(np.array([0.0, -1e-6]), 1.0)
+
+
 def test_default_incoherence_strength_edge_cases():
     # vacuum ensemble: single 1x1 sector, no coherences -> 0
     vac = (ModePrep.fock_state(0),) * 3
     ens = assemble_initial(vac, TruncationPolicy(epsilon=1e-9), xi=XI)
-    assert default_incoherence_strength(ens) == 0.0
+    assert default_incoherence_strength(EnsembleSpectrum(ens)) == 0.0
     with pytest.raises(DomainError):
-        IncoherentConfig(xi_in=-1.0, t=0.0)
-    with pytest.raises(DomainError):
-        IncoherentConfig(xi_in=1.0, t=-1e-6)
+        default_incoherence_strength(EnsembleSpectrum(_single_quantum_ensemble(xi=0.0)))
 
 
 def test_marginals_sum_to_retained_weight(thermal_triple, small_policy):
