@@ -305,13 +305,11 @@ def scenario_echo(s: Scenario) -> dict:
 
 def with_thermal(s: Scenario, mode: str, nbar: float) -> Scenario:
     """Copy of ``s`` with one mode replaced by a thermal preparation."""
-    idx = {"hot": 0, "work": 1, "cold": 2}[mode]
-    preps = list(s.preps)
-    preps[idx] = ModePrep.thermal_state(nbar)
-    return dataclasses.replace(s, preps=tuple(preps))
+    return with_prep(s, mode, ModePrep.thermal_state(nbar))
 
 
 def with_prep(s: Scenario, mode: str, prep: ModePrep) -> Scenario:
+    """Copy of ``s`` with one mode (``hot``, ``work`` or ``cold``) replaced by ``prep``."""
     idx = {"hot": 0, "work": 1, "cold": 2}[mode]
     preps = list(s.preps)
     preps[idx] = prep
@@ -435,6 +433,14 @@ class SteadyStateRule:
         squeezed = s.preps[1].kind == "squeezed_thermal" and s.preps[1].r > 0.0
         return WINDOW_SQUEEZED if squeezed else WINDOW_DEFAULT
 
+    def window_mask(self, s: "Scenario") -> np.ndarray:
+        """Grid points that ``window_average`` averages: tau > the window start."""
+        start = self.start_for(s)
+        mask = s.time_grid > start
+        if not mask.any():
+            raise DomainError(f"no grid points after window_start = {start * 1e6:g} us")
+        return mask
+
 
 def steady_state(s: Scenario, rule: SteadyStateRule = SteadyStateRule()) -> OccupationTriple:
     """Steady-state occupations of a scenario.
@@ -448,12 +454,7 @@ def steady_state(s: Scenario, rule: SteadyStateRule = SteadyStateRule()) -> Occu
     if rule.method == "dephasing":
         mom = spectrum.dephased_moments()
         return OccupationTriple(mom.nbar_h, mom.nbar_w, mom.nbar_c)
-    start = rule.start_for(s)
-    mask = s.time_grid > start
-    if not mask.any():
-        raise DomainError(
-            f"no grid points after window_start = {start * 1e6:g} us")
-    means = spectrum.means_at(s.time_grid[mask])
+    means = spectrum.means_at(s.time_grid[rule.window_mask(s)])
     avg = means.mean(axis=1)
     return OccupationTriple(float(avg[0]), float(avg[1]), float(avg[2]))
 
@@ -660,10 +661,7 @@ def fig3_dataset(base: Scenario,
         if rule.method == "dephasing":
             nc_ss = spectrum.dephased_moments().nbar_c
         else:
-            mask = s.time_grid > rule.start_for(s)
-            if not mask.any():
-                raise DomainError("no grid points after window_start")
-            nc_ss = float(means[2, mask].mean())
+            nc_ss = float(means[2, rule.window_mask(s)].mean())
         traces.append(RelaxationTrace(
             label=s.name, nbar_w_eff=prep_mean(s.preps[1]),
             nbar_c_in=prep_mean(s.preps[2]), nbar_c_ss=nc_ss,

@@ -97,7 +97,7 @@ def prep_density(prep: ModePrep, dim: int) -> np.ndarray:
     if prep.kind == "coherent":
         return coherent_density(prep.alpha_sq, dim)
     if prep.kind == "squeezed_thermal":
-        return squeezed_thermal_density(prep.nbar, prep.r, prep.theta, dim)
+        return squeezed_thermal_density(prep.nbar, prep.r, 0.0, dim)
     if prep.kind == "fock":
         return fock_density(prep.n_fock, dim)
     raise DomainError(f"unknown prep kind {prep.kind!r}")   # pragma: no cover

@@ -1,15 +1,16 @@
 """Phonon-number distributions of the prepared motional states.
 
-Closed forms for thermal, coherent (displaced-vacuum), squeezed-vacuum,
-squeezed-number and squeezed-thermal states, evaluated in log space so that
-large cutoffs and strong squeezing stay finite.  The squeezed-number kernel
+Thermal and coherent (displaced-vacuum) states have closed forms.  The
+squeezed families are each one three-term recurrence, free of special
+functions:
 
-    D_n(m, r) = |<n| S(r) |m>|^2
-
-is the parity-conserving overlap of a number state with the squeeze operator;
-it is computed from its terminating Gauss-hypergeometric form and is
-cross-checked elsewhere against a dense matrix exponential of the squeeze
-generator.
+- squeezed-thermal populations (squeezed vacuum is the nbar = 0 case) are
+  the Taylor coefficients of a generating function Q(z)^(-1/2), run forward
+  from p(0);
+- squeezed-number amplitudes <n|S(r)|m> solve the eigenvalue recurrence of
+  the squeezed number operator, run forward below the lower turning point
+  and backward from far above the upper one; the result is cross-checked
+  elsewhere against a dense matrix exponential of the squeeze generator.
 
 All distributions are truncated at a finite cutoff, renormalized, and carry
 the pre-renormalization tail mass so callers can audit truncation.
@@ -27,6 +28,8 @@ from .errors import CutoffError, DomainError
 
 DEFAULT_CUTOFF = 300
 DEFAULT_TAIL_BUDGET = 1e-6
+_RESCALE = 1e150          # recurrence runs divide by this before they can overflow
+_MAX_LADDER = 2e6         # longest squeezed-number recurrence run (levels)
 
 _PREP_KINDS = ("thermal", "coherent", "squeezed_thermal", "fock")
 
@@ -118,91 +121,61 @@ def squeezed_vacuum_distribution(r: float, cutoff: int = DEFAULT_CUTOFF,
                                  tail_budget: float = DEFAULT_TAIL_BUDGET) -> PhononDistribution:
     """Squeezed vacuum: even-only populations
 
-    p(2k) = (2k)! sech(r) tanh(r)^(2k) / (2^k k!)^2.
+    p(2k) = (2k)! sech(r) tanh(r)^(2k) / (2^k k!)^2,
+
+    the nbar = 0 case of :func:`squeezed_thermal_distribution`.
     """
+    return squeezed_thermal_distribution(0.0, r, cutoff, tail_budget)
+
+
+def squeezed_thermal_distribution(nbar: float, r: float, cutoff: int = DEFAULT_CUTOFF,
+                                  tail_budget: float = DEFAULT_TAIL_BUDGET) -> PhononDistribution:
+    """Squeezed thermal state S(r) rho_thermal(nbar) S(r)^dagger.
+
+    p(n) are the Taylor coefficients of Q(z)^(-1/2) with Q = q0 + q1 z + q2 z^2
+    (Dodonov, Man'ko & Man'ko 1994), which gives the three-term recurrence
+
+        q0 (n+1) p(n+1) = -q1 (n + 1/2) p(n) - q2 n p(n-1),   p(0) = q0^(-1/2).
+
+    It runs forward along the dominant solution, so it is stable.  Q(1) = 1
+    normalizes the untruncated series.  Populations do not depend on the
+    squeezing phase, so only |r| enters.
+    """
+    if nbar < 0.0:
+        raise DomainError("nbar must be >= 0")
     if r < 0.0:
         raise DomainError("r must be >= 0")
     if cutoff < 0:
         raise DomainError("cutoff must be >= 0")
-    raw = np.zeros(cutoff + 1)
-    if r == 0.0:
-        raw[0] = 1.0
-        return _finalize(raw, 0.0, tail_budget)
-    k = np.arange(cutoff // 2 + 1)
-    logp = (gammaln(2 * k + 1.0) - 2.0 * (k * math.log(2.0) + gammaln(k + 1.0))
-            + 2.0 * k * math.log(math.tanh(r)) - math.log(math.cosh(r)))
-    raw[2 * k] = np.exp(logp)
-    tail = max(0.0, 1.0 - raw.sum())
-    return _finalize(raw, tail, tail_budget)
-
-
-# ---------------------------------------------------------------------------
-# Squeezed number states
-# ---------------------------------------------------------------------------
-
-
-def _signed_log_sum(logmag: np.ndarray, sign: np.ndarray, axis: int) -> np.ndarray:
-    """log|sum(sign * exp(logmag))| along ``axis`` (-inf where the sum is 0)."""
-    peak = np.max(logmag, axis=axis, keepdims=True)
-    peak = np.where(np.isfinite(peak), peak, 0.0)
-    s = np.sum(sign * np.exp(logmag - peak), axis=axis)
-    with np.errstate(divide="ignore"):
-        out = peak.squeeze(axis) + np.log(np.abs(s))
-    return out
-
-
-def _squeezed_number_pops(m: int, r: float, n_max: int) -> np.ndarray:
-    """Populations |<n|S(r)|m>|^2 for n = 0..n_max at squeezing r > 0.
-
-    Parity is conserved, so only n with n % 2 == m % 2 are populated.  The
-    terminating hypergeometric sum is accumulated in signed log space.
-    """
-    out = np.zeros(n_max + 1)
-    log_x = -2.0 * math.log(math.sinh(r))         # log|x|, x = -1/sinh^2 r
-    log_tanh_half = math.log(math.tanh(r) / 2.0)
-    parity = m % 2
-    if parity == 0:
-        mu = m // 2
-        nu = np.arange(n_max // 2 + 1)            # n = 2 nu
-        c = 0.5
-        log_pre = (gammaln(2 * nu + 1.0) + gammaln(m + 1.0)
-                   - 2.0 * (gammaln(nu + 1.0) + gammaln(mu + 1.0))
-                   - math.log(math.cosh(r))
-                   + (2.0 * nu + 2.0 * mu) * log_tanh_half)
-        ns = 2 * nu
-    else:
-        mu = (m - 1) // 2
-        nu = np.arange((n_max - 1) // 2 + 1) if n_max >= 1 else np.arange(0)
-        c = 1.5
-        log_pre = (gammaln(2 * nu + 2.0) + gammaln(m + 1.0)
-                   - 2.0 * (gammaln(nu + 1.0) + gammaln(mu + 1.0))
-                   - 3.0 * math.log(math.cosh(r))
-                   + (2.0 * nu + 2.0 * mu) * log_tanh_half)
-        ns = 2 * nu + 1
-    if nu.size == 0:
-        return out
-
-    # 2F1(-nu, -mu; c; x) as a terminating sum over j = 0..min(nu, mu)
-    j = np.arange(min(int(nu.max()), mu) + 1)
-    nu_col = nu[:, None]
-    valid = j[None, :] <= np.minimum(nu_col, mu)
-    nu_fall = np.where(valid, nu_col - j[None, :] + 1.0, 1.0)
-    logmag = (gammaln(nu_col + 1.0) - gammaln(nu_fall)
-              + gammaln(mu + 1.0) - gammaln(np.where(valid, mu - j[None, :] + 1.0, 1.0))
-              - (gammaln(j + c) - gammaln(c))[None, :]
-              - gammaln(j + 1.0)[None, :]
-              + j[None, :] * log_x)
-    logmag = np.where(valid, logmag, -np.inf)
-    sign = np.where(j[None, :] % 2 == 0, 1.0, -1.0)
-    log_f = _signed_log_sum(logmag, sign, axis=1)
-
-    out[ns] = np.exp(log_pre + 2.0 * log_f)
-    return out
+    d_sh2 = (2.0 * nbar + 1.0) * math.sinh(r) ** 2
+    q0 = (nbar + 1.0) ** 2 + d_sh2
+    q1 = -2.0 * nbar * (nbar + 1.0)
+    q2 = nbar ** 2 - d_sh2
+    p, p_prev = q0 ** -0.5, 0.0
+    raw = [p]
+    for n in range(cutoff):
+        p, p_prev = -(q1 * (n + 0.5) * p + q2 * n * p_prev) / (q0 * (n + 1)), p
+        raw.append(p)
+    raw = np.array(raw)
+    return _finalize(raw, 1.0 - raw.sum(), tail_budget)
 
 
 def squeezed_number_distribution(m: int, r: float, cutoff: int = DEFAULT_CUTOFF,
                                  tail_budget: float = DEFAULT_TAIL_BUDGET) -> PhononDistribution:
-    """Phonon distribution of a squeezed number state S(r)|m>."""
+    """Phonon distribution of a squeezed number state S(r)|m>.
+
+    Parity is conserved: the amplitudes c_n = <n|S(r)|m>, n = m mod 2, m + 2, ...,
+    solve the three-term recurrence (b = S a S^dagger, b^dagger b S|m> = m S|m>)
+
+        cs sqrt((n+1)(n+2)) c_{n+2} + (ch^2 n + sh^2 (n+1) - m) c_n
+            + cs sqrt(n(n-1)) c_{n-2} = 0,      ch = cosh r, sh = sinh r, cs = ch sh.
+
+    The wanted solution grows with n below the lower turning point
+    (m + 1/2) e^{-2r} and decays above the upper one (m + 1/2) e^{2r}.  It is
+    run forward from n = m mod 2 to the lower turning point, backward from
+    far beyond the upper one, joined at the lower turning point and
+    normalized to a unit total.
+    """
     if m < 0:
         raise DomainError("m must be >= 0")
     if r < 0.0:
@@ -213,35 +186,36 @@ def squeezed_number_distribution(m: int, r: float, cutoff: int = DEFAULT_CUTOFF,
         raw = np.zeros(cutoff + 1)
         raw[m] = 1.0
         return _finalize(raw, 0.0, tail_budget)
-    raw = _squeezed_number_pops(m, r, cutoff)
-    tail = max(0.0, 1.0 - raw.sum())
-    return _finalize(raw, tail, tail_budget)
-
-
-def squeezed_thermal_distribution(nbar: float, r: float, cutoff: int = DEFAULT_CUTOFF,
-                                  tail_budget: float = DEFAULT_TAIL_BUDGET) -> PhononDistribution:
-    """Squeezed thermal state: thermal mixture of squeezed number states.
-
-    p(n) = sum_m p_thermal(m; nbar) |<n|S(r)|m>|^2.  Populations do not
-    depend on the squeezing phase, so only |r| enters.
-    """
-    if nbar < 0.0:
-        raise DomainError("nbar must be >= 0")
-    if r < 0.0:
-        raise DomainError("r must be >= 0")
-    if r == 0.0:
-        return thermal_distribution(nbar, cutoff, tail_budget)
-    if nbar == 0.0:
-        return squeezed_vacuum_distribution(r, cutoff, tail_budget)
-    x = nbar / (nbar + 1.0)
-    # keep thermal weights down to a 1e-14 relative tail
-    m_cut = int(math.ceil(math.log(1e-14) / math.log(x)))
+    lo = m % 2
+    # beyond twice the upper turning point amplitudes fall by ~tanh r per step
+    # of two levels; the extra levels make the start error negligible
+    n_top = max(cutoff, 2.0 * (m + 0.5) * math.exp(2.0 * r)
+                + 80.0 / abs(math.log(math.tanh(r))))
+    if n_top > _MAX_LADDER:
+        raise DomainError(f"squeezed number state m={m}, r={r:g} needs a ladder of "
+                          f"{n_top:.3g} levels, above the limit {_MAX_LADDER:.0e}")
+    k_top = int(n_top - lo) // 2 + 1
+    k_join = max(0, int(((m + 0.5) * math.exp(-2.0 * r) - lo) // 2))
+    n = lo + 2.0 * np.arange(k_top + 1)               # n_k on the parity ladder
+    diag = math.cosh(r) ** 2 * n + math.sinh(r) ** 2 * (n + 1.0) - m
+    off = math.cosh(r) * math.sinh(r) * np.sqrt((n + 1.0) * (n + 2.0))  # n_k <-> n_{k+1}
+    c = np.zeros(k_top + 2)
+    c[0] = 1.0
+    for k in range(k_join):
+        c[k + 1] = -(diag[k] * c[k] + (off[k - 1] * c[k - 1] if k else 0.0)) / off[k]
+        if abs(c[k + 1]) > _RESCALE:
+            c[:k + 2] /= _RESCALE
+    joined = c[k_join]
+    c[k_top] = 1.0
+    for k in range(k_top, k_join, -1):
+        c[k - 1] = -(off[k] * c[k + 1] + diag[k] * c[k]) / off[k - 1]
+        if abs(c[k - 1]) > _RESCALE:
+            c[k - 1:] /= _RESCALE
+    c[k_join:] *= joined / c[k_join]
+    pops = c[:k_top + 1] ** 2
     raw = np.zeros(cutoff + 1)
-    for m in range(m_cut + 1):
-        w = (1.0 - x) * x ** m
-        raw += w * _squeezed_number_pops(m, r, cutoff)
-    tail = max(0.0, 1.0 - raw.sum())
-    return _finalize(raw, tail, tail_budget)
+    raw[lo::2] = (pops / pops.sum())[:raw[lo::2].size]
+    return _finalize(raw, 1.0 - raw.sum(), tail_budget)
 
 
 def squeezed_thermal_mean(nbar: float, r: float) -> float:
@@ -262,7 +236,7 @@ class ModePrep:
 
     - ``thermal``:          nbar
     - ``coherent``:         alpha_sq   (mean phonon number |alpha|^2)
-    - ``squeezed_thermal``: nbar, r, theta
+    - ``squeezed_thermal``: nbar, r
     - ``fock``:             n_fock
     """
 
@@ -270,7 +244,6 @@ class ModePrep:
     nbar: float = 0.0
     alpha_sq: float = 0.0
     r: float = 0.0
-    theta: float = 0.0
     n_fock: int = 0
 
     def __post_init__(self):
@@ -294,8 +267,8 @@ class ModePrep:
         return cls(kind="coherent", alpha_sq=alpha_sq)
 
     @classmethod
-    def squeezed_thermal_state(cls, nbar: float, r: float, theta: float = 0.0) -> "ModePrep":
-        return cls(kind="squeezed_thermal", nbar=nbar, r=r, theta=theta)
+    def squeezed_thermal_state(cls, nbar: float, r: float) -> "ModePrep":
+        return cls(kind="squeezed_thermal", nbar=nbar, r=r)
 
     @classmethod
     def fock_state(cls, n: int) -> "ModePrep":

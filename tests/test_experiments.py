@@ -176,6 +176,11 @@ def test_steady_state_rule_presets():
     assert rule.start_for(squeezed) == WINDOW_SQUEEZED
     explicit = SteadyStateRule(method="window_average", window_start=100e-6)
     assert explicit.start_for(squeezed) == 100e-6
+    np.testing.assert_array_equal(rule.window_mask(thermal),
+                                  thermal.time_grid > WINDOW_DEFAULT)
+    late = SteadyStateRule(method="window_average", window_start=500e-6)
+    with pytest.raises(ValidationError, match="after window_start = 500 us"):
+        late.window_mask(thermal)
 
 
 def test_window_average_matches_dephasing():
@@ -288,6 +293,10 @@ def test_fig3_dataset_subset():
     assert tr.measured_ss == pytest.approx(2.11)
     # cooling row: steady state below the input occupation
     assert tr.nbar_c_ss < tr.nbar_c_in
+    # an empty averaging window is an error, named by its start in us
+    late = SteadyStateRule(method="window_average", window_start=500e-6)
+    with pytest.raises(ValidationError, match="after window_start = 500 us"):
+        fig3_dataset(base, scenarios=pairs[:1], rule=late)
 
 
 def test_single_shot_grid_validation():

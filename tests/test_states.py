@@ -1,8 +1,11 @@
 """Phonon-number distributions and preparation models.
 
-The squeezed-number kernel has two independent implementations: the
-terminating-hypergeometric form used here and a dense matrix exponential of
-the squeeze generator in ``ionfridge.oracle``.  They are compared directly.
+The squeezed families are computed by three-term recurrences: the Taylor
+coefficients of the squeezed-thermal generating function, and the
+amplitudes <n|S(r)|m> of a squeezed number state.  The second is compared
+directly with a dense matrix exponential of the squeeze generator in
+``ionfridge.oracle``; both are checked against their closed-form moments
+over a grid reaching well past the paper's operating points.
 """
 
 import math
@@ -63,9 +66,13 @@ def test_squeezed_vacuum_even_support_and_form():
     assert d.mean == pytest.approx(math.sinh(r) ** 2, rel=1e-9)
 
 
-@pytest.mark.parametrize("m,r", [(0, 0.6), (1, 0.6), (2, 1.1), (3, 0.4), (5, 0.9)])
+@pytest.mark.parametrize("m,r", [(0, 0.6), (1, 0.6), (2, 1.1), (3, 0.4), (5, 0.9),
+                                 (20, 0.02), (40, 0.05)])
 def test_squeezed_number_matches_dense_exponential(m, r):
-    """Hypergeometric kernel vs |<n|expm(squeeze generator)|m>|^2."""
+    """Recurrence vs |<n|expm(squeeze generator)|m>|^2.
+
+    The last two cases join the forward and backward runs away from n = m % 2.
+    """
     dim = 160
     s = oracle.squeeze_operator(r, 0.0, dim)
     dense = np.abs(s[:, m]) ** 2
@@ -88,13 +95,43 @@ def test_squeezed_thermal_reduces_to_squeezed_vacuum_at_nbar_zero():
     np.testing.assert_allclose(a.p, b.p, atol=1e-12)
 
 
-@pytest.mark.parametrize("nbar,r", [(0.5, 0.77), (0.5, 1.34), (1.2, 0.6)])
+@pytest.mark.parametrize("nbar,r", [(0.5, 0.77), (0.5, 1.34), (1.2, 0.6)]
+                         + [(nbar, r) for nbar in (0.0, 0.5, 1.0, 2.75, 4.0, 5.0, 10.0)
+                            for r in (0.0, 0.5, 1.0, 1.5)])
 def test_squeezed_thermal_mean_identity(nbar, r):
-    """Truncated mean approaches nbar cosh 2r + sinh^2 r."""
-    d = squeezed_thermal_distribution(nbar, r, cutoff=300)
+    """Mean is nbar cosh 2r + sinh^2 r; tail_mass is the mass cut off.
+
+    Cutoff 8000 leaves a tail below 1e-10 everywhere on this grid; (10, 1.5)
+    decays slowest, by about 0.995 per level.
+    """
+    full = squeezed_thermal_distribution(nbar, r, cutoff=8000)
+    assert full.tail_mass < 1e-10
     exact = squeezed_thermal_mean(nbar, r)
     assert exact == pytest.approx(nbar * math.cosh(2 * r) + math.sinh(r) ** 2, rel=1e-12)
-    assert d.mean == pytest.approx(exact, rel=1e-4)
+    assert full.mean == pytest.approx(exact, rel=1e-9, abs=1e-12)
+    # cutting at the mean drops a sizable tail, which tail_mass must report
+    cut = int(exact)
+    short = squeezed_thermal_distribution(nbar, r, cutoff=cut, tail_budget=1.0)
+    assert short.tail_mass == pytest.approx(full.p[cut + 1:].sum(), abs=1e-12)
+    np.testing.assert_allclose(short.p * (1.0 - short.tail_mass), full.p[:cut + 1],
+                               rtol=1e-9, atol=1e-15)
+
+
+@pytest.mark.parametrize("r", [0.02, 0.3, 1.2, 2.0])
+@pytest.mark.parametrize("m", [0, 1, 7, 20, 60, 100, 300])
+def test_squeezed_number_mean_and_variance_identities(m, r):
+    """<n> = m cosh 2r + sinh^2 r and Var n = (m^2 + m + 1) sinh^2(2r) / 2.
+
+    The cutoff reaches twice the upper turning point (m + 1/2) e^{2r} plus
+    enough levels for the tanh(r)-per-level decay beyond it.
+    """
+    cutoff = int(2 * (m + 1) * math.exp(2 * r) + 60 / abs(math.log(math.tanh(r))))
+    d = squeezed_number_distribution(m, r, cutoff=cutoff)
+    assert d.tail_mass < 1e-10
+    n = np.arange(d.p.size)
+    var = ((n - d.mean) ** 2) @ d.p
+    assert d.mean == pytest.approx(m * math.cosh(2 * r) + math.sinh(r) ** 2, rel=1e-9)
+    assert var == pytest.approx(0.5 * (m * m + m + 1) * math.sinh(2 * r) ** 2, rel=1e-9)
 
 
 def test_cutoff_error_when_tail_exceeds_budget():
@@ -115,6 +152,13 @@ def test_distribution_domain_errors():
         squeezed_vacuum_distribution(-0.5)
     with pytest.raises(DomainError):
         squeezed_thermal_distribution(0.5, -0.1)
+    with pytest.raises(DomainError):
+        squeezed_thermal_distribution(0.5, 0.3, cutoff=-1)
+    with pytest.raises(DomainError):
+        squeezed_number_distribution(-1, 0.5)
+    # a run past the upper turning point would need ~2e10 levels
+    with pytest.raises(DomainError, match="ladder"):
+        squeezed_number_distribution(1, 10.0)
 
 
 def test_mode_prep_validation_and_dispatch():
