@@ -14,10 +14,9 @@ from .benchmarks import (CoolingReport, OccupationTriple, cooling_condition,
                          cooling_report, entropy_flow,
                          equilibrium_cold_occupation, equilibrium_shift,
                          extract_equilibrium_nc)
-from .dynamics import (EnsembleSpectrum, PhononMoments, SectorHamiltonian,
-                       ThreeModeEnsemble, assemble_initial,
-                       build_sector_hamiltonian, default_incoherence_strength,
-                       mean_phonons)
+from .dynamics import (EnsembleSpectrum, SectorHamiltonian, ThreeModeEnsemble,
+                       assemble_initial, build_sector_hamiltonian,
+                       default_incoherence_strength)
 from .errors import (CutoffError, DomainError, FitConvergenceError,
                      NumericsError, ScenarioError, SensitivityError,
                      TruncationError, ValidationError)

@@ -7,9 +7,17 @@ symmetric tridiagonal matrix
 
 acting on |k, N-k, M-k>.  :class:`EnsembleSpectrum` eigendecomposes these
 small matrices once per ensemble, and every result is a view of that
-spectrum: unitary populations on a time grid, the infinite-time (dephased)
-average, and an incoherent double-commutator model in which the coherence
-(i, j) decays as exp(-xi_in (w_i - w_j)^2 t).
+spectrum.  Means are one projected observable: inside sector (N, M),
+n_w = N - n_h and n_c = M - n_h, so with the hot number projected onto each
+eigenbasis once, all sectors flatten into one gap vector g and one
+coefficient vector C, and
+
+    <n_h>(t) = <n_h>_dephased + kernel(t, g) @ C,
+    <n_w> = sum_s w_s N_s - <n_h>,   <n_c> = sum_s w_s M_s - <n_h>,
+
+with kernel cos(g t) (unitary), exp(-xi_in g^2 t) (incoherent
+double-commutator model) or none (dephased).  Per-mode marginals are built
+only where a readout needs the full distributions.
 
 Off-diagonal couplings are strictly positive inside a sector, so each
 sector Hamiltonian is an unreduced Jacobi matrix with a simple spectrum;
@@ -24,11 +32,11 @@ populations only (one real populations vector per sector).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
+from .benchmarks import OccupationTriple
 from .errors import DomainError
 from .fockspace import SectorLabel, SectorSelection, TruncationPolicy, select_sectors
 # re-exported: perfbench/workloads.py imports the oracle from this module
@@ -186,53 +194,8 @@ def assemble_initial(preps: tuple[ModePrep, ModePrep, ModePrep],
 # ---------------------------------------------------------------------------
 
 
-class PhononMoments(NamedTuple):
-    """Mean occupations and per-mode marginal number distributions."""
-
-    nbar_h: float
-    nbar_w: float
-    nbar_c: float
-    marginals: tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def mean_phonons(ensemble: ThreeModeEnsemble) -> PhononMoments:
-    """Weighted means and marginals over all retained sectors.
-
-    Marginals sum to the retained weight (not to 1) so that truncation stays
-    visible; normalize before feeding them to detection models.
-    """
-    return _moments(ensemble, (s.pops for s in ensemble.sectors))
-
-
-def _moments(ensemble, pops_iter) -> PhononMoments:
-    """Moments of one populations vector per sector (in selection order)."""
-    margs = _accumulate_marginals(ensemble, (p[:, None] for p in pops_iter), n_times=1)
-    return PhononMoments(*map(float, _means_from_marginals(margs)[:, 0]),
-                         marginals=tuple(m[:, 0] for m in margs))
-
-
-def _accumulate_marginals(ensemble, pops_iter, n_times):
-    nh_max = max((min(s.label.N, s.label.M) for s in ensemble.sectors), default=0)
-    nw_max = max((s.label.N for s in ensemble.sectors), default=0)
-    nc_max = max((s.label.M for s in ensemble.sectors), default=0)
-    p_h = np.zeros((nh_max + 1, n_times))
-    p_w = np.zeros((nw_max + 1, n_times))
-    p_c = np.zeros((nc_max + 1, n_times))
-    for state, pops in zip(ensemble.sectors, pops_iter):
-        k = state.k_lo + np.arange(pops.shape[0])
-        w_pops = state.weight * pops
-        p_h[k] += w_pops
-        p_w[state.label.N - k] += w_pops
-        p_c[state.label.M - k] += w_pops
-    return p_h, p_w, p_c
-
-
-def _means_from_marginals(margs) -> np.ndarray:
-    return np.array([np.arange(marg.shape[0]) @ marg for marg in margs])
-
-
-def _unitary_kernel(t_grid: np.ndarray, gaps: np.ndarray) -> np.ndarray:
-    return np.cos(np.outer(t_grid, gaps))
+#: kernel elements evaluated per block of time rows (about 1 MB per block)
+_KERNEL_BLOCK = 1 << 17
 
 
 class EnsembleSpectrum:
@@ -240,15 +203,25 @@ class EnsembleSpectrum:
 
     ``eig[i]`` holds sector ``i``'s eigenvalues ``lam``, eigenvectors ``vec``
     (columns) and its initial populations rotated to the eigenbasis,
-    ``b = vec.T diag(pops) vec`` (real).  Time grids, the dephased state and
-    the incoherent model are all evaluated from these triples, vectorized
-    per sector; reductions run in fixed (selection) order, so results do not
-    depend on scheduling.
+    ``b = vec.T diag(pops) vec`` (real); :meth:`marginals_at` reads them.
+
+    For the means, with A = vec.T diag(n_h) vec and sector weight w, each
+    pair i < j of each sector adds lam_j - lam_i to ``gaps`` and
+    2 w b_ij A_ij to ``coef``, and ``nh_dephased`` = sum w b_ii A_ii.  Then
+    <n_h>(t) = nh_dephased + kernel(t, gaps) @ coef, and <n_w>, <n_c> are
+    ``sum_wN``, ``sum_wM`` minus <n_h>, because n_w = N - n_h and
+    n_c = M - n_h inside sector (N, M).  Reductions run in fixed
+    (selection) order, so results do not depend on scheduling.
     """
 
     def __init__(self, ensemble: ThreeModeEnsemble):
         self.ensemble = ensemble
         self.eig: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        n_pairs = sum(s.pops.size * (s.pops.size - 1) // 2 for s in ensemble.sectors)
+        self.gaps = np.empty(n_pairs)
+        self.coef = np.empty(n_pairs)
+        self.nh_dephased = 0.0
+        start = 0
         for state in ensemble.sectors:
             ham = build_sector_hamiltonian(state.label, ensemble.xi, ensemble.detuning,
                                            window=state.window)
@@ -256,33 +229,61 @@ class EnsembleSpectrum:
                 lam, vec = ham.diag.copy(), np.ones((1, 1))
             else:
                 lam, vec = eigh_tridiagonal(ham.diag, ham.offdiag)
-            self.eig.append((lam, vec, (vec.T * state.pops) @ vec))
+            b = (vec.T * state.pops) @ vec
+            self.eig.append((lam, vec, b))
+            n_h = state.k_lo + np.arange(lam.size)
+            terms = state.weight * b * ((vec.T * n_h) @ vec)
+            i, j = np.triu_indices(lam.size, 1)
+            stop = start + i.size
+            self.gaps[start:stop] = lam[j] - lam[i]
+            self.coef[start:stop] = 2.0 * terms[i, j]
+            self.nh_dephased += float(np.trace(terms))
+            start = stop
+        self.sum_wN = sum(s.weight * s.label.N for s in ensemble.sectors)
+        self.sum_wM = sum(s.weight * s.label.M for s in ensemble.sectors)
 
-    def _populations(self, t_grid: np.ndarray, kernel):
-        """Per-sector populations P[k, t] on a time grid, in selection order.
+    def _means(self, t_grid: np.ndarray, kernel=None) -> np.ndarray:
+        """[n_h, sum w N - n_h, sum w M - n_h] with n_h = nh_dephased + kernel @ coef.
 
-        P[k, t] = sum_ij vec[k, i] vec[k, j] b[i, j] kernel(t, w_i - w_j), with
-        ``kernel(t_grid, gaps)`` returning the (len(t_grid), len(gaps)) factors.
+        ``kernel(t, gaps)`` returns the (len(t), len(gaps)) factors; it is
+        evaluated in blocks of time rows of about ``_KERNEL_BLOCK`` elements.
         """
-        for lam, vec, b in self.eig:
-            d = lam.size
-            if d == 1:
-                yield np.ones((1, t_grid.size))
-                continue
-            gaps = (lam[:, None] - lam[None, :]).reshape(-1)
-            w3 = ((vec[:, :, None] * vec[:, None, :]) * b[None, :, :]).reshape(d, d * d)
-            yield (kernel(t_grid, gaps) @ w3.T).T
+        n_h = np.full(t_grid.size, self.nh_dephased)
+        if kernel is not None and self.gaps.size:
+            rows = max(1, _KERNEL_BLOCK // self.gaps.size)
+            for lo in range(0, t_grid.size, rows):
+                n_h[lo:lo + rows] += kernel(t_grid[lo:lo + rows], self.gaps) @ self.coef
+        return np.array([n_h, self.sum_wN - n_h, self.sum_wM - n_h])
 
     def marginals_at(self, t_grid: np.ndarray):
-        """Unitary per-mode marginals, each of shape (n_max + 1, len(t_grid))."""
-        t_grid = np.asarray(t_grid, dtype=float)
-        return _accumulate_marginals(self.ensemble,
-                                     self._populations(t_grid, _unitary_kernel),
-                                     t_grid.size)
+        """Unitary per-mode marginals, each of shape (n_max + 1, len(t_grid)).
+
+        Sector populations are P[k, t] = sum_ij vec[k, i] vec[k, j] b[i, j]
+        cos((lam_i - lam_j) t).  Marginals sum to the retained weight (not to
+        1) so that truncation stays visible; normalize before feeding them to
+        detection models.
+        """
+        t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+        sectors = self.ensemble.sectors
+        p_h = np.zeros((max((min(s.label.N, s.label.M) for s in sectors), default=0) + 1,
+                        t_grid.size))
+        p_w = np.zeros((max((s.label.N for s in sectors), default=0) + 1, t_grid.size))
+        p_c = np.zeros((max((s.label.M for s in sectors), default=0) + 1, t_grid.size))
+        for state, (lam, vec, b) in zip(sectors, self.eig):
+            d = lam.size
+            gaps = (lam[:, None] - lam[None, :]).reshape(-1)
+            w3 = ((vec[:, :, None] * vec[:, None, :]) * b[None, :, :]).reshape(d, d * d)
+            w_pops = state.weight * (np.cos(np.outer(t_grid, gaps)) @ w3.T).T
+            k = state.k_lo + np.arange(d)
+            p_h[k] += w_pops
+            p_w[state.label.N - k] += w_pops
+            p_c[state.label.M - k] += w_pops
+        return p_h, p_w, p_c
 
     def means_at(self, t_grid: np.ndarray) -> np.ndarray:
-        """Mean occupations, shape (3, len(t_grid))."""
-        return _means_from_marginals(self.marginals_at(t_grid))
+        """Mean occupations (not normalized by the retained weight), shape (3, len(t_grid))."""
+        return self._means(np.asarray(t_grid, dtype=float).reshape(-1),
+                           lambda t, g: np.cos(np.outer(t, g)))
 
     def incoherent_means_at(self, t_grid: np.ndarray, xi_in: float) -> np.ndarray:
         """Means under the double-commutator model d rho/dt = -xi_in [H, [H, rho]].
@@ -290,24 +291,18 @@ class EnsembleSpectrum:
         ``xi_in`` has units of time (the commutators are taken with H/hbar);
         coherence (i, j) decays at rate xi_in (w_i - w_j)^2.
         """
-        t_grid = np.asarray(t_grid, dtype=float)
+        t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
         if not xi_in >= 0.0 or not np.all(t_grid >= 0.0):
             raise DomainError("xi_in and every time must be >= 0")
+        return self._means(t_grid, lambda t, g: np.exp(-xi_in * np.outer(t, g * g)))
 
-        def kernel(t, gaps):
-            return np.exp(-xi_in * np.outer(t, gaps ** 2))
-
-        return _means_from_marginals(_accumulate_marginals(
-            self.ensemble, self._populations(t_grid, kernel), t_grid.size))
-
-    def dephased_moments(self) -> PhononMoments:
-        """Moments of the infinite-time average (exact for simple spectra)."""
-        return _moments(self.ensemble, ((vec ** 2) @ np.diag(b) for _, vec, b in self.eig))
+    def dephased_moments(self) -> OccupationTriple:
+        """Means of the infinite-time average (exact for simple spectra)."""
+        return OccupationTriple(*map(float, self._means(np.zeros(1))[:, 0]))
 
     def min_eigenvalue_gap(self) -> float:
         """Smallest nonzero eigenvalue gap across sectors with dim > 1 (rad/s)."""
-        gaps = (np.diff(np.sort(lam)) for lam, _, _ in self.eig)
-        return min((float(g[g > 0.0].min(initial=np.inf)) for g in gaps), default=np.inf)
+        return float(self.gaps[self.gaps > 0.0].min(initial=np.inf))
 
 
 def default_incoherence_strength(spectrum: EnsembleSpectrum) -> float:

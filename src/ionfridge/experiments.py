@@ -79,13 +79,17 @@ class Scenario:
         grid = np.asarray(self.time_grid, dtype=float)
         if grid.ndim != 1 or grid.size == 0:
             raise ScenarioError("time grid must be a nonempty 1-d array")
+        if not np.all(np.isfinite(grid)):
+            raise ScenarioError("time grid must be finite")
         if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
             raise ScenarioError("time grid must be strictly increasing")
         if np.any(grid < 0.0):
             raise ScenarioError("time grid must be nonnegative")
         object.__setattr__(self, "time_grid", grid)
-        if self.xi <= 0.0:
-            raise ScenarioError("coupling rate must be > 0")
+        if not (math.isfinite(self.xi) and self.xi > 0.0):
+            raise ScenarioError("coupling rate must be finite and > 0")
+        if not math.isfinite(self.detuning):
+            raise ScenarioError("detuning must be finite")
         for kind in self.outputs:
             if kind not in _OUTPUT_KINDS:
                 raise ScenarioError(f"unknown output kind {kind!r}")
@@ -375,16 +379,13 @@ def run_scenario(s: Scenario) -> TrajectoryResult:
     """
     ensemble = build_ensemble(s)
     spectrum = EnsembleSpectrum(ensemble)
-    marginals = spectrum.marginals_at(s.time_grid)
     retained = ensemble.retained_weight
-    nbar = np.vstack([
-        (np.arange(m.shape[0]) @ m) / retained for m in marginals
-    ])
+    nbar = spectrum.means_at(s.time_grid) / retained
     p_up = None
     if s.sideband is not None:
         cfg = s.sideband
         p_up = np.empty_like(nbar)
-        for i, marg in enumerate(marginals):
+        for i, marg in enumerate(spectrum.marginals_at(s.time_grid)):
             n = np.arange(marg.shape[0])
             flip = 0.5 * (1.0 - np.cos(np.sqrt(n) * cfg.omega_rabi * cfg.t_rsb))
             p_up[i] = cfg.a_bg + cfg.eta * (flip @ marg) / retained
@@ -452,8 +453,7 @@ def steady_state(s: Scenario, rule: SteadyStateRule = SteadyStateRule()) -> Occu
     ensemble = build_ensemble(s)
     spectrum = EnsembleSpectrum(ensemble)
     if rule.method == "dephasing":
-        mom = spectrum.dephased_moments()
-        return OccupationTriple(mom.nbar_h, mom.nbar_w, mom.nbar_c)
+        return spectrum.dephased_moments()
     means = spectrum.means_at(s.time_grid[rule.window_mask(s)])
     avg = means.mean(axis=1)
     return OccupationTriple(float(avg[0]), float(avg[1]), float(avg[2]))
@@ -598,21 +598,17 @@ class RelaxationStudy:
         out_dir = Path(out_dir)
         traces_path = out_dir / "fig3_traces.csv"
         summary_path = out_dir / "fig3_summary.csv"
-        rows = []
-        for tr in self.traces:
-            for t, nc in zip(tr.tau, tr.nbar_c):
-                rows.append([tr.label, f"{t * 1e6:.12g}", f"{nc:.12g}",
-                             f"{nc - tr.nbar_c_ss:.12g}"])
+        rows = [[tr.label, t * 1e6, nc, nc - tr.nbar_c_ss]
+                for tr in self.traces for t, nc in zip(tr.tau, tr.nbar_c)]
         write_dataset_csv(traces_path, ["label", "tau_us", "nbar_c", "delta_nbar_c"],
-                          rows, self.metadata, raw=True)
+                          rows, self.metadata)
         write_dataset_csv(
             summary_path,
             ["label", "nbar_w_eff", "nbar_c_in", "nbar_c_ss", "delta_nc0",
              "measured_ss"],
-            [[tr.label, f"{tr.nbar_w_eff:.12g}", f"{tr.nbar_c_in:.12g}",
-              f"{tr.nbar_c_ss:.12g}", f"{tr.nbar_c_in - tr.nbar_c_ss:.12g}",
-              f"{tr.measured_ss:.12g}"] for tr in self.traces],
-            self.metadata, raw=True)
+            [[tr.label, tr.nbar_w_eff, tr.nbar_c_in, tr.nbar_c_ss,
+              tr.nbar_c_in - tr.nbar_c_ss, tr.measured_ss] for tr in self.traces],
+            self.metadata)
         return [traces_path, summary_path]
 
 
@@ -782,13 +778,12 @@ def format_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def write_dataset_csv(path, columns: Sequence[str], rows, metadata: dict,
-                      raw: bool = False) -> None:
+def write_dataset_csv(path, columns: Sequence[str], rows, metadata: dict) -> None:
     """Write a dataset CSV: one ``# `` JSON metadata line, header, rows.
 
-    ``raw`` rows are pre-formatted strings; otherwise every value is
-    emitted with 12 significant digits.  Output is deterministic (sorted
-    metadata keys, LF endings, no timestamps).
+    Strings (labels) pass through; every other value is emitted with 12
+    significant digits.  Output is deterministic (sorted metadata keys, LF
+    endings, no timestamps).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -797,10 +792,8 @@ def write_dataset_csv(path, columns: Sequence[str], rows, metadata: dict,
                                    separators=(",", ":")) + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            if raw:
-                fh.write(",".join(str(v) for v in row) + "\n")
-            else:
-                fh.write(",".join(format_float(float(v)) for v in row) + "\n")
+            fh.write(",".join(v if isinstance(v, str) else format_float(float(v))
+                              for v in row) + "\n")
 
 
 def read_dataset_csv(path) -> tuple[dict, list[str], np.ndarray]:

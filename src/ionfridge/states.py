@@ -60,6 +60,8 @@ def _finalize(raw: np.ndarray, tail_mass: float, tail_budget: float) -> PhononDi
     raw = np.asarray(raw, dtype=float)
     if raw.ndim != 1 or raw.size == 0:
         raise DomainError("distribution array must be 1-d and non-empty")
+    if not (np.all(np.isfinite(raw)) and math.isfinite(tail_mass)):
+        raise DomainError("non-finite probability encountered")
     if raw.min() < -1e-12:
         raise DomainError("negative probability encountered")
     raw = np.clip(raw, 0.0, None)
@@ -178,8 +180,8 @@ def squeezed_number_distribution(m: int, r: float, cutoff: int = DEFAULT_CUTOFF,
     """
     if m < 0:
         raise DomainError("m must be >= 0")
-    if r < 0.0:
-        raise DomainError("r must be >= 0")
+    if not 0.0 <= r < math.inf:
+        raise DomainError("r must be finite and >= 0")
     if r == 0.0:
         if m > cutoff:
             raise CutoffError(f"cutoff {cutoff} below Fock index {m}")
@@ -249,6 +251,8 @@ class ModePrep:
     def __post_init__(self):
         if self.kind not in _PREP_KINDS:
             raise DomainError(f"unknown prep kind {self.kind!r}; expected one of {_PREP_KINDS}")
+        if not all(math.isfinite(v) for v in (self.nbar, self.alpha_sq, self.r)):
+            raise DomainError("prep parameters must be finite")
         if self.kind == "thermal" and self.nbar < 0.0:
             raise DomainError("thermal prep needs nbar >= 0")
         if self.kind == "coherent" and self.alpha_sq < 0.0:

@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from ionfridge.dynamics import (EnsembleSpectrum, assemble_initial,
+from ionfridge.dynamics import (_KERNEL_BLOCK, EnsembleSpectrum, assemble_initial,
                                 build_sector_hamiltonian,
-                                default_incoherence_strength, mean_phonons)
+                                default_incoherence_strength)
 from ionfridge.errors import DomainError
 from ionfridge.fockspace import SectorLabel, TruncationPolicy
 from ionfridge.oracle import dense_oracle_evolve
@@ -54,6 +54,23 @@ def _thermal_ensemble(nbars, epsilon=1e-5):
     return assemble_initial(preps, TruncationPolicy(epsilon=epsilon), xi=XI)
 
 
+def _initial_marginals(ens):
+    """Per-mode (hot, work, cold) marginals of the initial ensemble, rows of
+    one array, built straight from the sector populations."""
+    n_max = max(max(s.label.N, s.label.M) for s in ens.sectors)
+    margs = np.zeros((3, n_max + 1))
+    for s in ens.sectors:
+        k = s.k_lo + np.arange(s.pops.size)
+        for marg, n in zip(margs, (k, s.label.N - k, s.label.M - k)):
+            marg[n] += s.weight * s.pops
+    return margs
+
+
+def _initial_means(ens):
+    margs = _initial_marginals(ens)
+    return margs @ np.arange(margs.shape[1])
+
+
 def test_single_quantum_exchange_oscillation():
     """<n_c>(t) = cos^2(xi t) for the |0,1,1> preparation: the textbook case."""
     times = np.array([0.0, 37e-6, 81e-6, 140e-6])
@@ -75,10 +92,8 @@ def test_single_quantum_doublet_splitting_is_twice_xi():
 
 def test_zero_time_is_identity():
     ens = _thermal_ensemble((0.4, 0.9, 0.6), epsilon=1e-6)
-    m0 = mean_phonons(ens)
     m1 = EnsembleSpectrum(ens).means_at(np.array([0.0]))[:, 0]
-    for a, b in zip(m0[:3], m1):
-        assert a == pytest.approx(b, rel=1e-13)
+    np.testing.assert_allclose(m1, _initial_means(ens), rtol=1e-13)
 
 
 def test_marginals_at_conserve_retained_weight():
@@ -91,8 +106,8 @@ def test_marginals_at_conserve_retained_weight():
     for marg in margs:
         assert marg.shape[1] == t_grid.size
         np.testing.assert_allclose(marg.sum(axis=0), w, rtol=1e-12)
-    for marg, initial in zip(margs, mean_phonons(ens).marginals):
-        np.testing.assert_allclose(marg[:, 0], initial, rtol=0, atol=1e-14)
+    for marg, initial in zip(margs, _initial_marginals(ens)):
+        np.testing.assert_allclose(marg[:, 0], initial[:marg.shape[0]], rtol=0, atol=1e-14)
 
 
 def test_dephased_moments_are_the_long_time_average():
@@ -106,11 +121,11 @@ def test_dephased_moments_are_the_long_time_average():
     spectrum = EnsembleSpectrum(ens)
     dm = spectrum.dephased_moments()
     late = spectrum.means_at(np.linspace(0.0, 50e-3, 4001)).mean(axis=1)
-    np.testing.assert_allclose(late, dm[:3], rtol=0, atol=1e-4)
+    np.testing.assert_allclose(late, dm.as_tuple(), rtol=0, atol=1e-4)
     # the dephased state keeps both conserved sums of the initial one
-    m0 = mean_phonons(ens)
-    assert dm.nbar_h + dm.nbar_w == pytest.approx(m0.nbar_h + m0.nbar_w, abs=1e-12)
-    assert dm.nbar_h + dm.nbar_c == pytest.approx(m0.nbar_h + m0.nbar_c, abs=1e-12)
+    m0 = _initial_means(ens)
+    assert dm.nbar_h + dm.nbar_w == pytest.approx(m0[0] + m0[1], abs=1e-12)
+    assert dm.nbar_h + dm.nbar_c == pytest.approx(m0[0] + m0[2], abs=1e-12)
 
 
 @pytest.mark.parametrize("detuning_khz", [0.0, 1.0, -40.0])
@@ -178,8 +193,37 @@ def test_default_incoherence_strength_edge_cases():
 
 def test_marginals_sum_to_retained_weight(thermal_triple, small_policy):
     ens = assemble_initial(thermal_triple, small_policy, xi=XI)
-    m = mean_phonons(ens)
+    margs = EnsembleSpectrum(ens).marginals_at(np.zeros(1))
     w = ens.retained_weight
     assert w == pytest.approx(1.0, abs=2e-4)
-    for marg in m.marginals:
+    for marg in margs:
         assert marg.sum() == pytest.approx(w, rel=1e-10)
+    means = [np.arange(marg.shape[0]) @ marg[:, 0] for marg in margs]
+    np.testing.assert_allclose(means, _initial_means(ens), rtol=1e-13)
+
+
+def test_means_at_match_means_of_marginals_at():
+    """The projected hot-mode sum against the independent per-mode
+    accumulation, on a capped (windowed), detuned, squeezed-work ensemble."""
+    preps = (ModePrep.thermal_state(0.8), ModePrep.squeezed_thermal_state(0.5, 0.7),
+             ModePrep.thermal_state(1.2))
+    policy = TruncationPolicy(epsilon=1e-6, n_max_h=7, n_max_w=5, n_max_c=6)
+    ens = assemble_initial(preps, policy, XI, detuning=TWO_PI * 3e3)
+    assert any(s.k_lo > 0 for s in ens.sectors)
+    spectrum = EnsembleSpectrum(ens)
+    t_grid = np.linspace(0.0, 700e-6, 37)
+    margs = spectrum.marginals_at(t_grid)
+    from_marginals = np.array([np.arange(m.shape[0]) @ m for m in margs])
+    np.testing.assert_allclose(spectrum.means_at(t_grid), from_marginals, rtol=0, atol=1e-12)
+
+
+def test_grid_longer_than_one_kernel_block_matches_point_calls():
+    spectrum = EnsembleSpectrum(_thermal_ensemble((0.66, 2.16, 2.63), epsilon=1e-4))
+    rows_per_block = _KERNEL_BLOCK // spectrum.gaps.size
+    t_grid = np.linspace(0.0, 700e-6, 2 * rows_per_block + 7)
+    assert 1 <= rows_per_block < t_grid.size
+    xi_in = default_incoherence_strength(spectrum)
+    for means_at in (spectrum.means_at,
+                     lambda t: spectrum.incoherent_means_at(t, xi_in)):
+        points = np.hstack([means_at(np.array([t])) for t in t_grid])
+        np.testing.assert_allclose(means_at(t_grid), points, rtol=0, atol=1e-13)

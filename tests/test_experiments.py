@@ -12,7 +12,8 @@ import pytest
 from ionfridge.cli import main as cli_main
 from ionfridge.errors import ScenarioError, ValidationError
 from ionfridge.experiments import (SCHEMA_VERSION, WINDOW_DEFAULT,
-                                   WINDOW_SQUEEZED, Scenario, SteadyStateRule,
+                                   WINDOW_SQUEEZED, RelaxationStudy,
+                                   RelaxationTrace, Scenario, SteadyStateRule,
                                    fig2_dataset, fig3_dataset, fig4_dataset,
                                    load_scenario, read_dataset_csv,
                                    reference_scenario, relaxation_scenarios,
@@ -118,6 +119,17 @@ _BAD_SCENARIOS = [
     ("sweep_unknown_key", _mutate(("sweep",), {"hot_nbar": [1.0]})),
     ("unknown_output", _mutate(("outputs",), ["trajectory", "fig9"])),
     ("zero_coupling", _mutate(("coupling",), {"xi_khz": 0.0})),
+    ("nan_coupling", _mutate(("coupling",), {"xi_khz": math.nan})),
+    ("inf_coupling", _mutate(("coupling",), {"xi_khz": math.inf})),
+    ("nan_detuning", _mutate(("detuning_khz",), math.nan)),
+    ("inf_detuning", _mutate(("detuning_khz",), -math.inf)),
+    ("grid_infinite", _mutate(("time_grid_us",), [0.0, 5.0, math.inf])),
+    ("grid_nan_stop", _mutate(("time_grid_us",), {"start": 0.0, "stop": math.nan,
+                                                  "num": 5})),
+    ("prep_nan", _mutate(("preps", "hot"), {"kind": "thermal", "nbar": math.nan})),
+    ("prep_inf_mbar", _mutate(("preps", "work"), {"kind": "coherent", "mbar": math.inf})),
+    ("prep_nan_r", _mutate(("preps", "work"), {"kind": "squeezed_thermal", "nbar": 0.5,
+                                               "r": math.nan})),
 ]
 
 
@@ -351,6 +363,24 @@ def test_dataset_csv_round_trip(tmp_path):
     assert "\r" not in text
 
 
+def test_fig3_csv_row_text_is_pinned(tmp_path):
+    """Labels pass through as text; every number is written with %.12g."""
+    trace = RelaxationTrace(label="thermal_nw4.44", nbar_w_eff=4.44, nbar_c_in=2.63,
+                            nbar_c_ss=2.1, tau=np.array([0.0, 2.5e-6]),
+                            nbar_c=np.array([2.63, 2.6012345678901234]))
+    traces_path, summary_path = RelaxationStudy([trace], {"k": 1}).write(tmp_path)
+    assert traces_path.read_text().splitlines() == [
+        '# {"k":1}',
+        "label,tau_us,nbar_c,delta_nbar_c",
+        "thermal_nw4.44,0,2.63,0.53",
+        "thermal_nw4.44,2.5,2.60123456789,0.50123456789",
+    ]
+    assert summary_path.read_text().splitlines()[1:] == [
+        "label,nbar_w_eff,nbar_c_in,nbar_c_ss,delta_nc0,measured_ss",
+        "thermal_nw4.44,4.44,2.63,2.1,0.53,nan",
+    ]
+
+
 def test_dataset_csv_missing_metadata(tmp_path):
     path = tmp_path / "plain.csv"
     path.write_text("a,b\n1,2\n")
@@ -408,6 +438,20 @@ def test_cli_bad_scenario_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
     rc = cli_main(["simulate", str(tmp_path / "missing.json")])
     assert rc == 2
+
+
+@pytest.mark.parametrize("path,value", [
+    (("coupling",), {"xi_khz": math.nan}),
+    (("detuning_khz",), math.inf),
+    (("time_grid_us",), [0.0, 5.0, math.inf]),
+    (("preps", "cold"), {"kind": "thermal", "nbar": math.inf}),
+], ids=["xi_nan", "detuning_inf", "grid_inf", "nbar_inf"])
+def test_cli_non_finite_scenario_exit_code(tmp_path, capsys, path, value):
+    """Non-finite numbers (JSON NaN / Infinity) are validation errors, exit 2;
+    before they raised from scipy, returned NaN or exited 3."""
+    rc = cli_main(["steady-state", _write_scenario(tmp_path, _mutate(path, value))])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
 
 
 def test_cli_epsilon_override(tmp_path, capsys):

@@ -161,6 +161,29 @@ def test_distribution_domain_errors():
         squeezed_number_distribution(1, 10.0)
 
 
+@pytest.mark.parametrize("make", [
+    lambda v: thermal_distribution(v),
+    lambda v: coherent_distribution(v),
+    lambda v: squeezed_vacuum_distribution(v),
+    lambda v: squeezed_thermal_distribution(v, 0.5),
+    lambda v: squeezed_thermal_distribution(0.5, v),
+    lambda v: squeezed_number_distribution(3, v),
+    lambda v: ModePrep.thermal_state(v),
+    lambda v: ModePrep.coherent_state(v),
+    lambda v: ModePrep.squeezed_thermal_state(v, 0.5),
+    lambda v: ModePrep.squeezed_thermal_state(0.5, v),
+], ids=["thermal", "coherent", "squeezed_vacuum", "squeezed_thermal_nbar",
+        "squeezed_thermal_r", "squeezed_number_r", "prep_thermal", "prep_coherent",
+        "prep_squeezed_nbar", "prep_squeezed_r"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # 0 * log(inf) on the way
+def test_non_finite_parameters_raise_domain_error(make, value):
+    """Before, these returned NaN distributions (or raised bare ValueError /
+    ZeroDivisionError), and NaN preps surfaced later as a TruncationError."""
+    with pytest.raises(DomainError):
+        make(value)
+
+
 def test_mode_prep_validation_and_dispatch():
     with pytest.raises(DomainError):
         ModePrep(kind="displaced")
