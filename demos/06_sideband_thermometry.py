@@ -44,6 +44,8 @@ ref = st.p[:14] / st.p[:14].sum()       # truth on the fit's support
 for n in range(7):
     print(f"  {n:2d}    {free.populations[n]:.4f}       {ref[n]:.4f}")
 print("(even-n surplus from the squeezing is clearly resolved)")
+print(f"fit Jacobian: rank {free.rank} of {len(free.params)} parameters, "
+      f"condition number {free.cond:.2g}")
 
 # --- linearized red-sideband estimator --------------------------------------
 # one fixed-duration probe; sensitivity from simulations at nbar +/- delta

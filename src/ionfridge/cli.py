@@ -177,8 +177,8 @@ def _cmd_oracle_check(args) -> int:
 def _cmd_fit(args) -> int:
     samples = load_brightness_csv(args.data)
     result = fit_distribution(samples, _FIT_MODELS[args.model])
-    print(f"model: {args.model}  ({len(samples)} samples, "
-          f"{result.n_iter} iterations)")
+    print(f"model: {args.model}  ({len(samples)} samples, {result.n_iter} iterations, "
+          f"rank {result.rank}, condition number {result.cond:.3g})")
     for name, value in result.params.items():
         err = result.errors.get(name, math.nan)
         print(f"  {name} = {value:.6g} +/- {err:.2g}")

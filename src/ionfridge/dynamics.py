@@ -23,10 +23,14 @@ Off-diagonal couplings are strictly positive inside a sector, so each
 sector Hamiltonian is an unreduced Jacobi matrix with a simple spectrum;
 dephasing in the eigenbasis therefore equals the long-time average exactly.
 
-Product initial states whose hot and cold factors are diagonal in the
-number basis carry no within-sector coherences, and cross-sector
-coherences never influence number observables, so ensembles here hold
-populations only (one real populations vector per sector).
+Preparations are phase-randomized (see :class:`~ionfridge.states.ModePrep`):
+every mode enters as its number-diagonal density, so the initial product
+state carries no within-sector coherences, and cross-sector coherences
+never influence number observables; ensembles here hold populations only
+(one real populations vector per sector).  For phase-definite states this
+is exact when at least one mode is number-diagonal (thermal or Fock): a
+within-sector coherence between |k, N-k, M-k> and |k', N-k', M-k'> needs
+coherences in all three modes.
 """
 
 from __future__ import annotations

@@ -32,7 +32,7 @@ class TruncationError(NumericsError):
 
 
 class FitConvergenceError(NumericsError):
-    """Damped least-squares fit did not converge."""
+    """Least-squares fit did not converge."""
 
 
 class SensitivityError(NumericsError):

@@ -101,10 +101,36 @@ def _reject_unknown(d: dict, allowed: Iterable[str], where: str) -> None:
         raise ScenarioError(f"unknown key(s) in {where}: {sorted(unknown)}")
 
 
-def _require(d: dict, key: str, where: str):
+def _require(d: dict, key: str, where: str, kind=None):
+    """``d[key]``, checked by ``kind`` (``_number`` or ``_integer``) if given."""
     if key not in d:
         raise ScenarioError(f"missing key {key!r} in {where}")
-    return d[key]
+    return d[key] if kind is None else kind(d[key], f"{where}.{key}")
+
+
+def _number(value, where: str) -> float:
+    """A JSON number as a float; strings, booleans and null are rejected."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ScenarioError(f"{where} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError:           # an integer beyond the float range
+        raise ScenarioError(f"{where} is out of range") from None
+
+
+def _integer(value, where: str) -> int:
+    """A JSON integer; a float passes only when integral (4.0, not 2.7 or inf)."""
+    if isinstance(value, float) and value.is_integer():
+        value = int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ScenarioError(f"{where} must be an integer, got {value!r}")
+    return value
+
+
+def _numbers(value, where: str) -> tuple[float, ...]:
+    if not isinstance(value, list):
+        raise ScenarioError(f"{where} must be a list, got {value!r}")
+    return tuple(_number(v, where) for v in value)
 
 
 def _prep_from_dict(d: dict, where: str) -> ModePrep:
@@ -114,17 +140,17 @@ def _prep_from_dict(d: dict, where: str) -> ModePrep:
     try:
         if kind == "thermal":
             _reject_unknown(d, ("kind", "nbar"), where)
-            return ModePrep.thermal_state(float(_require(d, "nbar", where)))
+            return ModePrep.thermal_state(_require(d, "nbar", where, _number))
         if kind == "coherent":
             _reject_unknown(d, ("kind", "mbar"), where)
-            return ModePrep.coherent_state(float(_require(d, "mbar", where)))
+            return ModePrep.coherent_state(_require(d, "mbar", where, _number))
         if kind == "squeezed_thermal":
             _reject_unknown(d, ("kind", "nbar", "r"), where)
             return ModePrep.squeezed_thermal_state(
-                float(_require(d, "nbar", where)), float(_require(d, "r", where)))
+                _require(d, "nbar", where, _number), _require(d, "r", where, _number))
         if kind == "fock":
             _reject_unknown(d, ("kind", "n"), where)
-            return ModePrep.fock_state(int(_require(d, "n", where)))
+            return ModePrep.fock_state(_require(d, "n", where, _integer))
     except DomainError as exc:
         raise ScenarioError(f"invalid {where}: {exc}") from exc
     raise ScenarioError(f"unknown preparation kind {kind!r} in {where}")
@@ -134,9 +160,9 @@ def _trap_from_dict(d: dict, where: str) -> TrapConfig:
     _reject_unknown(d, ("omega_x_khz", "omega_y_khz", "omega_z_khz"), where)
     try:
         return TrapConfig(
-            omega_x=TWO_PI * 1e3 * float(_require(d, "omega_x_khz", where)),
-            omega_y=TWO_PI * 1e3 * float(_require(d, "omega_y_khz", where)),
-            omega_z=TWO_PI * 1e3 * float(_require(d, "omega_z_khz", where)),
+            omega_x=TWO_PI * 1e3 * _require(d, "omega_x_khz", where, _number),
+            omega_y=TWO_PI * 1e3 * _require(d, "omega_y_khz", where, _number),
+            omega_z=TWO_PI * 1e3 * _require(d, "omega_z_khz", where, _number),
         )
     except DomainError as exc:
         raise ScenarioError(f"invalid {where}: {exc}") from exc
@@ -145,14 +171,14 @@ def _trap_from_dict(d: dict, where: str) -> TrapConfig:
 def _time_grid_from_json(value, where: str) -> np.ndarray:
     if isinstance(value, dict):
         _reject_unknown(value, ("start", "stop", "num"), where)
-        start = float(_require(value, "start", where))
-        stop = float(_require(value, "stop", where))
-        num = int(_require(value, "num", where))
+        start = _require(value, "start", where, _number)
+        stop = _require(value, "stop", where, _number)
+        num = _require(value, "num", where, _integer)
         if num < 1:
             raise ScenarioError(f"{where}.num must be >= 1")
         return np.linspace(start, stop, num) * 1e-6
     if isinstance(value, list) and value:
-        return np.asarray(value, dtype=float) * 1e-6
+        return np.array(_numbers(value, where)) * 1e-6
     raise ScenarioError(f"{where} must be a nonempty list or a start/stop/num object")
 
 
@@ -175,7 +201,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     if ("xi_khz" in coupling) == ("trap" in coupling):
         raise ScenarioError("coupling requires exactly one of xi_khz or trap")
     if "xi_khz" in coupling:
-        xi = TWO_PI * 1e3 * float(coupling["xi_khz"])
+        xi = TWO_PI * 1e3 * _require(coupling, "xi_khz", "coupling", _number)
     else:
         trap = _trap_from_dict(coupling["trap"], "coupling.trap")
         xi = coupling_rate(trap).xi       # emits CouplingFormulaWarning
@@ -195,13 +221,12 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         raise ScenarioError("truncation must be an object")
     _reject_unknown(trunc_json, ("epsilon", "n_max_h", "n_max_w", "n_max_c"),
                     "truncation")
+    caps = {key: None if trunc_json.get(key) is None
+            else _integer(trunc_json[key], f"truncation.{key}")
+            for key in ("n_max_h", "n_max_w", "n_max_c")}
     try:
         truncation = TruncationPolicy(
-            epsilon=float(trunc_json.get("epsilon", 1e-4)),
-            n_max_h=trunc_json.get("n_max_h"),
-            n_max_w=trunc_json.get("n_max_w"),
-            n_max_c=trunc_json.get("n_max_c"),
-        )
+            epsilon=_number(trunc_json.get("epsilon", 1e-4), "truncation.epsilon"), **caps)
     except DomainError as exc:
         raise ScenarioError(f"invalid truncation: {exc}") from exc
 
@@ -213,10 +238,10 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
         _reject_unknown(sb, ("omega_rabi_khz", "t_rsb_us", "a_bg", "eta"), "sideband")
         try:
             sideband = SidebandConfig(
-                omega_rabi=TWO_PI * 1e3 * float(_require(sb, "omega_rabi_khz", "sideband")),
-                t_rsb=1e-6 * float(_require(sb, "t_rsb_us", "sideband")),
-                a_bg=float(sb.get("a_bg", 0.0)),
-                eta=float(sb.get("eta", 1.0)),
+                omega_rabi=TWO_PI * 1e3 * _require(sb, "omega_rabi_khz", "sideband", _number),
+                t_rsb=1e-6 * _require(sb, "t_rsb_us", "sideband", _number),
+                a_bg=_number(sb.get("a_bg", 0.0), "sideband.a_bg"),
+                eta=_number(sb.get("eta", 1.0), "sideband.eta"),
             )
         except DomainError as exc:
             raise ScenarioError(f"invalid sideband: {exc}") from exc
@@ -228,18 +253,20 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
             raise ScenarioError("sweep must be an object")
         _reject_unknown(sw, ("work_nbar", "cold_nbar"), "sweep")
         sweep = SweepSpec(
-            work_nbar=tuple(float(v) for v in sw.get("work_nbar", [])),
-            cold_nbar=tuple(float(v) for v in sw.get("cold_nbar", [])),
+            work_nbar=_numbers(sw.get("work_nbar", []), "sweep.work_nbar"),
+            cold_nbar=_numbers(sw.get("cold_nbar", []), "sweep.cold_nbar"),
         )
 
-    outputs = tuple(data.get("outputs", ["trajectory"]))
+    outputs = data.get("outputs", ["trajectory"])
+    if not isinstance(outputs, list):
+        raise ScenarioError(f"outputs must be a list, got {outputs!r}")
     seed = data.get("seed")
     return Scenario(
         preps=preps, time_grid=grid, xi=xi,
-        detuning=TWO_PI * 1e3 * float(data.get("detuning_khz", 0.0)),
+        detuning=TWO_PI * 1e3 * _number(data.get("detuning_khz", 0.0), "detuning_khz"),
         truncation=truncation, sideband=sideband,
-        seed=None if seed is None else int(seed),
-        name=str(data.get("name", name)), trap=trap, sweep=sweep, outputs=outputs,
+        seed=None if seed is None else _integer(seed, "seed"),
+        name=str(data.get("name", name)), trap=trap, sweep=sweep, outputs=tuple(outputs),
     )
 
 

@@ -4,8 +4,9 @@ calibration fits.
 Two distinct forward models are exposed: a single-time red-sideband
 brightness (no decoherence term) used for refrigerator readout, and a
 blue-sideband flopping curve with sqrt(n+1)-scaled Rabi rates and
-decoherence used for calibration fits.  Fits are weighted damped least
-squares (Levenberg-Marquardt) with a numerically differentiated Jacobian;
+decoherence used for calibration fits.  Fits are weighted least squares
+on ``scipy.optimize.least_squares`` (trust-region ``trf``, forward-difference
+Jacobian) and report the rank and condition number of the final Jacobian;
 the free-distribution fit parameterizes the simplex with a softmax so the
 constraints hold by construction.
 """
@@ -14,11 +15,11 @@ from __future__ import annotations
 
 import csv
 import math
-import warnings
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
+from scipy.optimize import least_squares
 
 from .errors import (DomainError, FitConvergenceError, SensitivityError,
                      ValidationError)
@@ -153,7 +154,7 @@ def estimate_nbar(p_up_exp: float, simulated: SimulatedResponse,
 
 
 # ---------------------------------------------------------------------------
-# Damped least squares
+# Least squares
 # ---------------------------------------------------------------------------
 
 
@@ -165,89 +166,65 @@ class LMSolution:
     cost_history: list[float]
     n_iter: int
     converged: bool
+    rank: int            # numerical rank of the Jacobian at the minimum
+    cond: float          # its condition number s_max / s_min
 
 
-def _numeric_jacobian(fn: Callable[[np.ndarray], np.ndarray], theta: np.ndarray,
-                      r0: np.ndarray) -> np.ndarray:
-    eps = math.sqrt(np.finfo(float).eps)
-    jac = np.empty((r0.size, theta.size))
-    for i in range(theta.size):
-        step = eps * max(abs(theta[i]), 1.0)
-        shifted = theta.copy()
-        shifted[i] += step
-        jac[:, i] = (fn(shifted) - r0) / step
-    return jac
+#: trf stops when the relative cost change, the relative step or the gradient
+#: norm falls below this
+_SOLVER_TOL = 1e-10
+#: singular values of the final Jacobian below this share of the largest are
+#: dropped from the covariance (forward differences resolve no finer)
+_RANK_RTOL = math.sqrt(np.finfo(float).eps)
 
 
 def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndarray,
-                         max_iter: int = 500, rtol: float = 1e-10) -> LMSolution:
-    """Levenberg-Marquardt minimization of sum(fn(theta)^2).
+                         max_nfev: int = 500) -> LMSolution:
+    """Trust-region minimization of sum(fn(theta)^2).
 
-    Steps are accepted only when they strictly decrease the objective, so
-    ``cost_history`` (the accepted-iteration costs) is monotone decreasing.
+    One ``scipy.optimize.least_squares`` call (``trf``, forward-difference
+    Jacobian).  An evaluation that raises OverflowError, FloatingPointError
+    or ValidationError is an infeasible trial point: it returns non-finite
+    residuals, which ``trf`` rejects by shrinking its trust region.  The
+    starting point must be feasible.  ``cost_history`` holds the starting
+    and accepted costs, so it strictly decreases.  The covariance
+    is the SVD pseudo-inverse of J^T J for the final Jacobian J, whose rank
+    and condition number are reported.  Running out of ``max_nfev``
+    residual evaluations (scipy does not count the Jacobian's) raises
+    ``FitConvergenceError``.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    r = fn(theta)
-    cost = float(r @ r)
-    history = [cost]
-    lam = 1e-3
-    converged = cost == 0.0
-    n_iter = 0
+    r0 = None
+    costs: list[float] = []
 
-    while not converged and n_iter < max_iter:
-        jac = _numeric_jacobian(fn, theta, r)
-        grad = jac.T @ r
-        hess = jac.T @ jac
-        scale = np.diag(hess).copy()
-        if np.any(scale <= 0.0):
-            warnings.warn("rank-deficient Jacobian in damped least squares",
-                          UserWarning, stacklevel=2)
-            scale = np.maximum(scale, 1e-12)
+    def residuals(theta: np.ndarray) -> np.ndarray:
+        nonlocal r0
+        if r0 is None:
+            r0 = fn(theta)
+            return r0
+        try:
+            return fn(theta)
+        except (OverflowError, FloatingPointError, ValidationError):
+            return np.full_like(r0, np.nan)
 
-        accepted = False
-        for _ in range(60):
-            try:
-                step = np.linalg.solve(hess + lam * np.diag(scale), -grad)
-            except np.linalg.LinAlgError:
-                lam *= 10.0
-                continue
-            trial = theta + step
-            try:
-                r_trial = fn(trial)
-                cost_trial = float(r_trial @ r_trial)
-            except (OverflowError, FloatingPointError, ValidationError):
-                # infeasible trial point: reject and increase damping
-                cost_trial = math.inf
-            if np.isfinite(cost_trial) and cost_trial < cost:
-                accepted = True
-                improvement = cost - cost_trial
-                theta, r, cost = trial, r_trial, cost_trial
-                history.append(cost)
-                lam = max(lam / 3.0, 1e-14)
-                if improvement <= rtol * max(cost, 1e-300) or cost < 1e-28:
-                    converged = True
-                break
-            lam *= 10.0
-            if lam > 1e14:
-                break
-        n_iter += 1
-        if not accepted:
-            # damping exhausted: local minimum to machine precision
-            converged = True
+    def record(intermediate_result) -> None:   # scipy passes its state by this name
+        costs.append(2.0 * float(intermediate_result.cost))   # scipy's cost is half
 
-    if not converged:
-        raise FitConvergenceError(f"no convergence after {max_iter} iterations")
+    res = least_squares(residuals, theta0, method="trf", ftol=_SOLVER_TOL,
+                        xtol=_SOLVER_TOL, gtol=_SOLVER_TOL, max_nfev=max_nfev,
+                        callback=record)
+    if res.status == 0:
+        raise FitConvergenceError(f"no convergence within max_nfev = {max_nfev}")
+    history = [float(r0 @ r0)]
+    for cost in costs:              # iterations that accept no step repeat the cost
+        if cost < history[-1]:
+            history.append(cost)
 
-    jac = _numeric_jacobian(fn, theta, r)
-    hess = jac.T @ jac
-    try:
-        cov = np.linalg.inv(hess)
-    except np.linalg.LinAlgError:
-        warnings.warn("singular normal matrix; covariance from pseudo-inverse",
-                      UserWarning, stacklevel=2)
-        cov = np.linalg.pinv(hess)
-    return LMSolution(theta=theta, cov=cov, cost=cost, cost_history=history,
-                      n_iter=n_iter, converged=True)
+    _, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
+    keep = sv > _RANK_RTOL * sv[0]
+    cov = (vt[keep].T / sv[keep] ** 2) @ vt[keep]
+    cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
+    return LMSolution(theta=res.x, cov=cov, cost=2.0 * res.cost, cost_history=history,
+                      n_iter=len(costs), converged=True, rank=int(keep.sum()), cond=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +233,6 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
 
 _FIT_CUTOFF = 150          # ladder length for model distributions during fits
 FREE_FIT_NMAX = 13         # free-distribution fit covers n = 0..13
-
-#: restart the free fit from these logit patterns when reduced chi^2 is bad
-_FREE_RESTART_CHI2 = 3.0
-_FREE_RESTART_LOGITS = (lambda n: -1.0, lambda n: -0.3 * n, lambda n: 1.0)
 
 _MODEL_DIST_PARAMS = {
     "thermal": ("nbar",),
@@ -284,6 +257,8 @@ class FitResult:
     reduced_chi2: float
     cost_history: list[float] = field(repr=False)
     n_iter: int = 0
+    rank: int = 0                  # numerical rank of the fit Jacobian
+    cond: float = math.nan         # its condition number
     populations: np.ndarray | None = None
     population_errors: np.ndarray | None = None
 
@@ -335,8 +310,7 @@ def _default_omega_seed(samples: Sequence[BrightnessSample]) -> float:
 
 
 def fit_distribution(samples: Sequence[BrightnessSample], model: str,
-                     seed: dict[str, float] | None = None,
-                     max_iter: int = 500) -> FitResult:
+                     seed: dict[str, float] | None = None) -> FitResult:
     """Weighted least-squares fit of the flopping model to brightness data.
 
     ``model`` selects the phonon distribution: one of ``thermal``,
@@ -376,16 +350,8 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
     if model == "free":
         defaults.update({name: 0.0 for name in dist_names})
     start = {name: float(seed.get(name, defaults[name])) for name in names}
-
-    def to_internal(values: dict[str, float]) -> np.ndarray:
-        out = np.empty(n_params)
-        for i, name in enumerate(names):
-            v = values[name]
-            if name in _LOG_PARAMS:
-                out[i] = math.log(max(v, 1e-12))
-            else:
-                out[i] = v
-        return out
+    theta0 = np.array([math.log(max(start[name], 1e-12)) if name in _LOG_PARAMS
+                       else start[name] for name in names])
 
     def to_external(theta: np.ndarray) -> dict[str, float]:
         return {
@@ -406,20 +372,7 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
         return (curve - ys) / sigmas
 
     dof = max(len(samples) - n_params, 1)
-    solution = damped_least_squares(residuals, to_internal(start),
-                                    max_iter=max_iter, rtol=1e-10)
-    if model == "free" and solution.cost / dof > _FREE_RESTART_CHI2:
-        # the 18-parameter softmax landscape has rare bad basins; retry from
-        # fixed alternative logit patterns and keep the lowest cost
-        for offset in _FREE_RESTART_LOGITS:
-            alt = dict(start)
-            alt.update({name: offset(n) for n, name in enumerate(dist_names, start=1)})
-            retry = damped_least_squares(residuals, to_internal(alt),
-                                         max_iter=max_iter, rtol=1e-10)
-            if retry.cost < solution.cost:
-                solution = retry
-            if solution.cost / dof <= _FREE_RESTART_CHI2:
-                break
+    solution = damped_least_squares(residuals, theta0)
     values = to_external(solution.theta)
 
     # delta method back to external parameter space
@@ -430,7 +383,8 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
     errors = {name: math.sqrt(max(cov_ext[i, i], 0.0)) for i, name in enumerate(names)}
     result = FitResult(model=model, params=values, errors=errors,
                        reduced_chi2=solution.cost / dof,
-                       cost_history=solution.cost_history, n_iter=solution.n_iter)
+                       cost_history=solution.cost_history, n_iter=solution.n_iter,
+                       rank=solution.rank, cond=solution.cond)
 
     if model == "free":
         logits = np.array([values[name] for name in dist_names])

@@ -240,6 +240,13 @@ class ModePrep:
     - ``coherent``:         alpha_sq   (mean phonon number |alpha|^2)
     - ``squeezed_thermal``: nbar, r
     - ``fock``:             n_fock
+
+    Preparations are phase-randomized: a mode enters the dynamics through
+    its phonon-number distribution only, as the number-diagonal density.
+    For coherent and squeezed preparations this drops the number-basis
+    coherences of the phase-definite state.  The difference shows only when
+    all three modes carry such coherences; one thermal or Fock mode in the
+    triple makes the phase-definite dynamics of number observables the same.
     """
 
     kind: str

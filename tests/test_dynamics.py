@@ -1,6 +1,8 @@
 """Sector dynamics: Hamiltonian structure and the spectral views (unitary,
 dephased, incoherent), checked against closed forms and the dense oracle."""
 
+import functools
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +13,7 @@ from ionfridge.dynamics import (_KERNEL_BLOCK, EnsembleSpectrum, assemble_initia
                                 default_incoherence_strength)
 from ionfridge.errors import DomainError
 from ionfridge.fockspace import SectorLabel, TruncationPolicy
-from ionfridge.oracle import dense_oracle_evolve
+from ionfridge.oracle import dense_hamiltonian, dense_oracle_evolve, prep_density
 from ionfridge.states import ModePrep
 
 TWO_PI = 2.0 * math.pi
@@ -139,6 +141,76 @@ def test_means_at_matches_dense_oracle_detuned(detuning_khz):
     sector = EnsembleSpectrum(assemble_initial(preps, policy, XI, detuning)).means_at(grid)
     dense = dense_oracle_evolve(preps, XI, grid, (cap, cap, cap), detuning)
     np.testing.assert_allclose(sector, dense, rtol=0, atol=1e-9)
+
+
+def _number_diagonal_oracle(caps, detuning, t_grid):
+    """Dense means from the number-basis diagonals of the preparation
+    densities: the phase-randomized product state, evolved exactly.  Returns
+    a function of the three preparations."""
+    dims = [c + 1 for c in caps]
+    evals, u = np.linalg.eigh(dense_hamiltonian(caps, XI, detuning))
+    idx = np.arange(evals.size)
+    numbers = np.array([idx // (dims[1] * dims[2]), (idx // dims[2]) % dims[1],
+                        idx % dims[2]], dtype=float)
+    # populations move by |<k|U(t)|j>|^2 from a diagonal initial state
+    transfer = np.array([numbers @ np.abs((u * np.exp(-1j * evals * t)) @ u.T) ** 2
+                         for t in t_grid])
+
+    @functools.cache
+    def diagonal(prep, dim):
+        return np.diag(prep_density(prep, dim)).real
+
+    def means(preps):
+        p0 = np.ones(1)
+        for prep, dim in zip(preps, dims):
+            p0 = np.kron(p0, diagonal(prep, dim))
+        return (transfer @ p0).T
+    return means
+
+
+def _seeded_preps(seed):
+    rng = np.random.default_rng(seed)
+    return {"thermal": ModePrep.thermal_state(rng.uniform(0.2, 0.6)),
+            "coherent": ModePrep.coherent_state(rng.uniform(0.3, 0.7)),
+            "squeezed": ModePrep.squeezed_thermal_state(rng.uniform(0.0, 0.3),
+                                                        rng.uniform(0.3, 0.5)),
+            "fock": ModePrep.fock_state(int(rng.integers(0, 3)))}
+
+
+@pytest.mark.parametrize("caps,detuning_khz", [((6, 6, 6), 0.0), ((6, 6, 6), -40.0),
+                                               ((7, 4, 5), 3.0)],
+                         ids=["resonant", "detuned", "windowed"])
+def test_preparations_are_phase_randomized(caps, detuning_khz):
+    """Sectors hold populations only, so every preparation evolves as its
+    phase-randomized (number-diagonal) density: all 64 kind triples agree
+    with the dense oracle built from number-diagonal densities."""
+    detuning = TWO_PI * detuning_khz * 1e3
+    grid = np.linspace(0.0, 400e-6, 9)
+    kinds = _seeded_preps(11)
+    policy = TruncationPolicy(epsilon=1e-12, n_max_h=caps[0], n_max_w=caps[1],
+                              n_max_c=caps[2])
+    oracle = _number_diagonal_oracle(caps, detuning, grid)
+    windowed = caps != (6, 6, 6)
+    triples = ([(kinds["coherent"], kinds["squeezed"], kinds["coherent"])] if windowed
+               else itertools.product(kinds.values(), repeat=3))
+    for preps in triples:
+        ens = assemble_initial(preps, policy, XI, detuning)
+        assert not windowed or any(s.k_lo > 0 for s in ens.sectors)
+        sector = EnsembleSpectrum(ens).means_at(grid)
+        np.testing.assert_allclose(sector, oracle(preps), rtol=0, atol=1e-9)
+
+
+def test_phase_definite_preparations_differ_from_sector_means():
+    """The meaning is tested, not assumed: with number-basis coherences in all
+    three modes the phase-definite dense evolution is a different answer."""
+    kinds = _seeded_preps(11)
+    preps = (kinds["coherent"], kinds["squeezed"], kinds["coherent"])
+    cap = 6
+    policy = TruncationPolicy(epsilon=1e-12, n_max_h=cap, n_max_w=cap, n_max_c=cap)
+    grid = np.linspace(0.0, 400e-6, 9)
+    sector = EnsembleSpectrum(assemble_initial(preps, policy, XI)).means_at(grid)
+    definite = dense_oracle_evolve(preps, XI, grid, (cap, cap, cap))
+    assert np.abs(sector - definite).max() > 1e-3
 
 
 def test_incoherent_zero_strength_matches_unitary_populations():

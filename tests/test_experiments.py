@@ -130,6 +130,22 @@ _BAD_SCENARIOS = [
     ("prep_inf_mbar", _mutate(("preps", "work"), {"kind": "coherent", "mbar": math.inf})),
     ("prep_nan_r", _mutate(("preps", "work"), {"kind": "squeezed_thermal", "nbar": 0.5,
                                                "r": math.nan})),
+    # malformed numbers: integers must be integral, numbers must be numbers
+    ("fock_infinite_n", _mutate(("preps", "hot"), {"kind": "fock", "n": math.inf})),
+    ("fock_fractional_n", _mutate(("preps", "hot"), {"kind": "fock", "n": 2.7})),
+    ("fock_string_n", _mutate(("preps", "hot"), {"kind": "fock", "n": "2"})),
+    ("prep_string_nbar", _mutate(("preps", "hot"), {"kind": "thermal", "nbar": "hot"})),
+    ("prep_null_nbar", _mutate(("preps", "hot"), {"kind": "thermal", "nbar": None})),
+    ("prep_huge_integer", _mutate(("preps", "hot"), {"kind": "thermal", "nbar": 10 ** 400})),
+    ("truncation_fractional_cap", _mutate(("truncation",), {"n_max_h": 2.5})),
+    ("truncation_string_cap", _mutate(("truncation",), {"n_max_h": "4"})),
+    ("truncation_bool_cap", _mutate(("truncation",), {"n_max_c": True})),
+    ("grid_fractional_num", _mutate(("time_grid_us",), {"start": 0.0, "stop": 1.0,
+                                                        "num": 2.7})),
+    ("grid_string_point", _mutate(("time_grid_us",), [0.0, "5"])),
+    ("seed_fractional", _mutate(("seed",), 2.5)),
+    ("sweep_string", _mutate(("sweep",), {"work_nbar": "4.44"})),
+    ("coupling_bool", _mutate(("coupling",), {"xi_khz": True})),
 ]
 
 
@@ -137,6 +153,24 @@ _BAD_SCENARIOS = [
 def test_scenario_schema_rejections(label, data):
     with pytest.raises(ScenarioError):
         scenario_from_dict(data)
+
+
+def test_scenario_outputs_must_be_a_list():
+    # before, a string was iterated by character ("unknown output kind 'f'")
+    with pytest.raises(ScenarioError, match="outputs must be a list"):
+        scenario_from_dict(_mutate(("outputs",), "fig3"))
+
+
+def test_scenario_integral_floats_are_integers():
+    d = _mutate(("preps", "hot"), {"kind": "fock", "n": 2.0})
+    d["time_grid_us"]["num"] = 81.0
+    d["truncation"]["n_max_w"] = 30.0
+    d["seed"] = 7.0
+    s = scenario_from_dict(d)
+    assert s.preps[0].n_fock == 2 and isinstance(s.preps[0].n_fock, int)
+    assert s.time_grid.size == 81
+    assert s.truncation.n_max_w == 30 and isinstance(s.truncation.n_max_w, int)
+    assert s.seed == 7 and isinstance(s.seed, int)
 
 
 def test_scenario_error_is_validation_error():
@@ -454,6 +488,20 @@ def test_cli_non_finite_scenario_exit_code(tmp_path, capsys, path, value):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path,value", [
+    (("preps", "hot"), {"kind": "fock", "n": math.inf}),
+    (("preps", "hot"), {"kind": "thermal", "nbar": "hot"}),
+    (("truncation",), {"n_max_h": 2.5}),
+    (("truncation",), {"n_max_h": "4"}),
+], ids=["fock_inf", "nbar_string", "cap_fractional", "cap_string"])
+def test_cli_malformed_number_exit_code(tmp_path, capsys, path, value):
+    """Malformed numbers are validation errors, exit 2; before they escaped as
+    OverflowError, ValueError, IndexError and TypeError tracebacks (exit 1)."""
+    rc = cli_main(["steady-state", _write_scenario(tmp_path, _mutate(path, value))])
+    assert rc == 2
+    assert "error:" in capsys.readouterr().err
+
+
 def test_cli_epsilon_override(tmp_path, capsys):
     d = _base_dict()
     d["time_grid_us"] = [0.0, 50.0]
@@ -498,6 +546,7 @@ def test_cli_fit_thermal(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "nbar =" in out and "reduced_chi2" in out
+    assert "rank 5, condition number" in out
     nbar = float(out.split("nbar = ")[1].split()[0])
     assert nbar == pytest.approx(0.8, abs=0.15)
 

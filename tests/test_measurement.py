@@ -1,13 +1,15 @@
 """Sideband detection models, the damped least-squares engine, and fits."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import least_squares
 
 from ionfridge.errors import (DomainError, FitConvergenceError,
                               SensitivityError, ValidationError)
-from ionfridge.measurement import (BrightnessSample, EstimatorConfig,
+from ionfridge.measurement import (FREE_FIT_NMAX, BrightnessSample, EstimatorConfig,
                                    SidebandConfig, SimulatedResponse,
                                    blue_sideband_flopping,
                                    damped_least_squares, estimate_nbar,
@@ -123,28 +125,38 @@ def test_lm_cost_history_monotone_on_rosenbrock():
 def test_lm_zero_iterations_raises():
     fn = lambda theta: np.array([theta[0] - 1.0])
     with pytest.raises(FitConvergenceError):
-        damped_least_squares(fn, np.array([5.0]), max_iter=0)
+        damped_least_squares(fn, np.array([5.0]), max_nfev=1)   # the start only
 
 
-def test_lm_rank_deficient_jacobian_warns():
+def test_lm_rank_deficient_jacobian_reports_rank():
     # second parameter never enters the residuals
     def fn(theta):
         return np.array([theta[0] - 2.0, 2.0 * (theta[0] - 2.0)])
 
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         sol = damped_least_squares(fn, np.array([7.0, 1.0]))
     assert sol.theta[0] == pytest.approx(2.0, abs=1e-8)
+    assert sol.rank == 1
+    assert sol.cond > 1e12
+    # the null direction carries no variance; the resolved one keeps 1/|J|^2
+    np.testing.assert_allclose(sol.cov, [[0.2, 0.0], [0.0, 0.0]], atol=1e-9)
 
 
 def test_lm_infeasible_trial_points_are_rejected():
-    # fn blows up for theta > 10; the fit must survive by damping
-    def fn(theta):
-        if theta[0] > 10.0:
-            raise OverflowError("model exploded")
-        return np.array([math.exp(theta[0]) - math.exp(3.0)])
+    # fn blows up past a limit; the fit must survive by shrinking its steps
+    for start, limit in ((9.0, 10.0), (-3.0, 3.5)):
+        infeasible = []
 
-    sol = damped_least_squares(fn, np.array([9.0]))
-    assert sol.theta[0] == pytest.approx(3.0, abs=1e-6)
+        def fn(theta):
+            if theta[0] > limit:
+                infeasible.append(theta[0])
+                raise OverflowError("model exploded")
+            return np.array([math.exp(theta[0]) - math.exp(3.0)])
+
+        sol = damped_least_squares(fn, np.array([start]))
+        assert sol.theta[0] == pytest.approx(3.0, abs=1e-6)
+    assert infeasible       # the start from below overshoots the limit
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +185,43 @@ def test_fit_thermal_round_trip():
     assert res.reduced_chi2 < 2.0
     assert np.all(np.diff(res.cost_history) < 0.0)
     assert res.populations.sum() == pytest.approx(1.0, rel=1e-9)
+
+
+def test_free_fit_reaches_a_true_minimum():
+    """An independent least-squares run started from the returned point finds
+    nothing lower.  On this record the free fit once stopped short, at reduced
+    chi^2 1.1054 where 1.0751 is reachable."""
+    rng = np.random.default_rng(18)
+    nbar, contrast, background, gamma0 = (
+        rng.uniform(lo, hi) for lo, hi in ((1.5, 2.1), (0.92, 0.97), (0.01, 0.03),
+                                           (500.0, 700.0)))
+    samples = synthetic_brightness(thermal_distribution(nbar, 150, 1.0),
+                                   SidebandConfig(omega_rabi=OMEGA, gamma0=gamma0),
+                                   np.linspace(0.5e-6, 150e-6, 300), contrast,
+                                   background, 0.02, rng)
+    res = fit_distribution(samples, "free")
+    ts, ys = np.array([s.t for s in samples]), np.array([s.p_up for s in samples])
+
+    # external parameters (logits, a, b, omega01 / OMEGA, gamma0 / 1e3)
+    names = [f"logit{n}" for n in range(1, FREE_FIT_NMAX + 1)]
+    names += ["a", "b", "omega01", "gamma0"]
+    unit = np.array([1.0] * (FREE_FIT_NMAX + 2) + [OMEGA, 1e3])
+
+    def residuals(x):
+        v = x * unit
+        logits = np.concatenate(([0.0], v[:FREE_FIT_NMAX]))
+        weights = np.exp(logits - logits.max())
+        cfg = SidebandConfig(omega_rabi=v[-2], gamma0=abs(v[-1]))
+        curve = blue_sideband_flopping(weights / weights.sum(), cfg, ts,
+                                       contrast=v[-4], background=v[-3])
+        return (curve - ys) / 0.02
+
+    x0 = np.array([res.params[name] for name in names]) / unit
+    independent = least_squares(residuals, x0, method="lm", xtol=1e-14, ftol=1e-14,
+                                gtol=1e-14)
+    chi2 = 2.0 * independent.cost / (len(samples) - len(names))
+    assert res.reduced_chi2 <= chi2 * (1.0 + 1e-9)
+    assert res.reduced_chi2 < 1.08
 
 
 def test_fit_is_deterministic_for_fixed_data():
