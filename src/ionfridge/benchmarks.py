@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from scipy.optimize import brentq
 
 from .errors import DomainError
-from .trap import CODATA2014, ModeFrequencies, PhysicalConstants, mode_temperature
+from .trap import CODATA2014, ModeFrequencies, mode_temperature
 
 
 @dataclass(frozen=True)
@@ -80,8 +80,7 @@ def cooling_condition(occ: OccupationTriple) -> tuple[bool, float]:
 
 
 def entropy_flow(occ: OccupationTriple, rates: tuple[float, float, float],
-                 freqs: ModeFrequencies,
-                 constants: PhysicalConstants = CODATA2014) -> float:
+                 freqs: ModeFrequencies) -> float:
     """Entropy rate sum_i hbar omega_i (dn_i/dt) / T_i of the mode triple (W/K).
 
     Vanishes exactly when the occupations satisfy the equilibrium condition
@@ -91,8 +90,8 @@ def entropy_flow(occ: OccupationTriple, rates: tuple[float, float, float],
     for nbar, rate, omega in zip(occ.as_tuple(), rates, freqs.as_tuple()):
         if rate == 0.0:
             continue
-        temp = mode_temperature(nbar, omega, constants)
-        total += constants.hbar * omega * rate / temp
+        temp = mode_temperature(nbar, omega)
+        total += CODATA2014.hbar * omega * rate / temp
     return total
 
 

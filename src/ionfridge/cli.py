@@ -11,9 +11,11 @@ Subcommands::
     ionfridge fit <data.csv> --model <name>    sideband-flopping fit
     ionfridge coupling --trap <trap.json>      mode frequencies and coupling
 
-Common flags: ``--out`` (output directory; overrides $IONFRIDGE_OUT),
-``--epsilon`` (truncation weight budget), ``--rule``
-(``dephasing``, ``window`` or ``window:<us>``), ``--seed``.
+Flags, each given only to the subcommands that read it: ``--out``
+(output directory; overrides $IONFRIDGE_OUT) on simulate, fig2, fig3 and
+fig4; ``--epsilon`` (truncation weight budget) on those four and
+steady-state; ``--rule`` (``dephasing``, ``window`` or ``window:<us>``) on
+fig3 and steady-state.  Any other flag is a usage error (exit 2).
 
 Exit codes: 0 success, 2 validation/configuration error, 3 numerical failure.
 """
@@ -58,40 +60,40 @@ _ORACLE_TOL = 1e-9
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--out", default=None,
-                        help="output directory (default: $IONFRIDGE_OUT or cwd)")
-    common.add_argument("--epsilon", type=float, default=None,
-                        help="override the truncation weight budget")
-    common.add_argument("--rule", default="dephasing",
-                        help="steady-state rule: dephasing, window or window:<us>")
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the scenario seed")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None,
+                     help="output directory (default: $IONFRIDGE_OUT or cwd)")
+    epsilon = argparse.ArgumentParser(add_help=False)
+    epsilon.add_argument("--epsilon", type=float, default=None,
+                         help="override the truncation weight budget")
+    rule = argparse.ArgumentParser(add_help=False)
+    rule.add_argument("--rule", default="dephasing",
+                      help="steady-state rule: dephasing, window or window:<us>")
 
     parser = argparse.ArgumentParser(
         prog="ionfridge",
         description="three-mode trapped-ion absorption refrigerator simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, help_text in (
-        ("simulate", "run a scenario and write the trajectory CSV"),
-        ("fig2", "hot-mode equilibration sweep"),
-        ("fig3", "cold-mode relaxation study (thermal and squeezed work mode)"),
-        ("fig4", "single-shot cooling summary over a work-mode sweep"),
-        ("steady-state", "print steady-state occupations of a scenario"),
+    for name, parents, help_text in (
+        ("simulate", [out, epsilon], "run a scenario and write the trajectory CSV"),
+        ("fig2", [out, epsilon], "hot-mode equilibration sweep"),
+        ("fig3", [out, epsilon, rule],
+         "cold-mode relaxation study (thermal and squeezed work mode)"),
+        ("fig4", [out, epsilon], "single-shot cooling summary over a work-mode sweep"),
+        ("steady-state", [epsilon, rule], "print steady-state occupations of a scenario"),
     ):
-        p = sub.add_parser(name, parents=[common], help=help_text)
+        p = sub.add_parser(name, parents=parents, help=help_text)
         p.add_argument("scenario", help="scenario JSON file")
 
-    sub.add_parser("oracle-check", parents=[common],
+    sub.add_parser("oracle-check",
                    help="compare the sector method against the dense oracle")
 
-    p_fit = sub.add_parser("fit", parents=[common],
-                           help="fit a flopping model to t_us,p_up,sigma data")
+    p_fit = sub.add_parser("fit", help="fit a flopping model to t_us,p_up,sigma data")
     p_fit.add_argument("data", help="CSV file with header t_us,p_up,sigma")
     p_fit.add_argument("--model", required=True, choices=sorted(_FIT_MODELS))
 
-    p_cpl = sub.add_parser("coupling", parents=[common],
+    p_cpl = sub.add_parser("coupling",
                            help="mode frequencies and coupling from a trap config")
     p_cpl.add_argument("--trap", required=True,
                        help="JSON file with omega_x_khz, omega_y_khz, omega_z_khz")
@@ -111,8 +113,6 @@ def _load(args) -> Scenario:
         s = dataclasses.replace(s, truncation=TruncationPolicy(
             epsilon=args.epsilon, n_max_h=s.truncation.n_max_h,
             n_max_w=s.truncation.n_max_w, n_max_c=s.truncation.n_max_c))
-    if args.seed is not None:
-        s = dataclasses.replace(s, seed=args.seed)
     return s
 
 

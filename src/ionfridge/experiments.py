@@ -31,7 +31,7 @@ from .dynamics import (EnsembleSpectrum, ThreeModeEnsemble, assemble_initial,
                        default_incoherence_strength)
 from .errors import DomainError, ScenarioError
 from .fockspace import TruncationPolicy
-from .measurement import SidebandConfig
+from .measurement import SidebandConfig, red_sideband_brightness
 from .states import ModePrep, prep_mean
 from .trap import CODATA2014, REFERENCE_SETUPS, TrapConfig, coupling_rate
 
@@ -56,9 +56,6 @@ class SweepSpec:
     cold_nbar: tuple[float, ...] = ()
 
 
-_OUTPUT_KINDS = ("trajectory", "fig2", "fig3", "fig4", "steady_state")
-
-
 @dataclass(frozen=True, eq=False)
 class Scenario:
     """A fully resolved simulation request (all quantities SI / rad/s)."""
@@ -69,11 +66,8 @@ class Scenario:
     detuning: float = 0.0
     truncation: TruncationPolicy = TruncationPolicy()
     sideband: SidebandConfig | None = None
-    seed: int | None = None
     name: str = "scenario"
-    trap: TrapConfig | None = None
     sweep: SweepSpec = SweepSpec()
-    outputs: tuple[str, ...] = ("trajectory",)
 
     def __post_init__(self):
         grid = np.asarray(self.time_grid, dtype=float)
@@ -90,9 +84,6 @@ class Scenario:
             raise ScenarioError("coupling rate must be finite and > 0")
         if not math.isfinite(self.detuning):
             raise ScenarioError("detuning must be finite")
-        for kind in self.outputs:
-            if kind not in _OUTPUT_KINDS:
-                raise ScenarioError(f"unknown output kind {kind!r}")
 
 
 def _reject_unknown(d: dict, allowed: Iterable[str], where: str) -> None:
@@ -187,7 +178,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
     allowed = ("schema_version", "name", "coupling", "detuning_khz", "preps",
-               "time_grid_us", "truncation", "sideband", "seed", "sweep", "outputs")
+               "time_grid_us", "truncation", "sideband", "sweep")
     _reject_unknown(data, allowed, "scenario")
     version = _require(data, "schema_version", "scenario")
     if version != SCHEMA_VERSION:
@@ -197,7 +188,6 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     if not isinstance(coupling, dict):
         raise ScenarioError("coupling must be an object")
     _reject_unknown(coupling, ("xi_khz", "trap"), "coupling")
-    trap = None
     if ("xi_khz" in coupling) == ("trap" in coupling):
         raise ScenarioError("coupling requires exactly one of xi_khz or trap")
     if "xi_khz" in coupling:
@@ -257,16 +247,11 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
             cold_nbar=_numbers(sw.get("cold_nbar", []), "sweep.cold_nbar"),
         )
 
-    outputs = data.get("outputs", ["trajectory"])
-    if not isinstance(outputs, list):
-        raise ScenarioError(f"outputs must be a list, got {outputs!r}")
-    seed = data.get("seed")
     return Scenario(
         preps=preps, time_grid=grid, xi=xi,
         detuning=TWO_PI * 1e3 * _number(data.get("detuning_khz", 0.0), "detuning_khz"),
         truncation=truncation, sideband=sideband,
-        seed=None if seed is None else _integer(seed, "seed"),
-        name=str(data.get("name", name)), trap=trap, sweep=sweep, outputs=tuple(outputs),
+        name=str(data.get("name", name)), sweep=sweep,
     )
 
 
@@ -282,8 +267,7 @@ def load_scenario(path) -> Scenario:
 def reference_scenario(setup: str = "z570", *, name: str | None = None,
                        preps: tuple[ModePrep, ModePrep, ModePrep] | None = None,
                        t_stop: float = 400e-6, num: int = 161,
-                       epsilon: float = 1e-4,
-                       outputs: tuple[str, ...] = ("trajectory",)) -> Scenario:
+                       epsilon: float = 1e-4) -> Scenario:
     """Scenario at one of the two reference operating points.
 
     Uses the setup's Hamiltonian-rate coupling (half the quoted exchange
@@ -300,8 +284,6 @@ def reference_scenario(setup: str = "z570", *, name: str | None = None,
         xi=ref.xi_hamiltonian,
         truncation=TruncationPolicy(epsilon=epsilon),
         name=name or f"reference_{setup}",
-        trap=ref.trap,
-        outputs=outputs,
     )
 
 
@@ -330,7 +312,6 @@ def scenario_echo(s: Scenario) -> dict:
         "n_times": int(s.time_grid.size),
         "epsilon": s.truncation.epsilon,
         "caps": list(s.truncation.caps()),
-        "seed": s.seed,
     }
 
 
@@ -410,12 +391,9 @@ def run_scenario(s: Scenario) -> TrajectoryResult:
     nbar = spectrum.means_at(s.time_grid) / retained
     p_up = None
     if s.sideband is not None:
-        cfg = s.sideband
-        p_up = np.empty_like(nbar)
-        for i, marg in enumerate(spectrum.marginals_at(s.time_grid)):
-            n = np.arange(marg.shape[0])
-            flip = 0.5 * (1.0 - np.cos(np.sqrt(n) * cfg.omega_rabi * cfg.t_rsb))
-            p_up[i] = cfg.a_bg + cfg.eta * (flip @ marg) / retained
+        p_up = np.array([[red_sideband_brightness(column / retained, s.sideband)
+                          for column in marg.T]
+                         for marg in spectrum.marginals_at(s.time_grid)])
     return TrajectoryResult(tau=s.time_grid.copy(), nbar=nbar, p_up=p_up,
                             metadata=_base_metadata(s, "trajectory", ensemble))
 
@@ -639,19 +617,15 @@ class RelaxationStudy:
         return [traces_path, summary_path]
 
 
-def relaxation_scenarios(base: Scenario,
-                         xi_squeezed: float | None = None) -> list[tuple[Scenario, float]]:
+def relaxation_scenarios(base: Scenario) -> list[tuple[Scenario, float]]:
     """The ten preset relaxation scenarios (6 thermal + 4 squeezed work).
 
     The squeezed-work rows were recorded at the weaker-coupling operating
-    point; by default those scenarios carry its Hamiltonian rate while the
-    thermal rows inherit ``base.xi``.  Pass ``xi_squeezed`` to override, or
-    ``base.xi`` to run everything at one coupling.  (The dephased steady
-    state is coupling-independent at zero detuning, so this only affects
-    the trace time axis and windowed averages.)
+    point, so those scenarios carry its Hamiltonian rate while the thermal
+    rows inherit ``base.xi``.  (The dephased steady state is
+    coupling-independent at zero detuning, so the rate only affects the
+    trace time axis and windowed averages.)
     """
-    if xi_squeezed is None:
-        xi_squeezed = REFERENCE_SETUPS["z425"].xi_hamiltonian
     out = []
     for nh, nw, nc, meas in THERMAL_RELAXATION_ROWS:
         s = with_thermal(with_thermal(with_thermal(base, "hot", nh), "work", nw),
@@ -661,7 +635,8 @@ def relaxation_scenarios(base: Scenario,
     for nh, nw, r, nc, meas in SQUEEZED_RELAXATION_ROWS:
         s = with_thermal(with_thermal(base, "hot", nh), "cold", nc)
         s = with_prep(s, "work", ModePrep.squeezed_thermal_state(nw, r))
-        s = dataclasses.replace(s, name=f"squeezed_r{r:g}", xi=xi_squeezed)
+        s = dataclasses.replace(s, name=f"squeezed_r{r:g}",
+                                xi=REFERENCE_SETUPS["z425"].xi_hamiltonian)
         out.append((s, meas))
     return out
 

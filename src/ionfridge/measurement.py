@@ -6,8 +6,9 @@ brightness (no decoherence term) used for refrigerator readout, and a
 blue-sideband flopping curve with sqrt(n+1)-scaled Rabi rates and
 decoherence used for calibration fits.  Fits are weighted least squares
 on ``scipy.optimize.least_squares`` (trust-region ``trf``, forward-difference
-Jacobian) and report the rank and condition number of the final Jacobian;
-the free-distribution fit parameterizes the simplex with a softmax so the
+Jacobian) and report the rank and condition number of the final Jacobian,
+with an infinite error for a parameter the data do not resolve; the
+free-distribution fit parameterizes the simplex with a softmax so the
 constraints hold by construction.
 """
 
@@ -24,7 +25,7 @@ from scipy.optimize import least_squares
 from .errors import (DomainError, FitConvergenceError, SensitivityError,
                      ValidationError)
 from .states import (PhononDistribution, coherent_distribution,
-                     squeezed_thermal_distribution,
+                     mbar_from_curvature, squeezed_thermal_distribution,
                      squeezed_vacuum_distribution, thermal_distribution)
 
 TWO_PI = 2.0 * math.pi
@@ -62,24 +63,23 @@ class BrightnessSample:
     sigma: float
 
     def __post_init__(self):
+        if not math.isfinite(self.t):
+            raise DomainError("t must be finite")
         if not 0.0 <= self.p_up <= 1.0:
             raise DomainError("p_up must be in [0, 1]")
-        if self.sigma <= 0.0:
-            raise DomainError("sigma must be > 0")
+        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
+            raise DomainError("sigma must be finite and > 0")
 
 
 @dataclass(frozen=True)
 class EstimatorConfig:
-    """Finite-difference step and target mode of the linearized estimator."""
+    """Finite-difference step of the linearized estimator."""
 
     delta: float = 0.05
-    mode_of_interest: str = "c"
 
     def __post_init__(self):
         if self.delta <= 0.0:
             raise DomainError("delta must be > 0")
-        if self.mode_of_interest not in ("h", "w", "c"):
-            raise DomainError("mode_of_interest must be one of h, w, c")
 
 
 class SimulatedResponse(NamedTuple):
@@ -161,11 +161,11 @@ def estimate_nbar(p_up_exp: float, simulated: SimulatedResponse,
 @dataclass(eq=False)
 class LMSolution:
     theta: np.ndarray
-    cov: np.ndarray
+    cov: np.ndarray      # pseudo-inverse: zero variance along dropped directions
+    errors: np.ndarray   # sqrt(diag(cov)), inf where a dropped direction loads
     cost: float
     cost_history: list[float]
     n_iter: int
-    converged: bool
     rank: int            # numerical rank of the Jacobian at the minimum
     cond: float          # its condition number s_max / s_min
 
@@ -176,6 +176,12 @@ _SOLVER_TOL = 1e-10
 #: singular values of the final Jacobian below this share of the largest are
 #: dropped from the covariance (forward differences resolve no finer)
 _RANK_RTOL = math.sqrt(np.finfo(float).eps)
+#: a parameter whose squared loading on the dropped singular directions
+#: exceeds this is not resolved by the data: its error is reported as inf.
+#: Rounding leaves loadings of order eps on the others (at most 2e-15 over
+#: the free fits of thermometry records), and a parameter along a dropped
+#: direction loads ~1.
+_UNRESOLVED_LOADING = 1e-6
 
 
 def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndarray,
@@ -189,7 +195,9 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
     starting point must be feasible.  ``cost_history`` holds the starting
     and accepted costs, so it strictly decreases.  The covariance
     is the SVD pseudo-inverse of J^T J for the final Jacobian J, whose rank
-    and condition number are reported.  Running out of ``max_nfev``
+    and condition number are reported; ``errors`` are the square roots of
+    its diagonal, except that a parameter with weight on a dropped singular
+    direction gets an infinite error.  Running out of ``max_nfev``
     residual evaluations (scipy does not count the Jacobian's) raises
     ``FitConvergenceError``.
     """
@@ -222,9 +230,12 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
     _, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
     keep = sv > _RANK_RTOL * sv[0]
     cov = (vt[keep].T / sv[keep] ** 2) @ vt[keep]
+    unresolved = (vt[~keep] ** 2).sum(axis=0) > _UNRESOLVED_LOADING
+    errors = np.where(unresolved, math.inf, np.sqrt(np.diag(cov)))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
-    return LMSolution(theta=res.x, cov=cov, cost=2.0 * res.cost, cost_history=history,
-                      n_iter=len(costs), converged=True, rank=int(keep.sum()), cond=cond)
+    return LMSolution(theta=res.x, cov=cov, errors=errors, cost=2.0 * res.cost,
+                      cost_history=history, n_iter=len(costs), rank=int(keep.sum()),
+                      cond=cond)
 
 
 # ---------------------------------------------------------------------------
@@ -376,11 +387,8 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
     values = to_external(solution.theta)
 
     # delta method back to external parameter space
-    jac_diag = np.array([
-        values[name] if name in _LOG_PARAMS else 1.0 for name in names
-    ])
-    cov_ext = solution.cov * np.outer(jac_diag, jac_diag)
-    errors = {name: math.sqrt(max(cov_ext[i, i], 0.0)) for i, name in enumerate(names)}
+    errors = {name: float(solution.errors[i]) * (values[name] if name in _LOG_PARAMS else 1.0)
+              for i, name in enumerate(names)}
     result = FitResult(model=model, params=values, errors=errors,
                        reduced_chi2=solution.cost / dof,
                        cost_history=solution.cost_history, n_iter=solution.n_iter,
@@ -433,15 +441,16 @@ def _linear_fit(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def fit_preparation_curves(coherent_curve: tuple[np.ndarray, np.ndarray] | None = None,
                            steps_curve: tuple[np.ndarray, np.ndarray] | None = None,
-                           squeeze_curve: tuple[np.ndarray, np.ndarray] | None = None,
-                           t_step: float = 100e-6) -> PreparationFits:
+                           squeeze_curve: tuple[np.ndarray, np.ndarray] | None = None
+                           ) -> PreparationFits:
     """Fit the preparation calibration curves.
 
     - ``coherent_curve``: (t, mbar) fitted to n0 + beta t^2
     - ``steps_curve``:    (steps, nbar) fitted to offset + slope * steps
     - ``squeeze_curve``:  (t, r) fitted through the origin to rho_rate * t
 
-    ``mbar`` is reported from beta at the standard step duration ``t_step``.
+    ``mbar`` is reported from beta at the standard step duration
+    (:func:`~ionfridge.states.mbar_from_curvature`).
     """
     out: dict[str, float] = {}
     if coherent_curve is not None:
@@ -450,7 +459,7 @@ def fit_preparation_curves(coherent_curve: tuple[np.ndarray, np.ndarray] | None 
             raise ValidationError("coherent curve needs >= 3 points")
         coef, err = _linear_fit(np.column_stack([np.ones_like(t), t ** 2]), mbar)
         out.update(nbar0=coef[0], nbar0_err=err[0], beta=coef[1], beta_err=err[1],
-                   mbar=coef[1] * t_step ** 2)
+                   mbar=mbar_from_curvature(coef[1]))
     if steps_curve is not None:
         steps, nbar = (np.asarray(v, dtype=float) for v in steps_curve)
         if steps.size < 3:
@@ -491,10 +500,14 @@ def load_brightness_csv(path) -> list[BrightnessSample]:
         for row in reader:
             if not row:
                 continue
+            where = f"{path}, line {reader.line_num}"
             if len(row) != 3:
-                raise ValidationError(f"bad row {row!r}")
-            t_us, p_up, sigma = (float(v) for v in row)
-            samples.append(BrightnessSample(t=t_us * 1e-6, p_up=p_up, sigma=sigma))
+                raise ValidationError(f"{where}: bad row {row!r}")
+            try:
+                t_us, p_up, sigma = (float(v) for v in row)
+                samples.append(BrightnessSample(t=t_us * 1e-6, p_up=p_up, sigma=sigma))
+            except ValueError as exc:       # DomainError is a ValueError too
+                raise ValidationError(f"{where}: {exc}") from None
     return samples
 
 

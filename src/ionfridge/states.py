@@ -325,17 +325,14 @@ class PreparationModel:
     """Random-walk heating model for state preparation.
 
     A preparation applies ``steps`` incoherent displacement kicks of mean
-    size ``mbar`` phonons on top of a residual occupation ``nbar0``.
-    ``beta`` is the curvature of the coherent-drive calibration
-    (phonons/s^2, mbar = beta * t_step^2), ``rho_rate`` the squeezing growth
-    rate (1/s).  Times are SI seconds.
+    size ``mbar`` phonons on top of a residual occupation ``nbar0``;
+    :func:`mbar_from_curvature` gives ``mbar`` from the coherent-drive
+    calibration.
     """
 
     nbar0: float = 0.0
     mbar: float = 0.0
     steps: int = 0
-    beta: float = 0.0
-    rho_rate: float = 0.0
 
 
 def random_walk_nbar(model: PreparationModel) -> float:

@@ -50,20 +50,17 @@ ION_MASS = 171 * CODATA2014.amu
 class TrapConfig:
     """Secular trap frequencies for the three-ion crystal (rad/s).
 
-    The radial mode formulas below require ``omega_x > omega_y`` (modes are
-    built on the x radial) and ``omega_x**2 > (12/5) * omega_z**2`` so that
-    the radial zigzag mode exists.
+    The crystal is three ions of mass :data:`ION_MASS`.  The radial mode
+    formulas below require ``omega_x > omega_y`` (modes are built on the x
+    radial) and ``omega_x**2 > (12/5) * omega_z**2`` so that the radial
+    zigzag mode exists.
     """
 
     omega_x: float
     omega_y: float
     omega_z: float
-    ion_mass: float = ION_MASS
-    n_ions: int = 3
 
     def __post_init__(self):
-        if self.n_ions != 3:
-            raise DomainError("mode formulas are specific to a 3-ion crystal")
         if not (self.omega_x > self.omega_y > 0.0):
             raise DomainError("need omega_x > omega_y > 0")
         if self.omega_z <= 0.0:
@@ -72,8 +69,6 @@ class TrapConfig:
             raise DomainError(
                 "radial zigzag mode does not exist: need omega_x^2 > (12/5) omega_z^2"
             )
-        if self.ion_mass <= 0.0:
-            raise DomainError("ion mass must be positive")
 
 
 @dataclass(frozen=True)
@@ -129,13 +124,13 @@ def mode_frequencies(trap: TrapConfig) -> ModeFrequencies:
     )
 
 
-def equilibrium_spacing(trap: TrapConfig, constants: PhysicalConstants = CODATA2014) -> float:
+def equilibrium_spacing(trap: TrapConfig) -> float:
     """Equilibrium nearest-neighbour ion distance x0 (m).
 
     x0 = (5 e^2 / (16 pi eps0 m omega_z^2))**(1/3)
     """
-    num = 5.0 * constants.e_charge ** 2
-    den = 16.0 * math.pi * constants.eps0 * trap.ion_mass * trap.omega_z ** 2
+    num = 5.0 * CODATA2014.e_charge ** 2
+    den = 16.0 * math.pi * CODATA2014.eps0 * ION_MASS * trap.omega_z ** 2
     return (num / den) ** (1.0 / 3.0)
 
 
@@ -155,7 +150,7 @@ class CouplingFormulaWarning(UserWarning):
     """Raised alongside results that rely on the geometric coupling formula."""
 
 
-def coupling_rate(trap: TrapConfig, constants: PhysicalConstants = CODATA2014) -> CouplingRate:
+def coupling_rate(trap: TrapConfig) -> CouplingRate:
     """Trilinear coupling rate from trap geometry.
 
     xi = 9 omega_z^2 sqrt(hbar / (m omega_h omega_w omega_c)) / (5 x0)
@@ -166,9 +161,9 @@ def coupling_rate(trap: TrapConfig, constants: PhysicalConstants = CODATA2014) -
     """
     warnings.warn(COUPLING_FORMULA_NOTE, CouplingFormulaWarning, stacklevel=2)
     freqs = mode_frequencies(trap)
-    x0 = equilibrium_spacing(trap, constants)
+    x0 = equilibrium_spacing(trap)
     root = math.sqrt(
-        constants.hbar / (trap.ion_mass * freqs.omega_h * freqs.omega_w * freqs.omega_c)
+        CODATA2014.hbar / (ION_MASS * freqs.omega_h * freqs.omega_w * freqs.omega_c)
     )
     xi = 9.0 * trap.omega_z ** 2 * root / (5.0 * x0)
     return CouplingRate(xi=xi, x0=x0)
@@ -179,8 +174,7 @@ def coupling_rate(trap: TrapConfig, constants: PhysicalConstants = CODATA2014) -
 # ---------------------------------------------------------------------------
 
 
-def mode_temperature(nbar: float, omega: float,
-                     constants: PhysicalConstants = CODATA2014) -> float:
+def mode_temperature(nbar: float, omega: float) -> float:
     """Temperature (K) of a thermal mode with mean occupation ``nbar``.
 
     T = hbar omega / (k_B ln(1 + 1/nbar)).  ``nbar == 0`` maps to T = 0 by
@@ -193,33 +187,30 @@ def mode_temperature(nbar: float, omega: float,
     if nbar == 0.0:
         warnings.warn("nbar = 0 mapped to T = 0 by convention", UserWarning, stacklevel=2)
         return 0.0
-    return constants.hbar * omega / (constants.k_B * math.log1p(1.0 / nbar))
+    return CODATA2014.hbar * omega / (CODATA2014.k_B * math.log1p(1.0 / nbar))
 
 
 def refrigeration_ordering(nbars: tuple[float, float, float],
-                           freqs: ModeFrequencies,
-                           constants: PhysicalConstants = CODATA2014) -> bool:
+                           freqs: ModeFrequencies) -> bool:
     """True when the mode temperatures obey T_c < T_h < T_w.
 
     The absorption-refrigerator regime requires this ordering; it is exposed
     as a predicate rather than assumed anywhere in the dynamics.
     """
-    t_h = mode_temperature(nbars[0], freqs.omega_h, constants)
-    t_w = mode_temperature(nbars[1], freqs.omega_w, constants)
-    t_c = mode_temperature(nbars[2], freqs.omega_c, constants)
+    t_h = mode_temperature(nbars[0], freqs.omega_h)
+    t_w = mode_temperature(nbars[1], freqs.omega_w)
+    t_c = mode_temperature(nbars[2], freqs.omega_c)
     return t_c < t_h < t_w
 
 
-def cooling_power_per_mass(delta_n_c: float, tau: float, omega_c: float,
-                           ion_mass: float = ION_MASS,
-                           constants: PhysicalConstants = CODATA2014) -> float:
+def cooling_power_per_mass(delta_n_c: float, tau: float, omega_c: float) -> float:
     """Single-shot cooling power per unit crystal mass (W/kg).
 
     P/m = hbar omega_c delta_n_c / (3 m tau) for a three-ion crystal.
     """
     if tau <= 0.0:
         raise DomainError("tau must be > 0")
-    return constants.hbar * omega_c * delta_n_c / (3.0 * ion_mass * tau)
+    return CODATA2014.hbar * omega_c * delta_n_c / (3.0 * ION_MASS * tau)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,15 @@ from ionfridge.errors import ScenarioError, ValidationError
 from ionfridge.experiments import (SCHEMA_VERSION, WINDOW_DEFAULT,
                                    WINDOW_SQUEEZED, RelaxationStudy,
                                    RelaxationTrace, Scenario, SteadyStateRule,
-                                   fig2_dataset, fig3_dataset, fig4_dataset,
-                                   load_scenario, read_dataset_csv,
+                                   build_ensemble, fig2_dataset, fig3_dataset,
+                                   fig4_dataset, load_scenario, read_dataset_csv,
                                    reference_scenario, relaxation_scenarios,
                                    run_scenario, scenario_from_dict,
                                    single_shot_point, steady_state,
                                    with_thermal, write_dataset_csv)
-from ionfridge.measurement import SidebandConfig, save_brightness_csv, synthetic_brightness
+from ionfridge.dynamics import EnsembleSpectrum
+from ionfridge.measurement import (SidebandConfig, red_sideband_brightness,
+                                   save_brightness_csv, synthetic_brightness)
 from ionfridge.states import ModePrep, prep_mean, thermal_distribution
 from ionfridge.trap import REFERENCE_SETUPS
 
@@ -58,7 +60,6 @@ def test_scenario_from_dict_minimal():
     assert s.preps[1].nbar == 4.44
     assert s.truncation.epsilon == 1e-4
     assert s.sideband is None
-    assert s.outputs == ("trajectory",)
 
 
 def test_scenario_from_dict_full_sections():
@@ -66,15 +67,12 @@ def test_scenario_from_dict_full_sections():
     d["preps"]["work"] = {"kind": "squeezed_thermal", "nbar": 0.5, "r": 1.34}
     d["sideband"] = {"omega_rabi_khz": 20.0, "t_rsb_us": 10.0, "a_bg": 0.02, "eta": 0.98}
     d["sweep"] = {"work_nbar": [4.44, 2.16], "cold_nbar": [0.5, 1.5, 2.5]}
-    d["outputs"] = ["trajectory", "fig3"]
-    d["seed"] = 7
     d["detuning_khz"] = -40.0
     s = scenario_from_dict(d)
     assert s.preps[1].kind == "squeezed_thermal" and s.preps[1].r == 1.34
     assert s.sideband.omega_rabi == pytest.approx(TWO_PI * 20e3)
     assert s.sideband.t_rsb == pytest.approx(10e-6)
     assert s.sweep.work_nbar == (4.44, 2.16)
-    assert s.seed == 7
     assert s.detuning == pytest.approx(-TWO_PI * 40e3)
 
 
@@ -95,6 +93,9 @@ _DELETE = object()
 
 _BAD_SCENARIOS = [
     ("unknown_top_key", _mutate(("comment",), "hi")),
+    # keys that nothing acted on are unknown keys like any other
+    ("seed", _mutate(("seed",), 7)),
+    ("outputs", _mutate(("outputs",), ["trajectory"])),
     ("wrong_version", _mutate(("schema_version",), 99)),
     ("missing_version", _mutate(("schema_version",), _DELETE)),
     ("coupling_empty", _mutate(("coupling",), {})),
@@ -117,7 +118,6 @@ _BAD_SCENARIOS = [
                                                      "t_rsb_us": 1.0, "gamma": 0.1})),
     ("sideband_missing_rabi", _mutate(("sideband",), {"t_rsb_us": 1.0})),
     ("sweep_unknown_key", _mutate(("sweep",), {"hot_nbar": [1.0]})),
-    ("unknown_output", _mutate(("outputs",), ["trajectory", "fig9"])),
     ("zero_coupling", _mutate(("coupling",), {"xi_khz": 0.0})),
     ("nan_coupling", _mutate(("coupling",), {"xi_khz": math.nan})),
     ("inf_coupling", _mutate(("coupling",), {"xi_khz": math.inf})),
@@ -143,7 +143,6 @@ _BAD_SCENARIOS = [
     ("grid_fractional_num", _mutate(("time_grid_us",), {"start": 0.0, "stop": 1.0,
                                                         "num": 2.7})),
     ("grid_string_point", _mutate(("time_grid_us",), [0.0, "5"])),
-    ("seed_fractional", _mutate(("seed",), 2.5)),
     ("sweep_string", _mutate(("sweep",), {"work_nbar": "4.44"})),
     ("coupling_bool", _mutate(("coupling",), {"xi_khz": True})),
 ]
@@ -155,22 +154,14 @@ def test_scenario_schema_rejections(label, data):
         scenario_from_dict(data)
 
 
-def test_scenario_outputs_must_be_a_list():
-    # before, a string was iterated by character ("unknown output kind 'f'")
-    with pytest.raises(ScenarioError, match="outputs must be a list"):
-        scenario_from_dict(_mutate(("outputs",), "fig3"))
-
-
 def test_scenario_integral_floats_are_integers():
     d = _mutate(("preps", "hot"), {"kind": "fock", "n": 2.0})
     d["time_grid_us"]["num"] = 81.0
     d["truncation"]["n_max_w"] = 30.0
-    d["seed"] = 7.0
     s = scenario_from_dict(d)
     assert s.preps[0].n_fock == 2 and isinstance(s.preps[0].n_fock, int)
     assert s.time_grid.size == 81
     assert s.truncation.n_max_w == 30 and isinstance(s.truncation.n_max_w, int)
-    assert s.seed == 7 and isinstance(s.seed, int)
 
 
 def test_scenario_error_is_validation_error():
@@ -271,18 +262,26 @@ def test_trajectory_columns_and_sideband():
     assert 0.99 < res.metadata["retained_weight"] <= 1.0
 
     d["sideband"] = {"omega_rabi_khz": 20.0, "t_rsb_us": 10.0, "a_bg": 0.02, "eta": 0.98}
-    res = run_scenario(scenario_from_dict(d))
+    s = scenario_from_dict(d)
+    res = run_scenario(s)
     assert res.columns[-3:] == ["p_up_h", "p_up_w", "p_up_c"]
     assert np.all(res.p_up >= 0.0) and np.all(res.p_up <= 1.0)
     # hotter marginals flop brighter
     assert res.p_up[1, 0] > res.p_up[0, 0]
+    # each entry is the readout model applied to the normalized marginal
+    ensemble = build_ensemble(s)
+    marginals = EnsembleSpectrum(ensemble).marginals_at(s.time_grid)
+    for i, marg in enumerate(marginals):
+        for k in range(s.time_grid.size):
+            expected = red_sideband_brightness(marg[:, k] / ensemble.retained_weight,
+                                               s.sideband)
+            assert res.p_up[i, k] == pytest.approx(expected, abs=1e-12)
 
 
 def test_reference_scenario_presets():
     s = reference_scenario("z570")
     assert s.name == "reference_z570"
     assert s.xi == pytest.approx(REFERENCE_SETUPS["z570"].xi_hamiltonian)
-    assert s.trap is REFERENCE_SETUPS["z570"].trap
     assert s.time_grid.size == 161
     assert [p.nbar for p in s.preps] == [0.66, 4.44, 2.63]
     with pytest.raises(KeyError):
@@ -502,6 +501,23 @@ def test_cli_malformed_number_exit_code(tmp_path, capsys, path, value):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [
+    ["fit", "data.csv", "--model", "thermal", "--rule", "window"],
+    ["fig4", "scenario.json", "--rule", "window"],
+    ["steady-state", "scenario.json", "--out", "d"],
+    ["oracle-check", "--epsilon", "1e-3"],
+    ["simulate", "scenario.json", "--seed", "3"],
+], ids=["fit_rule", "fig4_rule", "steady_state_out", "oracle_check_epsilon",
+        "simulate_seed"])
+def test_cli_flag_a_command_does_not_read_is_a_usage_error(capsys, argv):
+    """A flag is given only to the subcommands that read it; before, every
+    subcommand accepted --out, --epsilon, --rule and --seed and ignored some."""
+    with pytest.raises(SystemExit) as exc:
+        cli_main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
 def test_cli_epsilon_override(tmp_path, capsys):
     d = _base_dict()
     d["time_grid_us"] = [0.0, 50.0]
@@ -549,6 +565,19 @@ def test_cli_fit_thermal(tmp_path, capsys):
     assert "rank 5, condition number" in out
     nbar = float(out.split("nbar = ")[1].split()[0])
     assert nbar == pytest.approx(0.8, abs=0.15)
+
+
+@pytest.mark.parametrize("row", ["abc,0.5,0.02", "1.0,0.5,nan", "inf,0.5,0.02"],
+                         ids=["non_numeric", "nan_sigma", "inf_time"])
+def test_cli_fit_malformed_csv_exit_code(tmp_path, capsys, row):
+    """A malformed brightness cell is a validation error naming its line, exit 2;
+    before it escaped as a bare ValueError from float() or from scipy (exit 1)."""
+    path = tmp_path / "flops.csv"
+    good = "".join(f"{t:g},0.5,0.02\n" for t in range(1, 21))   # enough for a fit
+    path.write_text("t_us,p_up,sigma\n0.5,0.1,0.02\n" + row + "\n" + good)
+    rc = cli_main(["fit", str(path), "--model", "thermal"])
+    assert rc == 2
+    assert "line 3" in capsys.readouterr().err
 
 
 def test_cli_oracle_check_subprocess():

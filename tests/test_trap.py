@@ -85,8 +85,6 @@ def test_trap_config_validation():
         # radial zigzag mode requires omega_x^2 > (12/5) omega_z^2
         TrapConfig(omega_x=TWO_PI * 700e3, omega_y=TWO_PI * 600e3,
                    omega_z=TWO_PI * 650e3)
-    with pytest.raises(DomainError):
-        TrapConfig(omega_x=2.0e6, omega_y=1.0e6, omega_z=0.5e6, n_ions=2)
 
 
 def test_mode_temperature_frozen():
