@@ -118,6 +118,7 @@ _BAD_SCENARIOS = [
                                                      "t_rsb_us": 1.0, "gamma": 0.1})),
     ("sideband_missing_rabi", _mutate(("sideband",), {"t_rsb_us": 1.0})),
     ("sweep_unknown_key", _mutate(("sweep",), {"hot_nbar": [1.0]})),
+    ("unknown_output", _mutate(("outputs",), ["trajectory", "fig9"])),
     ("zero_coupling", _mutate(("coupling",), {"xi_khz": 0.0})),
     ("nan_coupling", _mutate(("coupling",), {"xi_khz": math.nan})),
     ("inf_coupling", _mutate(("coupling",), {"xi_khz": math.inf})),
@@ -152,6 +153,13 @@ _BAD_SCENARIOS = [
 def test_scenario_schema_rejections(label, data):
     with pytest.raises(ScenarioError):
         scenario_from_dict(data)
+
+
+def test_scenario_outputs_must_be_a_list():
+    # before, a string was iterated by character ("unknown output kind 'f'");
+    # the outputs key is gone, so a value of any type names the key as unknown
+    with pytest.raises(ScenarioError, match=r"unknown key\(s\) in .*'outputs'"):
+        scenario_from_dict(_mutate(("outputs",), "fig3"))
 
 
 def test_scenario_integral_floats_are_integers():
