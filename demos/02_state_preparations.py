@@ -43,6 +43,6 @@ selection = select_sectors(*dists, policy)
 print(f"\nproduct state at epsilon=1e-4: {len(selection.labels)} sectors "
       f"retained, weight {selection.retained_weight:.6f} "
       f"(discarded {selection.discarded_weight:.1e})")
-top = selection.labels[0]
-print(f"largest sector (N, M) = ({top.N}, {top.M}) with weight "
-      f"{selection.weights[0]:.4f} and dimension {top.dim}")
+N, M = selection.labels[0]
+print(f"largest sector (N, M) = ({N}, {M}) with weight "
+      f"{selection.weights[0]:.4f} and dimension {min(N, M) + 1}")

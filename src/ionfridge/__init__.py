@@ -14,8 +14,7 @@ from .benchmarks import (CoolingReport, OccupationTriple, cooling_condition,
                          cooling_report, entropy_flow,
                          equilibrium_cold_occupation, equilibrium_shift,
                          extract_equilibrium_nc)
-from .dynamics import (EnsembleSpectrum, SectorHamiltonian, ThreeModeEnsemble,
-                       assemble_initial, build_sector_hamiltonian,
+from .dynamics import (EnsembleSpectrum, ThreeModeEnsemble, assemble_initial,
                        default_incoherence_strength)
 from .errors import (CutoffError, DomainError, FitConvergenceError,
                      NumericsError, ScenarioError, SensitivityError,
@@ -24,8 +23,8 @@ from .experiments import (Scenario, SteadyStateRule, TrajectoryResult,
                           fig2_dataset, fig3_dataset, fig4_dataset,
                           load_scenario, run_scenario, scenario_from_dict,
                           single_shot_point, steady_state)
-from .fockspace import (SectorBasis, SectorLabel, SectorSelection,
-                        TruncationPolicy, enumerate_sector, select_sectors)
+from .fockspace import (SectorSelection, TruncationPolicy, enumerate_sector,
+                        select_sectors)
 from .measurement import (BrightnessSample, EstimatorConfig, FitResult,
                           SidebandConfig, SimulatedResponse,
                           blue_sideband_flopping, damped_least_squares,

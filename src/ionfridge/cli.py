@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import math
 import os
 import sys
@@ -190,9 +189,8 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_coupling(args) -> int:
-    from .experiments import _trap_from_dict   # scenario-format trap schema
-    data = json.loads(Path(args.trap).read_text(encoding="utf-8"))
-    trap = _trap_from_dict(data, "trap")
+    from .experiments import _read_json, _trap_from_dict   # scenario-format trap schema
+    trap = _trap_from_dict(_read_json(Path(args.trap)), "trap")
     freqs = mode_frequencies(trap)
     spacing = equilibrium_spacing(trap)
     rate = coupling_rate(trap)

@@ -5,12 +5,14 @@ symmetric tridiagonal matrix
 
     (H/hbar)[k, k+1] = xi sqrt((k+1)(N-k)(M-k)),   (H/hbar)[k, k] = detuning * k,
 
-acting on |k, N-k, M-k>.  :class:`EnsembleSpectrum` eigendecomposes these
-small matrices once per ensemble, and every result is a view of that
-spectrum.  Means are one projected observable: inside sector (N, M),
-n_w = N - n_h and n_c = M - n_h, so with the hot number projected onto each
-eigenbasis once, all sectors flatten into one gap vector g and one
-coefficient vector C, and
+acting on |k, N-k, M-k>.  An ensemble is one table of retained sectors
+(labels, weights, cap windows) plus one flat vector of their populations;
+:class:`EnsembleSpectrum` eigendecomposes the sector matrices once per
+ensemble, one batched ``eigh`` per distinct sector dimension, and every
+result is a view of that spectrum.  Means are one projected observable:
+inside sector (N, M), n_w = N - n_h and n_c = M - n_h, so with the hot
+number projected onto each eigenbasis once, all sectors flatten into one
+gap vector g and one coefficient vector C, and
 
     <n_h>(t) = <n_h>_dephased + kernel(t, g) @ C,
     <n_w> = sum_s w_s N_s - <n_h>,   <n_c> = sum_s w_s M_s - <n_h>,
@@ -27,7 +29,7 @@ Preparations are phase-randomized (see :class:`~ionfridge.states.ModePrep`):
 every mode enters as its number-diagonal density, so the initial product
 state carries no within-sector coherences, and cross-sector coherences
 never influence number observables; ensembles here hold populations only
-(one real populations vector per sector).  For phase-definite states this
+(one real populations slice per sector).  For phase-definite states this
 is exact when at least one mode is number-diagonal (thermal or Fock): a
 within-sector coherence between |k, N-k, M-k> and |k', N-k', M-k'> needs
 coherences in all three modes.
@@ -38,85 +40,36 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .benchmarks import OccupationTriple
 from .errors import DomainError
-from .fockspace import SectorLabel, SectorSelection, TruncationPolicy, select_sectors
+from .fockspace import TruncationPolicy, select_sectors
 # re-exported: perfbench/workloads.py imports the oracle from this module
 from .oracle import dense_oracle_evolve  # noqa: F401
 from .states import (DEFAULT_CUTOFF, ModePrep, PhononDistribution,
                      prep_to_distribution)
 
 
-@dataclass(frozen=True, eq=False)
-class SectorHamiltonian:
-    """Tridiagonal sector Hamiltonian in angular-frequency units (H/hbar).
+@dataclass(eq=False)
+class ThreeModeEnsemble:
+    """Retained sectors as one table, their populations and the dynamics parameters.
 
-    Row ``i`` is the Fock component with ``n_h = k_lo + i``; ``k_lo > 0``
+    ``sectors`` is a record array with one row per sector, in selection
+    order, and fields ``N``, ``M``, ``weight``, ``k_lo``, ``dim`` and
+    ``start``.  Sector ``s`` owns ``pops[start:start + dim]``, the
+    normalized populations of ``n_h = k_lo .. k_lo + dim - 1``; ``k_lo > 0``
     occurs only when hard per-mode caps window the sector.
     """
 
-    label: SectorLabel
-    diag: np.ndarray      # rad/s, length dim
-    offdiag: np.ndarray   # rad/s, length dim-1
-    k_lo: int = 0
-
-    @property
-    def dim(self) -> int:
-        return self.diag.size
-
-
-def build_sector_hamiltonian(label: SectorLabel, xi: float,
-                             detuning: float = 0.0,
-                             window: tuple[int, int] | None = None) -> SectorHamiltonian:
-    """Sector Hamiltonian, optionally windowed to ``k_lo <= n_h <= k_hi``.
-
-    A window arises from hard per-mode caps: the capped model space keeps
-    only the sector rows inside the box, exactly like a ladder-truncated
-    full-space Hamiltonian would.
-    """
-    if xi < 0.0:
-        raise DomainError("xi must be >= 0")
-    k_lo, k_hi = window if window is not None else (0, min(label.N, label.M))
-    if not 0 <= k_lo <= k_hi <= min(label.N, label.M):
-        raise DomainError(f"invalid sector window {(k_lo, k_hi)}")
-    k = np.arange(k_lo, k_hi + 1)
-    diag = detuning * k.astype(float)
-    kk = k[:-1]
-    offdiag = xi * np.sqrt((kk + 1.0) * (label.N - kk) * (label.M - kk))
-    return SectorHamiltonian(label=label, diag=diag, offdiag=offdiag, k_lo=k_lo)
-
-
-@dataclass(eq=False)
-class SectorState:
-    """One sector's weight and normalized populations (Fock-index basis).
-
-    Entry ``i`` of ``pops`` is the population of ``n_h = k_lo + i``.
-    """
-
-    label: SectorLabel
-    weight: float
+    sectors: np.recarray
     pops: np.ndarray
-    k_lo: int = 0
-
-    @property
-    def window(self) -> tuple[int, int]:
-        return self.k_lo, self.k_lo + self.pops.size - 1
-
-
-@dataclass(eq=False)
-class ThreeModeEnsemble:
-    """Weighted collection of sector states plus the dynamics parameters."""
-
-    sectors: list[SectorState]
     discarded_weight: float
     xi: float
     detuning: float = 0.0
 
     @property
     def retained_weight(self) -> float:
-        return float(sum(s.weight for s in self.sectors))
+        return float(self.sectors.weight.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -127,52 +80,40 @@ class ThreeModeEnsemble:
 def assemble_from_distributions(dists: tuple[PhononDistribution, PhononDistribution,
                                              PhononDistribution],
                                 policy: TruncationPolicy, xi: float,
-                                detuning: float = 0.0,
-                                selection: SectorSelection | None = None) -> ThreeModeEnsemble:
+                                detuning: float = 0.0) -> ThreeModeEnsemble:
     """Build a sector ensemble from explicit per-mode number distributions.
 
-    Hard per-mode caps in the policy window each sector to its in-box rows,
-    so capped runs evolve exactly the finite-box model (matching a dense
-    reference with the same caps).  Without caps the full sector is kept.
+    Hard per-mode caps in the policy window each sector to its in-box rows
+    ``max(0, N - cap_w, M - cap_c) <= n_h <= min(N, M, cap_h)``, so capped
+    runs evolve exactly the finite-box model (matching a dense reference with
+    the same caps).  Without caps the full sector is kept.  A distribution
+    longer than its cap + 1 is rejected: its mass outside the box would
+    weight the sectors but never evolve.
     """
-    p_h, p_w, p_c = dists
-    if selection is None:
-        selection = select_sectors(p_h, p_w, p_c, policy)
-    caps = policy.caps()
-    sectors: list[SectorState] = []
-    for label, weight in zip(selection.labels, selection.weights):
-        k_lo, k_hi = _sector_window(label, caps)
-        k = np.arange(k_lo, k_hi + 1)
-        joint = (_padded(p_h.p, k) * _padded(p_w.p, label.N - k)
-                 * _padded(p_c.p, label.M - k))
-        total = joint.sum()
-        if total <= 0.0:   # pragma: no cover - selection guarantees weight > 0
-            continue
-        sectors.append(SectorState(label=label, weight=float(weight),
-                                   pops=joint / total, k_lo=k_lo))
+    if xi < 0.0:
+        raise DomainError("xi must be >= 0")
+    for dist, cap in zip(dists, policy.caps()):
+        if cap is not None and dist.p.size > cap + 1:
+            raise DomainError(f"a distribution over {dist.p.size} levels exceeds "
+                              f"its cap n_max = {cap}")
+    selection = select_sectors(*dists, policy)
+    N, M = selection.labels.T
+    cap_h, cap_w, cap_c = (np.inf if cap is None else cap for cap in policy.caps())
+    k_lo = np.maximum(0, np.maximum(N - cap_w, M - cap_c)).astype(np.int64)
+    dim = np.minimum(np.minimum(N, M), cap_h).astype(np.int64) - k_lo + 1
+    start = np.cumsum(dim) - dim
+    # one row per retained basis state: its sector and its n_h
+    owner = np.repeat(np.arange(dim.size), dim)
+    k = k_lo[owner] + np.arange(owner.size) - start[owner]
+    joint = np.ones(owner.size)
+    for dist, n in zip(dists, (k, N[owner] - k, M[owner] - k)):
+        joint *= np.append(dist.p, 0.0)[np.minimum(n, dist.p.size)]   # 0 beyond the ladder
+    sectors = np.rec.fromarrays((N, M, selection.weights, k_lo, dim, start),
+                                names=("N", "M", "weight", "k_lo", "dim", "start"))
     return ThreeModeEnsemble(sectors=sectors,
+                             pops=joint / np.add.reduceat(joint, start)[owner],
                              discarded_weight=selection.discarded_weight,
                              xi=xi, detuning=detuning)
-
-
-def _sector_window(label: SectorLabel, caps) -> tuple[int, int]:
-    """In-box n_h range of a sector under optional per-mode caps."""
-    cap_h, cap_w, cap_c = caps
-    k_lo, k_hi = 0, min(label.N, label.M)
-    if cap_h is not None:
-        k_hi = min(k_hi, cap_h)
-    if cap_w is not None:
-        k_lo = max(k_lo, label.N - cap_w)
-    if cap_c is not None:
-        k_lo = max(k_lo, label.M - cap_c)
-    return k_lo, k_hi
-
-
-def _padded(p: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    out = np.zeros(idx.shape)
-    ok = idx < p.size
-    out[ok] = p[idx[ok]]
-    return out
 
 
 def assemble_initial(preps: tuple[ModePrep, ModePrep, ModePrep],
@@ -203,48 +144,57 @@ _KERNEL_BLOCK = 1 << 17
 
 
 class EnsembleSpectrum:
-    """Per-sector eigendecomposition of an ensemble, the one spectral core.
+    """Eigendecomposition of every sector of an ensemble, the one spectral core.
 
-    ``eig[i]`` holds sector ``i``'s eigenvalues ``lam``, eigenvectors ``vec``
+    Sectors of equal dimension d are solved together: their tridiagonal
+    Hamiltonians are stacked as one (S_d, d, d) array for one
+    ``np.linalg.eigh`` call, and the populations and n_h are projected onto
+    the eigenbases with ``einsum``.  ``eig[i]`` holds sector ``i``'s (in
+    ``ensemble.sectors`` order) eigenvalues ``lam``, eigenvectors ``vec``
     (columns) and its initial populations rotated to the eigenbasis,
-    ``b = vec.T diag(pops) vec`` (real); :meth:`marginals_at` reads them.
+    ``b = vec.T diag(pops) vec`` (real), as views of its group's arrays;
+    :meth:`marginals_at` reads them.
 
     For the means, with A = vec.T diag(n_h) vec and sector weight w, each
     pair i < j of each sector adds lam_j - lam_i to ``gaps`` and
     2 w b_ij A_ij to ``coef``, and ``nh_dephased`` = sum w b_ii A_ii.  Then
     <n_h>(t) = nh_dephased + kernel(t, gaps) @ coef, and <n_w>, <n_c> are
     ``sum_wN``, ``sum_wM`` minus <n_h>, because n_w = N - n_h and
-    n_c = M - n_h inside sector (N, M).  Reductions run in fixed
-    (selection) order, so results do not depend on scheduling.
+    n_c = M - n_h inside sector (N, M).  Pairs and reductions run in a
+    fixed order, dimension groups ascending and selection order within a
+    group, so results do not depend on scheduling.
     """
 
     def __init__(self, ensemble: ThreeModeEnsemble):
         self.ensemble = ensemble
-        self.eig: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
-        n_pairs = sum(s.pops.size * (s.pops.size - 1) // 2 for s in ensemble.sectors)
-        self.gaps = np.empty(n_pairs)
-        self.coef = np.empty(n_pairs)
+        sec = ensemble.sectors
+        self.eig: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * sec.size
+        gaps, coef = [], []
         self.nh_dephased = 0.0
-        start = 0
-        for state in ensemble.sectors:
-            ham = build_sector_hamiltonian(state.label, ensemble.xi, ensemble.detuning,
-                                           window=state.window)
-            if ham.dim == 1:
-                lam, vec = ham.diag.copy(), np.ones((1, 1))
-            else:
-                lam, vec = eigh_tridiagonal(ham.diag, ham.offdiag)
-            b = (vec.T * state.pops) @ vec
-            self.eig.append((lam, vec, b))
-            n_h = state.k_lo + np.arange(lam.size)
-            terms = state.weight * b * ((vec.T * n_h) @ vec)
-            i, j = np.triu_indices(lam.size, 1)
-            stop = start + i.size
-            self.gaps[start:stop] = lam[j] - lam[i]
-            self.coef[start:stop] = 2.0 * terms[i, j]
-            self.nh_dephased += float(np.trace(terms))
-            start = stop
-        self.sum_wN = sum(s.weight * s.label.N for s in ensemble.sectors)
-        self.sum_wM = sum(s.weight * s.label.M for s in ensemble.sectors)
+        for d in np.unique(sec.dim):
+            group = np.flatnonzero(sec.dim == d)
+            row = np.arange(d)
+            n_h = sec.k_lo[group, None] + row
+            kk = n_h[:, :-1]
+            ham = np.zeros((group.size, d, d))
+            ham[:, row, row] = ensemble.detuning * n_h
+            ham[:, row[1:], row[:-1]] = ensemble.xi * np.sqrt(
+                (kk + 1.0) * (sec.N[group, None] - kk) * (sec.M[group, None] - kk))
+            lam, vec = np.linalg.eigh(ham)          # reads the lower triangle
+            pops = ensemble.pops[sec.start[group, None] + row]
+            b = np.einsum("ski,sk,skj->sij", vec, pops, vec)
+            terms = (sec.weight[group, None, None] * b
+                     * np.einsum("ski,sk,skj->sij", vec, n_h, vec))
+            i, j = np.triu_indices(d, 1)
+            gaps.append((lam[:, j] - lam[:, i]).ravel())
+            coef.append(2.0 * terms[:, i, j].ravel())
+            self.nh_dephased += float(np.einsum("sii->", terms))
+            for s, eig in zip(group, zip(lam, vec, b)):
+                self.eig[s] = eig
+        self.gaps = np.concatenate(gaps)
+        self.coef = np.concatenate(coef)
+        self.sum_wN = float(sec.weight @ sec.N)
+        self.sum_wM = float(sec.weight @ sec.M)
 
     def _means(self, t_grid: np.ndarray, kernel=None) -> np.ndarray:
         """[n_h, sum w N - n_h, sum w M - n_h] with n_h = nh_dephased + kernel @ coef.
@@ -268,20 +218,18 @@ class EnsembleSpectrum:
         detection models.
         """
         t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
-        sectors = self.ensemble.sectors
-        p_h = np.zeros((max((min(s.label.N, s.label.M) for s in sectors), default=0) + 1,
-                        t_grid.size))
-        p_w = np.zeros((max((s.label.N for s in sectors), default=0) + 1, t_grid.size))
-        p_c = np.zeros((max((s.label.M for s in sectors), default=0) + 1, t_grid.size))
-        for state, (lam, vec, b) in zip(sectors, self.eig):
-            d = lam.size
+        sec = self.ensemble.sectors
+        p_h = np.zeros((np.minimum(sec.N, sec.M).max() + 1, t_grid.size))
+        p_w = np.zeros((sec.N.max() + 1, t_grid.size))
+        p_c = np.zeros((sec.M.max() + 1, t_grid.size))
+        for (N, M, weight, k_lo, d, _), (lam, vec, b) in zip(sec.tolist(), self.eig):
             gaps = (lam[:, None] - lam[None, :]).reshape(-1)
             w3 = ((vec[:, :, None] * vec[:, None, :]) * b[None, :, :]).reshape(d, d * d)
-            w_pops = state.weight * (np.cos(np.outer(t_grid, gaps)) @ w3.T).T
-            k = state.k_lo + np.arange(d)
+            w_pops = weight * (np.cos(np.outer(t_grid, gaps)) @ w3.T).T
+            k = k_lo + np.arange(d)
             p_h[k] += w_pops
-            p_w[state.label.N - k] += w_pops
-            p_c[state.label.M - k] += w_pops
+            p_w[N - k] += w_pops
+            p_c[M - k] += w_pops
         return p_h, p_w, p_c
 
     def means_at(self, t_grid: np.ndarray) -> np.ndarray:

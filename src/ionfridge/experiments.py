@@ -148,6 +148,8 @@ def _prep_from_dict(d: dict, where: str) -> ModePrep:
 
 
 def _trap_from_dict(d: dict, where: str) -> TrapConfig:
+    if not isinstance(d, dict):
+        raise ScenarioError(f"{where} must be an object")
     _reject_unknown(d, ("omega_x_khz", "omega_y_khz", "omega_z_khz"), where)
     try:
         return TrapConfig(
@@ -255,13 +257,17 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     )
 
 
-def load_scenario(path) -> Scenario:
-    path = Path(path)
+def _read_json(path: Path):
+    """A JSON file's content; malformed JSON is a ScenarioError."""
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        return json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
-    return scenario_from_dict(data, name=path.stem)
+
+
+def load_scenario(path) -> Scenario:
+    path = Path(path)
+    return scenario_from_dict(_read_json(path), name=path.stem)
 
 
 def reference_scenario(setup: str = "z570", *, name: str | None = None,
@@ -415,8 +421,8 @@ class SteadyStateRule:
     def __post_init__(self):
         if self.method not in ("dephasing", "window_average"):
             raise DomainError(f"unknown steady-state method {self.method!r}")
-        if self.window_start is not None and self.window_start < 0.0:
-            raise DomainError("window_start must be >= 0")
+        if self.window_start is not None and not 0.0 <= self.window_start < math.inf:
+            raise DomainError("window_start must be finite and >= 0")
 
     @classmethod
     def parse(cls, text: str) -> "SteadyStateRule":

@@ -5,7 +5,7 @@ M = n_h + n_c, so the three-mode Fock space splits into finite sectors
 labelled by (N, M) with basis states |k, N-k, M-k> for k = 0..min(N, M).
 This module enumerates sector bases and selects which sectors to retain for
 a given product initial state, greedily by weight until a target total
-weight 1 - epsilon is reached.
+weight 1 - epsilon is reached; the retained labels are one (S, 2) array.
 """
 
 from __future__ import annotations
@@ -21,40 +21,11 @@ from .states import PhononDistribution
 WEIGHT_FLOOR = 1e-15
 
 
-@dataclass(frozen=True)
-class SectorLabel:
-    """Conserved pair (N, M) = (n_h + n_w, n_h + n_c)."""
-
-    N: int
-    M: int
-
-    def __post_init__(self):
-        if self.N < 0 or self.M < 0:
-            raise DomainError("sector labels must be non-negative")
-
-    @property
-    def dim(self) -> int:
-        return min(self.N, self.M) + 1
-
-
-@dataclass(frozen=True, eq=False)
-class SectorBasis:
-    """Ordered basis of one sector: states[k] = (k, N-k, M-k)."""
-
-    label: SectorLabel
-    states: tuple[tuple[int, int, int], ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.states)
-
-
-def enumerate_sector(label: SectorLabel) -> SectorBasis:
-    """Basis states of sector (N, M), ordered by ascending n_h."""
-    states = tuple(
-        (k, label.N - k, label.M - k) for k in range(min(label.N, label.M) + 1)
-    )
-    return SectorBasis(label=label, states=states)
+def enumerate_sector(N: int, M: int) -> tuple[tuple[int, int, int], ...]:
+    """Basis states (k, N-k, M-k) of sector (N, M), ordered by ascending n_h."""
+    if N < 0 or M < 0:
+        raise DomainError("sector labels must be non-negative")
+    return tuple((k, N - k, M - k) for k in range(min(N, M) + 1))
 
 
 @dataclass(frozen=True)
@@ -79,9 +50,13 @@ class TruncationPolicy:
 
 @dataclass(frozen=True, eq=False)
 class SectorSelection:
-    """Retained sectors in selection (descending-weight) order."""
+    """Retained sectors in selection (descending-weight) order.
 
-    labels: tuple[SectorLabel, ...]
+    ``labels`` is an (S, 2) integer array of (N, M) rows; ``weights[s]`` is
+    the joint weight of sector ``labels[s]``.
+    """
+
+    labels: np.ndarray
     weights: np.ndarray
     retained_weight: float
     discarded_weight: float
@@ -126,10 +101,9 @@ def select_sectors(p_h: PhononDistribution, p_w: PhononDistribution,
     keep = int(np.searchsorted(cum, target) + 1)
     keep = min(keep, weights.size)
 
-    labels = tuple(SectorLabel(int(n), int(m)) for n, m in zip(n_idx[:keep], m_idx[:keep]))
     retained = float(cum[keep - 1])
     return SectorSelection(
-        labels=labels,
+        labels=np.column_stack((n_idx[:keep], m_idx[:keep])),
         weights=weights[:keep].copy(),
         retained_weight=retained,
         discarded_weight=float(1.0 - retained),

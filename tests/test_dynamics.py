@@ -1,5 +1,6 @@
-"""Sector dynamics: Hamiltonian structure and the spectral views (unitary,
-dephased, incoherent), checked against closed forms and the dense oracle."""
+"""Sector dynamics: the assembled sector table and the spectral views
+(unitary, dephased, incoherent), checked against closed forms and the dense
+oracle."""
 
 import functools
 import itertools
@@ -8,41 +9,77 @@ import math
 import numpy as np
 import pytest
 
-from ionfridge.dynamics import (_KERNEL_BLOCK, EnsembleSpectrum, assemble_initial,
-                                build_sector_hamiltonian,
-                                default_incoherence_strength)
+from ionfridge.dynamics import (_KERNEL_BLOCK, EnsembleSpectrum, assemble_from_distributions,
+                                assemble_initial, default_incoherence_strength)
 from ionfridge.errors import DomainError
-from ionfridge.fockspace import SectorLabel, TruncationPolicy
+from ionfridge.fockspace import TruncationPolicy, select_sectors
 from ionfridge.oracle import dense_hamiltonian, dense_oracle_evolve, prep_density
-from ionfridge.states import ModePrep
+from ionfridge.states import ModePrep, prep_to_distribution, thermal_distribution
 
 TWO_PI = 2.0 * math.pi
 XI = TWO_PI * 1.32e3
 
 
-def test_sector_hamiltonian_matrix_elements():
-    ham = build_sector_hamiltonian(SectorLabel(2, 3), xi=1.0)
-    # offdiag[k] = sqrt((k+1)(N-k)(M-k))
-    np.testing.assert_allclose(ham.offdiag, [math.sqrt(6.0), 2.0], rtol=1e-15)
-    np.testing.assert_allclose(ham.diag, [0.0, 0.0, 0.0])
-    assert ham.dim == 3
-
-    detuned = build_sector_hamiltonian(SectorLabel(2, 3), xi=1.0, detuning=0.5)
-    np.testing.assert_allclose(detuned.diag, [0.0, 0.5, 1.0])
+def _short_ladders():
+    return tuple(thermal_distribution(nbar, cutoff=c, tail_budget=1.0)
+                 for nbar, c in ((0.8, 3), (1.5, 6), (1.2, 2)))
 
 
-def test_sector_hamiltonian_window():
-    ham = build_sector_hamiltonian(SectorLabel(4, 4), xi=1.0, window=(1, 3))
-    assert ham.k_lo == 1
-    assert ham.dim == 3
-    k = np.arange(1, 3)
-    np.testing.assert_allclose(ham.offdiag, np.sqrt((k + 1.0) * (4 - k) * (4 - k)))
+def _capped_ladders():
+    preps = (ModePrep.thermal_state(0.8), ModePrep.squeezed_thermal_state(0.5, 0.7),
+             ModePrep.thermal_state(1.2))
+    return tuple(prep_to_distribution(p, cutoff=c, tail_budget=1.0)
+                 for p, c in zip(preps, (7, 4, 5)))
+
+
+@pytest.mark.parametrize("dists,caps", [(_capped_ladders(), (7, 4, 5)),
+                                        (_short_ladders(), (None, None, None))],
+                         ids=["windowed", "short_ladders"])
+def test_assembly_matches_per_sector_construction(dists, caps):
+    """The sector table and its population slices against a sector-by-sector
+    construction: caps window the sectors (k_lo > 0), and rows beyond a
+    short ladder get population 0."""
+    policy = TruncationPolicy(epsilon=1e-6, n_max_h=caps[0], n_max_w=caps[1],
+                              n_max_c=caps[2])
+    ens = assemble_from_distributions(dists, policy, XI, detuning=TWO_PI * 3e3)
+    sel = select_sectors(*dists, policy)
+    p_h, p_w, p_c = (d.p for d in dists)
+    cap_h, cap_w, cap_c = (math.inf if c is None else c for c in caps)
+
+    def level(p, n):
+        return p[n] if n < p.size else 0.0
+
+    assert len(ens.sectors) == len(sel.labels)
+    assert caps[0] is None or (ens.sectors.k_lo > 0).any()
+    assert ens.sectors.start[0] == 0
+    np.testing.assert_array_equal(ens.sectors.start[1:], np.cumsum(ens.sectors.dim)[:-1])
+    assert ens.pops.size == ens.sectors.dim.sum()
+    for (N, M), row in zip(sel.labels, ens.sectors):
+        assert (row.N, row.M) == (N, M)
+        k_lo, k_hi = max(0, N - cap_w, M - cap_c), min(N, M, cap_h)
+        assert (row.k_lo, row.dim) == (k_lo, k_hi - k_lo + 1)
+        joint = np.array([level(p_h, k) * level(p_w, N - k) * level(p_c, M - k)
+                          for k in range(k_lo, k_hi + 1)])
+        assert row.weight == pytest.approx(joint.sum(), rel=1e-14)
+        np.testing.assert_allclose(ens.pops[row.start:row.start + row.dim],
+                                   joint / joint.sum(), rtol=0, atol=1e-14)
+    # the short ladders leave some in-sector rows empty
+    assert caps[0] is not None or (ens.pops == 0.0).any()
+
+
+def test_assembly_rejects_negative_coupling():
     with pytest.raises(DomainError):
-        build_sector_hamiltonian(SectorLabel(4, 4), xi=1.0, window=(3, 1))
-    with pytest.raises(DomainError):
-        build_sector_hamiltonian(SectorLabel(2, 2), xi=1.0, window=(0, 3))
-    with pytest.raises(DomainError):
-        build_sector_hamiltonian(SectorLabel(2, 2), xi=-1.0)
+        assemble_initial((ModePrep.thermal_state(0.4),) * 3,
+                         TruncationPolicy(epsilon=1e-4), xi=-1.0)
+
+
+def test_capped_assembly_rejects_distributions_beyond_the_caps():
+    """Mass outside the cap box would weight sectors it cannot evolve in; before,
+    such sectors were dropped silently and the rest reported retained weight 0.881."""
+    dists = tuple(thermal_distribution(nbar, cutoff=300) for nbar in (0.5, 0.8, 0.6))
+    policy = TruncationPolicy(epsilon=1e-4, n_max_h=2, n_max_w=2, n_max_c=2)
+    with pytest.raises(DomainError, match="cap"):
+        assemble_from_distributions(dists, policy, XI)
 
 
 def _single_quantum_ensemble(xi=XI):
@@ -59,12 +96,11 @@ def _thermal_ensemble(nbars, epsilon=1e-5):
 def _initial_marginals(ens):
     """Per-mode (hot, work, cold) marginals of the initial ensemble, rows of
     one array, built straight from the sector populations."""
-    n_max = max(max(s.label.N, s.label.M) for s in ens.sectors)
-    margs = np.zeros((3, n_max + 1))
-    for s in ens.sectors:
-        k = s.k_lo + np.arange(s.pops.size)
-        for marg, n in zip(margs, (k, s.label.N - k, s.label.M - k)):
-            marg[n] += s.weight * s.pops
+    margs = np.zeros((3, max(ens.sectors.N.max(), ens.sectors.M.max()) + 1))
+    for N, M, weight, k_lo, dim, start in ens.sectors.tolist():
+        k = k_lo + np.arange(dim)
+        for marg, n in zip(margs, (k, N - k, M - k)):
+            marg[n] += weight * ens.pops[start:start + dim]
     return margs
 
 
@@ -195,7 +231,7 @@ def test_preparations_are_phase_randomized(caps, detuning_khz):
                else itertools.product(kinds.values(), repeat=3))
     for preps in triples:
         ens = assemble_initial(preps, policy, XI, detuning)
-        assert not windowed or any(s.k_lo > 0 for s in ens.sectors)
+        assert not windowed or (ens.sectors.k_lo > 0).any()
         sector = EnsembleSpectrum(ens).means_at(grid)
         np.testing.assert_allclose(sector, oracle(preps), rtol=0, atol=1e-9)
 
@@ -281,7 +317,7 @@ def test_means_at_match_means_of_marginals_at():
              ModePrep.thermal_state(1.2))
     policy = TruncationPolicy(epsilon=1e-6, n_max_h=7, n_max_w=5, n_max_c=6)
     ens = assemble_initial(preps, policy, XI, detuning=TWO_PI * 3e3)
-    assert any(s.k_lo > 0 for s in ens.sectors)
+    assert (ens.sectors.k_lo > 0).any()
     spectrum = EnsembleSpectrum(ens)
     t_grid = np.linspace(0.0, 700e-6, 37)
     margs = spectrum.marginals_at(t_grid)

@@ -102,6 +102,7 @@ _BAD_SCENARIOS = [
     ("coupling_both", _mutate(("coupling",), {"xi_khz": 1.0, "trap": {
         "omega_x_khz": 1025.1, "omega_y_khz": 937.7, "omega_z_khz": 570.0}})),
     ("coupling_unknown_key", _mutate(("coupling",), {"xi_khz": 1.0, "units": "kHz"})),
+    ("trap_not_object", _mutate(("coupling",), {"trap": 5})),
     ("bad_prep_kind", _mutate(("preps", "hot"), {"kind": "displaced", "nbar": 1.0})),
     ("prep_unknown_key", _mutate(("preps", "hot"), {"kind": "thermal", "nbar": 1.0, "r": 0.5})),
     ("prep_missing_param", _mutate(("preps", "cold"), {"kind": "thermal"})),
@@ -204,7 +205,7 @@ def test_steady_state_rule_parse():
     assert bare.method == "window_average" and bare.window_start is None
     timed = SteadyStateRule.parse("window:350")
     assert timed.window_start == pytest.approx(350e-6)
-    for bad in ("window:", "window:abc", "average", ""):
+    for bad in ("window:", "window:abc", "window:nan", "window:inf", "average", ""):
         with pytest.raises(ValidationError):
             SteadyStateRule.parse(bad)
     with pytest.raises(ValidationError):
@@ -556,6 +557,16 @@ def test_cli_coupling_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "omega_h/2pi = 1372.74 kHz" in out
     assert "xi/2pi = 1.3418 kHz" in out
+
+
+@pytest.mark.parametrize("text", ["5", "{bad"], ids=["not_object", "malformed_json"])
+def test_cli_coupling_bad_trap_file_exit_code(tmp_path, capsys, text):
+    """A trap file must hold a JSON object, read like a scenario (exit 2);
+    before, both escaped as a TypeError or JSONDecodeError traceback (exit 1)."""
+    path = tmp_path / "trap.json"
+    path.write_text(text)
+    assert cli_main(["coupling", "--trap", str(path)]) == 2
+    assert "trap" in capsys.readouterr().err
 
 
 def test_cli_fit_thermal(tmp_path, capsys):

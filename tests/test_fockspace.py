@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from ionfridge.errors import DomainError, TruncationError
-from ionfridge.fockspace import (SectorLabel, TruncationPolicy,
-                                 enumerate_sector, select_sectors)
+from ionfridge.fockspace import TruncationPolicy, enumerate_sector, select_sectors
 from ionfridge.states import PhononDistribution, thermal_distribution
 
 
@@ -14,24 +13,20 @@ def _raw_distribution(p):
     return PhononDistribution(p=p, mean=float(np.arange(p.size) @ p), tail_mass=0.0)
 
 
-def test_sector_label_dim():
-    assert SectorLabel(2, 1).dim == 2
-    assert SectorLabel(0, 0).dim == 1
-    assert SectorLabel(5, 3).dim == 4
-    with pytest.raises(DomainError):
-        SectorLabel(-1, 0)
-    with pytest.raises(DomainError):
-        SectorLabel(0, -2)
-
-
 def test_enumerate_sector_states():
-    basis = enumerate_sector(SectorLabel(2, 1))
-    assert basis.states == ((0, 2, 1), (1, 1, 0))
+    assert enumerate_sector(2, 1) == ((0, 2, 1), (1, 1, 0))
+    # a sector holds min(N, M) + 1 states
+    assert len(enumerate_sector(0, 0)) == 1
+    assert len(enumerate_sector(5, 3)) == 4
     # every state conserves both ladder sums
-    for (h, w, c) in enumerate_sector(SectorLabel(4, 6)).states:
+    for (h, w, c) in enumerate_sector(4, 6):
         assert h + w == 4
         assert h + c == 6
         assert min(h, w, c) >= 0
+    with pytest.raises(DomainError):
+        enumerate_sector(-1, 0)
+    with pytest.raises(DomainError):
+        enumerate_sector(0, -2)
 
 
 def test_truncation_policy_validation():
@@ -45,10 +40,10 @@ def test_truncation_policy_validation():
     assert TruncationPolicy(epsilon=1e-3, n_max_w=7).caps() == (None, 7, None)
 
 
-def _joint_weight(label, ph, pw, pc):
+def _joint_weight(N, M, ph, pw, pc):
     """Brute-force sector weight from three marginal distributions."""
     total = 0.0
-    for (h, w, c) in enumerate_sector(label).states:
+    for (h, w, c) in enumerate_sector(N, M):
         if h < len(ph) and w < len(pw) and c < len(pc):
             total += ph[h] * pw[w] * pc[c]
     return total
@@ -63,8 +58,9 @@ def test_select_sectors_weights_match_brute_force():
     assert sel.retained_weight >= 1.0 - 1e-6
     # weights sorted descending and each one reproducible by direct summation
     assert all(a >= b for a, b in zip(sel.weights, sel.weights[1:]))
-    for label, weight in zip(sel.labels[:40], sel.weights[:40]):
-        assert weight == pytest.approx(_joint_weight(label, dh.p, dw.p, dc.p), rel=1e-12)
+    assert sel.labels.shape == (sel.weights.size, 2)
+    for (N, M), weight in zip(sel.labels[:40], sel.weights[:40]):
+        assert weight == pytest.approx(_joint_weight(N, M, dh.p, dw.p, dc.p), rel=1e-12)
 
 
 def test_select_sectors_requires_normalized_marginals():
@@ -89,5 +85,5 @@ def test_select_sectors_vacuum_is_single_sector():
     vac[0] = 1.0
     dist = _raw_distribution(vac)
     sel = select_sectors(dist, dist, dist, TruncationPolicy(epsilon=1e-4))
-    assert list(sel.labels) == [SectorLabel(0, 0)]
+    assert sel.labels.tolist() == [[0, 0]]
     assert sel.weights[0] == pytest.approx(1.0)
