@@ -13,20 +13,24 @@ def _raw_distribution(p):
     return PhononDistribution(p=p, mean=float(np.arange(p.size) @ p), tail_mass=0.0)
 
 
-def test_enumerate_sector_states():
-    assert enumerate_sector(2, 1) == ((0, 2, 1), (1, 1, 0))
-    # a sector holds min(N, M) + 1 states
+def test_sector_label_dim():
+    # a sector (N, M) holds min(N, M) + 1 states
+    assert len(enumerate_sector(2, 1)) == 2
     assert len(enumerate_sector(0, 0)) == 1
     assert len(enumerate_sector(5, 3)) == 4
+    with pytest.raises(DomainError):
+        enumerate_sector(-1, 0)
+    with pytest.raises(DomainError):
+        enumerate_sector(0, -2)
+
+
+def test_enumerate_sector_states():
+    assert enumerate_sector(2, 1) == ((0, 2, 1), (1, 1, 0))
     # every state conserves both ladder sums
     for (h, w, c) in enumerate_sector(4, 6):
         assert h + w == 4
         assert h + c == 6
         assert min(h, w, c) >= 0
-    with pytest.raises(DomainError):
-        enumerate_sector(-1, 0)
-    with pytest.raises(DomainError):
-        enumerate_sector(0, -2)
 
 
 def test_truncation_policy_validation():
