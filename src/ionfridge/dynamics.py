@@ -12,14 +12,20 @@ ensemble, one batched ``eigh`` per distinct sector dimension, and every
 result is a view of that spectrum.  Means are one projected observable:
 inside sector (N, M), n_w = N - n_h and n_c = M - n_h, so with the hot
 number projected onto each eigenbasis once, all sectors flatten into one
-gap vector g and one coefficient vector C, and
+sorted vector of distinct gaps g (equal gaps, common in symmetric
+zero-detuning spectra, merged by summing their coefficients) and one
+coefficient vector C, and
 
     <n_h>(t) = <n_h>_dephased + kernel(t, g) @ C,
     <n_w> = sum_s w_s N_s - <n_h>,   <n_c> = sum_s w_s M_s - <n_h>,
 
 with kernel cos(g t) (unitary), exp(-xi_in g^2 t) (incoherent
-double-commutator model) or none (dephased).  Per-mode marginals are built
-only where a readout needs the full distributions.
+double-commutator model) or none (dephased).  Both kernels factor over a
+sum of times, so a uniform grid of T points is evaluated as a tableau of
+about sqrt(T) rows r plus sqrt(T) offsets s, t = r + s: the transcendentals
+are taken on the rows and the offsets only, and a small matrix product
+combines them.  Per-mode marginals are built only where a readout needs
+the full distributions.
 
 Off-diagonal couplings are strictly positive inside a sector, so each
 sector Hamiltonian is an unreduced Jacobi matrix with a simple spectrum;
@@ -37,6 +43,7 @@ coherences in all three modes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -139,8 +146,30 @@ def assemble_initial(preps: tuple[ModePrep, ModePrep, ModePrep],
 # ---------------------------------------------------------------------------
 
 
-#: kernel elements evaluated per block of time rows (about 1 MB per block)
+#: kernel factor elements evaluated per block of gaps (about 1 MB per block)
 _KERNEL_BLOCK = 1 << 17
+#: gaps within this relative distance of their sorted neighbour share one
+#: kernel term; the phase error is at most this times max(g t)
+_GAP_MERGE_RTOL = 1e-13
+
+
+def _tableau(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows r and offsets s with t[a * s.size + b] = r[a] + s[b], row-major.
+
+    An ascending uniform grid, t_n = t_0 + n dt to a few ulps of max |t|,
+    becomes ceil(T / B) rows of B = ceil(sqrt(T)) offsets, r_a = t_0 + a B dt
+    and s_b = b dt, the last row padded past T.  Any other grid, one point
+    included, is the single column (t, [0]).  Non-finite times raise.
+    """
+    if not np.all(np.isfinite(t)):
+        raise DomainError("every time must be finite")
+    if t.size > 1:
+        dt = (t[-1] - t[0]) / (t.size - 1)
+        drift = np.abs(t - (t[0] + dt * np.arange(t.size))).max()
+        if dt >= 0.0 and drift <= 4.0 * np.spacing(np.abs(t).max()):
+            cols = math.isqrt(t.size - 1) + 1
+            return t[0] + dt * cols * np.arange(-(-t.size // cols)), dt * np.arange(cols)
+    return t, np.zeros(1)
 
 
 class EnsembleSpectrum:
@@ -156,8 +185,12 @@ class EnsembleSpectrum:
     :meth:`marginals_at` reads them.
 
     For the means, with A = vec.T diag(n_h) vec and sector weight w, each
-    pair i < j of each sector adds lam_j - lam_i to ``gaps`` and
-    2 w b_ij A_ij to ``coef``, and ``nh_dephased`` = sum w b_ii A_ii.  Then
+    pair i < j of each sector contributes the gap lam_j - lam_i with the
+    coefficient 2 w b_ij A_ij, and ``nh_dephased`` = sum w b_ii A_ii.  The
+    gaps are sorted (stably) and merged: a gap within ``_GAP_MERGE_RTOL``
+    (relative) of the previous one joins its bin, so ``gaps`` is strictly
+    increasing, holding each bin's smallest gap, and ``coef`` holds each
+    bin's summed coefficients.  Then
     <n_h>(t) = nh_dephased + kernel(t, gaps) @ coef, and <n_w>, <n_c> are
     ``sum_wN``, ``sum_wM`` minus <n_h>, because n_w = N - n_h and
     n_c = M - n_h inside sector (N, M).  Pairs and reductions run in a
@@ -191,22 +224,49 @@ class EnsembleSpectrum:
             self.nh_dephased += float(np.einsum("sii->", terms))
             for s, eig in zip(group, zip(lam, vec, b)):
                 self.eig[s] = eig
-        self.gaps = np.concatenate(gaps)
-        self.coef = np.concatenate(coef)
+        # sorted one vector at a time, so no more vectors are alive than during
+        # the concatenation
+        gaps, coef = np.concatenate(gaps), np.concatenate(coef)
+        order = np.argsort(gaps, kind="stable")
+        gaps = gaps[order]
+        coef = coef[order]
+        # a bin opens at the first gap and where a gap exceeds the previous one
+        # by more than the tolerance
+        opens = np.ones(gaps.size, dtype=bool)
+        np.greater(gaps[1:] * (1.0 - _GAP_MERGE_RTOL), gaps[:-1], out=opens[1:])
+        bins = np.flatnonzero(opens)
+        self.gaps = gaps[bins]
+        self.coef = np.add.reduceat(coef, bins)
         self.sum_wN = float(sec.weight @ sec.N)
         self.sum_wM = float(sec.weight @ sec.M)
 
-    def _means(self, t_grid: np.ndarray, kernel=None) -> np.ndarray:
-        """[n_h, sum w N - n_h, sum w M - n_h] with n_h = nh_dephased + kernel @ coef.
+    def _means(self, rows: np.ndarray, offsets: np.ndarray, even=None,
+               odd=None) -> np.ndarray:
+        """[n_h, sum w N - n_h, sum w M - n_h] at the times rows[a] + offsets[b].
 
-        ``kernel(t, gaps)`` returns the (len(t), len(gaps)) factors; it is
-        evaluated in blocks of time rows of about ``_KERNEL_BLOCK`` elements.
+        The times run row-major over the (rows, offsets) tableau, with
+        n_h = nh_dephased + sum_g coef_g K(g, r + s).  The kernel factors:
+        K(g, r + s) = even(r, g) even(s, g) - odd(r, g) odd(s, g), with
+        (even, odd) = (cos, sin) for the unitary kernel by angle addition and
+        even = exp(-xi_in g^2 t), odd = None for the incoherent one.  So
+        each block of gaps adds (coef * even(rows)) @ even(offsets).T minus
+        the same product of the odd factors; the single offset [0], where
+        the factors are 1 and 0, adds even(rows) @ coef.  Blocks of gaps
+        keep each factor block near ``_KERNEL_BLOCK`` elements.
         """
-        n_h = np.full(t_grid.size, self.nh_dephased)
-        if kernel is not None and self.gaps.size:
-            rows = max(1, _KERNEL_BLOCK // self.gaps.size)
-            for lo in range(0, t_grid.size, rows):
-                n_h[lo:lo + rows] += kernel(t_grid[lo:lo + rows], self.gaps) @ self.coef
+        n_h = np.full((rows.size, offsets.size), self.nh_dephased)
+        if even is not None:
+            one_column = offsets.size == 1 and offsets[0] == 0.0
+            step = max(1, _KERNEL_BLOCK // (rows.size + offsets.size))
+            for lo in range(0, self.gaps.size, step):
+                g, c = self.gaps[lo:lo + step], self.coef[lo:lo + step]
+                if one_column:
+                    n_h[:, 0] += even(rows, g) @ c
+                    continue
+                n_h += (even(rows, g) * c) @ even(offsets, g).T
+                if odd is not None:
+                    n_h -= (odd(rows, g) * c) @ odd(offsets, g).T
+        n_h = n_h.ravel()
         return np.array([n_h, self.sum_wN - n_h, self.sum_wM - n_h])
 
     def marginals_at(self, t_grid: np.ndarray):
@@ -234,8 +294,9 @@ class EnsembleSpectrum:
 
     def means_at(self, t_grid: np.ndarray) -> np.ndarray:
         """Mean occupations (not normalized by the retained weight), shape (3, len(t_grid))."""
-        return self._means(np.asarray(t_grid, dtype=float).reshape(-1),
-                           lambda t, g: np.cos(np.outer(t, g)))
+        t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+        return self._means(*_tableau(t_grid), lambda t, g: np.cos(np.outer(t, g)),
+                           lambda t, g: np.sin(np.outer(t, g)))[:, :t_grid.size]
 
     def incoherent_means_at(self, t_grid: np.ndarray, xi_in: float) -> np.ndarray:
         """Means under the double-commutator model d rho/dt = -xi_in [H, [H, rho]].
@@ -244,13 +305,14 @@ class EnsembleSpectrum:
         coherence (i, j) decays at rate xi_in (w_i - w_j)^2.
         """
         t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
-        if not xi_in >= 0.0 or not np.all(t_grid >= 0.0):
-            raise DomainError("xi_in and every time must be >= 0")
-        return self._means(t_grid, lambda t, g: np.exp(-xi_in * np.outer(t, g * g)))
+        if not (np.isfinite(xi_in) and xi_in >= 0.0) or not np.all(t_grid >= 0.0):
+            raise DomainError("xi_in and every time must be finite and >= 0")
+        return self._means(*_tableau(t_grid),
+                           lambda t, g: np.exp(-xi_in * np.outer(t, g * g)))[:, :t_grid.size]
 
     def dephased_moments(self) -> OccupationTriple:
         """Means of the infinite-time average (exact for simple spectra)."""
-        return OccupationTriple(*map(float, self._means(np.zeros(1))[:, 0]))
+        return OccupationTriple(*map(float, self._means(np.zeros(1), np.zeros(1))[:, 0]))
 
     def min_eigenvalue_gap(self) -> float:
         """Smallest nonzero eigenvalue gap across sectors with dim > 1 (rad/s)."""

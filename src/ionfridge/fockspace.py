@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, TruncationError
 from .states import PhononDistribution
@@ -62,6 +63,12 @@ class SectorSelection:
     discarded_weight: float
 
 
+def _windows(p: np.ndarray, width: int) -> np.ndarray:
+    """W[n, k] = p[n - k] (0 off the ladder) for n < p.size + width - 1, k < width."""
+    padded = np.concatenate((np.zeros(width - 1), p, np.zeros(width - 1)))
+    return sliding_window_view(padded, width)[:, ::-1]
+
+
 def select_sectors(p_h: PhononDistribution, p_w: PhononDistribution,
                    p_c: PhononDistribution, policy: TruncationPolicy) -> SectorSelection:
     """Greedy sector selection for a product initial state.
@@ -75,14 +82,12 @@ def select_sectors(p_h: PhononDistribution, p_w: PhononDistribution,
         if abs(dist.p.sum() - 1.0) > 1e-9:
             raise DomainError("input distributions must be normalized")
 
-    ph, pw, pc = p_h.p, p_w.p, p_c.p
-    n_hi = (ph.size - 1) + (pw.size - 1)
-    m_hi = (ph.size - 1) + (pc.size - 1)
-    grid = np.zeros((n_hi + 1, m_hi + 1))
-    for k, weight_k in enumerate(ph):
-        if weight_k < WEIGHT_FLOOR:
-            continue
-        grid[k:k + pw.size, k:k + pc.size] += weight_k * np.outer(pw, pc)
+    # grid[N, M] = sum_k p_h(k) p_w(N - k) p_c(M - k) over hot levels at or
+    # above the floor (the ladder cut after the last), one product of the
+    # two ladders' sliding windows
+    kept = p_h.p >= WEIGHT_FLOOR
+    ph = np.where(kept, p_h.p, 0.0)[:np.flatnonzero(kept)[-1] + 1]
+    grid = (_windows(p_w.p, ph.size) * ph) @ _windows(p_c.p, ph.size).T
 
     n_idx, m_idx = np.nonzero(grid >= WEIGHT_FLOOR)
     weights = grid[n_idx, m_idx]

@@ -283,11 +283,21 @@ def test_incoherent_means_at_interpolates_between_limits():
 
 def test_incoherent_means_at_rejects_bad_inputs():
     spectrum = EnsembleSpectrum(_single_quantum_ensemble())
-    for xi_in in (-1.0, math.nan):
+    # an infinite strength gave NaN at t = 0 (-inf * 0)
+    for xi_in in (-1.0, math.nan, math.inf):
         with pytest.raises(DomainError):
             spectrum.incoherent_means_at(np.array([0.0, 1e-6]), xi_in)
-    with pytest.raises(DomainError):
-        spectrum.incoherent_means_at(np.array([0.0, -1e-6]), 1.0)
+    for t_grid in ([0.0, -1e-6], [0.0, math.inf], [math.nan]):
+        with pytest.raises(DomainError):
+            spectrum.incoherent_means_at(np.array(t_grid), 1.0)
+
+
+@pytest.mark.parametrize("t_grid", [[math.inf, math.nan], [0.0, 1e-6, math.inf], [-math.inf]],
+                         ids=["inf_nan", "trailing_inf", "minus_inf"])
+def test_means_at_rejects_non_finite_times(t_grid):
+    """Before, a non-finite time gave all-NaN means without an error."""
+    with pytest.raises(DomainError, match="finite"):
+        EnsembleSpectrum(_single_quantum_ensemble()).means_at(np.array(t_grid))
 
 
 def test_default_incoherence_strength_edge_cases():
@@ -310,15 +320,20 @@ def test_marginals_sum_to_retained_weight(thermal_triple, small_policy):
     np.testing.assert_allclose(means, _initial_means(ens), rtol=1e-13)
 
 
-def test_means_at_match_means_of_marginals_at():
-    """The projected hot-mode sum against the independent per-mode
-    accumulation, on a capped (windowed), detuned, squeezed-work ensemble."""
+def _capped_detuned_spectrum():
+    """A capped (windowed), detuned, squeezed-work ensemble's spectrum."""
     preps = (ModePrep.thermal_state(0.8), ModePrep.squeezed_thermal_state(0.5, 0.7),
              ModePrep.thermal_state(1.2))
     policy = TruncationPolicy(epsilon=1e-6, n_max_h=7, n_max_w=5, n_max_c=6)
     ens = assemble_initial(preps, policy, XI, detuning=TWO_PI * 3e3)
     assert (ens.sectors.k_lo > 0).any()
-    spectrum = EnsembleSpectrum(ens)
+    return EnsembleSpectrum(ens)
+
+
+def test_means_at_match_means_of_marginals_at():
+    """The projected hot-mode sum against the independent per-mode
+    accumulation, on a capped (windowed), detuned, squeezed-work ensemble."""
+    spectrum = _capped_detuned_spectrum()
     t_grid = np.linspace(0.0, 700e-6, 37)
     margs = spectrum.marginals_at(t_grid)
     from_marginals = np.array([np.arange(m.shape[0]) @ m for m in margs])
@@ -326,12 +341,63 @@ def test_means_at_match_means_of_marginals_at():
 
 
 def test_grid_longer_than_one_kernel_block_matches_point_calls():
+    """A uniform grid whose factor blocks take several blocks of gaps."""
     spectrum = EnsembleSpectrum(_thermal_ensemble((0.66, 2.16, 2.63), epsilon=1e-4))
-    rows_per_block = _KERNEL_BLOCK // spectrum.gaps.size
-    t_grid = np.linspace(0.0, 700e-6, 2 * rows_per_block + 7)
-    assert 1 <= rows_per_block < t_grid.size
+    t_grid = np.linspace(0.0, 700e-6, 1000)
+    rows, offsets = 32, 32              # the 1000-point tableau, last row padded
+    assert _KERNEL_BLOCK // (rows + offsets) < spectrum.gaps.size / 2
     xi_in = default_incoherence_strength(spectrum)
     for means_at in (spectrum.means_at,
                      lambda t: spectrum.incoherent_means_at(t, xi_in)):
         points = np.hstack([means_at(np.array([t])) for t in t_grid])
         np.testing.assert_allclose(means_at(t_grid), points, rtol=0, atol=1e-13)
+
+
+def _direct_means(spectrum, t_grid, kernel):
+    """Means summed over every unmerged eigenvalue pair (i, j) of every sector,
+    from ``eig`` alone: n_h(t) = sum_s w_s sum_ij b_ij A_ij kernel(lam_j - lam_i, t)."""
+    sec = spectrum.ensemble.sectors
+    n_h = np.zeros(t_grid.size)
+    for (N, M, weight, k_lo, dim, _), (lam, vec, b) in zip(sec.tolist(), spectrum.eig):
+        a = vec.T @ ((k_lo + np.arange(dim))[:, None] * vec)
+        gaps = lam[None, :] - lam[:, None]
+        n_h += weight * np.einsum("ij,tij->t", b * a, kernel(gaps[None], t_grid[:, None, None]))
+    return np.array([n_h, sec.weight @ sec.N - n_h, sec.weight @ sec.M - n_h])
+
+
+@pytest.mark.parametrize("t_grid", [np.linspace(13e-6, 700e-6, n) for n in (2, 3, 7, 17, 30, 281)]
+                         + [np.array([0.0, 3e-6, 4e-6, 50e-6, 51e-6, 600e-6]),
+                            np.array([250e-6])],
+                         ids=[f"uniform{n}" for n in (2, 3, 7, 17, 30, 281)]
+                         + ["non_uniform", "one_point"])
+def test_means_match_a_direct_kernel_over_unmerged_pairs(t_grid):
+    """Merged gaps and the rows + offsets tableau against cos(g t) and
+    exp(-xi_in g^2 t) taken directly at every time and every pair."""
+    spectrum = _capped_detuned_spectrum()
+    xi_in = default_incoherence_strength(spectrum)
+    np.testing.assert_allclose(spectrum.means_at(t_grid),
+                               _direct_means(spectrum, t_grid, lambda g, t: np.cos(g * t)),
+                               rtol=0, atol=1e-12)
+    np.testing.assert_allclose(spectrum.incoherent_means_at(t_grid, xi_in),
+                               _direct_means(spectrum, t_grid,
+                                             lambda g, t: np.exp(-xi_in * g * g * t)),
+                               rtol=0, atol=1e-12)
+
+
+def test_merged_gaps_are_increasing_and_keep_the_coefficients():
+    """Merging sums the coefficients of equal gaps: the sum over all pairs i < j
+    is kept, and the merged gaps are distinct and sorted.  The resonant
+    spectra are symmetric, so there pairs do share gaps."""
+    for spectrum, resonant in ((_capped_detuned_spectrum(), False),
+                               (EnsembleSpectrum(_thermal_ensemble((0.66, 2.16, 2.63))), True)):
+        assert np.all(np.diff(spectrum.gaps) > 0.0)
+        unmerged, pairs = 0.0, 0
+        for (weight, k_lo, dim), (lam, vec, b) in zip(
+                spectrum.ensemble.sectors[["weight", "k_lo", "dim"]].tolist(), spectrum.eig):
+            a = vec.T @ ((k_lo + np.arange(dim))[:, None] * vec)
+            i, j = np.triu_indices(dim, 1)
+            unmerged += 2.0 * weight * (b * a)[i, j].sum()
+            pairs += i.size
+        assert spectrum.coef.sum() == pytest.approx(unmerged, abs=1e-14)
+        assert spectrum.gaps.size <= pairs
+        assert spectrum.gaps.size < pairs or not resonant

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ionfridge.errors import DomainError, TruncationError
-from ionfridge.fockspace import TruncationPolicy, enumerate_sector, select_sectors
+from ionfridge.fockspace import WEIGHT_FLOOR, TruncationPolicy, enumerate_sector, select_sectors
 from ionfridge.states import PhononDistribution, thermal_distribution
 
 
@@ -65,6 +65,18 @@ def test_select_sectors_weights_match_brute_force():
     assert sel.labels.shape == (sel.weights.size, 2)
     for (N, M), weight in zip(sel.labels[:40], sel.weights[:40]):
         assert weight == pytest.approx(_joint_weight(N, M, dh.p, dw.p, dc.p), rel=1e-12)
+
+
+def test_select_sectors_skips_hot_levels_below_the_floor():
+    """Hot levels under the floor, inside the ladder and at its end, add
+    nothing; every retained weight is the brute-force sum over the others."""
+    ph = np.array([0.5, 5e-16, 0.3, 0.0, 0.2, 1e-16, 1e-16])
+    dw = thermal_distribution(1.1, cutoff=30)
+    dc = thermal_distribution(0.7, cutoff=30)
+    sel = select_sectors(_raw_distribution(ph), dw, dc, TruncationPolicy(epsilon=1e-9))
+    floored = np.where(ph >= WEIGHT_FLOOR, ph, 0.0)
+    for (N, M), weight in zip(sel.labels, sel.weights):
+        assert weight == pytest.approx(_joint_weight(N, M, floored, dw.p, dc.p), rel=1e-12)
 
 
 def test_select_sectors_requires_normalized_marginals():
