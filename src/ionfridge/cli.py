@@ -36,20 +36,12 @@ from .errors import NumericsError, ValidationError
 from .experiments import (Scenario, SteadyStateRule, fig2_dataset, fig3_dataset,
                           fig4_dataset, load_scenario, run_scenario, steady_state)
 from .fockspace import TruncationPolicy
-from .measurement import fit_distribution, load_brightness_csv
+from .measurement import FIT_MODELS, fit_distribution, load_brightness_csv
 from .oracle import dense_oracle_evolve
 from .states import ModePrep
 from .trap import coupling_rate, equilibrium_spacing, mode_frequencies
 
 TWO_PI = 2.0 * math.pi
-
-_FIT_MODELS = {
-    "thermal": "thermal",
-    "coherent": "coherent",
-    "squeezed-vacuum": "squeezed_vacuum",
-    "squeezed-thermal": "squeezed_thermal",
-    "free": "free",
-}
 
 #: oracle-check settings: thermal occupations, per-mode cap, coupling, grid
 _ORACLE_NBARS = (0.3, 0.5, 0.4)
@@ -90,7 +82,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit a flopping model to t_us,p_up,sigma data")
     p_fit.add_argument("data", help="CSV file with header t_us,p_up,sigma")
-    p_fit.add_argument("--model", required=True, choices=sorted(_FIT_MODELS))
+    p_fit.add_argument("--model", required=True,
+                       choices=sorted(name.replace("_", "-") for name in FIT_MODELS))
 
     p_cpl = sub.add_parser("coupling",
                            help="mode frequencies and coupling from a trap config")
@@ -175,7 +168,7 @@ def _cmd_oracle_check(args) -> int:
 
 def _cmd_fit(args) -> int:
     samples = load_brightness_csv(args.data)
-    result = fit_distribution(samples, _FIT_MODELS[args.model])
+    result = fit_distribution(samples, args.model.replace("-", "_"))
     print(f"model: {args.model}  ({len(samples)} samples, {result.n_iter} iterations, "
           f"rank {result.rank}, condition number {result.cond:.3g})")
     for name, value in result.params.items():

@@ -159,10 +159,8 @@ def _tableau(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     An ascending uniform grid, t_n = t_0 + n dt to a few ulps of max |t|,
     becomes ceil(T / B) rows of B = ceil(sqrt(T)) offsets, r_a = t_0 + a B dt
     and s_b = b dt, the last row padded past T.  Any other grid, one point
-    included, is the single column (t, [0]).  Non-finite times raise.
+    included, is the single column (t, [0]).
     """
-    if not np.all(np.isfinite(t)):
-        raise DomainError("every time must be finite")
     if t.size > 1:
         dt = (t[-1] - t[0]) / (t.size - 1)
         drift = np.abs(t - (t[0] + dt * np.arange(t.size))).max()
@@ -269,6 +267,14 @@ class EnsembleSpectrum:
         n_h = n_h.ravel()
         return np.array([n_h, self.sum_wN - n_h, self.sum_wM - n_h])
 
+    def _unitary_grid(self, t_grid) -> np.ndarray:
+        """``t_grid`` as a flat float array; raises unless every phase g t is finite."""
+        t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+        if not math.isfinite(float(self.gaps.max(initial=0.0))
+                             * float(np.abs(t_grid).max(initial=0.0))):
+            raise DomainError("every time and every phase g t must be finite")
+        return t_grid
+
     def marginals_at(self, t_grid: np.ndarray):
         """Unitary per-mode marginals, each of shape (n_max + 1, len(t_grid)).
 
@@ -277,7 +283,7 @@ class EnsembleSpectrum:
         1) so that truncation stays visible; normalize before feeding them to
         detection models.
         """
-        t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+        t_grid = self._unitary_grid(t_grid)
         sec = self.ensemble.sectors
         p_h = np.zeros((np.minimum(sec.N, sec.M).max() + 1, t_grid.size))
         p_w = np.zeros((sec.N.max() + 1, t_grid.size))
@@ -294,7 +300,7 @@ class EnsembleSpectrum:
 
     def means_at(self, t_grid: np.ndarray) -> np.ndarray:
         """Mean occupations (not normalized by the retained weight), shape (3, len(t_grid))."""
-        t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
+        t_grid = self._unitary_grid(t_grid)
         return self._means(*_tableau(t_grid), lambda t, g: np.cos(np.outer(t, g)),
                            lambda t, g: np.sin(np.outer(t, g)))[:, :t_grid.size]
 
@@ -305,7 +311,7 @@ class EnsembleSpectrum:
         coherence (i, j) decays at rate xi_in (w_i - w_j)^2.
         """
         t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
-        if not (np.isfinite(xi_in) and xi_in >= 0.0) or not np.all(t_grid >= 0.0):
+        if not (0.0 <= xi_in < math.inf and np.all((0.0 <= t_grid) & (t_grid < math.inf))):
             raise DomainError("xi_in and every time must be finite and >= 0")
         return self._means(*_tableau(t_grid),
                            lambda t, g: np.exp(-xi_in * np.outer(t, g * g)))[:, :t_grid.size]

@@ -20,7 +20,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -32,7 +32,7 @@ from .dynamics import (EnsembleSpectrum, ThreeModeEnsemble, assemble_initial,
 from .errors import DomainError, ScenarioError
 from .fockspace import TruncationPolicy
 from .measurement import SidebandConfig, red_sideband_brightness
-from .states import ModePrep, prep_mean
+from .states import PREP_PARAMS, ModePrep, prep_mean
 from .trap import CODATA2014, REFERENCE_SETUPS, TrapConfig, coupling_rate
 
 TWO_PI = 2.0 * math.pi
@@ -124,27 +124,24 @@ def _numbers(value, where: str) -> tuple[float, ...]:
     return tuple(_number(v, where) for v in value)
 
 
+#: ModePrep field -> the parser of its scenario value
+_PREP_FIELD_PARSERS = {name: _integer if hint is int else _number
+                       for name, hint in get_type_hints(ModePrep).items()}
+
+
 def _prep_from_dict(d: dict, where: str) -> ModePrep:
     if not isinstance(d, dict):
         raise ScenarioError(f"{where} must be an object")
     kind = _require(d, "kind", where)
+    if not isinstance(kind, str) or kind not in PREP_PARAMS:
+        raise ScenarioError(f"unknown preparation kind {kind!r} in {where}")
+    _reject_unknown(d, ("kind", *PREP_PARAMS[kind]), where)
+    values = {field: _require(d, key, where, _PREP_FIELD_PARSERS[field])
+              for key, field in PREP_PARAMS[kind].items()}
     try:
-        if kind == "thermal":
-            _reject_unknown(d, ("kind", "nbar"), where)
-            return ModePrep.thermal_state(_require(d, "nbar", where, _number))
-        if kind == "coherent":
-            _reject_unknown(d, ("kind", "mbar"), where)
-            return ModePrep.coherent_state(_require(d, "mbar", where, _number))
-        if kind == "squeezed_thermal":
-            _reject_unknown(d, ("kind", "nbar", "r"), where)
-            return ModePrep.squeezed_thermal_state(
-                _require(d, "nbar", where, _number), _require(d, "r", where, _number))
-        if kind == "fock":
-            _reject_unknown(d, ("kind", "n"), where)
-            return ModePrep.fock_state(_require(d, "n", where, _integer))
+        return ModePrep(kind=kind, **values)
     except DomainError as exc:
         raise ScenarioError(f"invalid {where}: {exc}") from exc
-    raise ScenarioError(f"unknown preparation kind {kind!r} in {where}")
 
 
 def _trap_from_dict(d: dict, where: str) -> TrapConfig:
@@ -294,21 +291,13 @@ def reference_scenario(setup: str = "z570", *, name: str | None = None,
 
 
 def _prep_echo(prep: ModePrep) -> dict:
-    out = {"kind": prep.kind}
-    if prep.kind == "thermal":
-        out["nbar"] = prep.nbar
-    elif prep.kind == "coherent":
-        out["mbar"] = prep.alpha_sq
-    elif prep.kind == "squeezed_thermal":
-        out.update(nbar=prep.nbar, r=prep.r)
-    else:
-        out["n"] = prep.n_fock
-    return out
+    return {"kind": prep.kind, **{key: getattr(prep, field)
+                                  for key, field in PREP_PARAMS[prep.kind].items()}}
 
 
 def scenario_echo(s: Scenario) -> dict:
-    """Compact, JSON-safe summary of a scenario for metadata blocks."""
-    return {
+    """Compact, JSON-safe summary of a scenario (and its sideband block, if any)."""
+    echo = {
         "name": s.name,
         "xi_khz": s.xi / (TWO_PI * 1e3),
         "detuning_khz": s.detuning / (TWO_PI * 1e3),
@@ -319,6 +308,11 @@ def scenario_echo(s: Scenario) -> dict:
         "epsilon": s.truncation.epsilon,
         "caps": list(s.truncation.caps()),
     }
+    if s.sideband is not None:
+        echo["sideband"] = {"omega_rabi_khz": s.sideband.omega_rabi / (TWO_PI * 1e3),
+                            "t_rsb_us": s.sideband.t_rsb * 1e6,
+                            "a_bg": s.sideband.a_bg, "eta": s.sideband.eta}
+    return echo
 
 
 def with_thermal(s: Scenario, mode: str, nbar: float) -> Scenario:

@@ -46,12 +46,13 @@ class SidebandConfig:
     gamma0: float = 0.0        # base decoherence rate of the flopping model (1/s)
 
     def __post_init__(self):
+        if not (math.isfinite(self.omega_rabi) and 0.0 <= self.t_rsb < math.inf
+                and 0.0 <= self.gamma0 < math.inf):
+            raise DomainError("omega_rabi, t_rsb and gamma0 must be finite; t_rsb, gamma0 >= 0")
         if not 0.0 <= self.a_bg <= 1.0:
             raise DomainError("a_bg must be in [0, 1]")
         if not 0.0 <= self.eta <= 1.0:
             raise DomainError("eta must be in [0, 1]")
-        if self.gamma0 < 0.0:
-            raise DomainError("gamma0 must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -193,11 +194,9 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
     or ValidationError is an infeasible trial point: it returns non-finite
     residuals, which ``trf`` rejects by shrinking its trust region.  The
     starting point must be feasible.  ``cost_history`` holds the starting
-    and accepted costs, so it strictly decreases.  The covariance
-    is the SVD pseudo-inverse of J^T J for the final Jacobian J, whose rank
-    and condition number are reported; ``errors`` are the square roots of
-    its diagonal, except that a parameter with weight on a dropped singular
-    direction gets an infinite error.  Running out of ``max_nfev``
+    and accepted costs, so it strictly decreases.  ``cov``, ``errors``,
+    ``rank`` and ``cond`` come from :func:`_covariance` of the final
+    Jacobian.  Running out of ``max_nfev``
     residual evaluations (scipy does not count the Jacobian's) raises
     ``FitConvergenceError``.
     """
@@ -227,15 +226,25 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
         if cost < history[-1]:
             history.append(cost)
 
-    _, sv, vt = np.linalg.svd(res.jac, full_matrices=False)
+    cov, errors, rank, cond = _covariance(res.jac)
+    return LMSolution(theta=res.x, cov=cov, errors=errors, cost=2.0 * res.cost,
+                      cost_history=history, n_iter=len(costs), rank=rank, cond=cond)
+
+
+def _covariance(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
+    """Covariance, errors, rank and condition number of a least-squares Jacobian J.
+
+    The covariance is the SVD pseudo-inverse of J^T J without the singular
+    values below ``_RANK_RTOL`` of the largest.  The errors are the roots of
+    its diagonal, or inf for a parameter that loads on a dropped direction.
+    """
+    _, sv, vt = np.linalg.svd(jac, full_matrices=False)
     keep = sv > _RANK_RTOL * sv[0]
     cov = (vt[keep].T / sv[keep] ** 2) @ vt[keep]
     unresolved = (vt[~keep] ** 2).sum(axis=0) > _UNRESOLVED_LOADING
     errors = np.where(unresolved, math.inf, np.sqrt(np.diag(cov)))
     cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
-    return LMSolution(theta=res.x, cov=cov, errors=errors, cost=2.0 * res.cost,
-                      cost_history=history, n_iter=len(costs), rank=int(keep.sum()),
-                      cond=cond)
+    return cov, errors, int(keep.sum()), cond
 
 
 # ---------------------------------------------------------------------------
@@ -245,17 +254,32 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
 _FIT_CUTOFF = 150          # ladder length for model distributions during fits
 FREE_FIT_NMAX = 13         # free-distribution fit covers n = 0..13
 
-_MODEL_DIST_PARAMS = {
-    "thermal": ("nbar",),
-    "coherent": ("mbar",),
-    "squeezed_vacuum": ("r",),
-    "squeezed_thermal": ("nbar", "r"),
+
+def _softmax_with_fixed_head(logits: np.ndarray) -> np.ndarray:
+    full = np.concatenate(([0.0], logits))
+    full = full - full.max()
+    expv = np.exp(full)
+    return expv / expv.sum()
+
+
+#: model name -> (distribution parameters with their default seeds,
+#: populations on n = 0..cutoff from those parameters' values, in order)
+FIT_MODELS: dict[str, tuple[dict[str, float], Callable[..., np.ndarray]]] = {
+    "thermal": ({"nbar": 1.0}, lambda nbar: thermal_distribution(
+        nbar, _FIT_CUTOFF, tail_budget=1.0).p),
+    "coherent": ({"mbar": 1.0}, lambda mbar: coherent_distribution(
+        mbar, _FIT_CUTOFF, tail_budget=1.0).p),
+    "squeezed_vacuum": ({"r": 0.5}, lambda r: squeezed_vacuum_distribution(
+        r, _FIT_CUTOFF, tail_budget=1.0).p),
+    "squeezed_thermal": ({"nbar": 1.0, "r": 0.5}, lambda nbar, r: squeezed_thermal_distribution(
+        nbar, r, _FIT_CUTOFF, tail_budget=1.0).p),
+    # softmax-parameterized populations on n = 0..FREE_FIT_NMAX, p(0)'s logit fixed at 0
+    "free": ({f"logit{n}": 0.0 for n in range(1, FREE_FIT_NMAX + 1)},
+             lambda *logits: _softmax_with_fixed_head(np.array(logits))),
 }
 _SHAPE_PARAMS = ("a", "b", "omega01", "gamma0")
 #: parameters constrained positive via an internal log transform
 _LOG_PARAMS = {"nbar", "mbar", "r", "omega01", "gamma0"}
-
-_DEFAULT_SEEDS = {"nbar": 1.0, "mbar": 1.0, "r": 0.5}
 
 
 @dataclass(eq=False)
@@ -272,28 +296,6 @@ class FitResult:
     cond: float = math.nan         # its condition number
     populations: np.ndarray | None = None
     population_errors: np.ndarray | None = None
-
-
-def _model_distribution(model: str, values: dict[str, float]) -> np.ndarray:
-    if model == "thermal":
-        dist = thermal_distribution(values["nbar"], _FIT_CUTOFF, tail_budget=1.0)
-    elif model == "coherent":
-        dist = coherent_distribution(values["mbar"], _FIT_CUTOFF, tail_budget=1.0)
-    elif model == "squeezed_vacuum":
-        dist = squeezed_vacuum_distribution(values["r"], _FIT_CUTOFF, tail_budget=1.0)
-    elif model == "squeezed_thermal":
-        dist = squeezed_thermal_distribution(values["nbar"], values["r"],
-                                             _FIT_CUTOFF, tail_budget=1.0)
-    else:   # pragma: no cover
-        raise ValidationError(f"unknown model {model!r}")
-    return dist.p
-
-
-def _softmax_with_fixed_head(logits: np.ndarray) -> np.ndarray:
-    full = np.concatenate(([0.0], logits))
-    full = full - full.max()
-    expv = np.exp(full)
-    return expv / expv.sum()
 
 
 def _default_omega_seed(samples: Sequence[BrightnessSample]) -> float:
@@ -324,87 +326,66 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
                      seed: dict[str, float] | None = None) -> FitResult:
     """Weighted least-squares fit of the flopping model to brightness data.
 
-    ``model`` selects the phonon distribution: one of ``thermal``,
-    ``coherent``, ``squeezed_vacuum``, ``squeezed_thermal`` or ``free``
-    (softmax-parameterized populations on n = 0..13).  ``seed`` overrides
-    the default initial guesses by name; shape parameters are
+    ``model`` selects the phonon distribution, one of :data:`FIT_MODELS`:
+    ``thermal``, ``coherent``, ``squeezed_vacuum``, ``squeezed_thermal`` or
+    ``free`` (softmax-parameterized populations on n = 0..13).  ``seed``
+    overrides the default initial guesses by name; shape parameters are
     a (contrast), b (background), omega01 (rad/s) and gamma0 (1/s).
     """
-    if model != "free" and model not in _MODEL_DIST_PARAMS:
+    if model not in FIT_MODELS:
         raise ValidationError(f"unknown model {model!r}")
+    dist_seeds, populations = FIT_MODELS[model]
     samples = list(samples)
-    seed = dict(seed or {})
-
-    if model == "free":
-        dist_names: tuple[str, ...] = tuple(f"logit{n}" for n in range(1, FREE_FIT_NMAX + 1))
-    else:
-        dist_names = _MODEL_DIST_PARAMS[model]
-    names = dist_names + _SHAPE_PARAMS
+    names = tuple(dist_seeds) + _SHAPE_PARAMS
     n_params = len(names)
     if len(samples) < 3 * n_params:
-        raise ValidationError(
-            f"need at least {3 * n_params} samples for {n_params} parameters, "
-            f"got {len(samples)}"
-        )
+        raise ValidationError(f"need at least {3 * n_params} samples for {n_params} "
+                              f"parameters, got {len(samples)}")
 
     ts = np.array([s.t for s in samples])
     ys = np.array([s.p_up for s in samples])
     sigmas = np.array([s.sigma for s in samples])
 
     defaults = {
+        **dist_seeds,
         "a": max(float(ys.max() - ys.min()), 0.1),
         "b": float(ys.min()),
         "omega01": _default_omega_seed(samples),
         "gamma0": 0.05 / max(float(ts.max()), 1e-12),
-        **_DEFAULT_SEEDS,
     }
-    if model == "free":
-        defaults.update({name: 0.0 for name in dist_names})
-    start = {name: float(seed.get(name, defaults[name])) for name in names}
-    theta0 = np.array([math.log(max(start[name], 1e-12)) if name in _LOG_PARAMS
-                       else start[name] for name in names])
+    logged = [name in _LOG_PARAMS for name in names]
+    start = [float((seed or {}).get(name, defaults[name])) for name in names]
+    theta0 = np.array([math.log(max(v, 1e-12)) if log else v
+                       for v, log in zip(start, logged)])
 
-    def to_external(theta: np.ndarray) -> dict[str, float]:
-        return {
-            name: math.exp(theta[i]) if name in _LOG_PARAMS else float(theta[i])
-            for i, name in enumerate(names)
-        }
+    def to_external(theta: np.ndarray) -> list[float]:
+        # math.exp raises OverflowError, which marks the trial point infeasible
+        return [math.exp(v) if log else float(v) for v, log in zip(theta, logged)]
 
     def residuals(theta: np.ndarray) -> np.ndarray:
-        values = to_external(theta)
-        if model == "free":
-            probs = _softmax_with_fixed_head(
-                np.array([values[name] for name in dist_names]))
-        else:
-            probs = _model_distribution(model, values)
-        cfg = SidebandConfig(omega_rabi=values["omega01"], gamma0=values["gamma0"])
-        curve = blue_sideband_flopping(probs, cfg, ts,
-                                       contrast=values["a"], background=values["b"])
+        *dist, a, b, omega01, gamma0 = to_external(theta)
+        curve = blue_sideband_flopping(populations(*dist),
+                                       SidebandConfig(omega_rabi=omega01, gamma0=gamma0),
+                                       ts, contrast=a, background=b)
         return (curve - ys) / sigmas
 
-    dof = max(len(samples) - n_params, 1)
     solution = damped_least_squares(residuals, theta0)
     values = to_external(solution.theta)
-
     # delta method back to external parameter space
-    errors = {name: float(solution.errors[i]) * (values[name] if name in _LOG_PARAMS else 1.0)
-              for i, name in enumerate(names)}
-    result = FitResult(model=model, params=values, errors=errors,
-                       reduced_chi2=solution.cost / dof,
+    errors = [float(err) * (v if log else 1.0)
+              for err, v, log in zip(solution.errors, values, logged)]
+    result = FitResult(model=model, params=dict(zip(names, values)),
+                       errors=dict(zip(names, errors)),
+                       reduced_chi2=solution.cost / max(len(samples) - n_params, 1),
                        cost_history=solution.cost_history, n_iter=solution.n_iter,
-                       rank=solution.rank, cond=solution.cond)
-
+                       rank=solution.rank, cond=solution.cond,
+                       populations=populations(*values[:len(dist_seeds)]))
     if model == "free":
-        logits = np.array([values[name] for name in dist_names])
-        probs = _softmax_with_fixed_head(logits)
         # softmax sensitivity to the free logits (head fixed at 0)
-        smax_jac = (np.diag(probs)[:, 1:] - np.outer(probs, probs[1:]))
-        cov_logits = solution.cov[:FREE_FIT_NMAX, :FREE_FIT_NMAX]
-        cov_p = smax_jac @ cov_logits @ smax_jac.T
-        result.populations = probs
+        probs = result.populations
+        smax_jac = np.diag(probs)[:, 1:] - np.outer(probs, probs[1:])
+        cov_p = smax_jac @ solution.cov[:FREE_FIT_NMAX, :FREE_FIT_NMAX] @ smax_jac.T
         result.population_errors = np.sqrt(np.clip(np.diag(cov_p), 0.0, None))
-    else:
-        result.populations = _model_distribution(model, values)
     return result
 
 
@@ -430,52 +411,50 @@ class PreparationFits:
     rho_rate_err: float = math.nan
 
 
-def _linear_fit(design: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    coef, _, _, _ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ coef
-    dof = max(y.size - design.shape[1], 1)
-    s2 = float(resid @ resid) / dof
-    cov = np.linalg.inv(design.T @ design) * s2
-    return coef, np.sqrt(np.diag(cov))
-
-
 def fit_preparation_curves(coherent_curve: tuple[np.ndarray, np.ndarray] | None = None,
                            steps_curve: tuple[np.ndarray, np.ndarray] | None = None,
                            squeeze_curve: tuple[np.ndarray, np.ndarray] | None = None
                            ) -> PreparationFits:
-    """Fit the preparation calibration curves.
+    """Fit the preparation calibration curves by linear least squares.
 
     - ``coherent_curve``: (t, mbar) fitted to n0 + beta t^2
     - ``steps_curve``:    (steps, nbar) fitted to offset + slope * steps
     - ``squeeze_curve``:  (t, r) fitted through the origin to rho_rate * t
 
-    ``mbar`` is reported from beta at the standard step duration
-    (:func:`~ionfridge.states.mbar_from_curvature`).
+    Each curve is two 1-d arrays of the same length, at least 3 finite
+    points.  Errors are those of :func:`_covariance` of the design matrix
+    with unit-norm columns, scaled by the residual variance, so a coefficient
+    the design does not resolve (all x equal) reports an infinite error.
+    ``mbar`` is beta at the standard step duration (:func:`mbar_from_curvature`).
     """
+    curves = (
+        ("coherent", coherent_curve, lambda x: (np.ones_like(x), x ** 2), ("nbar0", "beta")),
+        ("steps", steps_curve, lambda x: (np.ones_like(x), x), ("step_offset", "step_slope")),
+        ("squeeze", squeeze_curve, lambda x: (x,), ("rho_rate",)),
+    )
     out: dict[str, float] = {}
-    if coherent_curve is not None:
-        t, mbar = (np.asarray(v, dtype=float) for v in coherent_curve)
-        if t.size < 3:
-            raise ValidationError("coherent curve needs >= 3 points")
-        coef, err = _linear_fit(np.column_stack([np.ones_like(t), t ** 2]), mbar)
-        out.update(nbar0=coef[0], nbar0_err=err[0], beta=coef[1], beta_err=err[1],
-                   mbar=mbar_from_curvature(coef[1]))
-    if steps_curve is not None:
-        steps, nbar = (np.asarray(v, dtype=float) for v in steps_curve)
-        if steps.size < 3:
-            raise ValidationError("steps curve needs >= 3 points")
-        coef, err = _linear_fit(np.column_stack([np.ones_like(steps), steps]), nbar)
-        out.update(step_offset=coef[0], step_offset_err=err[0],
-                   step_slope=coef[1], step_slope_err=err[1])
-    if squeeze_curve is not None:
-        t, r = (np.asarray(v, dtype=float) for v in squeeze_curve)
-        if t.size < 3:
-            raise ValidationError("squeeze curve needs >= 3 points")
-        coef, err = _linear_fit(t[:, None], r)
-        out.update(rho_rate=coef[0], rho_rate_err=err[0])
+    for label, curve, columns, names in curves:
+        if curve is None:
+            continue
+        x, y = (np.asarray(v, dtype=float) for v in curve)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 3:
+            raise ValidationError(f"{label} curve needs >= 3 (x, y) points as two 1-d arrays")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ValidationError(f"{label} curve must be finite")
+        design = np.column_stack(columns(x))
+        coef = np.linalg.lstsq(design, y, rcond=None)[0]
+        resid = y - design @ coef
+        scale = math.sqrt(float(resid @ resid) / max(y.size - len(names), 1))
+        # unit-norm columns make the rank cut independent of the units of x
+        norms = np.linalg.norm(design, axis=0)
+        norms[norms == 0.0] = 1.0           # an all-zero column stays unresolved
+        _, errors, _, _ = _covariance(design / norms)
+        for name, value, err, norm in zip(names, coef, errors, norms):
+            out[name] = float(value)
+            out[f"{name}_err"] = float(err * scale / norm) if err < math.inf else math.inf
     if not out:
         raise ValidationError("no calibration curves supplied")
-    return PreparationFits(**out)
+    return PreparationFits(**out, mbar=mbar_from_curvature(out.get("beta", math.nan)))
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,9 @@ DEFAULT_TAIL_BUDGET = 1e-6
 _RESCALE = 1e150          # recurrence runs divide by this before they can overflow
 _MAX_LADDER = 2e6         # longest squeezed-number recurrence run (levels)
 
-_PREP_KINDS = ("thermal", "coherent", "squeezed_thermal", "fock")
+#: preparation kind -> {scenario-file key: the ModePrep field it sets}
+PREP_PARAMS = {"thermal": {"nbar": "nbar"}, "coherent": {"mbar": "alpha_sq"},
+               "squeezed_thermal": {"nbar": "nbar", "r": "r"}, "fock": {"n": "n_fock"}}
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +236,8 @@ def squeezed_thermal_mean(nbar: float, r: float) -> float:
 class ModePrep:
     """Declarative initial state of one mode.
 
-    Exactly the fields relevant to ``kind`` are read:
+    Exactly the fields relevant to ``kind`` are read, as listed in
+    :data:`PREP_PARAMS`, and each must be >= 0:
 
     - ``thermal``:          nbar
     - ``coherent``:         alpha_sq   (mean phonon number |alpha|^2)
@@ -256,18 +259,15 @@ class ModePrep:
     n_fock: int = 0
 
     def __post_init__(self):
-        if self.kind not in _PREP_KINDS:
-            raise DomainError(f"unknown prep kind {self.kind!r}; expected one of {_PREP_KINDS}")
+        if self.kind not in PREP_PARAMS:
+            raise DomainError(f"unknown prep kind {self.kind!r}; "
+                              f"expected one of {tuple(PREP_PARAMS)}")
         if not all(math.isfinite(v) for v in (self.nbar, self.alpha_sq, self.r)):
             raise DomainError("prep parameters must be finite")
-        if self.kind == "thermal" and self.nbar < 0.0:
-            raise DomainError("thermal prep needs nbar >= 0")
-        if self.kind == "coherent" and self.alpha_sq < 0.0:
-            raise DomainError("coherent prep needs alpha_sq >= 0")
-        if self.kind == "squeezed_thermal" and (self.nbar < 0.0 or self.r < 0.0):
-            raise DomainError("squeezed_thermal prep needs nbar >= 0 and r >= 0")
-        if self.kind == "fock" and self.n_fock < 0:
-            raise DomainError("fock prep needs n_fock >= 0")
+        fields = PREP_PARAMS[self.kind].values()
+        if any(getattr(self, f) < 0 for f in fields):
+            raise DomainError(f"{self.kind} prep needs "
+                              + " and ".join(f"{f} >= 0" for f in fields))
 
     @classmethod
     def thermal_state(cls, nbar: float) -> "ModePrep":

@@ -300,6 +300,22 @@ def test_means_at_rejects_non_finite_times(t_grid):
         EnsembleSpectrum(_single_quantum_ensemble()).means_at(np.array(t_grid))
 
 
+def test_unitary_views_reject_overflowing_phases():
+    """A finite time whose phase g t overflows raises; before, means_at gave
+    [nan, nan, nan] and marginals_at NaN sums at t = 1e305 (cos(inf)).  The
+    incoherent kernel is exp(-xi_in g^2 t), so it stays finite there."""
+    spectrum = EnsembleSpectrum(_thermal_ensemble((0.4, 0.4, 0.4)))
+    assert math.isinf(float(spectrum.gaps.max()) * 1e305)
+    for view in (spectrum.means_at, spectrum.marginals_at):
+        with pytest.raises(DomainError, match="phase"):
+            view(np.array([0.0, 1e305]))
+    finite = 1.0 / float(spectrum.gaps.max())
+    assert np.all(np.isfinite(spectrum.means_at(np.array([0.0, finite]))))
+    with np.errstate(over="ignore"):
+        late = spectrum.incoherent_means_at(np.array([1e305]), 1e-12)[:, 0]
+    np.testing.assert_allclose(late, [getattr(spectrum.dephased_moments(), f"nbar_{m}") for m in "hwc"], rtol=1e-12)
+
+
 def test_default_incoherence_strength_edge_cases():
     # vacuum ensemble: single 1x1 sector, no coherences -> 0
     vac = (ModePrep.fock_state(0),) * 3

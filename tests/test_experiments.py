@@ -17,13 +17,14 @@ from ionfridge.experiments import (SCHEMA_VERSION, WINDOW_DEFAULT,
                                    build_ensemble, fig2_dataset, fig3_dataset,
                                    fig4_dataset, load_scenario, read_dataset_csv,
                                    reference_scenario, relaxation_scenarios,
-                                   run_scenario, scenario_from_dict,
+                                   run_scenario, scenario_echo, scenario_from_dict,
                                    single_shot_point, steady_state,
-                                   with_thermal, write_dataset_csv)
+                                   with_thermal, write_dataset_csv,
+                                   _prep_echo, _prep_from_dict)
 from ionfridge.dynamics import EnsembleSpectrum
-from ionfridge.measurement import (SidebandConfig, red_sideband_brightness,
+from ionfridge.measurement import (FIT_MODELS, SidebandConfig, red_sideband_brightness,
                                    save_brightness_csv, synthetic_brightness)
-from ionfridge.states import ModePrep, prep_mean, thermal_distribution
+from ionfridge.states import PREP_PARAMS, ModePrep, prep_mean, thermal_distribution
 from ionfridge.trap import REFERENCE_SETUPS
 
 TWO_PI = 2.0 * math.pi
@@ -287,6 +288,24 @@ def test_trajectory_columns_and_sideband():
             assert res.p_up[i, k] == pytest.approx(expected, abs=1e-12)
 
 
+def test_scenario_echo_carries_the_sideband_block():
+    """The p_up columns trace back to the readout model in the metadata; a
+    scenario without a sideband block echoes none."""
+    assert "sideband" not in scenario_echo(scenario_from_dict(_base_dict()))
+    block = {"omega_rabi_khz": 20.0, "t_rsb_us": 10.0, "a_bg": 0.02, "eta": 0.98}
+    res = run_scenario(scenario_from_dict(_mutate(("sideband",), block)))
+    assert res.metadata["scenario"]["sideband"] == pytest.approx(block, rel=1e-15)
+
+
+@pytest.mark.parametrize("kind", sorted(PREP_PARAMS))
+def test_prep_echo_round_trips_every_kind(kind):
+    """Parsing and echoing read the same table, so the echo of a parsed
+    preparation is the scenario-file object it came from."""
+    d = {"kind": kind, **{key: 2 + i for i, key in enumerate(PREP_PARAMS[kind])}}
+    echo = _prep_echo(_prep_from_dict(d, "preps.hot"))
+    assert echo == d and list(echo) == list(d)
+
+
 def test_reference_scenario_presets():
     s = reference_scenario("z570")
     assert s.name == "reference_z570"
@@ -487,10 +506,13 @@ def test_cli_bad_scenario_exit_code(tmp_path, capsys):
     (("detuning_khz",), math.inf),
     (("time_grid_us",), [0.0, 5.0, math.inf]),
     (("preps", "cold"), {"kind": "thermal", "nbar": math.inf}),
-], ids=["xi_nan", "detuning_inf", "grid_inf", "nbar_inf"])
+    (("sideband",), {"omega_rabi_khz": math.nan, "t_rsb_us": 10.0}),
+    (("sideband",), {"omega_rabi_khz": 20.0, "t_rsb_us": math.inf}),
+], ids=["xi_nan", "detuning_inf", "grid_inf", "nbar_inf", "omega_rabi_nan", "t_rsb_inf"])
 def test_cli_non_finite_scenario_exit_code(tmp_path, capsys, path, value):
     """Non-finite numbers (JSON NaN / Infinity) are validation errors, exit 2;
-    before they raised from scipy, returned NaN or exited 3."""
+    before they raised from scipy, returned NaN or exited 3 (a non-finite
+    sideband value wrote all-NaN p_up columns and exited 0)."""
     rc = cli_main(["steady-state", _write_scenario(tmp_path, _mutate(path, value))])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
@@ -597,6 +619,16 @@ def test_cli_fit_malformed_csv_exit_code(tmp_path, capsys, row):
     rc = cli_main(["fit", str(path), "--model", "thermal"])
     assert rc == 2
     assert "line 3" in capsys.readouterr().err
+
+
+def test_cli_fit_model_choices_come_from_the_model_table(capsys):
+    """The names users type are the table's names with hyphens."""
+    choices = sorted(name.replace("_", "-") for name in FIT_MODELS)
+    assert choices == ["coherent", "free", "squeezed-thermal", "squeezed-vacuum", "thermal"]
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["fit", "data.csv", "--model", "squeezed_vacuum"])
+    assert exc.value.code == 2
+    assert "squeezed-vacuum" in capsys.readouterr().err
 
 
 def test_cli_oracle_check_subprocess():

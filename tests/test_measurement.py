@@ -63,6 +63,13 @@ def test_sideband_config_validation():
         SidebandConfig(omega_rabi=OMEGA, eta=-0.1)
     with pytest.raises(DomainError):
         SidebandConfig(omega_rabi=OMEGA, gamma0=-1.0)
+    # non-finite values and a negative probe time (before, accepted: the
+    # forward models returned NaN)
+    for field, value in (("omega_rabi", math.nan), ("omega_rabi", math.inf),
+                         ("t_rsb", math.inf), ("t_rsb", math.nan), ("t_rsb", -1e-6),
+                         ("gamma0", math.inf), ("gamma0", math.nan)):
+        with pytest.raises(DomainError):
+            SidebandConfig(**{"omega_rabi": OMEGA, field: value})
     with pytest.raises(DomainError):
         BrightnessSample(t=1e-6, p_up=1.2, sigma=0.01)
     with pytest.raises(DomainError):
@@ -295,6 +302,52 @@ def test_fit_preparation_curves_validation():
                                                np.array([0.1, 0.2])))
     with pytest.raises(ValidationError):
         fit_preparation_curves(squeeze_curve=(np.array([0.0]), np.array([0.0])))
+    # x and y of different lengths (before, numpy's LinAlgError)
+    with pytest.raises(ValidationError, match="points"):
+        fit_preparation_curves(steps_curve=(np.arange(5.0), np.arange(4.0)))
+    # a non-finite point on any curve (before, it went into LAPACK, which
+    # printed DLASCL errors)
+    for curve in ("coherent_curve", "steps_curve", "squeeze_curve"):
+        for axis, value in ((0, math.inf), (1, math.nan)):
+            points = [np.linspace(1e-4, 4e-4, 5), np.linspace(0.1, 0.5, 5)]
+            points[axis][2] = value
+            with pytest.raises(ValidationError, match="finite"):
+                fit_preparation_curves(**{curve: tuple(points)})
+
+
+def test_fit_preparation_curve_errors_do_not_depend_on_the_units_of_x():
+    """The rank cut sees unit-norm design columns: a 50 us coherent curve in
+    seconds (t^2 ~ 1e-9) and in microseconds give the same errors, which
+    match the textbook inverse of the normal matrix."""
+    t = np.linspace(0.0, 50e-6, 9)
+    y = 0.08 + 3e6 * t ** 2 + np.random.default_rng(1).normal(0.0, 0.01, 9)
+    si = fit_preparation_curves(coherent_curve=(t, y))
+    us = fit_preparation_curves(coherent_curve=(t * 1e6, y))
+    design = np.column_stack([np.ones_like(t), t ** 2])
+    resid = y - design @ [si.nbar0, si.beta]
+    textbook = np.sqrt(np.diag(np.linalg.inv(design.T @ design)) * (resid @ resid) / 7)
+    assert [si.nbar0_err, si.beta_err] == pytest.approx(textbook, rel=1e-9)
+    assert us.beta_err * 1e12 == pytest.approx(si.beta_err, rel=1e-9)
+    assert us.nbar0_err == pytest.approx(si.nbar0_err, rel=1e-9)
+
+
+def test_fit_preparation_curves_degenerate_design_reports_infinite_errors():
+    """All x equal leaves the design rank-deficient: every coefficient that
+    loads on the dropped direction reports an infinite error.  Before, all
+    three curves raised numpy's LinAlgError (singular matrix)."""
+    x = np.full(5, 2e-4)
+    y = np.array([0.10, 0.12, 0.11, 0.13, 0.09])
+    fits = fit_preparation_curves(coherent_curve=(x, y), steps_curve=(x * 1e4, y),
+                                  squeeze_curve=(np.zeros(5), y))
+    for err in (fits.nbar0_err, fits.beta_err, fits.step_offset_err,
+                fits.step_slope_err, fits.rho_rate_err):
+        assert err == math.inf
+    assert math.isfinite(fits.beta) and math.isfinite(fits.rho_rate)
+    # a one-column design through the origin with equal nonzero x is resolved
+    fits = fit_preparation_curves(squeeze_curve=(x, y))
+    assert fits.rho_rate == pytest.approx(y.mean() / 2e-4, rel=1e-12)
+    assert fits.rho_rate_err == pytest.approx(y.std(ddof=1) / (2e-4 * math.sqrt(5)),
+                                              rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
