@@ -17,8 +17,6 @@ import math
 import warnings
 from dataclasses import dataclass
 
-from scipy.optimize import brentq
-
 from .errors import DomainError
 from .trap import CODATA2014, ModeFrequencies, mode_temperature
 
@@ -139,13 +137,12 @@ def equilibrium_shift(initial: OccupationTriple) -> float:
     n_h, n_w, n_c = initial.as_tuple()
     if min(n_h, n_w, n_c) <= 0.0:
         raise DomainError("occupations must be > 0")
-
-    def balance(eps: float) -> float:
-        return (math.log1p(1.0 / (n_h - eps))
-                - math.log1p(1.0 / (n_w + eps))
-                - math.log1p(1.0 / (n_c + eps)))
-
-    tiny = 1e-12
-    lo = -min(n_w, n_c) + tiny
-    hi = n_h - tiny
-    return float(brentq(balance, lo, hi, xtol=1e-14, rtol=8.9e-16))
+    # with a = n_h - eps, b = n_w + eps, c = n_c + eps the condition
+    # log1p(1/a) = log1p(1/b) + log1p(1/c) is bc = a(b + c + 1), the quadratic
+    # 3 eps^2 + B eps + C = 0.  It is negative at eps = -min(n_w, n_c) and
+    # positive at eps = n_h, so its larger root is the one in between; it is
+    # taken in the form that does not cancel
+    B = 2.0 * (n_w + n_c) + 1.0 - 2.0 * n_h
+    C = n_w * n_c - n_h * (n_w + n_c + 1.0)
+    root = math.sqrt(B * B - 12.0 * C)
+    return (root - B) / 6.0 if B < 0.0 else -2.0 * C / (B + root)

@@ -4,11 +4,16 @@ calibration fits.
 Two distinct forward models are exposed: a single-time red-sideband
 brightness (no decoherence term) used for refrigerator readout, and a
 blue-sideband flopping curve with sqrt(n+1)-scaled Rabi rates and
-decoherence used for calibration fits.  Fits are weighted least squares
-on ``scipy.optimize.least_squares`` (trust-region ``trf``, forward-difference
-Jacobian) and report the rank and condition number of the final Jacobian,
-with an infinite error for a parameter the data do not resolve; the
-free-distribution fit parameterizes the simplex with a softmax so the
+decoherence used for calibration fits.  The flopping curve is a sum of
+damped oscillations e^{z_n t}, z_n = sqrt(n+1)(-gamma0 + i Omega), which
+factors over t = r + s like the dynamics kernel, so a uniform time grid
+costs transcendentals on about 2 sqrt(T) rows and offsets only.  Fits are
+weighted least squares on ``scipy.optimize.least_squares`` (trust-region
+``trf``) with an analytic Jacobian read from the same kernel: the shape
+columns are closed-form and the distribution columns difference the
+populations only.  They report the rank and condition number of the final
+Jacobian, with an infinite error for a parameter the data do not resolve;
+the free-distribution fit parameterizes the simplex with a softmax so the
 constraints hold by construction.
 """
 
@@ -20,8 +25,8 @@ from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import least_squares
 
+from .dynamics import _tableau
 from .errors import (DomainError, FitConvergenceError, SensitivityError,
                      ValidationError)
 from .states import (PhononDistribution, coherent_distribution,
@@ -64,8 +69,8 @@ class BrightnessSample:
     sigma: float
 
     def __post_init__(self):
-        if not math.isfinite(self.t):
-            raise DomainError("t must be finite")
+        if not 0.0 <= self.t < math.inf:
+            raise DomainError("t must be finite and >= 0")
         if not 0.0 <= self.p_up <= 1.0:
             raise DomainError("p_up must be in [0, 1]")
         if not (math.isfinite(self.sigma) and self.sigma > 0.0):
@@ -123,13 +128,31 @@ def blue_sideband_flopping(p, cfg: SidebandConfig, t_grid,
     p_up(t) = (a/2)(1 - sum_n p(n) cos(sqrt(n+1) Omega t) e^{-sqrt(n+1) gamma0 t}) + b
 
     with contrast a and background b (fit parameters, distinct from the
-    readout model's a_bg/eta).
+    readout model's a_bg/eta).  Every time must be finite and >= 0.
     """
     probs = _as_probs(p)
-    t = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    root = np.sqrt(np.arange(probs.size) + 1.0)
-    osc = np.cos(np.outer(t, root) * cfg.omega_rabi) * np.exp(-np.outer(t, root) * cfg.gamma0)
-    return 0.5 * contrast * (1.0 - osc @ probs) + background
+    t = np.asarray(t_grid, dtype=float).reshape(-1)
+    if not np.all((0.0 <= t) & (t < math.inf)):
+        raise DomainError("every time must be finite and >= 0")
+    kernel = _flopping_kernel(probs.size, cfg.omega_rabi, cfg.gamma0, t)
+    return 0.5 * contrast * (1.0 - (kernel @ probs).real) + background
+
+
+def _flopping_kernel(levels: int, omega: float, gamma0: float, t: np.ndarray) -> np.ndarray:
+    """K[i, n] = e^{z_n t_i}, z_n = sqrt(n+1)(-gamma0 + i omega), shape (T, levels).
+
+    ``K @ C`` is sum_n C[n, k] e^{z_n t} for every coefficient column k.
+    The times come from :func:`~ionfridge.dynamics._tableau` as rows r and
+    offsets s with t = r + s, and e^{z t} = e^{z r} e^{z s}, so the
+    exponentials are taken on the rows and the offsets only and the kernel
+    is their outer product, cut to T rows.  A non-uniform grid or a single
+    point is the single column of the tableau (s = 0), taken exactly.  The
+    times must be >= 0, where every factor is bounded by 1.
+    """
+    z = np.sqrt(np.arange(levels) + 1.0) * complex(-gamma0, omega)
+    rows, offsets = _tableau(t)
+    kernel = np.exp(np.outer(rows, z))[:, None, :] * np.exp(np.outer(offsets, z))
+    return kernel.reshape(-1, levels)[:t.size]
 
 
 # ---------------------------------------------------------------------------
@@ -175,7 +198,8 @@ class LMSolution:
 #: norm falls below this
 _SOLVER_TOL = 1e-10
 #: singular values of the final Jacobian below this share of the largest are
-#: dropped from the covariance (forward differences resolve no finer)
+#: dropped from the covariance (the distribution columns of a fit Jacobian
+#: are forward differences, which resolve no finer)
 _RANK_RTOL = math.sqrt(np.finfo(float).eps)
 #: a parameter whose squared loading on the dropped singular directions
 #: exceeds this is not resolved by the data: its error is reported as inf.
@@ -186,20 +210,24 @@ _UNRESOLVED_LOADING = 1e-6
 
 
 def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndarray,
+                         jac: Callable[[np.ndarray], np.ndarray],
                          max_nfev: int = 500) -> LMSolution:
-    """Trust-region minimization of sum(fn(theta)^2).
+    """Trust-region minimization of sum(fn(theta)^2) with Jacobian ``jac(theta)``.
 
-    One ``scipy.optimize.least_squares`` call (``trf``, forward-difference
-    Jacobian).  An evaluation that raises OverflowError, FloatingPointError
-    or ValidationError is an infeasible trial point: it returns non-finite
-    residuals, which ``trf`` rejects by shrinking its trust region.  The
-    starting point must be feasible.  ``cost_history`` holds the starting
-    and accepted costs, so it strictly decreases.  ``cov``, ``errors``,
-    ``rank`` and ``cond`` come from :func:`_covariance` of the final
-    Jacobian.  Running out of ``max_nfev``
-    residual evaluations (scipy does not count the Jacobian's) raises
-    ``FitConvergenceError``.
+    One ``scipy.optimize.least_squares`` call (``trf``); ``jac`` returns the
+    (residuals x parameters) derivative matrix of ``fn``.  An evaluation of
+    ``fn`` that raises OverflowError, FloatingPointError or ValidationError
+    is an infeasible trial point: it returns non-finite residuals, which
+    ``trf`` rejects by shrinking its trust region.  ``jac`` is called only at
+    the start and at accepted points, so the starting point must be
+    feasible.  ``cost_history`` holds the starting and accepted costs, so it
+    strictly decreases.  ``cov``, ``errors``, ``rank`` and ``cond`` come from
+    :func:`_covariance` of the final Jacobian.  Running out of ``max_nfev``
+    residual evaluations raises ``FitConvergenceError``.
     """
+    # imported here, so that only fits pay for loading scipy.optimize
+    from scipy.optimize import least_squares
+
     r0 = None
     costs: list[float] = []
 
@@ -216,7 +244,7 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
     def record(intermediate_result) -> None:   # scipy passes its state by this name
         costs.append(2.0 * float(intermediate_result.cost))   # scipy's cost is half
 
-    res = least_squares(residuals, theta0, method="trf", ftol=_SOLVER_TOL,
+    res = least_squares(residuals, theta0, jac=jac, method="trf", ftol=_SOLVER_TOL,
                         xtol=_SOLVER_TOL, gtol=_SOLVER_TOL, max_nfev=max_nfev,
                         callback=record)
     if res.status == 0:
@@ -298,6 +326,75 @@ class FitResult:
     population_errors: np.ndarray | None = None
 
 
+#: relative step of the population differences (scipy's 2-point default)
+_DIFF_STEP = math.sqrt(np.finfo(float).eps)
+
+
+class _FloppingFit:
+    """Residuals (curve - y) / sigma of a :data:`FIT_MODELS` fit and their Jacobian.
+
+    Both take the internal parameters theta: the model's distribution
+    parameters, then a, b, omega01 and gamma0, with the ``_LOG_PARAMS`` as
+    logs.  Both read one flopping kernel K (:func:`_flopping_kernel`) per
+    theta, kept for the last theta, so the Jacobian at an accepted point
+    reuses the kernel of its residuals.  With p the populations and
+    S = K @ [p, sqrt(n+1) p, dp/dtheta_dist], the Jacobian columns of the
+    curve are d/da = (1 - Re S_0) / 2, d/db = 1,
+    d/d omega01 = (a/2) t Im S_1 and d/d gamma0 = (a/2) t Re S_1 (because
+    d e^{z_n t} / d omega01 = i sqrt(n+1) t e^{z_n t}), times the value
+    for a log parameter, and -(a/2) Re S_dist for the distribution
+    parameters.  dp/dtheta_dist is a forward difference of the populations
+    alone in theta, at scipy's 2-point step, the same for every model.
+    """
+
+    def __init__(self, model: str, ts: np.ndarray, ys: np.ndarray, sigmas: np.ndarray):
+        dist_seeds, self.populations = FIT_MODELS[model]
+        self.n_dist = len(dist_seeds)
+        self.logged = [name in _LOG_PARAMS for name in tuple(dist_seeds) + _SHAPE_PARAMS]
+        self.ts, self.ys, self.sigmas = ts, ys, sigmas
+        self._key = None
+
+    def external(self, theta: np.ndarray) -> list[float]:
+        # math.exp raises OverflowError, which marks the trial point infeasible
+        return [math.exp(v) if log else float(v) for v, log in zip(theta, self.logged)]
+
+    def _evaluate(self, theta: np.ndarray):
+        """(external values, populations, kernel) at theta, cached for the last theta."""
+        key = theta.tobytes()
+        if key != self._key:
+            values = self.external(theta)
+            probs = self.populations(*values[:self.n_dist])
+            kernel = _flopping_kernel(probs.size, values[-2], values[-1], self.ts)
+            self._key, self._state = key, (values, probs, kernel)
+        return self._state
+
+    def residuals(self, theta: np.ndarray) -> np.ndarray:
+        values, probs, kernel = self._evaluate(theta)
+        a, b = values[self.n_dist:self.n_dist + 2]
+        curve = 0.5 * a * (1.0 - (kernel @ probs).real) + b
+        return (curve - self.ys) / self.sigmas
+
+    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+        values, probs, kernel = self._evaluate(theta)
+        columns = [probs, np.sqrt(np.arange(probs.size) + 1.0) * probs]
+        for j in range(self.n_dist):
+            step = theta[:self.n_dist].copy()
+            step[j] += _DIFF_STEP * (1.0 if theta[j] >= 0.0 else -1.0) * max(1.0, abs(theta[j]))
+            columns.append((self.populations(*self.external(step)) - probs)
+                           / (step[j] - theta[j]))
+        sums = kernel @ np.column_stack(columns)
+        a = values[self.n_dist]
+        jac = np.empty((self.ts.size, theta.size))
+        jac[:, :self.n_dist] = -0.5 * a * sums[:, 2:].real
+        jac[:, self.n_dist] = 0.5 * (1.0 - sums[:, 0].real)
+        jac[:, self.n_dist + 1] = 1.0
+        jac[:, self.n_dist + 2] = 0.5 * a * self.ts * sums[:, 1].imag
+        jac[:, self.n_dist + 3] = 0.5 * a * self.ts * sums[:, 1].real
+        jac[:, self.n_dist:] *= [v if log else 1.0 for v, log
+                                 in zip(values[self.n_dist:], self.logged[self.n_dist:])]
+        return jac / self.sigmas[:, None]
+
+
 def _default_omega_seed(samples: Sequence[BrightnessSample]) -> float:
     """Dominant angular frequency of the detrended brightness record.
 
@@ -318,7 +415,13 @@ def _default_omega_seed(samples: Sequence[BrightnessSample]) -> float:
     if w_hi <= w_lo:
         return w_lo
     omegas = np.linspace(w_lo, w_hi, 800)
-    power = np.abs(np.exp(-1j * np.outer(omegas, ts)) @ ys)
+    # over the tableau t = r_a + s_b of the flopping kernel the periodogram is
+    # |sum_a e^{-i w r_a} sum_b Y[a, b] e^{-i w s_b}|, with Y zero past the record
+    rows, offsets = _tableau(ts)
+    table = np.zeros(rows.size * offsets.size)
+    table[:ys.size] = ys
+    inner = table.reshape(rows.size, offsets.size) @ np.exp(-1j * np.outer(offsets, omegas))
+    power = np.abs((np.exp(-1j * np.outer(rows, omegas)) * inner).sum(axis=0))
     return float(omegas[int(np.argmax(power))])
 
 
@@ -353,27 +456,16 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
         "omega01": _default_omega_seed(samples),
         "gamma0": 0.05 / max(float(ts.max()), 1e-12),
     }
-    logged = [name in _LOG_PARAMS for name in names]
+    problem = _FloppingFit(model, ts, ys, sigmas)
     start = [float((seed or {}).get(name, defaults[name])) for name in names]
     theta0 = np.array([math.log(max(v, 1e-12)) if log else v
-                       for v, log in zip(start, logged)])
+                       for v, log in zip(start, problem.logged)])
 
-    def to_external(theta: np.ndarray) -> list[float]:
-        # math.exp raises OverflowError, which marks the trial point infeasible
-        return [math.exp(v) if log else float(v) for v, log in zip(theta, logged)]
-
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        *dist, a, b, omega01, gamma0 = to_external(theta)
-        curve = blue_sideband_flopping(populations(*dist),
-                                       SidebandConfig(omega_rabi=omega01, gamma0=gamma0),
-                                       ts, contrast=a, background=b)
-        return (curve - ys) / sigmas
-
-    solution = damped_least_squares(residuals, theta0)
-    values = to_external(solution.theta)
+    solution = damped_least_squares(problem.residuals, theta0, problem.jacobian)
+    values = problem.external(solution.theta)
     # delta method back to external parameter space
     errors = [float(err) * (v if log else 1.0)
-              for err, v, log in zip(solution.errors, values, logged)]
+              for err, v, log in zip(solution.errors, values, problem.logged)]
     result = FitResult(model=model, params=dict(zip(names, values)),
                        errors=dict(zip(names, errors)),
                        reduced_chi2=solution.cost / max(len(samples) - n_params, 1),

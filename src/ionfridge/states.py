@@ -30,6 +30,8 @@ DEFAULT_CUTOFF = 300
 DEFAULT_TAIL_BUDGET = 1e-6
 _RESCALE = 1e150          # recurrence runs divide by this before they can overflow
 _MAX_LADDER = 2e6         # longest squeezed-number recurrence run (levels)
+_FLOAT_MAX = float(np.finfo(float).max)
+_MAX_SQUEEZE = math.asinh(math.sqrt(_FLOAT_MAX))   # sinh(r)^2 overflows past this r
 
 #: preparation kind -> {scenario-file key: the ModePrep field it sets}
 PREP_PARAMS = {"thermal": {"nbar": "nbar"}, "coherent": {"mbar": "alpha_sq"},
@@ -151,8 +153,15 @@ def squeezed_thermal_distribution(nbar: float, r: float, cutoff: int = DEFAULT_C
         raise DomainError("r must be >= 0")
     if cutoff < 0:
         raise DomainError("cutoff must be >= 0")
-    d_sh2 = (2.0 * nbar + 1.0) * math.sinh(r) ** 2
-    q0 = (nbar + 1.0) ** 2 + d_sh2
+    try:
+        d_sh2 = (2.0 * nbar + 1.0) * math.sinh(r) ** 2
+        q0 = (nbar + 1.0) ** 2 + d_sh2
+    except OverflowError:
+        q0 = math.inf
+    if q0 > _FLOAT_MAX:
+        raise DomainError(f"squeezed thermal state nbar={nbar:g}, r={r:g} overflows: "
+                          f"(nbar + 1)^2 + (2 nbar + 1) sinh(r)^2 must stay below "
+                          f"{_FLOAT_MAX:.3g} (at nbar = 0, r below {_MAX_SQUEEZE:.1f})")
     q1 = -2.0 * nbar * (nbar + 1.0)
     q2 = nbar ** 2 - d_sh2
     p, p_prev = q0 ** -0.5, 0.0
@@ -224,7 +233,14 @@ def squeezed_number_distribution(m: int, r: float, cutoff: int = DEFAULT_CUTOFF,
 
 def squeezed_thermal_mean(nbar: float, r: float) -> float:
     """Closed-form mean occupation nbar cosh(2r) + sinh(r)^2."""
-    return nbar * math.cosh(2.0 * r) + math.sinh(r) ** 2
+    try:
+        mean = nbar * math.cosh(2.0 * r) + math.sinh(r) ** 2
+    except OverflowError:
+        mean = math.inf
+    if mean > _FLOAT_MAX:
+        raise DomainError(f"squeezed thermal mean nbar={nbar:g}, r={r:g} overflows: "
+                          f"nbar cosh(2r) + sinh(r)^2 must stay below {_FLOAT_MAX:.3g}")
+    return mean
 
 
 # ---------------------------------------------------------------------------

@@ -82,6 +82,18 @@ def test_equilibrium_shift_lands_on_equilibrium():
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
+def test_equilibrium_shift_closed_form_over_log_uniform_triples():
+    """The quadratic's root lies strictly between -min(n_w, n_c) and n_h and
+    satisfies log1p(1/a) = log1p(1/b) + log1p(1/c) to 1e-12 relative."""
+    rng = np.random.default_rng(2)
+    for n_h, n_w, n_c in 10.0 ** rng.uniform(-3.0, 2.0, (2000, 3)):
+        eps = equilibrium_shift(OccupationTriple(n_h, n_w, n_c))
+        assert -min(n_w, n_c) < eps < n_h
+        lhs = math.log1p(1.0 / (n_h - eps))
+        rhs = math.log1p(1.0 / (n_w + eps)) + math.log1p(1.0 / (n_c + eps))
+        assert lhs == pytest.approx(rhs, rel=1e-12, abs=0.0)
+
+
 def test_extract_equilibrium_nc_recovers_line():
     # eps_h = 0.4 (nc_in - 1.7): exact zero at 1.7 regardless of point order
     pts = [(x, 0.4 * (x - 1.7)) for x in (0.5, 1.2, 2.1, 2.9)]

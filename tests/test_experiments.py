@@ -532,6 +532,17 @@ def test_cli_malformed_number_exit_code(tmp_path, capsys, path, value):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["steady-state", "simulate"])
+def test_cli_overflowing_squeezing_exit_code(tmp_path, capsys, command):
+    """A squeezing whose sinh(r)^2 overflows is a validation error, exit 2;
+    before, an OverflowError traceback (exit 1)."""
+    d = _mutate(("preps", "cold"), {"kind": "squeezed_thermal", "nbar": 0.5, "r": 1e3})
+    out = ["--out", str(tmp_path)] if command == "simulate" else []
+    rc = cli_main([command, _write_scenario(tmp_path, d), *out])
+    assert rc == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("argv", [
     ["fit", "data.csv", "--model", "thermal", "--rule", "window"],
     ["fig4", "scenario.json", "--rule", "window"],

@@ -9,8 +9,9 @@ from scipy.optimize import least_squares
 
 from ionfridge.errors import (DomainError, FitConvergenceError,
                               SensitivityError, ValidationError)
-from ionfridge.measurement import (FREE_FIT_NMAX, BrightnessSample, EstimatorConfig,
-                                   SidebandConfig, SimulatedResponse,
+from ionfridge.measurement import (FIT_MODELS, FREE_FIT_NMAX, BrightnessSample,
+                                   EstimatorConfig, SidebandConfig, SimulatedResponse,
+                                   _default_omega_seed, _FloppingFit,
                                    blue_sideband_flopping,
                                    damped_least_squares, estimate_nbar,
                                    fit_distribution, fit_preparation_curves,
@@ -46,6 +47,37 @@ def test_blue_sideband_flopping_ground_state():
     out = blue_sideband_flopping(np.array([1.0]), cfg, t, contrast=0.9, background=0.05)
     expected = 0.45 * (1.0 - np.cos(OMEGA * t) * np.exp(-800.0 * t)) + 0.05
     np.testing.assert_allclose(out, expected, rtol=1e-12)
+
+
+def _direct_flopping(p, cfg, t, contrast, background):
+    """The flopping curve as the dense cos * exp sum over levels and times."""
+    root = np.sqrt(np.arange(p.size) + 1.0)
+    osc = np.cos(np.outer(t, root) * cfg.omega_rabi) * np.exp(-np.outer(t, root) * cfg.gamma0)
+    return 0.5 * contrast * (1.0 - osc @ p) + background
+
+
+@pytest.mark.parametrize("gamma0", [0.0, 600.0])
+def test_blue_sideband_flopping_matches_the_direct_sum(gamma0):
+    """The factored kernel (rows x offsets of a uniform grid, one column
+    otherwise) equals the dense cos * exp sum to 1e-13."""
+    cfg = SidebandConfig(omega_rabi=OMEGA, gamma0=gamma0)
+    p = thermal_distribution(1.8, cutoff=150, tail_budget=1.0).p
+    grids = [np.linspace(0.5e-6, 150e-6, n) for n in (2, 3, 17, 300)]
+    grids += [np.sort(np.random.default_rng(4).uniform(0.0, 150e-6, 40)), np.array([37e-6])]
+    for t in grids:
+        np.testing.assert_allclose(blue_sideband_flopping(p, cfg, t, 0.93, 0.02),
+                                   _direct_flopping(p, cfg, t, 0.93, 0.02), rtol=0, atol=1e-13)
+
+
+def test_flopping_rejects_negative_and_non_finite_times():
+    """Before, a negative pulse length was accepted and the curve grew as
+    e^{+sqrt(n+1) gamma0 |t|}."""
+    cfg = SidebandConfig(omega_rabi=OMEGA, gamma0=800.0)
+    for t in ([1e-6, -1e-6], [math.nan], [0.0, math.inf]):
+        with pytest.raises(DomainError, match="time"):
+            blue_sideband_flopping(np.array([1.0]), cfg, t)
+    with pytest.raises(DomainError):
+        BrightnessSample(t=-1e-6, p_up=0.5, sigma=0.01)
 
 
 def test_forward_models_reject_unnormalized_input():
@@ -113,7 +145,8 @@ def test_lm_quadratic_exact():
     def fn(theta):
         return np.array([theta[0] - 2.0, theta[1] + 3.0, 0.5 * (theta[0] - 2.0)])
 
-    sol = damped_least_squares(fn, np.array([10.0, 10.0]))
+    jac = lambda theta: np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.0]])
+    sol = damped_least_squares(fn, np.array([10.0, 10.0]), jac)
     np.testing.assert_allclose(sol.theta, [2.0, -3.0], atol=1e-10)
     assert sol.cost == pytest.approx(0.0, abs=1e-20)
 
@@ -122,7 +155,10 @@ def test_lm_cost_history_monotone_on_rosenbrock():
     def fn(theta):
         return np.array([10.0 * (theta[1] - theta[0] ** 2), 1.0 - theta[0]])
 
-    sol = damped_least_squares(fn, np.array([-1.2, 1.0]))
+    def jac(theta):
+        return np.array([[-20.0 * theta[0], 10.0], [-1.0, 0.0]])
+
+    sol = damped_least_squares(fn, np.array([-1.2, 1.0]), jac)
     np.testing.assert_allclose(sol.theta, [1.0, 1.0], atol=1e-6)
     hist = np.array(sol.cost_history)
     assert np.all(np.diff(hist) < 0.0)
@@ -131,8 +167,9 @@ def test_lm_cost_history_monotone_on_rosenbrock():
 
 def test_lm_zero_iterations_raises():
     fn = lambda theta: np.array([theta[0] - 1.0])
+    jac = lambda theta: np.array([[1.0]])
     with pytest.raises(FitConvergenceError):
-        damped_least_squares(fn, np.array([5.0]), max_nfev=1)   # the start only
+        damped_least_squares(fn, np.array([5.0]), jac, max_nfev=1)   # the start only
 
 
 def test_lm_rank_deficient_jacobian_reports_rank():
@@ -140,9 +177,10 @@ def test_lm_rank_deficient_jacobian_reports_rank():
     def fn(theta):
         return np.array([theta[0] - 2.0, 2.0 * (theta[0] - 2.0)])
 
+    jac = lambda theta: np.array([[1.0, 0.0], [2.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = damped_least_squares(fn, np.array([7.0, 1.0]))
+        sol = damped_least_squares(fn, np.array([7.0, 1.0]), jac)
     assert sol.theta[0] == pytest.approx(2.0, abs=1e-8)
     assert sol.rank == 1
     assert sol.cond > 1e12
@@ -164,7 +202,8 @@ def test_lm_infeasible_trial_points_are_rejected():
                 raise OverflowError("model exploded")
             return np.array([math.exp(theta[0]) - math.exp(3.0)])
 
-        sol = damped_least_squares(fn, np.array([start]))
+        jac = lambda theta: np.array([[math.exp(theta[0])]])
+        sol = damped_least_squares(fn, np.array([start]), jac)
         assert sol.theta[0] == pytest.approx(3.0, abs=1e-6)
     assert infeasible       # the start from below overshoots the limit
 
@@ -207,6 +246,64 @@ def _thermal_record(seed):
                                 SidebandConfig(omega_rabi=OMEGA, gamma0=gamma0),
                                 np.linspace(0.5e-6, 150e-6, 300), contrast,
                                 background, 0.02, rng)
+
+
+@pytest.mark.parametrize("model", list(FIT_MODELS))
+def test_fit_jacobian_matches_central_differences(model):
+    """The analytic Jacobian of every fit model against central differences
+    of its residuals, at seeded internal parameters."""
+    rng = np.random.default_rng(sorted(FIT_MODELS).index(model))
+    samples = _thermal_record(7)
+    ts, ys, sigmas = (np.array([getattr(s, f) for s in samples]) for f in ("t", "p_up", "sigma"))
+    fit = _FloppingFit(model, ts, ys, sigmas)
+    dist_seeds = FIT_MODELS[model][0]
+    start = [v * rng.uniform(0.7, 1.3) if v else rng.normal(0.0, 1.0)
+             for v in dist_seeds.values()]
+    start += [rng.uniform(0.85, 1.0), rng.uniform(0.01, 0.04),
+              OMEGA * rng.uniform(0.97, 1.03), rng.uniform(400.0, 800.0)]
+    theta = np.array([math.log(v) if log else v for v, log in zip(start, fit.logged)])
+    jac = fit.jacobian(theta)
+    h = 1e-6
+    central = np.column_stack([(fit.residuals(theta + h * e) - fit.residuals(theta - h * e))
+                               / (2.0 * h) for e in np.eye(theta.size)])
+    np.testing.assert_allclose(jac, central, rtol=1e-6, atol=1e-6 * np.abs(central).max())
+    # the residuals at theta, then the Jacobian at theta from the kept kernel
+    fit.residuals(theta)
+    np.testing.assert_array_equal(fit.jacobian(theta), jac)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_fits_of_a_vacuum_record_leave_the_distribution_unresolved(seed):
+    """A ground-state record carries no population information: the thermal,
+    coherent and squeezed-vacuum fits report rank 4 of 5 and an infinite
+    error on their distribution parameter."""
+    samples = synthetic_brightness(np.array([1.0]), SidebandConfig(omega_rabi=OMEGA, gamma0=600.0),
+                                   np.linspace(0.5e-6, 150e-6, 300), 0.95, 0.02, 0.02,
+                                   np.random.default_rng(seed))
+    for model, name in (("thermal", "nbar"), ("coherent", "mbar"), ("squeezed_vacuum", "r")):
+        res = fit_distribution(samples, model)
+        assert res.rank == 4
+        assert res.errors[name] == math.inf
+        assert all(math.isfinite(res.errors[k]) for k in ("a", "b", "omega01", "gamma0"))
+
+
+def test_omega_seed_is_the_direct_periodogram_peak():
+    """The periodogram factored over the tableau peaks where the direct sum
+    over samples does, on a uniform and on a shuffled non-uniform record."""
+    uniform = _thermal_record(3)
+    rng = np.random.default_rng(9)
+    t = rng.uniform(0.5e-6, 150e-6, 120)
+    p = thermal_distribution(1.2, cutoff=150, tail_budget=1.0)
+    ragged = synthetic_brightness(p, SidebandConfig(omega_rabi=OMEGA, gamma0=600.0),
+                                  t, 0.95, 0.02, 0.02, rng)
+    for samples in (uniform, ragged):
+        ts = np.array([s.t for s in samples])
+        ys = np.array([s.p_up for s in samples])
+        order = np.argsort(ts)
+        ts, ys = ts[order], ys[order] - ys.mean()
+        omegas = np.linspace(TWO_PI / (ts[-1] - ts[0]), math.pi / np.median(np.diff(ts)), 800)
+        power = np.abs(np.exp(-1j * np.outer(omegas, ts)) @ ys)
+        assert _default_omega_seed(samples) == omegas[np.argmax(power)]
 
 
 def test_free_fit_reaches_a_true_minimum():
@@ -376,6 +473,13 @@ def test_brightness_csv_bad_header(tmp_path):
     (tmp_path / "empty.csv").write_text("")
     with pytest.raises(ValidationError):
         load_brightness_csv(tmp_path / "empty.csv")
+
+
+def test_brightness_csv_negative_time_names_its_line(tmp_path):
+    path = tmp_path / "negative.csv"
+    path.write_text("t_us,p_up,sigma\n1.0,0.5,0.02\n-2.0,0.5,0.02\n")
+    with pytest.raises(ValidationError, match="line 3"):
+        load_brightness_csv(path)
 
 
 def test_synthetic_brightness_is_seeded():

@@ -117,6 +117,17 @@ def test_squeezed_thermal_mean_identity(nbar, r):
                                rtol=1e-9, atol=1e-15)
 
 
+@pytest.mark.parametrize("nbar,r", [(0.5, 400.0), (0.0, 1e3), (2.0, 1e300)])
+def test_overflowing_squeezing_is_a_domain_error(nbar, r):
+    """Once sinh(r)^2 overflows a double (r past ~355.6) both the populations
+    and the mean raise DomainError naming the limit; before, a bare
+    OverflowError (math range error)."""
+    with pytest.raises(DomainError, match="overflows"):
+        squeezed_thermal_distribution(nbar, r)
+    with pytest.raises(DomainError, match="overflows"):
+        squeezed_thermal_mean(nbar, r)
+
+
 @pytest.mark.parametrize("r", [0.02, 0.3, 1.2, 2.0])
 @pytest.mark.parametrize("m", [0, 1, 7, 20, 60, 100, 300])
 def test_squeezed_number_mean_and_variance_identities(m, r):
