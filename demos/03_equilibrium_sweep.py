@@ -9,7 +9,7 @@ balance nbar_c_eq = nbar_h (1 + nbar_w) / (nbar_w - nbar_h).
 from ionfridge import equilibrium_cold_occupation, fig2_dataset
 from ionfridge.experiments import reference_scenario
 
-base = reference_scenario("z570", epsilon=1e-4)
+base = reference_scenario("z570")
 sweep = fig2_dataset(base,
                      nbar_w_values=[4.44, 2.16, 1.10],
                      nbar_c_values=[0.6, 1.2, 1.8, 2.4, 3.0])

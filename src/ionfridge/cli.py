@@ -34,7 +34,8 @@ import numpy as np
 from .dynamics import EnsembleSpectrum, assemble_initial
 from .errors import NumericsError, ValidationError
 from .experiments import (Scenario, SteadyStateRule, fig2_dataset, fig3_dataset,
-                          fig4_dataset, load_scenario, run_scenario, steady_state)
+                          fig4_dataset, load_scenario, load_trap, run_scenario,
+                          steady_state)
 from .fockspace import TruncationPolicy
 from .measurement import FIT_MODELS, fit_distribution, load_brightness_csv
 from .oracle import dense_oracle_evolve
@@ -102,9 +103,8 @@ def _out_dir(args) -> Path:
 def _load(args) -> Scenario:
     s = load_scenario(args.scenario)
     if args.epsilon is not None:
-        s = dataclasses.replace(s, truncation=TruncationPolicy(
-            epsilon=args.epsilon, n_max_h=s.truncation.n_max_h,
-            n_max_w=s.truncation.n_max_w, n_max_c=s.truncation.n_max_c))
+        s = dataclasses.replace(s, truncation=dataclasses.replace(
+            s.truncation, epsilon=args.epsilon))
     return s
 
 
@@ -182,8 +182,7 @@ def _cmd_fit(args) -> int:
 
 
 def _cmd_coupling(args) -> int:
-    from .experiments import _read_json, _trap_from_dict   # scenario-format trap schema
-    trap = _trap_from_dict(_read_json(Path(args.trap)), "trap")
+    trap = load_trap(args.trap)
     freqs = mode_frequencies(trap)
     spacing = equilibrium_spacing(trap)
     rate = coupling_rate(trap)

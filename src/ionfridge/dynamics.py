@@ -238,7 +238,7 @@ class EnsembleSpectrum:
         self.sum_wN = float(sec.weight @ sec.N)
         self.sum_wM = float(sec.weight @ sec.M)
 
-    def _means(self, rows: np.ndarray, offsets: np.ndarray, even=None,
+    def _means(self, rows: np.ndarray, offsets: np.ndarray, even,
                odd=None) -> np.ndarray:
         """[n_h, sum w N - n_h, sum w M - n_h] at the times rows[a] + offsets[b].
 
@@ -253,17 +253,16 @@ class EnsembleSpectrum:
         keep each factor block near ``_KERNEL_BLOCK`` elements.
         """
         n_h = np.full((rows.size, offsets.size), self.nh_dephased)
-        if even is not None:
-            one_column = offsets.size == 1 and offsets[0] == 0.0
-            step = max(1, _KERNEL_BLOCK // (rows.size + offsets.size))
-            for lo in range(0, self.gaps.size, step):
-                g, c = self.gaps[lo:lo + step], self.coef[lo:lo + step]
-                if one_column:
-                    n_h[:, 0] += even(rows, g) @ c
-                    continue
-                n_h += (even(rows, g) * c) @ even(offsets, g).T
-                if odd is not None:
-                    n_h -= (odd(rows, g) * c) @ odd(offsets, g).T
+        one_column = offsets.size == 1 and offsets[0] == 0.0
+        step = max(1, _KERNEL_BLOCK // (rows.size + offsets.size))
+        for lo in range(0, self.gaps.size, step):
+            g, c = self.gaps[lo:lo + step], self.coef[lo:lo + step]
+            if one_column:
+                n_h[:, 0] += even(rows, g) @ c
+                continue
+            n_h += (even(rows, g) * c) @ even(offsets, g).T
+            if odd is not None:
+                n_h -= (odd(rows, g) * c) @ odd(offsets, g).T
         n_h = n_h.ravel()
         return np.array([n_h, self.sum_wN - n_h, self.sum_wM - n_h])
 
@@ -318,7 +317,8 @@ class EnsembleSpectrum:
 
     def dephased_moments(self) -> OccupationTriple:
         """Means of the infinite-time average (exact for simple spectra)."""
-        return OccupationTriple(*map(float, self._means(np.zeros(1), np.zeros(1))[:, 0]))
+        n_h = self.nh_dephased
+        return OccupationTriple(n_h, self.sum_wN - n_h, self.sum_wM - n_h)
 
     def min_eigenvalue_gap(self) -> float:
         """Smallest nonzero eigenvalue gap across sectors with dim > 1 (rad/s)."""

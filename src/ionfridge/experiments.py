@@ -7,6 +7,9 @@ files are JSON; frequencies there are ordinary frequencies in kHz and
 times are in microseconds, converted to angular rad/s and seconds at the
 boundary.  Unknown keys are rejected.
 
+Each section of a file is one table, read and echoed by one routine; an
+absent optional key takes its dataclass default.
+
 Emitted datasets are CSV with a single leading ``# ``-prefixed JSON
 metadata line (constants, truncation, retained weight, sector count,
 software version).  No timestamps are embedded, so identical scenarios
@@ -19,6 +22,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Iterable, Sequence, get_type_hints
 
@@ -35,8 +39,14 @@ from .measurement import SidebandConfig, red_sideband_brightness
 from .states import PREP_PARAMS, ModePrep, prep_mean
 from .trap import CODATA2014, REFERENCE_SETUPS, TrapConfig, coupling_rate
 
-TWO_PI = 2.0 * math.pi
 SCHEMA_VERSION = 1
+
+#: scenario-file units: kHz (ordinary frequency) and microseconds, in rad/s and s
+_KHZ = 2.0 * math.pi * 1e3
+_US = 1e-6
+
+#: most points a time grid may hold; the shipped scenarios use at most 281
+MAX_GRID_POINTS = 10_000
 
 #: steady-state window presets (s) used by the measurement procedure
 WINDOW_DEFAULT = 240e-6
@@ -71,8 +81,9 @@ class Scenario:
 
     def __post_init__(self):
         grid = np.asarray(self.time_grid, dtype=float)
-        if grid.ndim != 1 or grid.size == 0:
-            raise ScenarioError("time grid must be a nonempty 1-d array")
+        if grid.ndim != 1 or not 0 < grid.size <= MAX_GRID_POINTS:
+            raise ScenarioError("time grid must be a nonempty 1-d array of at most "
+                                f"MAX_GRID_POINTS = {MAX_GRID_POINTS} points")
         if not np.all(np.isfinite(grid)):
             raise ScenarioError("time grid must be finite")
         if grid.size > 1 and np.any(np.diff(grid) <= 0.0):
@@ -86,17 +97,20 @@ class Scenario:
             raise ScenarioError("detuning must be finite")
 
 
-def _reject_unknown(d: dict, allowed: Iterable[str], where: str) -> None:
-    unknown = set(d) - set(allowed)
-    if unknown:
-        raise ScenarioError(f"unknown key(s) in {where}: {sorted(unknown)}")
-
-
-def _require(d: dict, key: str, where: str, kind=None):
-    """``d[key]``, checked by ``kind`` (``_number`` or ``_integer``) if given."""
+def _require(d: dict, key: str, where: str):
     if key not in d:
         raise ScenarioError(f"missing key {key!r} in {where}")
-    return d[key] if kind is None else kind(d[key], f"{where}.{key}")
+    return d[key]
+
+
+def _object(value, where: str, allowed: Iterable[str] | None = None) -> dict:
+    """``value`` as a JSON object holding no key outside ``allowed``, if given."""
+    if not isinstance(value, dict):
+        raise ScenarioError(f"{where} must be an object")
+    unknown = set(value) - set(value if allowed is None else allowed)
+    if unknown:
+        raise ScenarioError(f"unknown key(s) in {where}: {sorted(unknown)}")
+    return value
 
 
 def _number(value, where: str) -> float:
@@ -124,51 +138,96 @@ def _numbers(value, where: str) -> tuple[float, ...]:
     return tuple(_number(v, where) for v in value)
 
 
-#: ModePrep field -> the parser of its scenario value
-_PREP_FIELD_PARSERS = {name: _integer if hint is int else _number
-                       for name, hint in get_type_hints(ModePrep).items()}
+def _cap(value, where: str) -> int | None:
+    """A truncation cap: an integer, or null for none."""
+    return None if value is None else _integer(value, where)
 
 
-def _prep_from_dict(d: dict, where: str) -> ModePrep:
-    if not isinstance(d, dict):
-        raise ScenarioError(f"{where} must be an object")
-    kind = _require(d, "kind", where)
-    if not isinstance(kind, str) or kind not in PREP_PARAMS:
-        raise ScenarioError(f"unknown preparation kind {kind!r} in {where}")
-    _reject_unknown(d, ("kind", *PREP_PARAMS[kind]), where)
-    values = {field: _require(d, key, where, _PREP_FIELD_PARSERS[field])
-              for key, field in PREP_PARAMS[kind].items()}
+def _prep_kind(value, where: str) -> str:
+    if not isinstance(value, str) or value not in PREP_PARAMS:
+        raise ScenarioError(f"unknown preparation kind {value!r} in {where}")
+    return value
+
+
+def _section(value, where: str, table: dict, cls):
+    """``cls`` built from the JSON object ``value`` by ``table``; an absent
+    optional key is left out, so the dataclass default applies."""
+    _object(value, where, table)
+    fields = {}
+    for key, (field, parse, unit, required) in table.items():
+        if key in value:
+            parsed = parse(value[key], f"{where}.{key}")
+            fields[field] = parsed if unit is None else parsed * unit
+        elif required:
+            raise ScenarioError(f"missing key {key!r} in {where}")
     try:
-        return ModePrep(kind=kind, **values)
+        return cls(**fields)
     except DomainError as exc:
         raise ScenarioError(f"invalid {where}: {exc}") from exc
 
 
-def _trap_from_dict(d: dict, where: str) -> TrapConfig:
-    if not isinstance(d, dict):
-        raise ScenarioError(f"{where} must be an object")
-    _reject_unknown(d, ("omega_x_khz", "omega_y_khz", "omega_z_khz"), where)
-    try:
-        return TrapConfig(
-            omega_x=TWO_PI * 1e3 * _require(d, "omega_x_khz", where, _number),
-            omega_y=TWO_PI * 1e3 * _require(d, "omega_y_khz", where, _number),
-            omega_z=TWO_PI * 1e3 * _require(d, "omega_z_khz", where, _number),
-        )
-    except DomainError as exc:
-        raise ScenarioError(f"invalid {where}: {exc}") from exc
+def _echo(obj, table: dict) -> dict:
+    """The scenario-file object of ``obj``: every table row, back in file units."""
+    return {key: getattr(obj, field) if unit is None else getattr(obj, field) / unit
+            for key, (field, _, unit, _) in table.items()}
+
+
+def _prep_from_dict(d, where: str) -> ModePrep:
+    kind = _prep_kind(_require(_object(d, where), "kind", where), where)
+    return _section(d, where, PREP_TABLES[kind], ModePrep)
+
+
+def _prep_echo(prep: ModePrep) -> dict:
+    return _echo(prep, PREP_TABLES[prep.kind])
+
+
+#: section tables: file key -> (dataclass field, parser, unit or None, required)
+TRAP_TABLE = {f"omega_{axis}_khz": (f"omega_{axis}", _number, _KHZ, True)
+              for axis in "xyz"}
+
+#: exactly one of the two keys, checked by the scenario parser
+COUPLING_TABLE = {"xi_khz": ("xi", _number, _KHZ, False),
+                  "trap": ("trap", partial(_section, table=TRAP_TABLE, cls=TrapConfig),
+                           None, False)}
+
+#: preparation kind -> its table, from PREP_PARAMS and ModePrep's type hints
+_PREP_PARSERS = {field: {str: _prep_kind, int: _integer, float: _number}[hint]
+                 for field, hint in get_type_hints(ModePrep).items()}
+PREP_TABLES = {kind: {key: (field, _PREP_PARSERS[field], None, True)
+                      for key, field in {"kind": "kind", **params}.items()}
+               for kind, params in PREP_PARAMS.items()}
+
+PREPS_TABLE = {mode: (mode, _prep_from_dict, None, True) for mode in ("hot", "work", "cold")}
+
+TRUNCATION_TABLE = {"epsilon": ("epsilon", _number, None, False),
+                    **{f"n_max_{m}": (f"n_max_{m}", _cap, None, False) for m in "hwc"}}
+
+SIDEBAND_TABLE = {"omega_rabi_khz": ("omega_rabi", _number, _KHZ, True),
+                  "t_rsb_us": ("t_rsb", _number, _US, True),
+                  "a_bg": ("a_bg", _number, None, False),
+                  "eta": ("eta", _number, None, False)}
+
+SWEEP_TABLE = {key: (key, _numbers, None, False) for key in ("work_nbar", "cold_nbar")}
+
+#: the {start, stop, num} form of time_grid_us: numpy.linspace's arguments in us
+GRID_TABLE = {"start": ("start", _number, None, True), "stop": ("stop", _number, None, True),
+              "num": ("num", _integer, None, True)}
+
+#: optional top-level sections: Scenario field = file key -> (table, dataclass)
+_SECTIONS = {"truncation": (TRUNCATION_TABLE, TruncationPolicy),
+             "sideband": (SIDEBAND_TABLE, SidebandConfig),
+             "sweep": (SWEEP_TABLE, SweepSpec)}
 
 
 def _time_grid_from_json(value, where: str) -> np.ndarray:
     if isinstance(value, dict):
-        _reject_unknown(value, ("start", "stop", "num"), where)
-        start = _require(value, "start", where, _number)
-        stop = _require(value, "stop", where, _number)
-        num = _require(value, "num", where, _integer)
-        if num < 1:
-            raise ScenarioError(f"{where}.num must be >= 1")
-        return np.linspace(start, stop, num) * 1e-6
+        grid = _section(value, where, GRID_TABLE, dict)
+        if not 1 <= grid["num"] <= MAX_GRID_POINTS:
+            raise ScenarioError(f"{where}.num must be >= 1 and <= MAX_GRID_POINTS = "
+                                f"{MAX_GRID_POINTS}")
+        return np.linspace(**grid) * _US
     if isinstance(value, list) and value:
-        return np.array(_numbers(value, where)) * 1e-6
+        return np.array(_numbers(value, where)) * _US
     raise ScenarioError(f"{where} must be a nonempty list or a start/stop/num object")
 
 
@@ -176,82 +235,29 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     """Build a Scenario from parsed JSON, rejecting unknown keys."""
     if not isinstance(data, dict):
         raise ScenarioError("scenario must be a JSON object")
-    allowed = ("schema_version", "name", "coupling", "detuning_khz", "preps",
-               "time_grid_us", "truncation", "sideband", "sweep")
-    _reject_unknown(data, allowed, "scenario")
+    _object(data, "scenario", ("schema_version", "name", "coupling", "detuning_khz",
+                               "preps", "time_grid_us", *_SECTIONS))
     version = _require(data, "schema_version", "scenario")
     if version != SCHEMA_VERSION:
         raise ScenarioError(f"unsupported schema_version {version!r}")
 
-    coupling = _require(data, "coupling", "scenario")
-    if not isinstance(coupling, dict):
-        raise ScenarioError("coupling must be an object")
-    _reject_unknown(coupling, ("xi_khz", "trap"), "coupling")
-    if ("xi_khz" in coupling) == ("trap" in coupling):
+    coupling = _section(_require(data, "coupling", "scenario"), "coupling",
+                        COUPLING_TABLE, dict)
+    if len(coupling) != 1:
         raise ScenarioError("coupling requires exactly one of xi_khz or trap")
-    if "xi_khz" in coupling:
-        xi = TWO_PI * 1e3 * _require(coupling, "xi_khz", "coupling", _number)
-    else:
-        trap = _trap_from_dict(coupling["trap"], "coupling.trap")
-        xi = coupling_rate(trap).xi       # emits CouplingFormulaWarning
+    # a trap's coupling_rate emits CouplingFormulaWarning
+    xi = coupling["xi"] if "xi" in coupling else coupling_rate(coupling["trap"]).xi
+    preps = _section(_require(data, "preps", "scenario"), "preps", PREPS_TABLE, dict)
 
-    preps_json = _require(data, "preps", "scenario")
-    if not isinstance(preps_json, dict):
-        raise ScenarioError("preps must be an object")
-    _reject_unknown(preps_json, ("hot", "work", "cold"), "preps")
-    preps = tuple(_prep_from_dict(_require(preps_json, mode, "preps"), f"preps.{mode}")
-                  for mode in ("hot", "work", "cold"))
-
-    grid = _time_grid_from_json(_require(data, "time_grid_us", "scenario"),
-                                "time_grid_us")
-
-    trunc_json = data.get("truncation", {})
-    if not isinstance(trunc_json, dict):
-        raise ScenarioError("truncation must be an object")
-    _reject_unknown(trunc_json, ("epsilon", "n_max_h", "n_max_w", "n_max_c"),
-                    "truncation")
-    caps = {key: None if trunc_json.get(key) is None
-            else _integer(trunc_json[key], f"truncation.{key}")
-            for key in ("n_max_h", "n_max_w", "n_max_c")}
-    try:
-        truncation = TruncationPolicy(
-            epsilon=_number(trunc_json.get("epsilon", 1e-4), "truncation.epsilon"), **caps)
-    except DomainError as exc:
-        raise ScenarioError(f"invalid truncation: {exc}") from exc
-
-    sideband = None
-    if "sideband" in data:
-        sb = data["sideband"]
-        if not isinstance(sb, dict):
-            raise ScenarioError("sideband must be an object")
-        _reject_unknown(sb, ("omega_rabi_khz", "t_rsb_us", "a_bg", "eta"), "sideband")
-        try:
-            sideband = SidebandConfig(
-                omega_rabi=TWO_PI * 1e3 * _require(sb, "omega_rabi_khz", "sideband", _number),
-                t_rsb=1e-6 * _require(sb, "t_rsb_us", "sideband", _number),
-                a_bg=_number(sb.get("a_bg", 0.0), "sideband.a_bg"),
-                eta=_number(sb.get("eta", 1.0), "sideband.eta"),
-            )
-        except DomainError as exc:
-            raise ScenarioError(f"invalid sideband: {exc}") from exc
-
-    sweep = SweepSpec()
-    if "sweep" in data:
-        sw = data["sweep"]
-        if not isinstance(sw, dict):
-            raise ScenarioError("sweep must be an object")
-        _reject_unknown(sw, ("work_nbar", "cold_nbar"), "sweep")
-        sweep = SweepSpec(
-            work_nbar=_numbers(sw.get("work_nbar", []), "sweep.work_nbar"),
-            cold_nbar=_numbers(sw.get("cold_nbar", []), "sweep.cold_nbar"),
-        )
-
-    return Scenario(
-        preps=preps, time_grid=grid, xi=xi,
-        detuning=TWO_PI * 1e3 * _number(data.get("detuning_khz", 0.0), "detuning_khz"),
-        truncation=truncation, sideband=sideband,
-        name=str(data.get("name", name)), sweep=sweep,
-    )
+    fields = {"preps": tuple(preps.values()), "xi": xi, "name": str(data.get("name", name)),
+              "time_grid": _time_grid_from_json(_require(data, "time_grid_us", "scenario"),
+                                                "time_grid_us")}
+    for key, (table, cls) in _SECTIONS.items():
+        if key in data:
+            fields[key] = _section(data[key], key, table, cls)
+    if "detuning_khz" in data:
+        fields["detuning"] = _KHZ * _number(data["detuning_khz"], "detuning_khz")
+    return Scenario(**fields)
 
 
 def _read_json(path: Path):
@@ -267,10 +273,14 @@ def load_scenario(path) -> Scenario:
     return scenario_from_dict(_read_json(path), name=path.stem)
 
 
+def load_trap(path) -> TrapConfig:
+    """A trap file: one object with the keys of a scenario's ``coupling.trap``."""
+    return _section(_read_json(Path(path)), "trap", TRAP_TABLE, TrapConfig)
+
+
 def reference_scenario(setup: str = "z570", *, name: str | None = None,
                        preps: tuple[ModePrep, ModePrep, ModePrep] | None = None,
-                       t_stop: float = 400e-6, num: int = 161,
-                       epsilon: float = 1e-4) -> Scenario:
+                       t_stop: float = 400e-6, num: int = 161) -> Scenario:
     """Scenario at one of the two reference operating points.
 
     Uses the setup's Hamiltonian-rate coupling (half the quoted exchange
@@ -285,22 +295,16 @@ def reference_scenario(setup: str = "z570", *, name: str | None = None,
         preps=preps,
         time_grid=np.linspace(0.0, t_stop, num),
         xi=ref.xi_hamiltonian,
-        truncation=TruncationPolicy(epsilon=epsilon),
         name=name or f"reference_{setup}",
     )
-
-
-def _prep_echo(prep: ModePrep) -> dict:
-    return {"kind": prep.kind, **{key: getattr(prep, field)
-                                  for key, field in PREP_PARAMS[prep.kind].items()}}
 
 
 def scenario_echo(s: Scenario) -> dict:
     """Compact, JSON-safe summary of a scenario (and its sideband block, if any)."""
     echo = {
         "name": s.name,
-        "xi_khz": s.xi / (TWO_PI * 1e3),
-        "detuning_khz": s.detuning / (TWO_PI * 1e3),
+        "xi_khz": s.xi / _KHZ,
+        "detuning_khz": s.detuning / _KHZ,
         "preps": [_prep_echo(p) for p in s.preps],
         "t_start_us": float(s.time_grid[0]) * 1e6,
         "t_stop_us": float(s.time_grid[-1]) * 1e6,
@@ -309,9 +313,7 @@ def scenario_echo(s: Scenario) -> dict:
         "caps": list(s.truncation.caps()),
     }
     if s.sideband is not None:
-        echo["sideband"] = {"omega_rabi_khz": s.sideband.omega_rabi / (TWO_PI * 1e3),
-                            "t_rsb_us": s.sideband.t_rsb * 1e6,
-                            "a_bg": s.sideband.a_bg, "eta": s.sideband.eta}
+        echo["sideband"] = _echo(s.sideband, SIDEBAND_TABLE)
     return echo
 
 

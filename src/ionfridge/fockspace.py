@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, TruncationError
-from .states import PhononDistribution
+from .states import DEFAULT_CUTOFF, PhononDistribution
 
 #: Sector weights below this floor are dropped regardless of epsilon.
 WEIGHT_FLOOR = 1e-15
@@ -42,8 +42,8 @@ class TruncationPolicy:
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError("epsilon must be in (0, 1)")
         for cap in (self.n_max_h, self.n_max_w, self.n_max_c):
-            if cap is not None and cap < 0:
-                raise DomainError("per-mode caps must be >= 0")
+            if cap is not None and not 0 <= cap <= DEFAULT_CUTOFF:
+                raise DomainError(f"caps must be >= 0 and <= DEFAULT_CUTOFF = {DEFAULT_CUTOFF}")
 
     def caps(self) -> tuple[int | None, int | None, int | None]:
         return (self.n_max_h, self.n_max_w, self.n_max_c)

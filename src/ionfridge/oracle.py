@@ -14,7 +14,6 @@ Caps are limited to n_max <= 8 per mode (full dimension <= 729).
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg import expm
 
 from .errors import DomainError
 from .states import ModePrep
@@ -36,6 +35,7 @@ def number_operator(dim: int) -> np.ndarray:
 
 def squeeze_operator(r: float, theta: float = 0.0, dim: int = 60) -> np.ndarray:
     """S(z) = expm((conj(z) a^2 - z adag^2)/2) with z = r e^{i theta}."""
+    from scipy.linalg import expm     # only the oracle's squeezing needs scipy
     a = ladder(dim)
     z = r * np.exp(1j * theta)
     gen = 0.5 * (np.conj(z) * (a @ a) - z * (a.T @ a.T))
@@ -66,11 +66,10 @@ def coherent_density(alpha_sq: float, dim: int) -> np.ndarray:
     """|alpha><alpha| with real alpha = sqrt(alpha_sq), truncated and renormalized."""
     if alpha_sq < 0.0:
         raise DomainError("alpha_sq must be >= 0")
-    alpha = np.sqrt(alpha_sq)
     n = np.arange(dim)
     from scipy.special import gammaln
-    logc = n * np.log(alpha) if alpha > 0 else np.where(n == 0, 0.0, -np.inf)
-    vec = np.exp(logc - 0.5 * alpha_sq - 0.5 * gammaln(n + 1.0)) if alpha > 0 else (n == 0).astype(float)
+    vec = (n == 0).astype(float) if alpha_sq == 0.0 else np.exp(
+        n * np.log(np.sqrt(alpha_sq)) - 0.5 * alpha_sq - 0.5 * gammaln(n + 1.0))
     rho = np.outer(vec, vec)
     return rho / np.trace(rho)
 

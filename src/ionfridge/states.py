@@ -13,7 +13,8 @@ functions:
   elsewhere against a dense matrix exponential of the squeeze generator.
 
 All distributions are truncated at a finite cutoff, renormalized, and carry
-the pre-renormalization tail mass so callers can audit truncation.
+the pre-renormalization tail mass so callers can audit truncation.  The
+module needs numpy only, so a simulation never imports scipy.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import CutoffError, DomainError
 
@@ -82,6 +82,15 @@ def _finalize(raw: np.ndarray, tail_mass: float, tail_budget: float) -> PhononDi
     return PhononDistribution(p=p, mean=mean, tail_mass=tail)
 
 
+def _fock(n: int, cutoff: int, tail_budget: float) -> PhononDistribution:
+    """The Fock state |n> on n = 0..cutoff."""
+    if n > cutoff:
+        raise CutoffError(f"cutoff {cutoff} below Fock index {n}")
+    raw = np.zeros(cutoff + 1)
+    raw[n] = 1.0
+    return _finalize(raw, 0.0, tail_budget)
+
+
 # ---------------------------------------------------------------------------
 # Elementary distributions
 # ---------------------------------------------------------------------------
@@ -94,11 +103,9 @@ def thermal_distribution(nbar: float, cutoff: int = DEFAULT_CUTOFF,
         raise DomainError("nbar must be >= 0")
     if cutoff < 0:
         raise DomainError("cutoff must be >= 0")
-    n = np.arange(cutoff + 1)
     if nbar == 0.0:
-        raw = np.zeros(cutoff + 1)
-        raw[0] = 1.0
-        return _finalize(raw, 0.0, tail_budget)
+        return _fock(0, cutoff, tail_budget)
+    n = np.arange(cutoff + 1)
     x = nbar / (nbar + 1.0)
     logp = n * math.log(x) - math.log(nbar + 1.0)
     tail = x ** (cutoff + 1)          # exact geometric tail
@@ -112,13 +119,10 @@ def coherent_distribution(mbar: float, cutoff: int = DEFAULT_CUTOFF,
         raise DomainError("mbar must be >= 0")
     if cutoff < 0:
         raise DomainError("cutoff must be >= 0")
-    n = np.arange(cutoff + 1)
     if mbar == 0.0:
-        raw = np.zeros(cutoff + 1)
-        raw[0] = 1.0
-        return _finalize(raw, 0.0, tail_budget)
-    logp = n * math.log(mbar) - mbar - gammaln(n + 1.0)
-    raw = np.exp(logp)
+        return _fock(0, cutoff, tail_budget)
+    log_factorial = np.fromiter(map(math.lgamma, range(1, cutoff + 2)), float, cutoff + 1)
+    raw = np.exp(np.arange(cutoff + 1) * math.log(mbar) - mbar - log_factorial)
     tail = max(0.0, 1.0 - raw.sum())
     return _finalize(raw, tail, tail_budget)
 
@@ -194,11 +198,7 @@ def squeezed_number_distribution(m: int, r: float, cutoff: int = DEFAULT_CUTOFF,
     if not 0.0 <= r < math.inf:
         raise DomainError("r must be finite and >= 0")
     if r == 0.0:
-        if m > cutoff:
-            raise CutoffError(f"cutoff {cutoff} below Fock index {m}")
-        raw = np.zeros(cutoff + 1)
-        raw[m] = 1.0
-        return _finalize(raw, 0.0, tail_budget)
+        return _fock(m, cutoff, tail_budget)
     lo = m % 2
     # beyond twice the upper turning point amplitudes fall by ~tanh r per step
     # of two levels; the extra levels make the start error negligible
@@ -312,11 +312,7 @@ def prep_to_distribution(prep: ModePrep, cutoff: int = DEFAULT_CUTOFF,
     if prep.kind == "squeezed_thermal":
         return squeezed_thermal_distribution(prep.nbar, prep.r, cutoff, tail_budget)
     if prep.kind == "fock":
-        if prep.n_fock > cutoff:
-            raise CutoffError(f"cutoff {cutoff} below Fock index {prep.n_fock}")
-        raw = np.zeros(cutoff + 1)
-        raw[prep.n_fock] = 1.0
-        return _finalize(raw, 0.0, tail_budget)
+        return _fock(prep.n_fock, cutoff, tail_budget)
     raise DomainError(f"unknown prep kind {prep.kind!r}")   # pragma: no cover
 
 

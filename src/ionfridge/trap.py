@@ -40,6 +40,10 @@ CODATA2014 = PhysicalConstants()
 #: Mass of the simulated ion species (171 atomic mass units).
 ION_MASS = 171 * CODATA2014.amu
 
+#: Admissible trap frequencies (rad/s): 1 Hz to 1 GHz, far beyond any ion trap
+#: either way, and narrow enough that every formula below stays finite.
+TRAP_OMEGA_RANGE = (2.0 * math.pi, 2.0 * math.pi * 1e9)
+
 
 # ---------------------------------------------------------------------------
 # Configuration containers
@@ -53,7 +57,7 @@ class TrapConfig:
     The crystal is three ions of mass :data:`ION_MASS`.  The radial mode
     formulas below require ``omega_x > omega_y`` (modes are built on the x
     radial) and ``omega_x**2 > (12/5) * omega_z**2`` so that the radial
-    zigzag mode exists.
+    zigzag mode exists.  Each frequency lies in :data:`TRAP_OMEGA_RANGE`.
     """
 
     omega_x: float
@@ -63,8 +67,9 @@ class TrapConfig:
     def __post_init__(self):
         if not (self.omega_x > self.omega_y > 0.0):
             raise DomainError("need omega_x > omega_y > 0")
-        if self.omega_z <= 0.0:
-            raise DomainError("need omega_z > 0")
+        lo, hi = TRAP_OMEGA_RANGE
+        if not all(lo <= w <= hi for w in (self.omega_x, self.omega_y, self.omega_z)):
+            raise DomainError(f"trap frequencies must lie in [{lo:.6g}, {hi:.6g}] rad/s")
         if self.omega_x ** 2 <= (12.0 / 5.0) * self.omega_z ** 2:
             raise DomainError(
                 "radial zigzag mode does not exist: need omega_x^2 > (12/5) omega_z^2"
@@ -110,13 +115,11 @@ def mode_frequencies(trap: TrapConfig) -> ModeFrequencies:
     omega_h = sqrt(29/5) * omega_z        (axial zigzag)
     omega_w = sqrt(omega_x^2 - omega_z^2) (radial rocking)
     omega_c = sqrt(omega_x^2 - (12/5) omega_z^2) (radial zigzag)
+
+    Both radial modes exist for every :class:`TrapConfig`.
     """
     wx2 = trap.omega_x ** 2
     wz2 = trap.omega_z ** 2
-    if wx2 <= wz2:
-        raise DomainError("rocking mode does not exist: need omega_x > omega_z")
-    if wx2 <= 2.4 * wz2:
-        raise DomainError("radial zigzag mode does not exist")
     return ModeFrequencies(
         omega_h=math.sqrt(29.0 / 5.0) * trap.omega_z,
         omega_w=math.sqrt(wx2 - wz2),

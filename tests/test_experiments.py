@@ -1,19 +1,24 @@
 """Scenario schema, dataset builders, CSV format, and the CLI."""
 
 import copy
+import dataclasses
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from ionfridge.cli import main as cli_main
 from ionfridge.errors import ScenarioError, ValidationError
-from ionfridge.experiments import (SCHEMA_VERSION, WINDOW_DEFAULT,
-                                   WINDOW_SQUEEZED, RelaxationStudy,
-                                   RelaxationTrace, Scenario, SteadyStateRule,
+from ionfridge.experiments import (GRID_TABLE, MAX_GRID_POINTS, PREP_TABLES,
+                                   PREPS_TABLE, SCHEMA_VERSION, SIDEBAND_TABLE,
+                                   SWEEP_TABLE, TRAP_TABLE, TRUNCATION_TABLE,
+                                   WINDOW_DEFAULT, WINDOW_SQUEEZED, RelaxationStudy,
+                                   RelaxationTrace, Scenario, SteadyStateRule, SweepSpec,
                                    build_ensemble, fig2_dataset, fig3_dataset,
                                    fig4_dataset, load_scenario, read_dataset_csv,
                                    reference_scenario, relaxation_scenarios,
@@ -22,9 +27,11 @@ from ionfridge.experiments import (SCHEMA_VERSION, WINDOW_DEFAULT,
                                    with_thermal, write_dataset_csv,
                                    _prep_echo, _prep_from_dict)
 from ionfridge.dynamics import EnsembleSpectrum
+from ionfridge.fockspace import TruncationPolicy
 from ionfridge.measurement import (FIT_MODELS, SidebandConfig, red_sideband_brightness,
                                    save_brightness_csv, synthetic_brightness)
-from ionfridge.states import PREP_PARAMS, ModePrep, prep_mean, thermal_distribution
+from ionfridge.states import (DEFAULT_CUTOFF, PREP_PARAMS, ModePrep, prep_mean,
+                              thermal_distribution)
 from ionfridge.trap import REFERENCE_SETUPS
 
 TWO_PI = 2.0 * math.pi
@@ -193,6 +200,130 @@ def test_shipped_scenarios_parse():
     for f in files:
         s = load_scenario(f)
         assert s.name == f.stem
+
+
+def test_absent_optional_keys_take_the_dataclass_defaults():
+    """The parser holds no defaults: an absent optional key is left out of the
+    constructor call, and a null cap is no cap."""
+    d = _base_dict()
+    del d["truncation"]
+    d["sideband"] = {"omega_rabi_khz": 20.0, "t_rsb_us": 10.0}
+    s = scenario_from_dict(d)
+    assert s.truncation == TruncationPolicy()
+    assert s.sideband == SidebandConfig(omega_rabi=s.sideband.omega_rabi,
+                                        t_rsb=s.sideband.t_rsb)
+    assert (s.detuning, s.sweep) == (0.0, SweepSpec())
+    d["truncation"] = {"n_max_h": None, "n_max_w": 30}
+    assert scenario_from_dict(d).truncation == TruncationPolicy(n_max_w=30)
+
+
+# ---------------------------------------------------------------------------
+# Size bounds and the parse-level leaf probe
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("num", [MAX_GRID_POINTS + 1, 1e12, 1e300, 10 ** 400],
+                         ids=["limit_plus_one", "1e12", "1e300", "huge_integer"])
+def test_grid_num_above_the_limit_is_rejected(num):
+    """The point count is checked before any allocation, and the error names
+    the limit; before, 1e12 raised MemoryError (7.28 TiB) and 1e300 a bare
+    ValueError."""
+    with pytest.raises(ScenarioError, match=f"MAX_GRID_POINTS = {MAX_GRID_POINTS}"):
+        scenario_from_dict(_mutate(("time_grid_us", "num"), num))
+
+
+def test_grid_list_above_the_limit_is_rejected():
+    """Explicit grids and constructed scenarios obey the same limit."""
+    too_long = list(range(MAX_GRID_POINTS + 1))
+    with pytest.raises(ScenarioError, match="MAX_GRID_POINTS"):
+        scenario_from_dict(_mutate(("time_grid_us",), too_long))
+    s = scenario_from_dict(_mutate(("time_grid_us", "num"), MAX_GRID_POINTS))
+    assert s.time_grid.size == MAX_GRID_POINTS
+    with pytest.raises(ScenarioError, match="MAX_GRID_POINTS"):
+        dataclasses.replace(s, time_grid=np.arange(MAX_GRID_POINTS + 1.0))
+
+
+@pytest.mark.parametrize("cap", [DEFAULT_CUTOFF + 1, 1e12, 1e300])
+def test_truncation_cap_above_the_default_cutoff_is_rejected(cap):
+    """A cap above the uncapped ladder length only lengthens the ladder; before,
+    1e12 parsed and then asked for a 2.5 GiB array."""
+    with pytest.raises(ScenarioError, match=f"DEFAULT_CUTOFF = {DEFAULT_CUTOFF}"):
+        scenario_from_dict(_mutate(("truncation", "n_max_h"), cap))
+    s = scenario_from_dict(_mutate(("truncation", "n_max_h"), DEFAULT_CUTOFF))
+    assert s.truncation.n_max_h == DEFAULT_CUTOFF
+
+
+_PROBE_VALUES = (0, -1, 1e-300, 1e-12, 2.5, 7, 1e3, 1e6, 1e12, 1e300)
+_TRAP_KHZ = {"omega_x_khz": 1025.1, "omega_y_khz": 937.7, "omega_z_khz": 570.0}
+
+
+def _probe_leaves():
+    """(label, sections to set, leaf path, list-valued) for every leaf a
+    scenario file can hold, read off the section tables."""
+    leaves = [("coupling.xi_khz", {}, ("coupling", "xi_khz"), False),
+              ("detuning_khz", {}, ("detuning_khz",), False)]
+    leaves += [(f"coupling.trap.{key}", {"coupling": {"trap": _TRAP_KHZ}},
+                ("coupling", "trap", key), False) for key in TRAP_TABLE]
+    leaves += [(f"time_grid_us.{key}", {}, ("time_grid_us", key), False)
+               for key in GRID_TABLE]
+    for mode in PREPS_TABLE:
+        for kind, table in PREP_TABLES.items():
+            prep = {key: kind if key == "kind" else 1 for key in table}
+            leaves += [(f"preps.{mode}.{kind}.{key}", {"preps": {mode: prep}},
+                        ("preps", mode, key), False) for key in table if key != "kind"]
+    for section, table in (("truncation", TRUNCATION_TABLE), ("sideband", SIDEBAND_TABLE),
+                           ("sweep", SWEEP_TABLE)):
+        leaves += [(f"{section}.{key}", {}, (section, key), table is SWEEP_TABLE)
+                   for key in table]
+    return leaves
+
+
+_PROBE_LEAVES = _probe_leaves()
+
+
+@pytest.mark.filterwarnings("ignore::ionfridge.trap.CouplingFormulaWarning")
+@pytest.mark.parametrize("label,sections,path,as_list", _PROBE_LEAVES,
+                         ids=[leaf[0] for leaf in _PROBE_LEAVES])
+def test_every_scenario_leaf_parses_or_raises_scenario_error(label, sections, path,
+                                                              as_list):
+    """One leaf of the shipped readout scenario at a time takes each probe
+    value; parsing returns a Scenario or raises ScenarioError, never anything
+    else.  (Before, out-of-range trap frequencies raised OverflowError and
+    ZeroDivisionError, and grid and cap sizes the errors above.)"""
+    root = Path(__file__).resolve().parents[1] / "scenarios" / "sideband_readout.json"
+    base = json.loads(root.read_text())
+    base.setdefault("sweep", {})
+    for key, value in sections.items():
+        base[key] = {**base[key], **copy.deepcopy(value)} if key == "preps" else value
+    failures = []
+    for value in _PROBE_VALUES:
+        d = copy.deepcopy(base)
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = [value] if as_list else value
+        try:
+            assert isinstance(scenario_from_dict(d), Scenario)
+        except ScenarioError:
+            pass
+        except Exception as exc:                 # noqa: BLE001 - the probe's point
+            failures.append(f"{label} = {value!r}: {type(exc).__name__}: {exc}")
+    assert not failures, failures
+
+
+def test_simulation_imports_no_scipy():
+    """Importing the package and running a small relaxation scenario load no
+    scipy module; only fits and the oracle's squeezing import it, inside the
+    functions that need it."""
+    code = ("import sys, ionfridge\n"
+            "from ionfridge.experiments import reference_scenario, run_scenario\n"
+            "run_scenario(reference_scenario(num=5))\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": str(src)})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +663,18 @@ def test_cli_malformed_number_exit_code(tmp_path, capsys, path, value):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("path,value,limit", [
+    (("time_grid_us", "num"), MAX_GRID_POINTS + 1, "MAX_GRID_POINTS"),
+    (("truncation", "n_max_c"), DEFAULT_CUTOFF + 1, "DEFAULT_CUTOFF"),
+], ids=["grid_num", "cap"])
+def test_cli_size_above_its_limit_exit_code(tmp_path, capsys, path, value, limit):
+    """A grid or a cap above its limit is a validation error naming the limit,
+    exit 2; before, both ran (and larger values exhausted memory)."""
+    rc = cli_main(["steady-state", _write_scenario(tmp_path, _mutate(path, value))])
+    assert rc == 2
+    assert limit in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("command", ["steady-state", "simulate"])
 def test_cli_overflowing_squeezing_exit_code(tmp_path, capsys, command):
     """A squeezing whose sinh(r)^2 overflows is a validation error, exit 2;
@@ -590,6 +733,20 @@ def test_cli_coupling_report(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "omega_h/2pi = 1372.74 kHz" in out
     assert "xi/2pi = 1.3418 kHz" in out
+
+
+@pytest.mark.parametrize("trap,message", [
+    ({**_TRAP_KHZ, "omega_r_khz": 1.0}, "unknown key(s) in trap: ['omega_r_khz']"),
+    ({"omega_x_khz": 1025.1, "omega_y_khz": 937.7}, "missing key 'omega_z_khz' in trap"),
+    ({**_TRAP_KHZ, "omega_z_khz": 1e300}, "invalid trap: trap frequencies must lie in"),
+], ids=["unknown_key", "missing_key", "out_of_range"])
+def test_cli_coupling_reads_the_scenario_trap_table(tmp_path, capsys, trap, message):
+    """A trap file is read by the scenario's trap table, with its messages
+    (exit 2); before, 1e300 kHz escaped as an OverflowError traceback."""
+    path = tmp_path / "trap.json"
+    path.write_text(json.dumps(trap))
+    assert cli_main(["coupling", "--trap", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("text", ["5", "{bad"], ids=["not_object", "malformed_json"])

@@ -5,7 +5,7 @@ import pytest
 
 from ionfridge.errors import DomainError, TruncationError
 from ionfridge.fockspace import WEIGHT_FLOOR, TruncationPolicy, enumerate_sector, select_sectors
-from ionfridge.states import PhononDistribution, thermal_distribution
+from ionfridge.states import DEFAULT_CUTOFF, PhononDistribution, thermal_distribution
 
 
 def _raw_distribution(p):
@@ -42,6 +42,15 @@ def test_truncation_policy_validation():
     with pytest.raises(DomainError):
         TruncationPolicy(epsilon=1e-4, n_max_h=-1)
     assert TruncationPolicy(epsilon=1e-3, n_max_w=7).caps() == (None, 7, None)
+
+
+def test_truncation_caps_stop_at_the_default_cutoff():
+    """A cap above DEFAULT_CUTOFF, the ladder an uncapped mode gets, only
+    lengthens the ladder: it is rejected, naming the limit."""
+    assert TruncationPolicy(n_max_c=DEFAULT_CUTOFF).n_max_c == DEFAULT_CUTOFF
+    for cap in (DEFAULT_CUTOFF + 1, 10 ** 12):
+        with pytest.raises(DomainError, match=f"DEFAULT_CUTOFF = {DEFAULT_CUTOFF}"):
+            TruncationPolicy(n_max_h=cap)
 
 
 def _joint_weight(N, M, ph, pw, pc):

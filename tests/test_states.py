@@ -54,6 +54,32 @@ def test_coherent_distribution_is_poisson():
     assert d.mean == pytest.approx(mbar, rel=1e-9)
 
 
+@pytest.mark.parametrize("mbar", [1e-300, 1e-12, 0.3, 2.5, 7.0, 60.0, 150.0])
+def test_coherent_ladder_matches_the_log_gamma_ladder(mbar):
+    """The Poisson ladder is built from math.lgamma, without scipy; it agrees
+    with scipy's gammaln ladder to 1e-11 wherever p > 1e-300."""
+    from scipy.special import gammaln
+    n = np.arange(301)
+    raw = np.exp(n * math.log(mbar) - mbar - gammaln(n + 1.0))
+    d = coherent_distribution(mbar, cutoff=300, tail_budget=1.0)
+    kept = raw > 1e-300
+    np.testing.assert_allclose(d.p[kept], (raw / raw.sum())[kept], rtol=1e-11, atol=0.0)
+    assert d.tail_mass == pytest.approx(max(0.0, 1.0 - raw.sum()), abs=1e-13)
+
+
+def test_vacuum_and_fock_states_are_one_delta():
+    """Vacuum limits and Fock preparations are the same delta, with one
+    cutoff message."""
+    delta = prep_to_distribution(ModePrep.fock_state(0), cutoff=6)
+    for d in (thermal_distribution(0.0, cutoff=6), coherent_distribution(0.0, cutoff=6),
+              squeezed_number_distribution(0, 0.0, cutoff=6)):
+        assert np.array_equal(d.p, delta.p) and (d.mean, d.tail_mass) == (0.0, 0.0)
+    for build in (lambda: prep_to_distribution(ModePrep.fock_state(5), cutoff=3),
+                  lambda: squeezed_number_distribution(5, 0.0, cutoff=3)):
+        with pytest.raises(CutoffError, match="^cutoff 3 below Fock index 5$"):
+            build()
+
+
 def test_squeezed_vacuum_even_support_and_form():
     r = 0.9
     d = squeezed_vacuum_distribution(r, cutoff=100)

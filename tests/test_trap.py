@@ -10,8 +10,9 @@ import pytest
 
 from ionfridge.errors import DomainError
 from ionfridge.trap import (CODATA2014, COUPLING_FORMULA_NOTE, DETUNING_OFF,
-                            ION_MASS, REFERENCE_SETUPS, CouplingFormulaWarning,
-                            TrapConfig, cooling_power_per_mass, coupling_rate,
+                            ION_MASS, REFERENCE_SETUPS, TRAP_OMEGA_RANGE,
+                            CouplingFormulaWarning, TrapConfig,
+                            cooling_power_per_mass, coupling_rate,
                             equilibrium_spacing, mode_frequencies,
                             mode_temperature, refrigeration_ordering)
 
@@ -85,6 +86,20 @@ def test_trap_config_validation():
         # radial zigzag mode requires omega_x^2 > (12/5) omega_z^2
         TrapConfig(omega_x=TWO_PI * 700e3, omega_y=TWO_PI * 600e3,
                    omega_z=TWO_PI * 650e3)
+
+
+@pytest.mark.parametrize("axis", ["omega_x", "omega_y", "omega_z"])
+@pytest.mark.parametrize("khz", [1e-300, 1e-12, 1e12, 1e300])
+def test_trap_frequencies_outside_their_range_are_domain_errors(axis, khz):
+    """Every frequency lies in TRAP_OMEGA_RANGE (1 Hz to 1 GHz), where the mode
+    and coupling formulas stay finite; before, 1e300 kHz raised OverflowError
+    from omega**2 and 1e-300 kHz ZeroDivisionError from the ion spacing."""
+    lo, hi = TRAP_OMEGA_RANGE
+    assert (lo, hi) == pytest.approx((TWO_PI, TWO_PI * 1e9))
+    freqs = {"omega_x": TWO_PI * 1025.1e3, "omega_y": TWO_PI * 937.7e3,
+             "omega_z": TWO_PI * 570.0e3, axis: TWO_PI * 1e3 * khz}
+    with pytest.raises(DomainError):      # the range, or omega_x > omega_y first
+        TrapConfig(**freqs)
 
 
 def test_mode_temperature_frozen():
