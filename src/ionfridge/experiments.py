@@ -761,14 +761,13 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
         delta_classical=delta_classical, nbar_c_min_incoherent=nc_min_inc)
 
 
-def fig4_dataset(base: Scenario, nbar_w_values: Sequence[float] | None = None,
-                 include_incoherent: bool = False) -> SingleShotStudy:
-    """Single-shot cooling summary over a work-mode occupation sweep."""
+def fig4_dataset(base: Scenario, nbar_w_values: Sequence[float] | None = None) -> SingleShotStudy:
+    """Single-shot cooling summary, incoherent twin included, over a work-mode sweep."""
     nbar_w_values = list(nbar_w_values if nbar_w_values is not None
                          else base.sweep.work_nbar)
     if not nbar_w_values:
         raise ScenarioError("fig4 needs a work_nbar sweep")
-    points = [single_shot_point(with_thermal(base, "work", nw), include_incoherent)
+    points = [single_shot_point(with_thermal(base, "work", nw), include_incoherent=True)
               for nw in nbar_w_values]
     return SingleShotStudy(points=points, metadata=_base_metadata(base, "fig4", None))
 
@@ -776,10 +775,6 @@ def fig4_dataset(base: Scenario, nbar_w_values: Sequence[float] | None = None,
 # ---------------------------------------------------------------------------
 # CSV writing
 # ---------------------------------------------------------------------------
-
-
-def format_float(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def write_dataset_csv(path, columns: Sequence[str], rows, metadata: dict) -> None:
@@ -796,16 +791,26 @@ def write_dataset_csv(path, columns: Sequence[str], rows, metadata: dict) -> Non
                                    separators=(",", ":")) + "\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(v if isinstance(v, str) else format_float(float(v))
+            fh.write(",".join(v if isinstance(v, str) else f"{float(v):.12g}"
                               for v in row) + "\n")
 
 
 def read_dataset_csv(path) -> tuple[dict, list[str], np.ndarray]:
-    """Read back a dataset CSV written by :func:`write_dataset_csv`."""
+    """Read back a dataset CSV written by :func:`write_dataset_csv`: a float
+    array, or an object array with string labels if a cell is not a number."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     if not lines or not lines[0].startswith("# "):
         raise ScenarioError(f"{path}: missing metadata line")
     metadata = json.loads(lines[0][2:])
     columns = lines[1].split(",")
-    data = np.array([[float(v) for v in line.split(",")] for line in lines[2:] if line])
-    return metadata, columns, data
+    data = np.array([[_number_or_text(v) for v in line.split(",")]
+                     for line in lines[2:] if line], dtype=object)
+    labelled = any(isinstance(v, str) for v in data.flat)
+    return metadata, columns, data if labelled else data.astype(float)
+
+
+def _number_or_text(cell: str) -> float | str:
+    try:
+        return float(cell)
+    except ValueError:
+        return cell

@@ -11,10 +11,11 @@ costs transcendentals on about 2 sqrt(T) rows and offsets only.  Fits are
 weighted least squares on ``scipy.optimize.least_squares`` (trust-region
 ``trf``) with an analytic Jacobian read from the same kernel: the shape
 columns are closed-form and the distribution columns difference the
-populations only.  They report the rank and condition number of the final
-Jacobian, with an infinite error for a parameter the data do not resolve;
-the free-distribution fit parameterizes the simplex with a softmax so the
-constraints hold by construction.
+populations only.  Fits run in the reported parameters, the positive ones
+bounded below by 0, and report the rank and condition number of the final
+Jacobian, with an infinite error for a parameter the data do not resolve or
+that is held at its bound; the free-distribution fit parameterizes the
+simplex with a softmax so the constraints hold by construction.
 """
 
 from __future__ import annotations
@@ -185,12 +186,12 @@ def estimate_nbar(p_up_exp: float, simulated: SimulatedResponse,
 @dataclass(eq=False)
 class LMSolution:
     theta: np.ndarray
-    cov: np.ndarray      # pseudo-inverse: zero variance along dropped directions
-    errors: np.ndarray   # sqrt(diag(cov)), inf where a dropped direction loads
+    cov: np.ndarray      # pseudo-inverse: zero along dropped directions and held parameters
+    errors: np.ndarray   # sqrt(diag(cov)), inf where a dropped direction loads or held
     cost: float
     cost_history: list[float]
     n_iter: int
-    rank: int            # numerical rank of the Jacobian at the minimum
+    rank: int            # numerical rank of the Jacobian's free columns at the minimum
     cond: float          # its condition number s_max / s_min
 
 
@@ -211,19 +212,21 @@ _UNRESOLVED_LOADING = 1e-6
 
 def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndarray,
                          jac: Callable[[np.ndarray], np.ndarray],
-                         max_nfev: int = 500) -> LMSolution:
+                         max_nfev: int = 500, lower: np.ndarray | float = -np.inf) -> LMSolution:
     """Trust-region minimization of sum(fn(theta)^2) with Jacobian ``jac(theta)``.
 
     One ``scipy.optimize.least_squares`` call (``trf``); ``jac`` returns the
-    (residuals x parameters) derivative matrix of ``fn``.  An evaluation of
-    ``fn`` that raises OverflowError, FloatingPointError or ValidationError
-    is an infeasible trial point: it returns non-finite residuals, which
-    ``trf`` rejects by shrinking its trust region.  ``jac`` is called only at
-    the start and at accepted points, so the starting point must be
-    feasible.  ``cost_history`` holds the starting and accepted costs, so it
-    strictly decreases.  ``cov``, ``errors``, ``rank`` and ``cond`` come from
-    :func:`_covariance` of the final Jacobian.  Running out of ``max_nfev``
-    residual evaluations raises ``FitConvergenceError``.
+    (residuals x parameters) derivative matrix of ``fn``, and ``lower`` bounds
+    theta from below (unbounded by default).  An evaluation of ``fn`` that
+    raises OverflowError, FloatingPointError or ValidationError is an
+    infeasible trial point: it returns non-finite residuals, which ``trf``
+    rejects by shrinking its trust region.  ``jac`` is called only at the
+    start and at accepted points, so the starting point must be feasible.
+    ``cost_history`` holds the starting and accepted costs, so it strictly
+    decreases.  A parameter left on its bound is held there (error inf, zero
+    covariance); ``cov``, ``errors``, ``rank`` and ``cond`` come from
+    :func:`_covariance` of the other columns of the final Jacobian.  Running
+    out of ``max_nfev`` residual evaluations raises ``FitConvergenceError``.
     """
     # imported here, so that only fits pay for loading scipy.optimize
     from scipy.optimize import least_squares
@@ -246,7 +249,7 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
 
     res = least_squares(residuals, theta0, jac=jac, method="trf", ftol=_SOLVER_TOL,
                         xtol=_SOLVER_TOL, gtol=_SOLVER_TOL, max_nfev=max_nfev,
-                        callback=record)
+                        bounds=(lower, np.inf), callback=record)
     if res.status == 0:
         raise FitConvergenceError(f"no convergence within max_nfev = {max_nfev}")
     history = [float(r0 @ r0)]
@@ -254,7 +257,9 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
         if cost < history[-1]:
             history.append(cost)
 
-    cov, errors, rank, cond = _covariance(res.jac)
+    free = res.active_mask == 0
+    cov, errors = np.zeros((free.size, free.size)), np.full(free.size, math.inf)
+    cov[np.ix_(free, free)], errors[free], rank, cond = _covariance(res.jac[:, free])
     return LMSolution(theta=res.x, cov=cov, errors=errors, cost=2.0 * res.cost,
                       cost_history=history, n_iter=len(costs), rank=rank, cond=cond)
 
@@ -267,11 +272,11 @@ def _covariance(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
     its diagonal, or inf for a parameter that loads on a dropped direction.
     """
     _, sv, vt = np.linalg.svd(jac, full_matrices=False)
-    keep = sv > _RANK_RTOL * sv[0]
+    keep = sv > _RANK_RTOL * sv[:1]         # [:1]: a J without columns has no sv
     cov = (vt[keep].T / sv[keep] ** 2) @ vt[keep]
     unresolved = (vt[~keep] ** 2).sum(axis=0) > _UNRESOLVED_LOADING
     errors = np.where(unresolved, math.inf, np.sqrt(np.diag(cov)))
-    cond = float(sv[0] / sv[-1]) if sv[-1] > 0.0 else math.inf
+    cond = float(sv[0] / sv[-1]) if sv.size and sv[-1] > 0.0 else math.inf
     return cov, errors, int(keep.sum()), cond
 
 
@@ -306,8 +311,8 @@ FIT_MODELS: dict[str, tuple[dict[str, float], Callable[..., np.ndarray]]] = {
              lambda *logits: _softmax_with_fixed_head(np.array(logits))),
 }
 _SHAPE_PARAMS = ("a", "b", "omega01", "gamma0")
-#: parameters constrained positive via an internal log transform
-_LOG_PARAMS = {"nbar", "mbar", "r", "omega01", "gamma0"}
+#: parameters bounded below by 0 in the solver; the others are unbounded
+_NONNEGATIVE_PARAMS = {"nbar", "mbar", "r", "omega01", "gamma0"}
 
 
 @dataclass(eq=False)
@@ -333,65 +338,57 @@ _DIFF_STEP = math.sqrt(np.finfo(float).eps)
 class _FloppingFit:
     """Residuals (curve - y) / sigma of a :data:`FIT_MODELS` fit and their Jacobian.
 
-    Both take the internal parameters theta: the model's distribution
-    parameters, then a, b, omega01 and gamma0, with the ``_LOG_PARAMS`` as
-    logs.  Both read one flopping kernel K (:func:`_flopping_kernel`) per
+    Both take the reported parameters theta: the model's distribution
+    parameters, then a, b, omega01 and gamma0, the ``_NONNEGATIVE_PARAMS``
+    >= 0.  Both read one flopping kernel K (:func:`_flopping_kernel`) per
     theta, kept for the last theta, so the Jacobian at an accepted point
     reuses the kernel of its residuals.  With p the populations and
     S = K @ [p, sqrt(n+1) p, dp/dtheta_dist], the Jacobian columns of the
     curve are d/da = (1 - Re S_0) / 2, d/db = 1,
     d/d omega01 = (a/2) t Im S_1 and d/d gamma0 = (a/2) t Re S_1 (because
-    d e^{z_n t} / d omega01 = i sqrt(n+1) t e^{z_n t}), times the value
-    for a log parameter, and -(a/2) Re S_dist for the distribution
-    parameters.  dp/dtheta_dist is a forward difference of the populations
-    alone in theta, at scipy's 2-point step, the same for every model.
+    d e^{z_n t} / d omega01 = i sqrt(n+1) t e^{z_n t}), and -(a/2) Re S_dist
+    for the distribution parameters.  dp/dtheta_dist is a forward difference
+    of the populations alone in theta, at scipy's 2-point step, the same for
+    every model; a parameter at 0 steps upward, inside its bound.
     """
 
     def __init__(self, model: str, ts: np.ndarray, ys: np.ndarray, sigmas: np.ndarray):
         dist_seeds, self.populations = FIT_MODELS[model]
         self.n_dist = len(dist_seeds)
-        self.logged = [name in _LOG_PARAMS for name in tuple(dist_seeds) + _SHAPE_PARAMS]
         self.ts, self.ys, self.sigmas = ts, ys, sigmas
         self._key = None
 
-    def external(self, theta: np.ndarray) -> list[float]:
-        # math.exp raises OverflowError, which marks the trial point infeasible
-        return [math.exp(v) if log else float(v) for v, log in zip(theta, self.logged)]
-
     def _evaluate(self, theta: np.ndarray):
-        """(external values, populations, kernel) at theta, cached for the last theta."""
+        """(populations, kernel) at theta, cached for the last theta."""
         key = theta.tobytes()
         if key != self._key:
-            values = self.external(theta)
-            probs = self.populations(*values[:self.n_dist])
-            kernel = _flopping_kernel(probs.size, values[-2], values[-1], self.ts)
-            self._key, self._state = key, (values, probs, kernel)
+            probs = self.populations(*theta[:self.n_dist].tolist())
+            kernel = _flopping_kernel(probs.size, theta[-2], theta[-1], self.ts)
+            self._key, self._state = key, (probs, kernel)
         return self._state
 
     def residuals(self, theta: np.ndarray) -> np.ndarray:
-        values, probs, kernel = self._evaluate(theta)
-        a, b = values[self.n_dist:self.n_dist + 2]
+        probs, kernel = self._evaluate(theta)
+        a, b = theta[self.n_dist:self.n_dist + 2]
         curve = 0.5 * a * (1.0 - (kernel @ probs).real) + b
         return (curve - self.ys) / self.sigmas
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        values, probs, kernel = self._evaluate(theta)
+        probs, kernel = self._evaluate(theta)
         columns = [probs, np.sqrt(np.arange(probs.size) + 1.0) * probs]
         for j in range(self.n_dist):
             step = theta[:self.n_dist].copy()
             step[j] += _DIFF_STEP * (1.0 if theta[j] >= 0.0 else -1.0) * max(1.0, abs(theta[j]))
-            columns.append((self.populations(*self.external(step)) - probs)
+            columns.append((self.populations(*step.tolist()) - probs)
                            / (step[j] - theta[j]))
         sums = kernel @ np.column_stack(columns)
-        a = values[self.n_dist]
+        a = theta[self.n_dist]
         jac = np.empty((self.ts.size, theta.size))
         jac[:, :self.n_dist] = -0.5 * a * sums[:, 2:].real
         jac[:, self.n_dist] = 0.5 * (1.0 - sums[:, 0].real)
         jac[:, self.n_dist + 1] = 1.0
         jac[:, self.n_dist + 2] = 0.5 * a * self.ts * sums[:, 1].imag
         jac[:, self.n_dist + 3] = 0.5 * a * self.ts * sums[:, 1].real
-        jac[:, self.n_dist:] *= [v if log else 1.0 for v, log
-                                 in zip(values[self.n_dist:], self.logged[self.n_dist:])]
         return jac / self.sigmas[:, None]
 
 
@@ -457,17 +454,14 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
         "gamma0": 0.05 / max(float(ts.max()), 1e-12),
     }
     problem = _FloppingFit(model, ts, ys, sigmas)
-    start = [float((seed or {}).get(name, defaults[name])) for name in names]
-    theta0 = np.array([math.log(max(v, 1e-12)) if log else v
-                       for v, log in zip(start, problem.logged)])
+    lower = np.array([0.0 if name in _NONNEGATIVE_PARAMS else -math.inf for name in names])
+    start = np.array([float((seed or {}).get(name, defaults[name])) for name in names])
 
-    solution = damped_least_squares(problem.residuals, theta0, problem.jacobian)
-    values = problem.external(solution.theta)
-    # delta method back to external parameter space
-    errors = [float(err) * (v if log else 1.0)
-              for err, v, log in zip(solution.errors, values, problem.logged)]
+    solution = damped_least_squares(problem.residuals, np.maximum(start, lower),
+                                    problem.jacobian, lower=lower)
+    values = solution.theta.tolist()
     result = FitResult(model=model, params=dict(zip(names, values)),
-                       errors=dict(zip(names, errors)),
+                       errors=dict(zip(names, solution.errors.tolist())),
                        reduced_chi2=solution.cost / max(len(samples) - n_params, 1),
                        cost_history=solution.cost_history, n_iter=solution.n_iter,
                        rank=solution.rank, cond=solution.cond,

@@ -537,6 +537,15 @@ def test_fig4_dataset_uses_sweep(tmp_path):
         fig4_dataset(s)  # no sweep on the reference scenario
 
 
+def test_fig4_csv_carries_the_incoherent_minimum(tmp_path):
+    """Before, fig4 always wrote nbar_c_min_incoherent as nan: no caller of
+    fig4_dataset turned the incoherent twin on."""
+    s = reference_scenario("z570", t_stop=150e-6, num=61)
+    (path,) = fig4_dataset(s, nbar_w_values=[4.44]).write(tmp_path)
+    _, cols, data = read_dataset_csv(path)
+    assert np.all(np.isfinite(data[:, cols.index("nbar_c_min_incoherent")]))
+
+
 # ---------------------------------------------------------------------------
 # Dataset CSV format
 # ---------------------------------------------------------------------------
@@ -571,6 +580,25 @@ def test_fig3_csv_row_text_is_pinned(tmp_path):
         "label,nbar_w_eff,nbar_c_in,nbar_c_ss,delta_nc0,measured_ss",
         "thermal_nw4.44,4.44,2.63,2.1,0.53,nan",
     ]
+
+
+def test_fig3_csvs_read_back_with_their_labels(tmp_path):
+    """Labels come back as strings and numbers as floats.  Before, reading
+    either fig3 CSV raised ValueError on its label column."""
+    trace = RelaxationTrace(label="thermal_nw4.44", nbar_w_eff=4.44, nbar_c_in=2.63,
+                            nbar_c_ss=2.1, tau=np.array([0.0, 2.5e-6]),
+                            nbar_c=np.array([2.63, 2.6012345678901234]))
+    traces_path, summary_path = RelaxationStudy([trace], {"k": 1}).write(tmp_path)
+    meta, cols, data = read_dataset_csv(traces_path)
+    assert meta == {"k": 1}
+    assert cols == ["label", "tau_us", "nbar_c", "delta_nbar_c"]
+    assert data.tolist() == [["thermal_nw4.44", 0.0, 2.63, 0.53],
+                             ["thermal_nw4.44", 2.5, 2.60123456789, 0.50123456789]]
+    _, cols, data = read_dataset_csv(summary_path)
+    assert cols[0] == "label" and data.shape == (1, 6)
+    assert data[0, 0] == "thermal_nw4.44"
+    assert data[0, 1:5].tolist() == [4.44, 2.63, 2.1, 0.53]
+    assert math.isnan(data[0, 5])
 
 
 def test_dataset_csv_missing_metadata(tmp_path):

@@ -208,6 +208,29 @@ def test_lm_infeasible_trial_points_are_rejected():
     assert infeasible       # the start from below overshoots the limit
 
 
+def test_lm_parameter_held_at_its_lower_bound():
+    """The unbounded minimum (-1, 2) lies below theta[0]'s bound 0: the
+    solution sits on the bound, reports an infinite error there and leaves
+    that column out of the covariance, rank and condition number."""
+    def fn(theta):
+        return np.array([theta[0] + 1.0, theta[1] - 2.0, 0.5 * (theta[1] - 2.0)])
+
+    jac = lambda theta: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.5]])
+    sol = damped_least_squares(fn, np.array([3.0, 0.0]), jac,
+                               lower=np.array([0.0, -math.inf]))
+    assert 0.0 <= sol.theta[0] <= 1e-10
+    assert sol.theta[1] == pytest.approx(2.0, abs=1e-8)
+    assert sol.errors[0] == math.inf
+    assert sol.errors[1] == pytest.approx(math.sqrt(1.0 / 1.25), rel=1e-9)
+    np.testing.assert_allclose(sol.cov, [[0.0, 0.0], [0.0, 0.8]], atol=1e-12)
+    assert sol.rank == 1
+    assert sol.cond == pytest.approx(1.0)
+    # with every parameter held nothing is resolved
+    sol = damped_least_squares(lambda theta: theta + 1.0, np.array([3.0]),
+                               lambda theta: np.eye(1), lower=np.zeros(1))
+    assert sol.errors[0] == math.inf and sol.rank == 0 and sol.cond == math.inf
+
+
 # ---------------------------------------------------------------------------
 # Distribution fits
 # ---------------------------------------------------------------------------
@@ -261,7 +284,7 @@ def test_fit_jacobian_matches_central_differences(model):
              for v in dist_seeds.values()]
     start += [rng.uniform(0.85, 1.0), rng.uniform(0.01, 0.04),
               OMEGA * rng.uniform(0.97, 1.03), rng.uniform(400.0, 800.0)]
-    theta = np.array([math.log(v) if log else v for v, log in zip(start, fit.logged)])
+    theta = np.array(start)
     jac = fit.jacobian(theta)
     h = 1e-6
     central = np.column_stack([(fit.residuals(theta + h * e) - fit.residuals(theta - h * e))
@@ -285,6 +308,20 @@ def test_fits_of_a_vacuum_record_leave_the_distribution_unresolved(seed):
         assert res.rank == 4
         assert res.errors[name] == math.inf
         assert all(math.isfinite(res.errors[k]) for k in ("a", "b", "omega01", "gamma0"))
+
+
+def test_thermal_fit_of_an_undamped_record_holds_gamma0_at_zero():
+    """A record without decoherence drives gamma0 onto its bound 0, where it
+    is held: error inf, rank 4 of 5, the other parameters resolved."""
+    samples = synthetic_brightness(thermal_distribution(1.8, 150, 1.0),
+                                   SidebandConfig(omega_rabi=OMEGA, gamma0=0.0),
+                                   np.linspace(0.5e-6, 150e-6, 300), 0.95, 0.02, 0.02,
+                                   np.random.default_rng(0))
+    res = fit_distribution(samples, "thermal")
+    assert 0.0 <= res.params["gamma0"] <= 1e-12
+    assert res.errors["gamma0"] == math.inf
+    assert res.rank == 4
+    assert all(math.isfinite(res.errors[k]) for k in ("nbar", "a", "b", "omega01"))
 
 
 def test_omega_seed_is_the_direct_periodogram_peak():
