@@ -17,6 +17,10 @@ fig4; ``--epsilon`` (truncation weight budget) on those four and
 steady-state; ``--rule`` (``dephasing``, ``window`` or ``window:<us>``) on
 fig3 and steady-state.  Any other flag is a usage error (exit 2).
 
+The five subcommands that read a scenario file are rows of one table,
+``_SCENARIO_COMMANDS`` (flags, help text, function of the loaded scenario);
+the parser and the one handler of all five, ``_cmd_scenario``, read it.
+
 Exit codes: 0 success, 2 validation/configuration error, 3 numerical failure.
 """
 
@@ -51,31 +55,65 @@ _ORACLE_XI = TWO_PI * 2.64e3
 _ORACLE_TOL = 1e-9
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None,
-                     help="output directory (default: $IONFRIDGE_OUT or cwd)")
-    epsilon = argparse.ArgumentParser(add_help=False)
-    epsilon.add_argument("--epsilon", type=float, default=None,
-                         help="override the truncation weight budget")
-    rule = argparse.ArgumentParser(add_help=False)
-    rule.add_argument("--rule", default="dephasing",
-                      help="steady-state rule: dephasing, window or window:<us>")
+#: flag name -> add_argument keywords; each scenario subcommand names the ones it reads
+_FLAGS = {
+    "out": {"default": None, "help": "output directory (default: $IONFRIDGE_OUT or cwd)"},
+    "epsilon": {"type": float, "default": None,
+                "help": "override the truncation weight budget"},
+    "rule": {"default": "dephasing",
+             "help": "steady-state rule: dephasing, window or window:<us>"},
+}
 
+
+def _out_dir(args) -> Path:
+    path = Path(args.out or os.environ.get("IONFRIDGE_OUT") or ".")
+    path.mkdir(parents=True, exist_ok=True)
+    return path
+
+
+def _simulate(s: Scenario, args) -> str:
+    result = run_scenario(s)
+    path = _out_dir(args) / f"{s.name}_trajectory.csv"
+    result.to_csv(path)
+    return (f"wrote {path} ({result.tau.size} rows, "
+            f"retained weight {result.metadata['retained_weight']:.6f})")
+
+
+def _steady_state(s: Scenario, args) -> str:
+    occ = steady_state(s, SteadyStateRule.parse(args.rule))
+    return f"nbar_h={occ.nbar_h:.12g} nbar_w={occ.nbar_w:.12g} nbar_c={occ.nbar_c:.12g}"
+
+
+def _wrote(paths) -> str:
+    return "\n".join(f"wrote {path}" for path in paths)
+
+
+#: scenario subcommand -> (flags it reads, help text, text to print from (scenario, args))
+_SCENARIO_COMMANDS = {
+    "simulate": (("out", "epsilon"), "run a scenario and write the trajectory CSV", _simulate),
+    "fig2": (("out", "epsilon"), "hot-mode equilibration sweep",
+             lambda s, args: _wrote(fig2_dataset(s).write(_out_dir(args)))),
+    "fig3": (("out", "epsilon", "rule"),
+             "cold-mode relaxation study (thermal and squeezed work mode)",
+             lambda s, args: _wrote(fig3_dataset(s, rule=SteadyStateRule.parse(args.rule))
+                                    .write(_out_dir(args)))),
+    "fig4": (("out", "epsilon"), "single-shot cooling summary over a work-mode sweep",
+             lambda s, args: _wrote(fig4_dataset(s).write(_out_dir(args)))),
+    "steady-state": (("epsilon", "rule"), "print steady-state occupations of a scenario",
+                     _steady_state),
+}
+
+
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ionfridge",
         description="three-mode trapped-ion absorption refrigerator simulator")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    for name, parents, help_text in (
-        ("simulate", [out, epsilon], "run a scenario and write the trajectory CSV"),
-        ("fig2", [out, epsilon], "hot-mode equilibration sweep"),
-        ("fig3", [out, epsilon, rule],
-         "cold-mode relaxation study (thermal and squeezed work mode)"),
-        ("fig4", [out, epsilon], "single-shot cooling summary over a work-mode sweep"),
-        ("steady-state", [epsilon, rule], "print steady-state occupations of a scenario"),
-    ):
-        p = sub.add_parser(name, parents=parents, help=help_text)
+    for name, (flags, help_text, _) in _SCENARIO_COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(f"--{flag}", **_FLAGS[flag])
         p.add_argument("scenario", help="scenario JSON file")
 
     sub.add_parser("oracle-check",
@@ -93,59 +131,12 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _out_dir(args) -> Path:
-    out = args.out or os.environ.get("IONFRIDGE_OUT") or "."
-    path = Path(out)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _load(args) -> Scenario:
+def _cmd_scenario(args) -> int:
     s = load_scenario(args.scenario)
     if args.epsilon is not None:
         s = dataclasses.replace(s, truncation=dataclasses.replace(
             s.truncation, epsilon=args.epsilon))
-    return s
-
-
-def _cmd_simulate(args) -> int:
-    s = _load(args)
-    result = run_scenario(s)
-    path = _out_dir(args) / f"{s.name}_trajectory.csv"
-    result.to_csv(path)
-    print(f"wrote {path} ({result.tau.size} rows, "
-          f"retained weight {result.metadata['retained_weight']:.6f})")
-    return 0
-
-
-def _cmd_fig2(args) -> int:
-    s = _load(args)
-    for path in fig2_dataset(s).write(_out_dir(args)):
-        print(f"wrote {path}")
-    return 0
-
-
-def _cmd_fig3(args) -> int:
-    s = _load(args)
-    rule = SteadyStateRule.parse(args.rule)
-    for path in fig3_dataset(s, rule=rule).write(_out_dir(args)):
-        print(f"wrote {path}")
-    return 0
-
-
-def _cmd_fig4(args) -> int:
-    s = _load(args)
-    for path in fig4_dataset(s).write(_out_dir(args)):
-        print(f"wrote {path}")
-    return 0
-
-
-def _cmd_steady_state(args) -> int:
-    s = _load(args)
-    rule = SteadyStateRule.parse(args.rule)
-    occ = steady_state(s, rule)
-    print(f"nbar_h={occ.nbar_h:.12g} nbar_w={occ.nbar_w:.12g} "
-          f"nbar_c={occ.nbar_c:.12g}")
+    print(_SCENARIO_COMMANDS[args.command][2](s, args))
     return 0
 
 
@@ -196,11 +187,7 @@ def _cmd_coupling(args) -> int:
 
 
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "fig2": _cmd_fig2,
-    "fig3": _cmd_fig3,
-    "fig4": _cmd_fig4,
-    "steady-state": _cmd_steady_state,
+    **dict.fromkeys(_SCENARIO_COMMANDS, _cmd_scenario),
     "oracle-check": _cmd_oracle_check,
     "fit": _cmd_fit,
     "coupling": _cmd_coupling,

@@ -300,7 +300,8 @@ def reference_scenario(setup: str = "z570", *, name: str | None = None,
 
 
 def scenario_echo(s: Scenario) -> dict:
-    """Compact, JSON-safe summary of a scenario (and its sideband block, if any)."""
+    """Compact, JSON-safe summary of a scenario, with its sideband and sweep
+    sections when it has them; the grid appears as its start, stop and count."""
     echo = {
         "name": s.name,
         "xi_khz": s.xi / _KHZ,
@@ -314,6 +315,8 @@ def scenario_echo(s: Scenario) -> dict:
     }
     if s.sideband is not None:
         echo["sideband"] = _echo(s.sideband, SIDEBAND_TABLE)
+    if s.sweep != SweepSpec():
+        echo["sweep"] = _echo(s.sweep, SWEEP_TABLE)
     return echo
 
 
@@ -324,9 +327,8 @@ def with_thermal(s: Scenario, mode: str, nbar: float) -> Scenario:
 
 def with_prep(s: Scenario, mode: str, prep: ModePrep) -> Scenario:
     """Copy of ``s`` with one mode (``hot``, ``work`` or ``cold``) replaced by ``prep``."""
-    idx = {"hot": 0, "work": 1, "cold": 2}[mode]
     preps = list(s.preps)
-    preps[idx] = prep
+    preps[list(PREPS_TABLE).index(mode)] = prep
     return dataclasses.replace(s, preps=tuple(preps))
 
 
@@ -384,8 +386,9 @@ def run_scenario(s: Scenario) -> TrajectoryResult:
     """Evolve the scenario on its time grid.
 
     Returns occupations per mode and, when a sideband configuration is
-    present, the red-sideband brightness of each mode's (normalized)
-    marginal distribution.
+    present, the red-sideband brightness of each mode's marginal
+    distribution, both divided by the retained weight (the steady states
+    and the fig2-fig4 datasets are not).
     """
     ensemble = build_ensemble(s)
     spectrum = EnsembleSpectrum(ensemble)
@@ -449,21 +452,21 @@ class SteadyStateRule:
             raise DomainError(f"no grid points after window_start = {start * 1e6:g} us")
         return mask
 
+    def occupations(self, spectrum: EnsembleSpectrum, s: "Scenario") -> OccupationTriple:
+        """Steady-state occupations of ``spectrum``, the ensemble of ``s``, not
+        divided by the retained weight: the dephased moments (the exact
+        infinite-time average), or, mimicking the measurement procedure, the
+        mean of ``means_at`` over the grid points with tau > the window start."""
+        if self.method == "dephasing":
+            return spectrum.dephased_moments()
+        avg = spectrum.means_at(s.time_grid[self.window_mask(s)]).mean(axis=1)
+        return OccupationTriple(*map(float, avg))
+
 
 def steady_state(s: Scenario, rule: SteadyStateRule = SteadyStateRule()) -> OccupationTriple:
-    """Steady-state occupations of a scenario.
-
-    ``dephasing`` computes the exact infinite-time average; ``window_average``
-    mimics the measurement procedure by averaging grid points with
-    tau > window_start.
-    """
-    ensemble = build_ensemble(s)
-    spectrum = EnsembleSpectrum(ensemble)
-    if rule.method == "dephasing":
-        return spectrum.dephased_moments()
-    means = spectrum.means_at(s.time_grid[rule.window_mask(s)])
-    avg = means.mean(axis=1)
-    return OccupationTriple(float(avg[0]), float(avg[1]), float(avg[2]))
+    """Steady-state occupations of a scenario under ``rule``, not divided by
+    the retained weight (see :meth:`SteadyStateRule.occupations`)."""
+    return rule.occupations(EnsembleSpectrum(build_ensemble(s)), s)
 
 
 # ---------------------------------------------------------------------------
@@ -655,17 +658,11 @@ def fig3_dataset(base: Scenario,
         scenarios = relaxation_scenarios(base)
     traces = []
     for s, measured in scenarios:
-        ensemble = build_ensemble(s)
-        spectrum = EnsembleSpectrum(ensemble)
-        means = spectrum.means_at(s.time_grid)
-        if rule.method == "dephasing":
-            nc_ss = spectrum.dephased_moments().nbar_c
-        else:
-            nc_ss = float(means[2, rule.window_mask(s)].mean())
+        spectrum = EnsembleSpectrum(build_ensemble(s))
         traces.append(RelaxationTrace(
-            label=s.name, nbar_w_eff=prep_mean(s.preps[1]),
-            nbar_c_in=prep_mean(s.preps[2]), nbar_c_ss=nc_ss,
-            tau=s.time_grid.copy(), nbar_c=means[2].copy(), measured_ss=measured))
+            label=s.name, nbar_w_eff=prep_mean(s.preps[1]), nbar_c_in=prep_mean(s.preps[2]),
+            nbar_c_ss=rule.occupations(spectrum, s).nbar_c, tau=s.time_grid.copy(),
+            nbar_c=spectrum.means_at(s.time_grid)[2], measured_ss=measured))
     return RelaxationStudy(traces=traces, metadata=_base_metadata(base, "fig3", None))
 
 

@@ -371,6 +371,20 @@ def test_window_average_matches_dephasing():
         assert b == pytest.approx(a, rel=0.02)
 
 
+def test_only_run_scenario_divides_by_the_retained_weight():
+    """simulate's trajectory is divided by the retained weight and the steady
+    states are not, so its window mean times that weight is steady-state's."""
+    d = _base_dict()
+    d["truncation"] = {"epsilon": 1e-2}
+    s = scenario_from_dict(d)
+    rule = SteadyStateRule(method="window_average", window_start=200e-6)
+    res = run_scenario(s)
+    retained = res.metadata["retained_weight"]
+    assert retained < 1.0 - 1e-4          # the two conventions differ visibly
+    windowed = res.nbar[:, rule.window_mask(s)].mean(axis=1) * retained
+    np.testing.assert_allclose(windowed, steady_state(s, rule).as_tuple(), rtol=1e-12)
+
+
 def test_window_average_needs_grid_points():
     s = reference_scenario("z570", t_stop=100e-6, num=11)  # all before 240 us
     with pytest.raises(ValidationError):
@@ -426,6 +440,19 @@ def test_scenario_echo_carries_the_sideband_block():
     block = {"omega_rabi_khz": 20.0, "t_rsb_us": 10.0, "a_bg": 0.02, "eta": 0.98}
     res = run_scenario(scenario_from_dict(_mutate(("sideband",), block)))
     assert res.metadata["scenario"]["sideband"] == pytest.approx(block, rel=1e-15)
+
+
+def test_fig2_and_fig4_csv_metadata_carry_the_sweep(tmp_path):
+    """The sweep defines the fig2 and fig4 datasets; before, the echo dropped
+    it, and a scenario without one still echoes none."""
+    assert "sweep" not in scenario_echo(scenario_from_dict(_base_dict()))
+    d = _base_dict()
+    d["time_grid_us"] = {"start": 0.0, "stop": 60.0, "num": 13}
+    d["sweep"] = {"work_nbar": [4.44, 2.16], "cold_nbar": [1.0, 2.0]}
+    s = scenario_from_dict(d)
+    for path in [*fig2_dataset(s).write(tmp_path), *fig4_dataset(s).write(tmp_path)]:
+        meta, _, _ = read_dataset_csv(path)
+        assert meta["scenario"]["sweep"] == d["sweep"], path.name
 
 
 @pytest.mark.parametrize("kind", sorted(PREP_PARAMS))
@@ -651,6 +678,58 @@ def test_cli_steady_state_prints_occupations(tmp_path, capsys):
     assert nc == pytest.approx(2.24, abs=0.02)
 
 
+_TRAJECTORY = ["tau_us", "nbar_h", "nbar_w", "nbar_c"]
+_FIG2_CELLS = ["nbar_w_in", "nbar_c_in", "nbar_h_ss", "nbar_c_ss", "eps_h",
+               "retained_weight", "n_sectors"]
+_FIG2_SUMMARY = ["nbar_w_in", "crossing", "nc_eq_sim", "nc_eq_formula"]
+_FIG3_TRACES = ["label", "tau_us", "nbar_c", "delta_nbar_c"]
+_FIG3_SUMMARY = ["label", "nbar_w_eff", "nbar_c_in", "nbar_c_ss", "delta_nc0", "measured_ss"]
+_FIG4_SUMMARY = ["nbar_w_in", "tau_star_us", "nbar_c_min", "delta_single_shot",
+                 "delta_dephased", "delta_classical", "nbar_c_min_incoherent"]
+#: past both window presets (240 and 600 us), 8 points
+_FIG3_GRID = {"start": 0.0, "stop": 700.0, "num": 8}
+_SIDEBAND = {"omega_rabi_khz": 20.0, "t_rsb_us": 10.0}
+
+
+@pytest.mark.parametrize("argv,changes,csvs", [
+    (["simulate"], {"time_grid_us": {"start": 0.0, "stop": 100.0, "num": 5},
+                    "sideband": _SIDEBAND},
+     {"unit_trajectory.csv": (_TRAJECTORY + ["p_up_h", "p_up_w", "p_up_c"], 5)}),
+    # work 0.3 below hot 0.66: the balance formula has no solution (NaN)
+    (["fig2"], {"sweep": {"work_nbar": [4.44, 0.3], "cold_nbar": [0.5, 1.5, 2.5]}},
+     {"fig2_cells.csv": (_FIG2_CELLS, 6), "fig2_summary.csv": (_FIG2_SUMMARY, 2)}),
+    (["fig3"], {"time_grid_us": _FIG3_GRID},
+     {"fig3_traces.csv": (_FIG3_TRACES, 80), "fig3_summary.csv": (_FIG3_SUMMARY, 10)}),
+    (["fig3", "--rule", "window"], {"time_grid_us": _FIG3_GRID},
+     {"fig3_traces.csv": (_FIG3_TRACES, 80), "fig3_summary.csv": (_FIG3_SUMMARY, 10)}),
+    (["fig4"], {"time_grid_us": {"start": 0.0, "stop": 60.0, "num": 13},
+                "sweep": {"work_nbar": [4.44, 1.1]}},
+     {"fig4_summary.csv": (_FIG4_SUMMARY, 2)}),
+    (["steady-state", "--rule", "window:200"], {}, {}),
+], ids=["simulate_sideband", "fig2", "fig3", "fig3_window", "fig4", "steady_state"])
+def test_cli_scenario_subcommand_output(tmp_path, capsys, argv, changes, csvs):
+    """Each scenario subcommand runs through the CLI's one handler and writes
+    CSVs that read back with the columns and rows of their dataset."""
+    command, *flags = argv
+    scenario = _write_scenario(tmp_path, {**_base_dict(), **changes})
+    out = ["--out", str(tmp_path / "out")] if csvs else []
+    assert cli_main([command, scenario, *flags, *out]) == 0
+    printed = capsys.readouterr().out.splitlines()
+    if not csvs:
+        assert len(printed) == 1 and printed[0].startswith("nbar_h=")
+        return
+    assert [line.split()[1] for line in printed] == [
+        str(tmp_path / "out" / name) for name in csvs]
+    for name, (columns, n_rows) in csvs.items():
+        meta, cols, data = read_dataset_csv(tmp_path / "out" / name)
+        assert (cols, len(data)) == (columns, n_rows), name
+        assert meta["scenario"]["name"] == "unit"
+    if command == "fig2":
+        _, cols, data = read_dataset_csv(tmp_path / "out" / "fig2_summary.csv")
+        formula = data[:, cols.index("nc_eq_formula")]
+        assert np.isfinite(formula[0]) and math.isnan(formula[1])
+
+
 def test_cli_bad_scenario_exit_code(tmp_path, capsys):
     d = _mutate(("coupling",), {})
     rc = cli_main(["simulate", _write_scenario(tmp_path, d)])
@@ -804,8 +883,10 @@ def test_cli_fit_thermal(tmp_path, capsys):
     assert nbar == pytest.approx(0.8, abs=0.15)
 
 
-@pytest.mark.parametrize("row", ["abc,0.5,0.02", "1.0,0.5,nan", "inf,0.5,0.02"],
-                         ids=["non_numeric", "nan_sigma", "inf_time"])
+@pytest.mark.parametrize("row", ["abc,0.5,0.02", "1.0,0.5,nan", "inf,0.5,0.02",
+                                 "1.0,0.5", "1.0,0.5,0.02,7"],
+                         ids=["non_numeric", "nan_sigma", "inf_time", "short_row",
+                              "long_row"])
 def test_cli_fit_malformed_csv_exit_code(tmp_path, capsys, row):
     """A malformed brightness cell is a validation error naming its line, exit 2;
     before it escaped as a bare ValueError from float() or from scipy (exit 1)."""
