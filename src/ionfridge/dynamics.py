@@ -24,8 +24,10 @@ double-commutator model) or none (dephased).  Both kernels factor over a
 sum of times, so a uniform grid of T points is evaluated as a tableau of
 about sqrt(T) rows r plus sqrt(T) offsets s, t = r + s: the transcendentals
 are taken on the rows and the offsets only, and a small matrix product
-combines them.  Per-mode marginals are built only where a readout needs
-the full distributions.
+combines them.  One routine, :func:`_kernel_sums`, owns that tableau for
+every time-dependent sum against a coefficient matrix: the means, the
+per-mode marginals (only where a readout needs them) and the flopping sums
+of :mod:`ionfridge.measurement`.
 
 Off-diagonal couplings are strictly positive inside a sector, so each
 sector Hamiltonian is an unreduced Jacobi matrix with a simple spectrum;
@@ -170,6 +172,37 @@ def _tableau(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return t, np.zeros(1)
 
 
+def _kernel_sums(t: np.ndarray, g: np.ndarray, coef: np.ndarray, even, odd=None,
+                 start: float = 0.0) -> np.ndarray:
+    """start + sum_j coef[j, k] K(g_j t_i), shape (t.size, coef.shape[1]).
+
+    The kernel factors over a sum of times, K(g (r + s)) =
+    even(g r) even(g s) - odd(g r) odd(g s): (cos, sin) by angle addition,
+    or one exponential with ``odd`` None; ``g`` may be complex.  Over the
+    :func:`_tableau` of ``t``, each block of exponents adds, for every
+    column k, (even(rows g) * coef[:, k]) @ even(offsets g).T, all columns
+    in one product, minus the same product of the odd factors.  The single
+    offset [0], where the factors are 1 and 0, adds even(rows g) @ coef.
+    Blocks keep each factor block near ``_KERNEL_BLOCK`` elements.
+    """
+    rows, offsets = _tableau(t)
+    cols = coef.shape[1]
+    sums = np.full((rows.size * cols, offsets.size), start, dtype=np.result_type(g, coef, start))
+    one_column = offsets.size == 1 and offsets[0] == 0.0
+    step = max(1, _KERNEL_BLOCK // (rows.size + offsets.size))
+    for lo in range(0, g.size, step):
+        gb, cb = g[lo:lo + step], coef[lo:lo + step]
+        if one_column:
+            sums[:, 0] += (even(np.outer(rows, gb)) @ cb).ravel()
+            continue
+        for f, sign in ((even, 1.0), (odd, -1.0)):
+            if f is not None:
+                scaled = (f(np.outer(rows, gb))[:, None, :] * cb.T).reshape(-1, gb.size)
+                sums += sign * (scaled @ f(np.outer(offsets, gb)).T)
+    sums = sums.reshape(rows.size, cols, offsets.size).transpose(0, 2, 1)
+    return sums.reshape(-1, cols)[:t.size]
+
+
 class EnsembleSpectrum:
     """Eigendecomposition of every sector of an ensemble, the one spectral core.
 
@@ -238,32 +271,9 @@ class EnsembleSpectrum:
         self.sum_wN = float(sec.weight @ sec.N)
         self.sum_wM = float(sec.weight @ sec.M)
 
-    def _means(self, rows: np.ndarray, offsets: np.ndarray, even,
-               odd=None) -> np.ndarray:
-        """[n_h, sum w N - n_h, sum w M - n_h] at the times rows[a] + offsets[b].
-
-        The times run row-major over the (rows, offsets) tableau, with
-        n_h = nh_dephased + sum_g coef_g K(g, r + s).  The kernel factors:
-        K(g, r + s) = even(r, g) even(s, g) - odd(r, g) odd(s, g), with
-        (even, odd) = (cos, sin) for the unitary kernel by angle addition and
-        even = exp(-xi_in g^2 t), odd = None for the incoherent one.  So
-        each block of gaps adds (coef * even(rows)) @ even(offsets).T minus
-        the same product of the odd factors; the single offset [0], where
-        the factors are 1 and 0, adds even(rows) @ coef.  Blocks of gaps
-        keep each factor block near ``_KERNEL_BLOCK`` elements.
-        """
-        n_h = np.full((rows.size, offsets.size), self.nh_dephased)
-        one_column = offsets.size == 1 and offsets[0] == 0.0
-        step = max(1, _KERNEL_BLOCK // (rows.size + offsets.size))
-        for lo in range(0, self.gaps.size, step):
-            g, c = self.gaps[lo:lo + step], self.coef[lo:lo + step]
-            if one_column:
-                n_h[:, 0] += even(rows, g) @ c
-                continue
-            n_h += (even(rows, g) * c) @ even(offsets, g).T
-            if odd is not None:
-                n_h -= (odd(rows, g) * c) @ odd(offsets, g).T
-        n_h = n_h.ravel()
+    def _means(self, t: np.ndarray, g: np.ndarray, even, odd=None) -> np.ndarray:
+        """[n_h, sum w N - n_h, sum w M - n_h], n_h = nh_dephased + sum coef K(g t)."""
+        n_h = _kernel_sums(t, g, self.coef[:, None], even, odd, self.nh_dephased)[:, 0]
         return np.array([n_h, self.sum_wN - n_h, self.sum_wM - n_h])
 
     def _unitary_grid(self, t_grid) -> np.ndarray:
@@ -278,7 +288,8 @@ class EnsembleSpectrum:
         """Unitary per-mode marginals, each of shape (n_max + 1, len(t_grid)).
 
         Sector populations are P[k, t] = sum_ij vec[k, i] vec[k, j] b[i, j]
-        cos((lam_i - lam_j) t).  Marginals sum to the retained weight (not to
+        cos((lam_i - lam_j) t), one coefficient column per k over the d^2
+        unmerged gaps.  Marginals sum to the retained weight (not to
         1) so that truncation stays visible; normalize before feeding them to
         detection models.
         """
@@ -290,7 +301,7 @@ class EnsembleSpectrum:
         for (N, M, weight, k_lo, d, _), (lam, vec, b) in zip(sec.tolist(), self.eig):
             gaps = (lam[:, None] - lam[None, :]).reshape(-1)
             w3 = ((vec[:, :, None] * vec[:, None, :]) * b[None, :, :]).reshape(d, d * d)
-            w_pops = weight * (np.cos(np.outer(t_grid, gaps)) @ w3.T).T
+            w_pops = weight * _kernel_sums(t_grid, gaps, w3.T, np.cos, np.sin).T
             k = k_lo + np.arange(d)
             p_h[k] += w_pops
             p_w[N - k] += w_pops
@@ -300,8 +311,7 @@ class EnsembleSpectrum:
     def means_at(self, t_grid: np.ndarray) -> np.ndarray:
         """Mean occupations (not normalized by the retained weight), shape (3, len(t_grid))."""
         t_grid = self._unitary_grid(t_grid)
-        return self._means(*_tableau(t_grid), lambda t, g: np.cos(np.outer(t, g)),
-                           lambda t, g: np.sin(np.outer(t, g)))[:, :t_grid.size]
+        return self._means(t_grid, self.gaps, np.cos, np.sin)
 
     def incoherent_means_at(self, t_grid: np.ndarray, xi_in: float) -> np.ndarray:
         """Means under the double-commutator model d rho/dt = -xi_in [H, [H, rho]].
@@ -312,8 +322,7 @@ class EnsembleSpectrum:
         t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
         if not (0.0 <= xi_in < math.inf and np.all((0.0 <= t_grid) & (t_grid < math.inf))):
             raise DomainError("xi_in and every time must be finite and >= 0")
-        return self._means(*_tableau(t_grid),
-                           lambda t, g: np.exp(-xi_in * np.outer(t, g * g)))[:, :t_grid.size]
+        return self._means(t_grid, self.gaps * self.gaps, lambda x: np.exp(-xi_in * x))
 
     def dephased_moments(self) -> OccupationTriple:
         """Means of the infinite-time average (exact for simple spectra)."""

@@ -5,17 +5,18 @@ Two distinct forward models are exposed: a single-time red-sideband
 brightness (no decoherence term) used for refrigerator readout, and a
 blue-sideband flopping curve with sqrt(n+1)-scaled Rabi rates and
 decoherence used for calibration fits.  The flopping curve is a sum of
-damped oscillations e^{z_n t}, z_n = sqrt(n+1)(-gamma0 + i Omega), which
-factors over t = r + s like the dynamics kernel, so a uniform time grid
-costs transcendentals on about 2 sqrt(T) rows and offsets only.  Fits are
-weighted least squares on ``scipy.optimize.least_squares`` (trust-region
-``trf``) with an analytic Jacobian read from the same kernel: the shape
-columns are closed-form and the distribution columns difference the
-populations only.  Fits run in the reported parameters, the positive ones
-bounded below by 0, and report the rank and condition number of the final
-Jacobian, with an infinite error for a parameter the data do not resolve or
-that is held at its bound; the free-distribution fit parameterizes the
-simplex with a softmax so the constraints hold by construction.
+damped oscillations e^{z_n t}, z_n = sqrt(n+1)(-gamma0 + i Omega), summed
+by :func:`~ionfridge.dynamics._kernel_sums` (this module factors no times
+itself), as is the periodogram that seeds a fit, with the frequencies as
+times.  Fits are weighted least squares on ``scipy.optimize.least_squares``
+(trust-region ``trf``) with an analytic Jacobian read from the same sums,
+one coefficient column per derivative: the shape columns are closed-form
+and the distribution columns difference the populations only.  Fits run in
+the reported parameters, the positive ones bounded below by 0, and report
+the rank and condition number of the final Jacobian, with an infinite error
+for a parameter the data do not resolve or that is held at its bound; the
+free-distribution fit parameterizes the simplex with a softmax so the
+constraints hold by construction.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .dynamics import _tableau
+from .dynamics import _kernel_sums
 from .errors import (DomainError, FitConvergenceError, SensitivityError,
                      ValidationError)
 from .states import (PhononDistribution, coherent_distribution,
@@ -135,25 +136,14 @@ def blue_sideband_flopping(p, cfg: SidebandConfig, t_grid,
     t = np.asarray(t_grid, dtype=float).reshape(-1)
     if not np.all((0.0 <= t) & (t < math.inf)):
         raise DomainError("every time must be finite and >= 0")
-    kernel = _flopping_kernel(probs.size, cfg.omega_rabi, cfg.gamma0, t)
-    return 0.5 * contrast * (1.0 - (kernel @ probs).real) + background
+    sums = _flopping_sums(t, cfg.omega_rabi, cfg.gamma0, probs[:, None])
+    return 0.5 * contrast * (1.0 - sums[:, 0].real) + background
 
 
-def _flopping_kernel(levels: int, omega: float, gamma0: float, t: np.ndarray) -> np.ndarray:
-    """K[i, n] = e^{z_n t_i}, z_n = sqrt(n+1)(-gamma0 + i omega), shape (T, levels).
-
-    ``K @ C`` is sum_n C[n, k] e^{z_n t} for every coefficient column k.
-    The times come from :func:`~ionfridge.dynamics._tableau` as rows r and
-    offsets s with t = r + s, and e^{z t} = e^{z r} e^{z s}, so the
-    exponentials are taken on the rows and the offsets only and the kernel
-    is their outer product, cut to T rows.  A non-uniform grid or a single
-    point is the single column of the tableau (s = 0), taken exactly.  The
-    times must be >= 0, where every factor is bounded by 1.
-    """
-    z = np.sqrt(np.arange(levels) + 1.0) * complex(-gamma0, omega)
-    rows, offsets = _tableau(t)
-    kernel = np.exp(np.outer(rows, z))[:, None, :] * np.exp(np.outer(offsets, z))
-    return kernel.reshape(-1, levels)[:t.size]
+def _flopping_sums(t: np.ndarray, omega: float, gamma0: float, coef: np.ndarray) -> np.ndarray:
+    """sum_n coef[n, k] e^{z_n t}, z_n = sqrt(n+1)(-gamma0 + i omega), at times t >= 0."""
+    z = np.sqrt(np.arange(coef.shape[0]) + 1.0) * complex(-gamma0, omega)
+    return _kernel_sums(t, z, coef, np.exp)
 
 
 # ---------------------------------------------------------------------------
@@ -340,10 +330,9 @@ class _FloppingFit:
 
     Both take the reported parameters theta: the model's distribution
     parameters, then a, b, omega01 and gamma0, the ``_NONNEGATIVE_PARAMS``
-    >= 0.  Both read one flopping kernel K (:func:`_flopping_kernel`) per
-    theta, kept for the last theta, so the Jacobian at an accepted point
-    reuses the kernel of its residuals.  With p the populations and
-    S = K @ [p, sqrt(n+1) p, dp/dtheta_dist], the Jacobian columns of the
+    >= 0.  With p the populations and S the flopping sums
+    (:func:`_flopping_sums`) of the columns [p, sqrt(n+1) p, dp/dtheta_dist],
+    the Jacobian columns of the
     curve are d/da = (1 - Re S_0) / 2, d/db = 1,
     d/d omega01 = (a/2) t Im S_1 and d/d gamma0 = (a/2) t Re S_1 (because
     d e^{z_n t} / d omega01 = i sqrt(n+1) t e^{z_n t}), and -(a/2) Re S_dist
@@ -356,32 +345,23 @@ class _FloppingFit:
         dist_seeds, self.populations = FIT_MODELS[model]
         self.n_dist = len(dist_seeds)
         self.ts, self.ys, self.sigmas = ts, ys, sigmas
-        self._key = None
-
-    def _evaluate(self, theta: np.ndarray):
-        """(populations, kernel) at theta, cached for the last theta."""
-        key = theta.tobytes()
-        if key != self._key:
-            probs = self.populations(*theta[:self.n_dist].tolist())
-            kernel = _flopping_kernel(probs.size, theta[-2], theta[-1], self.ts)
-            self._key, self._state = key, (probs, kernel)
-        return self._state
 
     def residuals(self, theta: np.ndarray) -> np.ndarray:
-        probs, kernel = self._evaluate(theta)
+        probs = self.populations(*theta[:self.n_dist].tolist())
         a, b = theta[self.n_dist:self.n_dist + 2]
-        curve = 0.5 * a * (1.0 - (kernel @ probs).real) + b
+        sums = _flopping_sums(self.ts, *theta[-2:], probs[:, None])
+        curve = 0.5 * a * (1.0 - sums[:, 0].real) + b
         return (curve - self.ys) / self.sigmas
 
     def jacobian(self, theta: np.ndarray) -> np.ndarray:
-        probs, kernel = self._evaluate(theta)
+        probs = self.populations(*theta[:self.n_dist].tolist())
         columns = [probs, np.sqrt(np.arange(probs.size) + 1.0) * probs]
         for j in range(self.n_dist):
             step = theta[:self.n_dist].copy()
             step[j] += _DIFF_STEP * (1.0 if theta[j] >= 0.0 else -1.0) * max(1.0, abs(theta[j]))
             columns.append((self.populations(*step.tolist()) - probs)
                            / (step[j] - theta[j]))
-        sums = kernel @ np.column_stack(columns)
+        sums = _flopping_sums(self.ts, *theta[-2:], np.column_stack(columns))
         a = theta[self.n_dist]
         jac = np.empty((self.ts.size, theta.size))
         jac[:, :self.n_dist] = -0.5 * a * sums[:, 2:].real
@@ -412,13 +392,9 @@ def _default_omega_seed(samples: Sequence[BrightnessSample]) -> float:
     if w_hi <= w_lo:
         return w_lo
     omegas = np.linspace(w_lo, w_hi, 800)
-    # over the tableau t = r_a + s_b of the flopping kernel the periodogram is
-    # |sum_a e^{-i w r_a} sum_b Y[a, b] e^{-i w s_b}|, with Y zero past the record
-    rows, offsets = _tableau(ts)
-    table = np.zeros(rows.size * offsets.size)
-    table[:ys.size] = ys
-    inner = table.reshape(rows.size, offsets.size) @ np.exp(-1j * np.outer(offsets, omegas))
-    power = np.abs((np.exp(-1j * np.outer(rows, omegas)) * inner).sum(axis=0))
+    # |sum_i y_i e^{-i w t_i}| with the frequencies as the kernel's times and
+    # -i t_i as its exponents
+    power = np.abs(_kernel_sums(omegas, -1j * ts, ys[:, None], np.exp)[:, 0])
     return float(omegas[int(np.argmax(power))])
 
 

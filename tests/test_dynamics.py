@@ -9,8 +9,10 @@ import math
 import numpy as np
 import pytest
 
-from ionfridge.dynamics import (_KERNEL_BLOCK, EnsembleSpectrum, assemble_from_distributions,
-                                assemble_initial, default_incoherence_strength)
+from ionfridge import dynamics
+from ionfridge.dynamics import (_KERNEL_BLOCK, EnsembleSpectrum, _kernel_sums,
+                                assemble_from_distributions, assemble_initial,
+                                default_incoherence_strength)
 from ionfridge.errors import DomainError
 from ionfridge.fockspace import TruncationPolicy, select_sectors
 from ionfridge.oracle import dense_hamiltonian, dense_oracle_evolve, prep_density
@@ -417,3 +419,46 @@ def test_merged_gaps_are_increasing_and_keep_the_coefficients():
         assert spectrum.coef.sum() == pytest.approx(unmerged, abs=1e-14)
         assert spectrum.gaps.size <= pairs
         assert spectrum.gaps.size < pairs or not resonant
+
+
+#: name -> (even, odd, the kernel K taken directly, exponents g)
+_KERNELS = {
+    "cos": (np.cos, np.sin, np.cos, np.linspace(-3e5, 3e5, 150)),
+    "decay": (lambda x: np.exp(-x), None, lambda x: np.exp(-x), np.linspace(0.0, 2e4, 150)),
+    "complex": (np.exp, None, np.exp,
+                np.sqrt(np.arange(150) + 1.0) * complex(-600.0, TWO_PI * 50e3)),
+}
+_KERNEL_TIMES = {
+    "uniform": np.linspace(0.5e-6, 150e-6, 300),
+    "non_uniform": np.sort(np.random.default_rng(4).uniform(0.0, 150e-6, 40)),
+    "one_point": np.array([42e-6]),
+    "empty": np.zeros(0),
+}
+
+
+@pytest.mark.parametrize("block", [None, 250], ids=["one_block", "small_blocks"])
+@pytest.mark.parametrize("cols", [1, 4], ids=["one_column", "four_columns"])
+@pytest.mark.parametrize("times", list(_KERNEL_TIMES))
+@pytest.mark.parametrize("kernel", list(_KERNELS))
+def test_kernel_sums_match_direct_sums(monkeypatch, kernel, times, cols, block):
+    """start + sum_j coef[j, k] K(g_j t_i) against K taken at every time and
+    exponent, to 1e-12 of start + sum_j |coef[j, k]|.  A block of 250 factor
+    elements cuts the 150 exponents into blocks of 7 on the uniform grid,
+    6 on the non-uniform one and 125 at one point."""
+    even, odd, direct, g = _KERNELS[kernel]
+    t = _KERNEL_TIMES[times]
+    if block is not None:
+        monkeypatch.setattr(dynamics, "_KERNEL_BLOCK", block)
+    coef = np.random.default_rng(cols).normal(size=(g.size, cols))
+    sums = _kernel_sums(t, g, coef, even, odd, start=0.3)
+    assert sums.shape == (t.size, cols)
+    bound = 0.3 + np.abs(coef).sum(axis=0)
+    np.testing.assert_allclose(sums, 0.3 + direct(np.outer(t, g)) @ coef,
+                               rtol=0, atol=1e-12 * bound.max())
+
+
+def test_kernel_sums_without_exponents_are_the_start():
+    t = np.linspace(0.0, 1e-4, 30)
+    sums = _kernel_sums(t, np.zeros(0), np.zeros((0, 2)), np.cos, np.sin, start=1.5)
+    np.testing.assert_array_equal(sums, np.full((30, 2), 1.5))
+
