@@ -204,7 +204,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

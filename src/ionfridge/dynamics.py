@@ -150,6 +150,9 @@ def assemble_initial(preps: tuple[ModePrep, ModePrep, ModePrep],
 
 #: kernel factor elements evaluated per block of gaps (about 1 MB per block)
 _KERNEL_BLOCK = 1 << 17
+#: most eigenvalue pairs, sum d(d - 1)/2 over the sectors, an ensemble may hold;
+#: the shipped studies reach 1.6e5; 3.8e7 took 42 s and 1.1 GiB on a 2-vCPU x86-64 host
+MAX_SECTOR_PAIRS = 10_000_000
 #: gaps within this relative distance of their sorted neighbour share one
 #: kernel term; the phase error is at most this times max(g t)
 _GAP_MERGE_RTOL = 1e-13
@@ -232,6 +235,11 @@ class EnsembleSpectrum:
     def __init__(self, ensemble: ThreeModeEnsemble):
         self.ensemble = ensemble
         sec = ensemble.sectors
+        pairs = int((sec.dim * (sec.dim - 1) // 2).sum())
+        if pairs > MAX_SECTOR_PAIRS:
+            raise DomainError(f"the ensemble holds {pairs} eigenvalue pairs, more than "
+                              f"MAX_SECTOR_PAIRS = {MAX_SECTOR_PAIRS}; lower the per-mode "
+                              "caps or raise epsilon to shrink it")
         self.eig: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * sec.size
         gaps, coef = [], []
         self.nh_dephased = 0.0

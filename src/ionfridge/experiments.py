@@ -95,6 +95,11 @@ class Scenario:
             raise ScenarioError("coupling rate must be finite and > 0")
         if not math.isfinite(self.detuning):
             raise ScenarioError("detuning must be finite")
+        # output files are named after the scenario, so it must be one file name
+        if (not isinstance(self.name, str) or self.name in ("", ".", "..")
+                or any(c in self.name for c in "/\\\0")):
+            raise ScenarioError(f"name must be a nonempty file name without '/', '\\' "
+                                f"or NUL, got {self.name!r}")
 
 
 def _require(d: dict, key: str, where: str):
@@ -249,7 +254,7 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
     xi = coupling["xi"] if "xi" in coupling else coupling_rate(coupling["trap"]).xi
     preps = _section(_require(data, "preps", "scenario"), "preps", PREPS_TABLE, dict)
 
-    fields = {"preps": tuple(preps.values()), "xi": xi, "name": str(data.get("name", name)),
+    fields = {"preps": tuple(preps.values()), "xi": xi, "name": data.get("name", name),
               "time_grid": _time_grid_from_json(_require(data, "time_grid_us", "scenario"),
                                                 "time_grid_us")}
     for key, (table, cls) in _SECTIONS.items():
@@ -261,10 +266,10 @@ def scenario_from_dict(data: dict, name: str = "scenario") -> Scenario:
 
 
 def _read_json(path: Path):
-    """A JSON file's content; malformed JSON is a ScenarioError."""
+    """A JSON file's content; malformed JSON or non-UTF-8 text is a ScenarioError."""
     try:
         return json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ScenarioError(f"{path}: not valid JSON ({exc})") from exc
 
 

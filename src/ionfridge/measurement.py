@@ -528,27 +528,31 @@ _CSV_HEADER = ["t_us", "p_up", "sigma"]
 
 def load_brightness_csv(path) -> list[BrightnessSample]:
     """Read brightness samples from CSV with header ``t_us,p_up,sigma``."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text ({exc})") from None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise ValidationError("empty brightness CSV") from None
+    if [h.strip() for h in header] != _CSV_HEADER:
+        raise ValidationError(
+            f"bad header {header!r}; expected {','.join(_CSV_HEADER)}")
+    samples = []
+    for row in reader:
+        if not row:
+            continue
+        where = f"{path}, line {reader.line_num}"
+        if len(row) != 3:
+            raise ValidationError(f"{where}: bad row {row!r}")
         try:
-            header = next(reader)
-        except StopIteration:
-            raise ValidationError("empty brightness CSV") from None
-        if [h.strip() for h in header] != _CSV_HEADER:
-            raise ValidationError(
-                f"bad header {header!r}; expected {','.join(_CSV_HEADER)}")
-        samples = []
-        for row in reader:
-            if not row:
-                continue
-            where = f"{path}, line {reader.line_num}"
-            if len(row) != 3:
-                raise ValidationError(f"{where}: bad row {row!r}")
-            try:
-                t_us, p_up, sigma = (float(v) for v in row)
-                samples.append(BrightnessSample(t=t_us * 1e-6, p_up=p_up, sigma=sigma))
-            except ValueError as exc:       # DomainError is a ValueError too
-                raise ValidationError(f"{where}: {exc}") from None
+            t_us, p_up, sigma = (float(v) for v in row)
+            samples.append(BrightnessSample(t=t_us * 1e-6, p_up=p_up, sigma=sigma))
+        except ValueError as exc:       # DomainError is a ValueError too
+            raise ValidationError(f"{where}: {exc}") from None
     return samples
 
 

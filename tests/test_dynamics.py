@@ -15,7 +15,7 @@ from ionfridge.dynamics import (_KERNEL_BLOCK, EnsembleSpectrum, _kernel_sums,
                                 default_incoherence_strength)
 from ionfridge.errors import DomainError
 from ionfridge.fockspace import TruncationPolicy, select_sectors
-from ionfridge.oracle import dense_hamiltonian, dense_oracle_evolve, prep_density
+from ionfridge.oracle import MAX_CAP, dense_hamiltonian, dense_oracle_evolve, prep_density
 from ionfridge.states import ModePrep, prep_to_distribution, thermal_distribution
 
 TWO_PI = 2.0 * math.pi
@@ -215,26 +215,55 @@ def _seeded_preps(seed):
             "fock": ModePrep.fock_state(int(rng.integers(0, 3)))}
 
 
-@pytest.mark.parametrize("caps,detuning_khz", [((6, 6, 6), 0.0), ((6, 6, 6), -40.0),
-                                               ((7, 4, 5), 3.0)],
-                         ids=["resonant", "detuned", "windowed"])
-def test_preparations_are_phase_randomized(caps, detuning_khz):
+def _drawn_prep(rng, cap):
+    kind = rng.choice(["thermal", "coherent", "squeezed", "fock"])
+    if kind == "thermal":
+        return ModePrep.thermal_state(rng.uniform(0.05, 1.0))
+    if kind == "coherent":
+        return ModePrep.coherent_state(rng.uniform(0.05, 1.0))
+    if kind == "squeezed":
+        return ModePrep.squeezed_thermal_state(rng.uniform(0.0, 0.5), rng.uniform(0.05, 0.6))
+    return ModePrep.fock_state(int(rng.integers(0, min(cap, 3) + 1)))
+
+
+def _drawn_case(seed):
+    """Seeded caps (2 to the oracle's MAX_CAP), detuning and three preparation
+    triples, each mode's kind, nbar and r drawn independently."""
+    rng = np.random.default_rng([seed, 16])
+    caps = tuple(int(c) for c in rng.integers(2, MAX_CAP + 1, 3))
+    return (caps, float(rng.uniform(-50.0, 50.0)),
+            [tuple(_drawn_prep(rng, cap) for cap in caps) for _ in range(3)])
+
+
+_KINDS = _seeded_preps(11)
+_WINDOWED_CAPS = (7, 4, 5)
+#: a uniform grid (the rows + offsets tableau), a non-uniform one (one column)
+#: and single points, all well below the phase-overflow limit
+_ORACLE_GRIDS = (np.linspace(0.0, 400e-6, 9), np.array([0.0, 3e-6, 4e-6, 50e-6, 51e-6, 600e-6]),
+                 np.array([0.0]), np.array([137e-6]), np.array([1e-3]))
+
+
+@pytest.mark.parametrize("caps,detuning_khz,triples", [
+    ((6, 6, 6), 0.0, list(itertools.product(_KINDS.values(), repeat=3))),
+    ((6, 6, 6), -40.0, list(itertools.product(_KINDS.values(), repeat=3))),
+    (_WINDOWED_CAPS, 3.0, [(_KINDS["coherent"], _KINDS["squeezed"], _KINDS["coherent"])]),
+] + [_drawn_case(seed) for seed in range(8)],
+    ids=["resonant", "detuned", "windowed"] + [f"seeded{seed}" for seed in range(8)])
+def test_preparations_are_phase_randomized(caps, detuning_khz, triples):
     """Sectors hold populations only, so every preparation evolves as its
     phase-randomized (number-diagonal) density: all 64 kind triples agree
-    with the dense oracle built from number-diagonal densities."""
+    with the dense oracle built from number-diagonal densities, and so do
+    seeded draws of the kinds, occupations, caps and detuning, on each
+    kernel path (tableau, one column, single points)."""
     detuning = TWO_PI * detuning_khz * 1e3
-    grid = np.linspace(0.0, 400e-6, 9)
-    kinds = _seeded_preps(11)
     policy = TruncationPolicy(epsilon=1e-12, n_max_h=caps[0], n_max_w=caps[1],
                               n_max_c=caps[2])
-    oracle = _number_diagonal_oracle(caps, detuning, grid)
-    windowed = caps != (6, 6, 6)
-    triples = ([(kinds["coherent"], kinds["squeezed"], kinds["coherent"])] if windowed
-               else itertools.product(kinds.values(), repeat=3))
+    oracle = _number_diagonal_oracle(caps, detuning, np.concatenate(_ORACLE_GRIDS))
     for preps in triples:
         ens = assemble_initial(preps, policy, XI, detuning)
-        assert not windowed or (ens.sectors.k_lo > 0).any()
-        sector = EnsembleSpectrum(ens).means_at(grid)
+        assert caps != _WINDOWED_CAPS or (ens.sectors.k_lo > 0).any()
+        spectrum = EnsembleSpectrum(ens)
+        sector = np.hstack([spectrum.means_at(grid) for grid in _ORACLE_GRIDS])
         np.testing.assert_allclose(sector, oracle(preps), rtol=0, atol=1e-9)
 
 
@@ -427,6 +456,7 @@ _KERNELS = {
     "decay": (lambda x: np.exp(-x), None, lambda x: np.exp(-x), np.linspace(0.0, 2e4, 150)),
     "complex": (np.exp, None, np.exp,
                 np.sqrt(np.arange(150) + 1.0) * complex(-600.0, TWO_PI * 50e3)),
+    "no_exponents": (np.cos, np.sin, np.cos, np.zeros(0)),
 }
 _KERNEL_TIMES = {
     "uniform": np.linspace(0.5e-6, 150e-6, 300),
@@ -442,9 +472,10 @@ _KERNEL_TIMES = {
 @pytest.mark.parametrize("kernel", list(_KERNELS))
 def test_kernel_sums_match_direct_sums(monkeypatch, kernel, times, cols, block):
     """start + sum_j coef[j, k] K(g_j t_i) against K taken at every time and
-    exponent, to 1e-12 of start + sum_j |coef[j, k]|.  A block of 250 factor
-    elements cuts the 150 exponents into blocks of 7 on the uniform grid,
-    6 on the non-uniform one and 125 at one point."""
+    exponent, to 1e-12 of start + sum_j |coef[j, k]|; with no exponents the
+    sums are the start.  A block of 250 factor elements cuts the 150
+    exponents into blocks of 7 on the uniform grid, 6 on the non-uniform one
+    and 125 at one point."""
     even, odd, direct, g = _KERNELS[kernel]
     t = _KERNEL_TIMES[times]
     if block is not None:
@@ -457,8 +488,14 @@ def test_kernel_sums_match_direct_sums(monkeypatch, kernel, times, cols, block):
                                rtol=0, atol=1e-12 * bound.max())
 
 
-def test_kernel_sums_without_exponents_are_the_start():
-    t = np.linspace(0.0, 1e-4, 30)
-    sums = _kernel_sums(t, np.zeros(0), np.zeros((0, 2)), np.cos, np.sin, start=1.5)
-    np.testing.assert_array_equal(sums, np.full((30, 2), 1.5))
-
+def test_ensemble_above_the_pair_limit_is_rejected(monkeypatch):
+    """The eigenvalue pairs sum d(d - 1)/2 are counted before any eigensolve;
+    before the limit, an ensemble of 3.8e7 pairs ran for 42 s in 1.1 GiB
+    on a 2-vCPU x86-64 host."""
+    ens = _thermal_ensemble((0.4, 1.1, 0.7))
+    pairs = int((ens.sectors.dim * (ens.sectors.dim - 1) // 2).sum())
+    monkeypatch.setattr(dynamics, "MAX_SECTOR_PAIRS", pairs - 1)
+    with pytest.raises(DomainError, match=f"{pairs} eigenvalue pairs.*MAX_SECTOR_PAIRS"):
+        EnsembleSpectrum(ens)
+    monkeypatch.setattr(dynamics, "MAX_SECTOR_PAIRS", pairs)
+    assert EnsembleSpectrum(ens).gaps.size > 0

@@ -908,6 +908,82 @@ def test_cli_fit_model_choices_come_from_the_model_table(capsys):
     assert "squeezed-vacuum" in capsys.readouterr().err
 
 
+_SHIPPED = Path(__file__).resolve().parents[1] / "scenarios"
+
+
+@pytest.mark.parametrize("name", ["../escaped", "a/b", 5, None, ["x"], "", "..", "a\\b"],
+                         ids=["parent_dir", "subdir", "number", "null", "list", "empty",
+                              "dot_dot", "backslash"])
+def test_scenario_name_must_be_one_file_name(tmp_path, capsys, name):
+    """Output files are named after the scenario; before, simulate wrote
+    ../escaped_trajectory.csv above --out, made a/ below it, and wrote
+    5_, None_, ['x']_ and _trajectory.csv, all with exit 0."""
+    d = {**json.loads((_SHIPPED / "single_shot.json").read_text()), "name": name}
+    out = tmp_path / "out"
+    assert cli_main(["simulate", _write_scenario(tmp_path, d), "--out", str(out)]) == 2
+    assert "name must be a nonempty file name" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json"]
+
+
+def _undecodable(tmp_path):
+    path = tmp_path / "utf16.txt"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    return str(path)
+
+
+@pytest.mark.parametrize("argv", [
+    lambda tmp: ["simulate", str(_SHIPPED / "single_shot.json"), "--out",
+                 str(tmp / "scenario.json")],
+    lambda tmp: ["simulate", str(tmp)],
+    lambda tmp: ["fit", str(tmp), "--model", "thermal"],
+    lambda tmp: ["simulate", _undecodable(tmp)],
+    lambda tmp: ["coupling", "--trap", _undecodable(tmp)],
+    lambda tmp: ["fit", _undecodable(tmp), "--model", "thermal"],
+], ids=["out_is_a_file", "simulate_directory", "fit_directory", "simulate_utf16",
+        "coupling_utf16", "fit_utf16"])
+def test_cli_os_and_decode_errors_exit_code(tmp_path, capsys, argv):
+    """A path the CLI cannot use, or a file that is not UTF-8, is a
+    configuration error, exit 2; before, each was a traceback with exit 1
+    (FileExistsError, IsADirectoryError, UnicodeDecodeError)."""
+    _write_scenario(tmp_path, _base_dict())
+    assert cli_main(argv(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_cli_ensemble_above_the_pair_limit_exit_code(tmp_path, capsys):
+    """The readout scenario with a squeezed-thermal hot mode (nbar 2.5, r 1)
+    holds 3.8e7 eigenvalue pairs: rejected before any eigensolve, exit 2
+    (before, 42 s and 1.1 GiB on a 2-vCPU x86-64 host)."""
+    d = json.loads((_SHIPPED / "sideband_readout.json").read_text())
+    d["preps"]["hot"] = {"kind": "squeezed_thermal", "nbar": 2.5, "r": 1.0}
+    d["time_grid_us"] = {"start": 0.0, "stop": 400.0, "num": 5}
+    assert cli_main(["steady-state", _write_scenario(tmp_path, d)]) == 2
+    assert "MAX_SECTOR_PAIRS" in capsys.readouterr().err
+
+
+def test_cli_numerical_failure_exit_code(capsys):
+    """A weight budget no truncation can meet is a numerical failure, exit 3."""
+    rc = cli_main(["steady-state", str(_SHIPPED / "single_shot.json"), "--epsilon", "1e-16"])
+    assert rc == 3
+    assert capsys.readouterr().err.startswith("numerical failure: retainable weight")
+
+
+def test_cli_fit_free_prints_the_populations(tmp_path, capsys):
+    rng = np.random.default_rng(21)
+    cfg = SidebandConfig(omega_rabi=TWO_PI * 50e3, gamma0=600.0)
+    p = thermal_distribution(0.8, cutoff=150, tail_budget=1.0)
+    samples = synthetic_brightness(p, cfg, np.linspace(0.5e-6, 150e-6, 300), 0.95, 0.02,
+                                   0.02, rng)
+    path = tmp_path / "flops.csv"
+    save_brightness_csv(path, samples)
+    assert cli_main(["fit", str(path), "--model", "free"]) == 0
+    line = next(line for line in capsys.readouterr().out.splitlines() if "p(n)" in line)
+    pops = np.array(line.split(":")[1].split(), dtype=float)
+    assert line.startswith("  p(n), n=0..13:") and pops.size == 14
+    assert pops.sum() == pytest.approx(1.0, abs=1e-3)
+    assert pops[0] == pytest.approx(1.0 / 1.8, abs=0.1)
+
+
 def test_cli_oracle_check_subprocess():
     """End-to-end check through the real module entry point."""
     proc = subprocess.run([sys.executable, "-m", "ionfridge", "oracle-check"],
