@@ -82,13 +82,18 @@ def entropy_flow(occ: OccupationTriple, rates: tuple[float, float, float],
     """Entropy rate sum_i hbar omega_i (dn_i/dt) / T_i of the mode triple (W/K).
 
     Vanishes exactly when the occupations satisfy the equilibrium condition
-    and the rates obey the exchange constraint dn_h = -dn_w = -dn_c.
+    and the rates obey the exchange constraint dn_h = -dn_w = -dn_c.  A mode
+    at T = 0 (nbar = 0) with a nonzero rate has no finite flow: DomainError.
     """
     total = 0.0
-    for nbar, rate, omega in zip(occ.as_tuple(), rates, freqs.as_tuple()):
+    for mode, nbar, rate, omega in zip(("hot", "work", "cold"), occ.as_tuple(), rates,
+                                       freqs.as_tuple()):
         if rate == 0.0:
             continue
-        temp = mode_temperature(nbar, omega)
+        temp = mode_temperature(nbar, omega) if nbar != 0.0 else 0.0
+        if temp == 0.0:
+            raise DomainError(f"{mode} mode: nbar = {nbar:g} is at T = 0, where the "
+                              f"entropy flow of rate {rate:g} diverges")
         total += CODATA2014.hbar * omega * rate / temp
     return total
 

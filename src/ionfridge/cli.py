@@ -11,15 +11,15 @@ Subcommands::
     ionfridge fit <data.csv> --model <name>    sideband-flopping fit
     ionfridge coupling --trap <trap.json>      mode frequencies and coupling
 
-Flags, each given only to the subcommands that read it: ``--out``
-(output directory; overrides $IONFRIDGE_OUT) on simulate, fig2, fig3 and
-fig4; ``--epsilon`` (truncation weight budget) on those four and
-steady-state; ``--rule`` (``dephasing``, ``window`` or ``window:<us>``) on
-fig3 and steady-state.  Any other flag is a usage error (exit 2).
-
-The five subcommands that read a scenario file are rows of one table,
-``_SCENARIO_COMMANDS`` (flags, help text, function of the loaded scenario);
-the parser and the one handler of all five, ``_cmd_scenario``, read it.
+Every subcommand is one row of ``_COMMANDS``: the arguments it reads (their
+``add_argument`` keywords are ``_ARGS``), its help text and its handler.  A
+flag goes only to the subcommands that read it: ``--out`` (output directory;
+overrides $IONFRIDGE_OUT) on simulate, fig2, fig3 and fig4; ``--epsilon``
+(truncation weight budget) on those four and steady-state; ``--rule``
+(``dephasing``, ``window`` or ``window:<us>``) on fig3 and steady-state.
+Any other flag is a usage error (exit 2).  The five scenario subcommands
+share one handler, which creates the ``--out`` directory before the study
+runs, so an unusable output path fails at once.
 
 Exit codes: 0 success, 2 validation/configuration error, 3 numerical failure.
 """
@@ -55,13 +55,17 @@ _ORACLE_XI = TWO_PI * 2.64e3
 _ORACLE_TOL = 1e-9
 
 
-#: flag name -> add_argument keywords; each scenario subcommand names the ones it reads
-_FLAGS = {
-    "out": {"default": None, "help": "output directory (default: $IONFRIDGE_OUT or cwd)"},
-    "epsilon": {"type": float, "default": None,
-                "help": "override the truncation weight budget"},
-    "rule": {"default": "dephasing",
-             "help": "steady-state rule: dephasing, window or window:<us>"},
+#: argument -> add_argument keywords; each row of _COMMANDS names the ones it reads
+_ARGS = {
+    "--out": {"help": "output directory (default: $IONFRIDGE_OUT or cwd)"},
+    "--epsilon": {"type": float, "help": "override the truncation weight budget"},
+    "--rule": {"default": "dephasing",
+               "help": "steady-state rule: dephasing, window or window:<us>"},
+    "scenario": {"help": "scenario JSON file"},
+    "data": {"help": "CSV file with header t_us,p_up,sigma"},
+    "--model": {"required": True,
+                "choices": sorted(name.replace("_", "-") for name in FIT_MODELS)},
+    "--trap": {"required": True, "help": "JSON file with omega_x_khz, omega_y_khz, omega_z_khz"},
 }
 
 
@@ -71,15 +75,28 @@ def _out_dir(args) -> Path:
     return path
 
 
-def _simulate(s: Scenario, args) -> str:
+def _scenario_command(study):
+    """Handler that prints ``study(scenario, args, out)``: ``--epsilon`` applied,
+    and the ``--out`` directory (None without the flag) made before it runs."""
+    def handler(args) -> int:
+        s = load_scenario(args.scenario)
+        if args.epsilon is not None:
+            s = dataclasses.replace(s, truncation=dataclasses.replace(
+                s.truncation, epsilon=args.epsilon))
+        print(study(s, args, _out_dir(args) if "out" in args else None))
+        return 0
+    return handler
+
+
+def _simulate(s: Scenario, args, out: Path) -> str:
     result = run_scenario(s)
-    path = _out_dir(args) / f"{s.name}_trajectory.csv"
+    path = out / f"{s.name}_trajectory.csv"
     result.to_csv(path)
     return (f"wrote {path} ({result.tau.size} rows, "
             f"retained weight {result.metadata['retained_weight']:.6f})")
 
 
-def _steady_state(s: Scenario, args) -> str:
+def _steady_state(s: Scenario, args, out: None) -> str:
     occ = steady_state(s, SteadyStateRule.parse(args.rule))
     return f"nbar_h={occ.nbar_h:.12g} nbar_w={occ.nbar_w:.12g} nbar_c={occ.nbar_c:.12g}"
 
@@ -88,59 +105,7 @@ def _wrote(paths) -> str:
     return "\n".join(f"wrote {path}" for path in paths)
 
 
-#: scenario subcommand -> (flags it reads, help text, text to print from (scenario, args))
-_SCENARIO_COMMANDS = {
-    "simulate": (("out", "epsilon"), "run a scenario and write the trajectory CSV", _simulate),
-    "fig2": (("out", "epsilon"), "hot-mode equilibration sweep",
-             lambda s, args: _wrote(fig2_dataset(s).write(_out_dir(args)))),
-    "fig3": (("out", "epsilon", "rule"),
-             "cold-mode relaxation study (thermal and squeezed work mode)",
-             lambda s, args: _wrote(fig3_dataset(s, rule=SteadyStateRule.parse(args.rule))
-                                    .write(_out_dir(args)))),
-    "fig4": (("out", "epsilon"), "single-shot cooling summary over a work-mode sweep",
-             lambda s, args: _wrote(fig4_dataset(s).write(_out_dir(args)))),
-    "steady-state": (("epsilon", "rule"), "print steady-state occupations of a scenario",
-                     _steady_state),
-}
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ionfridge",
-        description="three-mode trapped-ion absorption refrigerator simulator")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    for name, (flags, help_text, _) in _SCENARIO_COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        for flag in flags:
-            p.add_argument(f"--{flag}", **_FLAGS[flag])
-        p.add_argument("scenario", help="scenario JSON file")
-
-    sub.add_parser("oracle-check",
-                   help="compare the sector method against the dense oracle")
-
-    p_fit = sub.add_parser("fit", help="fit a flopping model to t_us,p_up,sigma data")
-    p_fit.add_argument("data", help="CSV file with header t_us,p_up,sigma")
-    p_fit.add_argument("--model", required=True,
-                       choices=sorted(name.replace("_", "-") for name in FIT_MODELS))
-
-    p_cpl = sub.add_parser("coupling",
-                           help="mode frequencies and coupling from a trap config")
-    p_cpl.add_argument("--trap", required=True,
-                       help="JSON file with omega_x_khz, omega_y_khz, omega_z_khz")
-    return parser
-
-
-def _cmd_scenario(args) -> int:
-    s = load_scenario(args.scenario)
-    if args.epsilon is not None:
-        s = dataclasses.replace(s, truncation=dataclasses.replace(
-            s.truncation, epsilon=args.epsilon))
-    print(_SCENARIO_COMMANDS[args.command][2](s, args))
-    return 0
-
-
-def _cmd_oracle_check(args) -> int:
+def _oracle_check(args) -> int:
     preps = tuple(ModePrep.thermal_state(v) for v in _ORACLE_NBARS)
     grid = np.linspace(0.0, 400e-6, 10)
     cap = _ORACLE_CAP
@@ -157,7 +122,7 @@ def _cmd_oracle_check(args) -> int:
     return 0
 
 
-def _cmd_fit(args) -> int:
+def _fit(args) -> int:
     samples = load_brightness_csv(args.data)
     result = fit_distribution(samples, args.model.replace("-", "_"))
     print(f"model: {args.model}  ({len(samples)} samples, {result.n_iter} iterations, "
@@ -172,7 +137,7 @@ def _cmd_fit(args) -> int:
     return 0
 
 
-def _cmd_coupling(args) -> int:
+def _coupling(args) -> int:
     trap = load_trap(args.trap)
     freqs = mode_frequencies(trap)
     spacing = equilibrium_spacing(trap)
@@ -186,18 +151,44 @@ def _cmd_coupling(args) -> int:
     return 0
 
 
+#: subcommand -> (arguments it reads, help text, handler of the parsed arguments)
 _COMMANDS = {
-    **dict.fromkeys(_SCENARIO_COMMANDS, _cmd_scenario),
-    "oracle-check": _cmd_oracle_check,
-    "fit": _cmd_fit,
-    "coupling": _cmd_coupling,
+    "simulate": (("--out", "--epsilon", "scenario"),
+                 "run a scenario and write the trajectory CSV", _scenario_command(_simulate)),
+    "fig2": (("--out", "--epsilon", "scenario"), "hot-mode equilibration sweep",
+             _scenario_command(lambda s, args, out: _wrote(fig2_dataset(s).write(out)))),
+    "fig3": (("--out", "--epsilon", "--rule", "scenario"),
+             "cold-mode relaxation study (thermal and squeezed work mode)",
+             _scenario_command(lambda s, args, out: _wrote(
+                 fig3_dataset(s, rule=SteadyStateRule.parse(args.rule)).write(out)))),
+    "fig4": (("--out", "--epsilon", "scenario"),
+             "single-shot cooling summary over a work-mode sweep",
+             _scenario_command(lambda s, args, out: _wrote(fig4_dataset(s).write(out)))),
+    "steady-state": (("--epsilon", "--rule", "scenario"),
+                     "print steady-state occupations of a scenario",
+                     _scenario_command(_steady_state)),
+    "oracle-check": ((), "compare the sector method against the dense oracle", _oracle_check),
+    "fit": (("data", "--model"), "fit a flopping model to t_us,p_up,sigma data", _fit),
+    "coupling": (("--trap",), "mode frequencies and coupling from a trap config", _coupling),
 }
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="ionfridge",
+        description="three-mode trapped-ion absorption refrigerator simulator")
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (arguments, help_text, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        for argument in arguments:
+            p.add_argument(argument, **_ARGS[argument])
+    return parser
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
+        return _COMMANDS[args.command][2](args)
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -36,7 +36,7 @@ from .dynamics import (EnsembleSpectrum, ThreeModeEnsemble, assemble_initial,
 from .errors import DomainError, ScenarioError
 from .fockspace import TruncationPolicy
 from .measurement import SidebandConfig, red_sideband_brightness
-from .states import PREP_PARAMS, ModePrep, prep_mean
+from .states import PREP_KINDS, ModePrep, prep_mean
 from .trap import CODATA2014, REFERENCE_SETUPS, TrapConfig, coupling_rate
 
 SCHEMA_VERSION = 1
@@ -149,7 +149,7 @@ def _cap(value, where: str) -> int | None:
 
 
 def _prep_kind(value, where: str) -> str:
-    if not isinstance(value, str) or value not in PREP_PARAMS:
+    if not isinstance(value, str) or value not in PREP_KINDS:
         raise ScenarioError(f"unknown preparation kind {value!r} in {where}")
     return value
 
@@ -195,12 +195,12 @@ COUPLING_TABLE = {"xi_khz": ("xi", _number, _KHZ, False),
                   "trap": ("trap", partial(_section, table=TRAP_TABLE, cls=TrapConfig),
                            None, False)}
 
-#: preparation kind -> its table, from PREP_PARAMS and ModePrep's type hints
+#: preparation kind -> its table, from PREP_KINDS and ModePrep's type hints
 _PREP_PARSERS = {field: {str: _prep_kind, int: _integer, float: _number}[hint]
                  for field, hint in get_type_hints(ModePrep).items()}
 PREP_TABLES = {kind: {key: (field, _PREP_PARSERS[field], None, True)
                       for key, field in {"kind": "kind", **params}.items()}
-               for kind, params in PREP_PARAMS.items()}
+               for kind, (params, _, _) in PREP_KINDS.items()}
 
 PREPS_TABLE = {mode: (mode, _prep_from_dict, None, True) for mode in ("hot", "work", "cold")}
 
@@ -656,8 +656,10 @@ def fig3_dataset(base: Scenario,
                  rule: SteadyStateRule = SteadyStateRule()) -> RelaxationStudy:
     """Cold-mode relaxation traces relative to the steady state.
 
-    Runs the preset thermal and squeezed-work scenarios (or caller-supplied
-    ones) on the base scenario's grid, coupling and truncation.
+    Runs the preset scenarios of :func:`relaxation_scenarios` (or
+    caller-supplied ones) on the base scenario's grid and truncation.  The
+    six thermal presets keep the base coupling; the four squeezed-work
+    presets run at z425's Hamiltonian rate, where they were recorded.
     """
     if scenarios is None:
         scenarios = relaxation_scenarios(base)
@@ -799,14 +801,28 @@ def write_dataset_csv(path, columns: Sequence[str], rows, metadata: dict) -> Non
 
 def read_dataset_csv(path) -> tuple[dict, list[str], np.ndarray]:
     """Read back a dataset CSV written by :func:`write_dataset_csv`: a float
-    array, or an object array with string labels if a cell is not a number."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    array, or an object array with string labels if a cell is not a number.
+    A malformed file is a ScenarioError naming the file and the line."""
+    try:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ScenarioError(f"{path}: not UTF-8 text ({exc})") from exc
     if not lines or not lines[0].startswith("# "):
         raise ScenarioError(f"{path}: missing metadata line")
-    metadata = json.loads(lines[0][2:])
+    try:
+        metadata = json.loads(lines[0][2:])
+    except json.JSONDecodeError as exc:
+        raise ScenarioError(f"{path}: line 1: metadata is not valid JSON ({exc})") from exc
+    if len(lines) < 2:
+        raise ScenarioError(f"{path}: line 2: missing column header")
     columns = lines[1].split(",")
-    data = np.array([[_number_or_text(v) for v in line.split(",")]
-                     for line in lines[2:] if line], dtype=object)
+    rows = {number: line.split(",") for number, line in enumerate(lines[2:], start=3) if line}
+    for number, cells in rows.items():
+        if len(cells) != len(columns):
+            raise ScenarioError(f"{path}: line {number}: {len(cells)} cells, "
+                                f"expected {len(columns)}")
+    data = np.array([[_number_or_text(v) for v in cells] for cells in rows.values()],
+                    dtype=object)
     labelled = any(isinstance(v, str) for v in data.flat)
     return metadata, columns, data if labelled else data.astype(float)
 

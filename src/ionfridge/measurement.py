@@ -303,6 +303,10 @@ FIT_MODELS: dict[str, tuple[dict[str, float], Callable[..., np.ndarray]]] = {
 _SHAPE_PARAMS = ("a", "b", "omega01", "gamma0")
 #: parameters bounded below by 0 in the solver; the others are unbounded
 _NONNEGATIVE_PARAMS = {"nbar", "mbar", "r", "omega01", "gamma0"}
+#: a fit from the periodogram seed above this reduced chi2 is refitted from
+#: omega01 seeds omega_peak / sqrt(k), k in _OMEGA_RUNGS
+_REFIT_CHI2 = 2.0
+_OMEGA_RUNGS = range(2, 7)
 
 
 @dataclass(eq=False)
@@ -407,11 +411,17 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
     ``free`` (softmax-parameterized populations on n = 0..13).  ``seed``
     overrides the default initial guesses by name; shape parameters are
     a (contrast), b (background), omega01 (rad/s) and gamma0 (1/s).
+
+    The periodogram's strongest line may be a level's sqrt(n+1) Omega line
+    instead of the base rate (coherent records above mbar ~ 1).  So unless
+    ``seed`` sets omega01, a fit whose reduced chi2 exceeds ``_REFIT_CHI2``
+    is refitted from omega01 = omega_peak / sqrt(k) for k = 2..6, and the
+    lowest reduced chi2 is kept; a refit that does not converge is skipped.
     """
     if model not in FIT_MODELS:
         raise ValidationError(f"unknown model {model!r}")
     dist_seeds, populations = FIT_MODELS[model]
-    samples = list(samples)
+    samples, seed = list(samples), seed or {}
     names = tuple(dist_seeds) + _SHAPE_PARAMS
     n_params = len(names)
     if len(samples) < 3 * n_params:
@@ -431,7 +441,7 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
     }
     problem = _FloppingFit(model, ts, ys, sigmas)
     lower = np.array([0.0 if name in _NONNEGATIVE_PARAMS else -math.inf for name in names])
-    start = np.array([float((seed or {}).get(name, defaults[name])) for name in names])
+    start = np.array([float(seed.get(name, defaults[name])) for name in names])
 
     solution = damped_least_squares(problem.residuals, np.maximum(start, lower),
                                     problem.jacobian, lower=lower)
@@ -448,6 +458,15 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
         smax_jac = np.diag(probs)[:, 1:] - np.outer(probs, probs[1:])
         cov_p = smax_jac @ solution.cov[:FREE_FIT_NMAX, :FREE_FIT_NMAX] @ smax_jac.T
         result.population_errors = np.sqrt(np.clip(np.diag(cov_p), 0.0, None))
+    if result.reduced_chi2 > _REFIT_CHI2 and "omega01" not in seed:
+        for k in _OMEGA_RUNGS:
+            try:
+                refit = fit_distribution(samples, model, {
+                    **seed, "omega01": defaults["omega01"] / math.sqrt(k)})
+            except FitConvergenceError:
+                continue
+            if refit.reduced_chi2 < result.reduced_chi2:
+                result = refit
     return result
 
 

@@ -33,10 +33,6 @@ _MAX_LADDER = 2e6         # longest squeezed-number recurrence run (levels)
 _FLOAT_MAX = float(np.finfo(float).max)
 _MAX_SQUEEZE = math.asinh(math.sqrt(_FLOAT_MAX))   # sinh(r)^2 overflows past this r
 
-#: preparation kind -> {scenario-file key: the ModePrep field it sets}
-PREP_PARAMS = {"thermal": {"nbar": "nbar"}, "coherent": {"mbar": "alpha_sq"},
-               "squeezed_thermal": {"nbar": "nbar", "r": "r"}, "fock": {"n": "n_fock"}}
-
 
 # ---------------------------------------------------------------------------
 # Distribution container
@@ -248,17 +244,24 @@ def squeezed_thermal_mean(nbar: float, r: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+#: preparation kind -> ({scenario-file key: the ModePrep field it sets},
+#: distribution and untruncated mean, both called with those fields' values in order)
+PREP_KINDS = {
+    "thermal": ({"nbar": "nbar"}, thermal_distribution, float),
+    "coherent": ({"mbar": "alpha_sq"}, coherent_distribution, float),
+    "squeezed_thermal": ({"nbar": "nbar", "r": "r"}, squeezed_thermal_distribution,
+                         squeezed_thermal_mean),
+    "fock": ({"n": "n_fock"}, _fock, float),
+}
+
+
 @dataclass(frozen=True)
 class ModePrep:
     """Declarative initial state of one mode.
 
-    Exactly the fields relevant to ``kind`` are read, as listed in
-    :data:`PREP_PARAMS`, and each must be >= 0:
-
-    - ``thermal``:          nbar
-    - ``coherent``:         alpha_sq   (mean phonon number |alpha|^2)
-    - ``squeezed_thermal``: nbar, r
-    - ``fock``:             n_fock
+    Exactly the fields that :data:`PREP_KINDS` lists for ``kind`` are read
+    (``alpha_sq`` is the coherent mean phonon number |alpha|^2), and each
+    must be >= 0.
 
     Preparations are phase-randomized: a mode enters the dynamics through
     its phonon-number distribution only, as the number-diagonal density.
@@ -275,12 +278,12 @@ class ModePrep:
     n_fock: int = 0
 
     def __post_init__(self):
-        if self.kind not in PREP_PARAMS:
+        if self.kind not in PREP_KINDS:
             raise DomainError(f"unknown prep kind {self.kind!r}; "
-                              f"expected one of {tuple(PREP_PARAMS)}")
+                              f"expected one of {tuple(PREP_KINDS)}")
         if not all(math.isfinite(v) for v in (self.nbar, self.alpha_sq, self.r)):
             raise DomainError("prep parameters must be finite")
-        fields = PREP_PARAMS[self.kind].values()
+        fields = PREP_KINDS[self.kind][0].values()
         if any(getattr(self, f) < 0 for f in fields):
             raise DomainError(f"{self.kind} prep needs "
                               + " and ".join(f"{f} >= 0" for f in fields))
@@ -305,26 +308,14 @@ class ModePrep:
 def prep_to_distribution(prep: ModePrep, cutoff: int = DEFAULT_CUTOFF,
                          tail_budget: float = DEFAULT_TAIL_BUDGET) -> PhononDistribution:
     """Phonon-number distribution of a prepared mode."""
-    if prep.kind == "thermal":
-        return thermal_distribution(prep.nbar, cutoff, tail_budget)
-    if prep.kind == "coherent":
-        return coherent_distribution(prep.alpha_sq, cutoff, tail_budget)
-    if prep.kind == "squeezed_thermal":
-        return squeezed_thermal_distribution(prep.nbar, prep.r, cutoff, tail_budget)
-    if prep.kind == "fock":
-        return _fock(prep.n_fock, cutoff, tail_budget)
-    raise DomainError(f"unknown prep kind {prep.kind!r}")   # pragma: no cover
+    params, distribution, _ = PREP_KINDS[prep.kind]
+    return distribution(*(getattr(prep, f) for f in params.values()), cutoff, tail_budget)
 
 
 def prep_mean(prep: ModePrep) -> float:
     """Untruncated mean occupation implied by a preparation."""
-    if prep.kind == "thermal":
-        return prep.nbar
-    if prep.kind == "coherent":
-        return prep.alpha_sq
-    if prep.kind == "squeezed_thermal":
-        return squeezed_thermal_mean(prep.nbar, prep.r)
-    return float(prep.n_fock)
+    params, _, mean = PREP_KINDS[prep.kind]
+    return mean(*(getattr(prep, f) for f in params.values()))
 
 
 # ---------------------------------------------------------------------------

@@ -144,3 +144,14 @@ def test_entropy_flow_positive_for_spontaneous_cooling():
     eps_rate = -1.0e3  # cooling direction for this triple
     flow = entropy_flow(occ, (-eps_rate, eps_rate, eps_rate), freqs)
     assert flow > 0.0
+
+
+@pytest.mark.parametrize("occ", [OccupationTriple(0.0, 1.0, 1.0), OccupationTriple(0.66, 4.44, 0.0)],
+                         ids=["hot", "cold"])
+def test_entropy_flow_at_zero_temperature_is_a_domain_error(occ):
+    """A mode at nbar = 0 (T = 0) with a nonzero rate has no finite entropy
+    flow; before, the division raised ZeroDivisionError."""
+    freqs = mode_frequencies(REFERENCE_SETUPS["z570"].trap)
+    mode = "hot" if occ.nbar_h == 0.0 else "cold"
+    with pytest.raises(DomainError, match=f"{mode} mode"):
+        entropy_flow(occ, (1.0, -1.0, -1.0), freqs)

@@ -30,7 +30,7 @@ from ionfridge.dynamics import EnsembleSpectrum
 from ionfridge.fockspace import TruncationPolicy
 from ionfridge.measurement import (FIT_MODELS, SidebandConfig, red_sideband_brightness,
                                    save_brightness_csv, synthetic_brightness)
-from ionfridge.states import (DEFAULT_CUTOFF, PREP_PARAMS, ModePrep, prep_mean,
+from ionfridge.states import (DEFAULT_CUTOFF, PREP_KINDS, ModePrep, prep_mean,
                               thermal_distribution)
 from ionfridge.trap import REFERENCE_SETUPS
 
@@ -455,11 +455,11 @@ def test_fig2_and_fig4_csv_metadata_carry_the_sweep(tmp_path):
         assert meta["scenario"]["sweep"] == d["sweep"], path.name
 
 
-@pytest.mark.parametrize("kind", sorted(PREP_PARAMS))
+@pytest.mark.parametrize("kind", sorted(PREP_KINDS))
 def test_prep_echo_round_trips_every_kind(kind):
     """Parsing and echoing read the same table, so the echo of a parsed
     preparation is the scenario-file object it came from."""
-    d = {"kind": kind, **{key: 2 + i for i, key in enumerate(PREP_PARAMS[kind])}}
+    d = {"kind": kind, **{key: 2 + i for i, key in enumerate(PREP_KINDS[kind][0])}}
     echo = _prep_echo(_prep_from_dict(d, "preps.hot"))
     assert echo == d and list(echo) == list(d)
 
@@ -633,6 +633,23 @@ def test_dataset_csv_missing_metadata(tmp_path):
     path.write_text("a,b\n1,2\n")
     with pytest.raises(ScenarioError):
         read_dataset_csv(path)
+
+
+@pytest.mark.parametrize("content,where", [
+    (b'# {bad\na,b\n1,2\n', "line 1"),
+    (b'# {"k":1}\n', "line 2"),
+    ('# {"k":1}\na,b\n1,2\n'.encode("utf-16"), "not UTF-8"),
+    (b'# {"k":1}\na,b\n1,2\n3\n', "line 4"),
+], ids=["bad_metadata", "no_header", "utf16", "short_row"])
+def test_dataset_csv_malformed_file_is_a_scenario_error(tmp_path, content, where):
+    """Each names the file and, where one applies, the line; before, they
+    escaped as JSONDecodeError, IndexError, UnicodeDecodeError and numpy's
+    ValueError."""
+    path = tmp_path / "data.csv"
+    path.write_bytes(content)
+    with pytest.raises(ScenarioError) as exc:
+        read_dataset_csv(path)
+    assert str(exc.value).startswith(f"{path}: ") and where in str(exc.value)
 
 
 def test_dataset_determinism_byte_identical(tmp_path):
@@ -947,6 +964,22 @@ def test_cli_os_and_decode_errors_exit_code(tmp_path, capsys, argv):
     (FileExistsError, IsADirectoryError, UnicodeDecodeError)."""
     _write_scenario(tmp_path, _base_dict())
     assert cli_main(argv(tmp_path)) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
+@pytest.mark.parametrize("command,study", [
+    ("simulate", "run_scenario"), ("fig2", "fig2_dataset"), ("fig3", "fig3_dataset"),
+    ("fig4", "fig4_dataset")])
+def test_cli_out_is_settled_before_the_study_runs(tmp_path, capsys, monkeypatch,
+                                                  command, study):
+    """--out naming an existing file exits 2 before the study runs; before,
+    the whole study ran and only then did making the directory fail."""
+    def study_ran(*args, **kwargs):
+        raise AssertionError(f"{study} ran before --out was made")
+    monkeypatch.setattr(f"ionfridge.cli.{study}", study_ran)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert cli_main([command, str(_SHIPPED / "single_shot.json"), "--out", str(out)]) == 2
     assert capsys.readouterr().err.startswith("error: ")
 
 

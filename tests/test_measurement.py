@@ -17,7 +17,7 @@ from ionfridge.measurement import (FIT_MODELS, FREE_FIT_NMAX, BrightnessSample,
                                    fit_distribution, fit_preparation_curves,
                                    load_brightness_csv, red_sideband_brightness,
                                    save_brightness_csv, synthetic_brightness)
-from ionfridge.states import thermal_distribution
+from ionfridge.states import coherent_distribution, thermal_distribution
 
 TWO_PI = 2.0 * math.pi
 OMEGA = TWO_PI * 50e3
@@ -308,6 +308,18 @@ def test_fits_of_a_vacuum_record_leave_the_distribution_unresolved(seed):
         assert res.rank == 4
         assert res.errors[name] == math.inf
         assert all(math.isfinite(res.errors[k]) for k in ("a", "b", "omega01", "gamma0"))
+
+
+@pytest.mark.parametrize("mbar", [1.5, 3.0])
+def test_coherent_fit_above_mbar_one_finds_the_base_rate(mbar):
+    """Above mbar ~ 1 the periodogram's strongest line is a sqrt(n+1) Omega
+    line; the refit from omega_peak / sqrt(k) lands on the base rate.  Before,
+    these fits settled at sqrt(2) or sqrt(3) Omega with reduced chi2 of 25-35."""
+    samples = _samples(coherent_distribution(mbar, 150, 1.0), np.random.default_rng(3))
+    res = fit_distribution(samples, "coherent")
+    assert abs(res.params["mbar"] - mbar) <= 6.0 * res.errors["mbar"]
+    assert res.reduced_chi2 <= 2.0
+    assert res.params["omega01"] == pytest.approx(OMEGA, rel=0.01)
 
 
 def test_thermal_fit_of_an_undamped_record_holds_gamma0_at_zero():
