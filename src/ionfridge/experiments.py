@@ -813,6 +813,8 @@ def read_dataset_csv(path) -> tuple[dict, list[str], np.ndarray]:
         metadata = json.loads(lines[0][2:])
     except json.JSONDecodeError as exc:
         raise ScenarioError(f"{path}: line 1: metadata is not valid JSON ({exc})") from exc
+    if not isinstance(metadata, dict):
+        raise ScenarioError(f"{path}: line 1: metadata is not a JSON object")
     if len(lines) < 2:
         raise ScenarioError(f"{path}: line 2: missing column header")
     columns = lines[1].split(",")

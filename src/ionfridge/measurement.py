@@ -303,8 +303,11 @@ FIT_MODELS: dict[str, tuple[dict[str, float], Callable[..., np.ndarray]]] = {
 _SHAPE_PARAMS = ("a", "b", "omega01", "gamma0")
 #: parameters bounded below by 0 in the solver; the others are unbounded
 _NONNEGATIVE_PARAMS = {"nbar", "mbar", "r", "omega01", "gamma0"}
-#: a fit from the periodogram seed above this reduced chi2 is refitted from
-#: omega01 seeds omega_peak / sqrt(k), k in _OMEGA_RUNGS
+#: a coherent fit from the periodogram seed above this reduced chi2 is
+#: refitted from omega01 seeds omega_peak / sqrt(k), k in _OMEGA_RUNGS.
+#: Only coherent: a free fit at omega01 = Omega / sqrt(k) holds every
+#: base-rate distribution on its levels k (n + 1) - 1, so a sub-harmonic
+#: rung can win on noise alone.
 _REFIT_CHI2 = 2.0
 _OMEGA_RUNGS = range(2, 7)
 
@@ -414,9 +417,10 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
 
     The periodogram's strongest line may be a level's sqrt(n+1) Omega line
     instead of the base rate (coherent records above mbar ~ 1).  So unless
-    ``seed`` sets omega01, a fit whose reduced chi2 exceeds ``_REFIT_CHI2``
-    is refitted from omega01 = omega_peak / sqrt(k) for k = 2..6, and the
-    lowest reduced chi2 is kept; a refit that does not converge is skipped.
+    ``seed`` sets omega01, a coherent fit whose reduced chi2 exceeds
+    ``_REFIT_CHI2`` is refitted from omega01 = omega_peak / sqrt(k) for
+    k = 2..6, and the lowest reduced chi2 is kept; a refit that does not
+    converge is skipped.  The other models are fitted once.
     """
     if model not in FIT_MODELS:
         raise ValidationError(f"unknown model {model!r}")
@@ -436,7 +440,7 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
         **dist_seeds,
         "a": max(float(ys.max() - ys.min()), 0.1),
         "b": float(ys.min()),
-        "omega01": _default_omega_seed(samples),
+        "omega01": seed["omega01"] if "omega01" in seed else _default_omega_seed(samples),
         "gamma0": 0.05 / max(float(ts.max()), 1e-12),
     }
     problem = _FloppingFit(model, ts, ys, sigmas)
@@ -458,7 +462,7 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
         smax_jac = np.diag(probs)[:, 1:] - np.outer(probs, probs[1:])
         cov_p = smax_jac @ solution.cov[:FREE_FIT_NMAX, :FREE_FIT_NMAX] @ smax_jac.T
         result.population_errors = np.sqrt(np.clip(np.diag(cov_p), 0.0, None))
-    if result.reduced_chi2 > _REFIT_CHI2 and "omega01" not in seed:
+    if model == "coherent" and result.reduced_chi2 > _REFIT_CHI2 and "omega01" not in seed:
         for k in _OMEGA_RUNGS:
             try:
                 refit = fit_distribution(samples, model, {

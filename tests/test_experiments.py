@@ -640,11 +640,12 @@ def test_dataset_csv_missing_metadata(tmp_path):
     (b'# {"k":1}\n', "line 2"),
     ('# {"k":1}\na,b\n1,2\n'.encode("utf-16"), "not UTF-8"),
     (b'# {"k":1}\na,b\n1,2\n3\n', "line 4"),
-], ids=["bad_metadata", "no_header", "utf16", "short_row"])
+    (b'# 5\na\n1\n', "line 1: metadata is not a JSON object"),
+], ids=["bad_metadata", "no_header", "utf16", "short_row", "metadata_not_object"])
 def test_dataset_csv_malformed_file_is_a_scenario_error(tmp_path, content, where):
     """Each names the file and, where one applies, the line; before, they
     escaped as JSONDecodeError, IndexError, UnicodeDecodeError and numpy's
-    ValueError."""
+    ValueError, and metadata that was not an object was returned as is."""
     path = tmp_path / "data.csv"
     path.write_bytes(content)
     with pytest.raises(ScenarioError) as exc:

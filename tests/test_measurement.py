@@ -322,6 +322,20 @@ def test_coherent_fit_above_mbar_one_finds_the_base_rate(mbar):
     assert res.params["omega01"] == pytest.approx(OMEGA, rel=0.01)
 
 
+@pytest.mark.parametrize("model", ["free", "thermal"])
+def test_fit_above_chi2_two_keeps_the_base_rate(model):
+    """Only coherent fits are refitted from sub-harmonic omega01 seeds.  A free
+    fit at Omega / sqrt(k) holds the base-rate populations on its levels
+    k (n + 1) - 1, so on a cold thermal record with its sigma column halved
+    (reduced chi2 ~ 4) the Omega / sqrt(3) rung fits the noise better; it
+    was kept before, with omega01 = 0.577 Omega."""
+    samples = [BrightnessSample(s.t, s.p_up, 0.5 * s.sigma) for s in
+               _samples(thermal_distribution(0.2, 150, 1.0), np.random.default_rng(0))]
+    res = fit_distribution(samples, model)
+    assert res.reduced_chi2 > 2.0
+    assert res.params["omega01"] == pytest.approx(OMEGA, rel=0.01)
+
+
 def test_thermal_fit_of_an_undamped_record_holds_gamma0_at_zero():
     """A record without decoherence drives gamma0 onto its bound 0, where it
     is held: error inf, rank 4 of 5, the other parameters resolved."""
