@@ -18,7 +18,7 @@ import warnings
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .trap import CODATA2014, ModeFrequencies, mode_temperature
+from .trap import CODATA2014, _log1p_inverse
 
 
 @dataclass(frozen=True)
@@ -49,10 +49,14 @@ class CoolingReport:
     threshold_w: float
 
 
+def _require_occupations(*nbars: float) -> None:
+    if not all(0.0 < nbar < math.inf for nbar in nbars):
+        raise DomainError("occupations must be finite and > 0")
+
+
 def equilibrium_cold_occupation(nbar_h: float, nbar_w: float) -> float:
     """Cold occupation balancing the equilibrium condition for given h, w."""
-    if nbar_h <= 0.0 or nbar_w <= 0.0:
-        raise DomainError("occupations must be > 0")
+    _require_occupations(nbar_h, nbar_w)
     ratio = (1.0 + 1.0 / nbar_h) / (1.0 + 1.0 / nbar_w)
     if ratio <= 1.0:
         raise DomainError(
@@ -69,33 +73,32 @@ def cooling_condition(occ: OccupationTriple) -> tuple[bool, float]:
     threshold = nbar_h (1 + nbar_c) / (nbar_c - nbar_h); the inequality is
     strict, and cooling is impossible when nbar_c <= nbar_h (threshold +inf).
     """
-    if min(occ.as_tuple()) <= 0.0:
-        raise DomainError("occupations must be > 0")
+    _require_occupations(*occ.as_tuple())
     if occ.nbar_c <= occ.nbar_h:
         return (False, math.inf)
     threshold = occ.nbar_h * (1.0 + occ.nbar_c) / (occ.nbar_c - occ.nbar_h)
     return (occ.nbar_w > threshold, threshold)
 
 
-def entropy_flow(occ: OccupationTriple, rates: tuple[float, float, float],
-                 freqs: ModeFrequencies) -> float:
-    """Entropy rate sum_i hbar omega_i (dn_i/dt) / T_i of the mode triple (W/K).
+def entropy_flow(occ: OccupationTriple, rates: tuple[float, float, float]) -> float:
+    """Entropy rate k_B sum_i (dn_i/dt) ln(1 + 1/nbar_i) of the mode triple (W/K).
 
+    That is sum_i hbar omega_i (dn_i/dt) / T_i, as hbar omega / T = k_B ln(1 + 1/nbar).
     Vanishes exactly when the occupations satisfy the equilibrium condition
-    and the rates obey the exchange constraint dn_h = -dn_w = -dn_c.  A mode
-    at T = 0 (nbar = 0) with a nonzero rate has no finite flow: DomainError.
+    and the rates obey dn_h = -dn_w = -dn_c.  Each nbar must be finite and
+    >= 0; one at 0 (T = 0) with a nonzero rate has no finite flow: DomainError.
     """
     total = 0.0
-    for mode, nbar, rate, omega in zip(("hot", "work", "cold"), occ.as_tuple(), rates,
-                                       freqs.as_tuple()):
+    for mode, nbar, rate in zip(("hot", "work", "cold"), occ.as_tuple(), rates):
+        if not 0.0 <= nbar < math.inf:
+            raise DomainError(f"{mode} mode: nbar = {nbar:g} must be finite and >= 0")
         if rate == 0.0:
             continue
-        temp = mode_temperature(nbar, omega) if nbar != 0.0 else 0.0
-        if temp == 0.0:
-            raise DomainError(f"{mode} mode: nbar = {nbar:g} is at T = 0, where the "
+        if nbar == 0.0:
+            raise DomainError(f"{mode} mode: nbar = 0 is at T = 0, where the "
                               f"entropy flow of rate {rate:g} diverges")
-        total += CODATA2014.hbar * omega * rate / temp
-    return total
+        total += rate * _log1p_inverse(nbar)
+    return CODATA2014.k_B * total
 
 
 def cooling_report(initial: OccupationTriple, final: OccupationTriple) -> CoolingReport:
@@ -119,6 +122,8 @@ def extract_equilibrium_nc(points: list[tuple[float, float]]) -> float:
     """
     if len(points) < 2:
         raise DomainError("need at least two (nbar_c_in, eps_h) points")
+    if not all(math.isfinite(x) and math.isfinite(e) for x, e in points):
+        raise DomainError("(nbar_c_in, eps_h) points must be finite")
     signs = {e > 0.0 for _, e in points if e != 0.0}
     if len(signs) < 2 and all(e != 0.0 for _, e in points):
         warnings.warn("eps_h does not change sign; extrapolating beyond the sweep",
@@ -140,8 +145,7 @@ def equilibrium_shift(initial: OccupationTriple) -> float:
     pairs; eps < 0 corresponds to cooling of the cold mode.
     """
     n_h, n_w, n_c = initial.as_tuple()
-    if min(n_h, n_w, n_c) <= 0.0:
-        raise DomainError("occupations must be > 0")
+    _require_occupations(n_h, n_w, n_c)
     # with a = n_h - eps, b = n_w + eps, c = n_c + eps the condition
     # log1p(1/a) = log1p(1/b) + log1p(1/c) is bc = a(b + c + 1), the quadratic
     # 3 eps^2 + B eps + C = 0.  It is negative at eps = -min(n_w, n_c) and

@@ -44,7 +44,7 @@ from .fockspace import TruncationPolicy
 from .measurement import FIT_MODELS, fit_distribution, load_brightness_csv
 from .oracle import dense_oracle_evolve
 from .states import ModePrep
-from .trap import coupling_rate, equilibrium_spacing, mode_frequencies
+from .trap import coupling_rate, mode_frequencies
 
 TWO_PI = 2.0 * math.pi
 
@@ -140,13 +140,12 @@ def _fit(args) -> int:
 def _coupling(args) -> int:
     trap = load_trap(args.trap)
     freqs = mode_frequencies(trap)
-    spacing = equilibrium_spacing(trap)
     rate = coupling_rate(trap)
     print(f"omega_h/2pi = {freqs.omega_h / TWO_PI / 1e3:.6g} kHz")
     print(f"omega_w/2pi = {freqs.omega_w / TWO_PI / 1e3:.6g} kHz")
     print(f"omega_c/2pi = {freqs.omega_c / TWO_PI / 1e3:.6g} kHz")
     print(f"resonance residual = {freqs.residual / TWO_PI / 1e3:.4g} kHz")
-    print(f"ion spacing = {spacing * 1e6:.6g} um")
+    print(f"ion spacing = {rate.x0 * 1e6:.6g} um")
     print(f"xi/2pi = {rate.xi / TWO_PI / 1e3:.6g} kHz (geometric formula)")
     return 0
 

@@ -337,10 +337,6 @@ class EnsembleSpectrum:
         n_h = self.nh_dephased
         return OccupationTriple(n_h, self.sum_wN - n_h, self.sum_wM - n_h)
 
-    def min_eigenvalue_gap(self) -> float:
-        """Smallest nonzero eigenvalue gap across sectors with dim > 1 (rad/s)."""
-        return float(self.gaps[self.gaps > 0.0].min(initial=np.inf))
-
 
 def default_incoherence_strength(spectrum: EnsembleSpectrum) -> float:
     """xi_in making the slowest sector coherence decay with time constant 5/xi.
@@ -352,7 +348,5 @@ def default_incoherence_strength(spectrum: EnsembleSpectrum) -> float:
     xi = spectrum.ensemble.xi
     if xi <= 0.0:
         raise DomainError("xi must be > 0 to set a default incoherence strength")
-    g_min = spectrum.min_eigenvalue_gap()
-    if not np.isfinite(g_min):
-        return 0.0
-    return xi / (5.0 * g_min ** 2)
+    g_min = float(spectrum.gaps[spectrum.gaps > 0.0].min(initial=np.inf))
+    return xi / (5.0 * g_min ** 2)          # 0 when g_min is inf

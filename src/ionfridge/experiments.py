@@ -283,24 +283,20 @@ def load_trap(path) -> TrapConfig:
     return _section(_read_json(Path(path)), "trap", TRAP_TABLE, TrapConfig)
 
 
-def reference_scenario(setup: str = "z570", *, name: str | None = None,
-                       preps: tuple[ModePrep, ModePrep, ModePrep] | None = None,
-                       t_stop: float = 400e-6, num: int = 161) -> Scenario:
-    """Scenario at one of the two reference operating points.
+def reference_scenario(setup: str = "z570", *, t_stop: float = 400e-6,
+                       num: int = 161) -> Scenario:
+    """Scenario ``reference_<setup>`` at one of the two reference operating points.
 
     Uses the setup's Hamiltonian-rate coupling (half the quoted exchange
-    Rabi frequency, see :class:`~ionfridge.trap.ReferenceSetup`) and the
-    stock thermal preparation (0.66, 4.44, 2.63) unless overridden.
+    Rabi frequency, see :class:`~ionfridge.trap.ReferenceSetup`), the stock
+    thermal preparation (0.66, 4.44, 2.63) and ``num`` times from 0 to
+    ``t_stop``; :func:`with_prep` and ``dataclasses.replace`` vary the rest.
     """
-    ref = REFERENCE_SETUPS[setup]
-    if preps is None:
-        preps = (ModePrep.thermal_state(0.66), ModePrep.thermal_state(4.44),
-                 ModePrep.thermal_state(2.63))
     return Scenario(
-        preps=preps,
+        preps=tuple(ModePrep.thermal_state(nbar) for nbar in (0.66, 4.44, 2.63)),
         time_grid=np.linspace(0.0, t_stop, num),
-        xi=ref.xi_hamiltonian,
-        name=name or f"reference_{setup}",
+        xi=REFERENCE_SETUPS[setup].xi_hamiltonian,
+        name=f"reference_{setup}",
     )
 
 
@@ -370,21 +366,13 @@ class TrajectoryResult:
     p_up: np.ndarray | None         # (3, T) or None
     metadata: dict
 
-    @property
-    def columns(self) -> list[str]:
-        cols = ["tau_us", "nbar_h", "nbar_w", "nbar_c"]
-        if self.p_up is not None:
-            cols += ["p_up_h", "p_up_w", "p_up_c"]
-        return cols
-
-    def rows(self) -> np.ndarray:
+    def to_csv(self, path) -> None:
+        columns = ["tau_us", "nbar_h", "nbar_w", "nbar_c"]
         parts = [self.tau * 1e6, *self.nbar]
         if self.p_up is not None:
+            columns += ["p_up_h", "p_up_w", "p_up_c"]
             parts += [*self.p_up]
-        return np.column_stack(parts)
-
-    def to_csv(self, path) -> None:
-        write_dataset_csv(path, self.columns, self.rows(), self.metadata)
+        write_dataset_csv(path, columns, np.column_stack(parts), self.metadata)
 
 
 def run_scenario(s: Scenario) -> TrajectoryResult:

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, TruncationError
-from .states import DEFAULT_CUTOFF, PhononDistribution
+from .states import DEFAULT_CUTOFF, PhononDistribution, _is_count
 
 #: Sector weights below this floor are dropped regardless of epsilon.
 WEIGHT_FLOOR = 1e-15
@@ -31,7 +31,7 @@ def enumerate_sector(N: int, M: int) -> tuple[tuple[int, int, int], ...]:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """How much joint weight to retain and optional hard per-mode caps."""
+    """How much joint weight to retain and optional hard per-mode caps (integers)."""
 
     epsilon: float = 1e-4
     n_max_h: int | None = None
@@ -42,8 +42,9 @@ class TruncationPolicy:
         if not 0.0 < self.epsilon < 1.0:
             raise DomainError("epsilon must be in (0, 1)")
         for cap in (self.n_max_h, self.n_max_w, self.n_max_c):
-            if cap is not None and not 0 <= cap <= DEFAULT_CUTOFF:
-                raise DomainError(f"caps must be >= 0 and <= DEFAULT_CUTOFF = {DEFAULT_CUTOFF}")
+            if cap is not None and not (_is_count(cap) and 0 <= cap <= DEFAULT_CUTOFF):
+                raise DomainError(f"caps must be integers >= 0 and <= DEFAULT_CUTOFF = "
+                                  f"{DEFAULT_CUTOFF}, got {cap!r}")
 
     def caps(self) -> tuple[int | None, int | None, int | None]:
         return (self.n_max_h, self.n_max_w, self.n_max_c)

@@ -198,11 +198,13 @@ _RANK_RTOL = math.sqrt(np.finfo(float).eps)
 #: the free fits of thermometry records), and a parameter along a dropped
 #: direction loads ~1.
 _UNRESOLVED_LOADING = 1e-6
+#: residual evaluations a fit may spend before it raises FitConvergenceError
+_MAX_NFEV = 500
 
 
 def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndarray,
                          jac: Callable[[np.ndarray], np.ndarray],
-                         max_nfev: int = 500, lower: np.ndarray | float = -np.inf) -> LMSolution:
+                         lower: np.ndarray | float = -np.inf) -> LMSolution:
     """Trust-region minimization of sum(fn(theta)^2) with Jacobian ``jac(theta)``.
 
     One ``scipy.optimize.least_squares`` call (``trf``); ``jac`` returns the
@@ -216,7 +218,7 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
     decreases.  A parameter left on its bound is held there (error inf, zero
     covariance); ``cov``, ``errors``, ``rank`` and ``cond`` come from
     :func:`_covariance` of the other columns of the final Jacobian.  Running
-    out of ``max_nfev`` residual evaluations raises ``FitConvergenceError``.
+    out of :data:`_MAX_NFEV` residual evaluations raises ``FitConvergenceError``.
     """
     # imported here, so that only fits pay for loading scipy.optimize
     from scipy.optimize import least_squares
@@ -238,10 +240,10 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
         costs.append(2.0 * float(intermediate_result.cost))   # scipy's cost is half
 
     res = least_squares(residuals, theta0, jac=jac, method="trf", ftol=_SOLVER_TOL,
-                        xtol=_SOLVER_TOL, gtol=_SOLVER_TOL, max_nfev=max_nfev,
+                        xtol=_SOLVER_TOL, gtol=_SOLVER_TOL, max_nfev=_MAX_NFEV,
                         bounds=(lower, np.inf), callback=record)
     if res.status == 0:
-        raise FitConvergenceError(f"no convergence within max_nfev = {max_nfev}")
+        raise FitConvergenceError(f"no convergence within max_nfev = {_MAX_NFEV}")
     history = [float(r0 @ r0)]
     for cost in costs:              # iterations that accept no step repeat the cost
         if cost < history[-1]:

@@ -20,6 +20,7 @@ module needs numpy only, so a simulation never imports scipy.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,11 @@ _MAX_SQUEEZE = math.asinh(math.sqrt(_FLOAT_MAX))   # sinh(r)^2 overflows past th
 # ---------------------------------------------------------------------------
 # Distribution container
 # ---------------------------------------------------------------------------
+
+
+def _is_count(value) -> bool:
+    """True for a Python or numpy integer that is not a bool: a level or a cap."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True, eq=False)
@@ -261,7 +267,7 @@ class ModePrep:
 
     Exactly the fields that :data:`PREP_KINDS` lists for ``kind`` are read
     (``alpha_sq`` is the coherent mean phonon number |alpha|^2), and each
-    must be >= 0.
+    must be >= 0; ``n_fock`` must be an integer.
 
     Preparations are phase-randomized: a mode enters the dynamics through
     its phonon-number distribution only, as the number-diagonal density.
@@ -283,6 +289,8 @@ class ModePrep:
                               f"expected one of {tuple(PREP_KINDS)}")
         if not all(math.isfinite(v) for v in (self.nbar, self.alpha_sq, self.r)):
             raise DomainError("prep parameters must be finite")
+        if not _is_count(self.n_fock):
+            raise DomainError(f"n_fock must be an integer, got {self.n_fock!r}")
         fields = PREP_KINDS[self.kind][0].values()
         if any(getattr(self, f) < 0 for f in fields):
             raise DomainError(f"{self.kind} prep needs "

@@ -92,9 +92,6 @@ class ModeFrequencies:
         """
         return self.omega_h - self.omega_w - self.omega_c
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.omega_h, self.omega_w, self.omega_c)
-
 
 @dataclass(frozen=True)
 class CouplingRate:
@@ -177,20 +174,31 @@ def coupling_rate(trap: TrapConfig) -> CouplingRate:
 # ---------------------------------------------------------------------------
 
 
+def _log1p_inverse(nbar: float) -> float:
+    """ln(1 + 1/nbar) = hbar omega / (k_B T) of a thermal mode, for finite nbar > 0.
+
+    Taken as log1p(1/nbar), and as log1p(nbar) - log(nbar) only where 1/nbar
+    overflows (nbar below ~1e-308), so it stays finite and positive.
+    """
+    inverse = 1.0 / float(nbar)       # a Python float: inf on overflow, no warning
+    return math.log1p(inverse) if inverse < math.inf else math.log1p(nbar) - math.log(nbar)
+
+
 def mode_temperature(nbar: float, omega: float) -> float:
     """Temperature (K) of a thermal mode with mean occupation ``nbar``.
 
     T = hbar omega / (k_B ln(1 + 1/nbar)).  ``nbar == 0`` maps to T = 0 by
-    convention (flagged with a warning); negative ``nbar`` is rejected.
+    convention (flagged with a warning); a negative or non-finite ``nbar``
+    or ``omega`` is rejected.
     """
-    if nbar < 0.0:
-        raise DomainError("nbar must be >= 0")
-    if omega <= 0.0:
-        raise DomainError("omega must be > 0")
+    if not 0.0 <= nbar < math.inf:
+        raise DomainError("nbar must be finite and >= 0")
+    if not 0.0 < omega < math.inf:
+        raise DomainError("omega must be finite and > 0")
     if nbar == 0.0:
         warnings.warn("nbar = 0 mapped to T = 0 by convention", UserWarning, stacklevel=2)
         return 0.0
-    return CODATA2014.hbar * omega / (CODATA2014.k_B * math.log1p(1.0 / nbar))
+    return CODATA2014.hbar * omega / (CODATA2014.k_B * _log1p_inverse(nbar))
 
 
 def refrigeration_ordering(nbars: tuple[float, float, float],
@@ -211,8 +219,10 @@ def cooling_power_per_mass(delta_n_c: float, tau: float, omega_c: float) -> floa
 
     P/m = hbar omega_c delta_n_c / (3 m tau) for a three-ion crystal.
     """
-    if tau <= 0.0:
-        raise DomainError("tau must be > 0")
+    if not 0.0 < tau < math.inf:
+        raise DomainError("tau must be finite and > 0")
+    if not (math.isfinite(delta_n_c) and 0.0 < omega_c < math.inf):
+        raise DomainError("delta_n_c must be finite and omega_c finite and > 0")
     return CODATA2014.hbar * omega_c * delta_n_c / (3.0 * ION_MASS * tau)
 
 

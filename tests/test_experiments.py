@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from ionfridge.cli import main as cli_main
-from ionfridge.errors import ScenarioError, ValidationError
+from ionfridge.errors import NumericsError, ScenarioError, ValidationError
 from ionfridge.experiments import (GRID_TABLE, MAX_GRID_POINTS, PREP_TABLES,
                                    PREPS_TABLE, SCHEMA_VERSION, SIDEBAND_TABLE,
                                    SWEEP_TABLE, TRAP_TABLE, TRUNCATION_TABLE,
@@ -281,6 +281,27 @@ def _probe_leaves():
 _PROBE_LEAVES = _probe_leaves()
 
 
+def _readout_base() -> dict:
+    base = json.loads((Path(__file__).resolve().parents[1] / "scenarios"
+                       / "sideband_readout.json").read_text())
+    base.setdefault("sweep", {})
+    return base
+
+
+def _probe_dicts(base, sections, path, as_list):
+    """(probe value, scenario dict): ``base`` with ``sections`` set, then the
+    leaf at ``path`` set to each probe value in turn."""
+    for key, value in sections.items():
+        base[key] = {**base[key], **copy.deepcopy(value)} if key == "preps" else value
+    for value in _PROBE_VALUES:
+        d = copy.deepcopy(base)
+        node = d
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = [value] if as_list else value
+        yield value, d
+
+
 @pytest.mark.filterwarnings("ignore::ionfridge.trap.CouplingFormulaWarning")
 @pytest.mark.parametrize("label,sections,path,as_list", _PROBE_LEAVES,
                          ids=[leaf[0] for leaf in _PROBE_LEAVES])
@@ -290,24 +311,53 @@ def test_every_scenario_leaf_parses_or_raises_scenario_error(label, sections, pa
     value; parsing returns a Scenario or raises ScenarioError, never anything
     else.  (Before, out-of-range trap frequencies raised OverflowError and
     ZeroDivisionError, and grid and cap sizes the errors above.)"""
-    root = Path(__file__).resolve().parents[1] / "scenarios" / "sideband_readout.json"
-    base = json.loads(root.read_text())
-    base.setdefault("sweep", {})
-    for key, value in sections.items():
-        base[key] = {**base[key], **copy.deepcopy(value)} if key == "preps" else value
     failures = []
-    for value in _PROBE_VALUES:
-        d = copy.deepcopy(base)
-        node = d
-        for key in path[:-1]:
-            node = node[key]
-        node[path[-1]] = [value] if as_list else value
+    for value, d in _probe_dicts(_readout_base(), sections, path, as_list):
         try:
             assert isinstance(scenario_from_dict(d), Scenario)
         except ScenarioError:
             pass
         except Exception as exc:                 # noqa: BLE001 - the probe's point
             failures.append(f"{label} = {value!r}: {type(exc).__name__}: {exc}")
+    assert not failures, failures
+
+
+@pytest.mark.filterwarnings("ignore::ionfridge.trap.CouplingFormulaWarning")
+@pytest.mark.parametrize("label,sections,path,as_list", _PROBE_LEAVES,
+                         ids=[leaf[0] for leaf in _PROBE_LEAVES])
+def test_every_parsed_scenario_leaf_runs_or_raises_a_library_error(label, sections, path,
+                                                                   as_list):
+    """Each probe scenario that parses also runs: run_scenario raises a
+    ValidationError or NumericsError, or returns finite occupations (and
+    brightness) whose conserved sums n_h + n_w and n_h + n_c hold at 1e-9.
+    To keep the sweep at a few seconds the grid is 3 points, the sideband
+    readout runs only on its own leaves, and epsilon is 0.1 outside the
+    truncation leaves; epsilon 1e-12 on the readout's occupations is the
+    one case that costs seconds."""
+    base = _readout_base()
+    base["time_grid_us"] = {"start": 0.0, "stop": 400.0, "num": 3}
+    if not label.startswith("sideband."):
+        del base["sideband"]
+    if not label.startswith("truncation."):
+        base["truncation"] = {"epsilon": 0.1}
+    failures = []
+    for value, d in _probe_dicts(base, sections, path, as_list):
+        try:
+            s = scenario_from_dict(d)
+        except ScenarioError:
+            continue
+        try:
+            res = run_scenario(s)
+        except (ValidationError, NumericsError):
+            continue
+        except Exception as exc:                 # noqa: BLE001 - the probe's point
+            failures.append(f"{label} = {value!r}: {type(exc).__name__}: {exc}")
+            continue
+        outputs = res.nbar if res.p_up is None else np.vstack((res.nbar, res.p_up))
+        sums = res.nbar[0] + res.nbar[1:]       # rows n_h + n_w and n_h + n_c
+        drift = np.abs(sums - sums[:, :1]).max() / max(1.0, np.abs(sums[:, 0]).max())
+        if not (np.all(np.isfinite(outputs)) and drift <= 1e-9):
+            failures.append(f"{label} = {value!r}: non-finite output or drift {drift:.2g}")
     assert not failures, failures
 
 
@@ -406,20 +456,25 @@ def test_single_point_grid_echoes_initial_means():
         assert res.nbar[i, 0] == pytest.approx(prep_mean(prep), rel=1e-3)
 
 
-def test_trajectory_columns_and_sideband():
+def test_trajectory_columns_and_sideband(tmp_path):
     d = _base_dict()
     d["time_grid_us"] = {"start": 0.0, "stop": 100.0, "num": 5}
     s = scenario_from_dict(d)
     res = run_scenario(s)
-    assert res.columns == ["tau_us", "nbar_h", "nbar_w", "nbar_c"]
-    assert res.rows().shape == (5, 4)
+    res.to_csv(tmp_path / "plain.csv")
+    _, columns, rows = read_dataset_csv(tmp_path / "plain.csv")
+    assert columns == ["tau_us", "nbar_h", "nbar_w", "nbar_c"]
+    assert rows.shape == (5, 4)
     assert res.metadata["dataset"] == "trajectory"
     assert 0.99 < res.metadata["retained_weight"] <= 1.0
 
     d["sideband"] = {"omega_rabi_khz": 20.0, "t_rsb_us": 10.0, "a_bg": 0.02, "eta": 0.98}
     s = scenario_from_dict(d)
     res = run_scenario(s)
-    assert res.columns[-3:] == ["p_up_h", "p_up_w", "p_up_c"]
+    res.to_csv(tmp_path / "sideband.csv")
+    _, columns, rows = read_dataset_csv(tmp_path / "sideband.csv")
+    assert columns[-3:] == ["p_up_h", "p_up_w", "p_up_c"]
+    assert rows.shape == (5, 7)
     assert np.all(res.p_up >= 0.0) and np.all(res.p_up <= 1.0)
     # hotter marginals flop brighter
     assert res.p_up[1, 0] > res.p_up[0, 0]
@@ -857,6 +912,7 @@ def test_cli_coupling_report(tmp_path, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "omega_h/2pi = 1372.74 kHz" in out
+    assert "ion spacing = 4.2941 um" in out
     assert "xi/2pi = 1.3418 kHz" in out
 
 

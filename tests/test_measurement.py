@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.optimize import least_squares
 
+from ionfridge import measurement
 from ionfridge.errors import (DomainError, FitConvergenceError,
                               SensitivityError, ValidationError)
 from ionfridge.measurement import (FIT_MODELS, FREE_FIT_NMAX, BrightnessSample,
@@ -165,11 +166,12 @@ def test_lm_cost_history_monotone_on_rosenbrock():
     assert sol.n_iter <= 500
 
 
-def test_lm_zero_iterations_raises():
+def test_lm_zero_iterations_raises(monkeypatch):
     fn = lambda theta: np.array([theta[0] - 1.0])
     jac = lambda theta: np.array([[1.0]])
-    with pytest.raises(FitConvergenceError):
-        damped_least_squares(fn, np.array([5.0]), jac, max_nfev=1)   # the start only
+    monkeypatch.setattr(measurement, "_MAX_NFEV", 1)    # the start only
+    with pytest.raises(FitConvergenceError, match="max_nfev = 1"):
+        damped_least_squares(fn, np.array([5.0]), jac)
 
 
 def test_lm_rank_deficient_jacobian_reports_rank():

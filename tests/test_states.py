@@ -15,6 +15,7 @@ import pytest
 
 from ionfridge import oracle
 from ionfridge.errors import CutoffError, DomainError
+from ionfridge.fockspace import TruncationPolicy
 from ionfridge.states import (ModePrep, PreparationModel,
                               coherent_distribution, mbar_from_curvature,
                               prep_mean, prep_to_distribution,
@@ -247,6 +248,24 @@ def test_mode_prep_validation_and_dispatch():
                  ModePrep.squeezed_thermal_state(0.47, 0.77)):
         d = prep_to_distribution(prep, cutoff=300)
         assert d.mean == pytest.approx(prep_mean(prep), rel=1e-4)
+
+
+@pytest.mark.parametrize("make", [
+    lambda v: ModePrep(kind="fock", n_fock=v),
+    lambda v: TruncationPolicy(n_max_h=v),
+    lambda v: TruncationPolicy(n_max_c=v),
+], ids=["n_fock", "n_max_h", "n_max_c"])
+@pytest.mark.parametrize("value", [2.5, 2.0, math.nan, math.inf, True],
+                         ids=["fraction", "float", "nan", "inf", "bool"])
+def test_counts_must_be_integers(make, value):
+    """A Fock level and a truncation cap are integers, as the scenario parser
+    already requires.  Before, n_fock = 2.5 or nan constructed and then raised
+    numpy's IndexError, inf raised CutoffError, and a cap of 2.5 failed only at
+    assembly ("a distribution over 4 levels exceeds its cap n_max = 2.5")."""
+    with pytest.raises(DomainError, match="integer"):
+        make(value)
+    assert prep_to_distribution(ModePrep(kind="fock", n_fock=np.int64(2)), cutoff=4).mean == 2.0
+    assert TruncationPolicy(n_max_h=np.int32(3)).caps() == (3, None, None)
 
 
 def test_preparation_model():

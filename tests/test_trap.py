@@ -47,7 +47,6 @@ def test_mode_frequencies_frozen(key):
     assert freqs.omega_w / TWO_PI / 1e3 == pytest.approx(ww, abs=1e-5)
     assert freqs.omega_c / TWO_PI / 1e3 == pytest.approx(wc, abs=1e-5)
     assert freqs.residual / TWO_PI / 1e3 == pytest.approx(resid, abs=1e-5)
-    assert freqs.as_tuple() == (freqs.omega_h, freqs.omega_w, freqs.omega_c)
 
 
 @pytest.mark.parametrize("key", ["z570", "z425"])
