@@ -33,11 +33,10 @@ from .measurement import (BrightnessSample, EstimatorConfig, FitResult,
                           red_sideband_brightness, save_brightness_csv,
                           synthetic_brightness)
 from .oracle import dense_oracle_evolve
-from .states import (ModePrep, PhononDistribution, PreparationModel,
-                     coherent_distribution, prep_mean, prep_to_distribution,
-                     random_walk_nbar, squeezed_thermal_distribution,
-                     squeezed_thermal_mean, squeezed_vacuum_distribution,
-                     thermal_distribution)
+from .states import (ModePrep, PhononDistribution, coherent_distribution,
+                     prep_mean, prep_to_distribution,
+                     squeezed_thermal_distribution, squeezed_thermal_mean,
+                     squeezed_vacuum_distribution, thermal_distribution)
 from .trap import (CODATA2014, REFERENCE_SETUPS, CouplingFormulaWarning,
                    CouplingRate, ModeFrequencies, PhysicalConstants,
                    TrapConfig, cooling_power_per_mass, coupling_rate,

@@ -16,21 +16,18 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import DomainError
 from .trap import CODATA2014, _log1p_inverse
 
 
-@dataclass(frozen=True)
-class OccupationTriple:
+class OccupationTriple(NamedTuple):
     """Mean phonon numbers of (hot, work, cold)."""
 
     nbar_h: float
     nbar_w: float
     nbar_c: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.nbar_h, self.nbar_w, self.nbar_c)
 
 
 @dataclass(frozen=True)
@@ -73,7 +70,7 @@ def cooling_condition(occ: OccupationTriple) -> tuple[bool, float]:
     threshold = nbar_h (1 + nbar_c) / (nbar_c - nbar_h); the inequality is
     strict, and cooling is impossible when nbar_c <= nbar_h (threshold +inf).
     """
-    _require_occupations(*occ.as_tuple())
+    _require_occupations(*occ)
     if occ.nbar_c <= occ.nbar_h:
         return (False, math.inf)
     threshold = occ.nbar_h * (1.0 + occ.nbar_c) / (occ.nbar_c - occ.nbar_h)
@@ -85,11 +82,15 @@ def entropy_flow(occ: OccupationTriple, rates: tuple[float, float, float]) -> fl
 
     That is sum_i hbar omega_i (dn_i/dt) / T_i, as hbar omega / T = k_B ln(1 + 1/nbar).
     Vanishes exactly when the occupations satisfy the equilibrium condition
-    and the rates obey dn_h = -dn_w = -dn_c.  Each nbar must be finite and
-    >= 0; one at 0 (T = 0) with a nonzero rate has no finite flow: DomainError.
+    and the rates obey dn_h = -dn_w = -dn_c.  ``rates`` must be three finite
+    numbers, and each nbar finite and >= 0; one at 0 (T = 0) with a nonzero
+    rate has no finite flow: DomainError.
     """
+    rates = tuple(rates)
+    if len(rates) != 3 or not all(map(math.isfinite, rates)):
+        raise DomainError(f"rates must be three finite numbers (hot, work, cold), got {rates}")
     total = 0.0
-    for mode, nbar, rate in zip(("hot", "work", "cold"), occ.as_tuple(), rates):
+    for mode, nbar, rate in zip(("hot", "work", "cold"), occ, rates):
         if not 0.0 <= nbar < math.inf:
             raise DomainError(f"{mode} mode: nbar = {nbar:g} must be finite and >= 0")
         if rate == 0.0:
@@ -102,8 +103,14 @@ def entropy_flow(occ: OccupationTriple, rates: tuple[float, float, float]) -> fl
 
 
 def cooling_report(initial: OccupationTriple, final: OccupationTriple) -> CoolingReport:
-    """Occupation changes and threshold verdict between two triples."""
+    """Occupation changes and threshold verdict between two triples.
+
+    ``initial`` must pass :func:`cooling_condition`; each ``final`` occupation
+    must be finite and >= 0.
+    """
     cooled, threshold = cooling_condition(initial)
+    if not all(0.0 <= nbar < math.inf for nbar in final):
+        raise DomainError(f"final occupations must be finite and >= 0, got {final}")
     return CoolingReport(
         eps_h=initial.nbar_h - final.nbar_h,
         eps_w=final.nbar_w - initial.nbar_w,
@@ -144,7 +151,7 @@ def equilibrium_shift(initial: OccupationTriple) -> float:
     (nbar_h - eps, nbar_w + eps, nbar_c + eps) implied by the conserved
     pairs; eps < 0 corresponds to cooling of the cold mode.
     """
-    n_h, n_w, n_c = initial.as_tuple()
+    n_h, n_w, n_c = initial
     _require_occupations(n_h, n_w, n_c)
     # with a = n_h - eps, b = n_w + eps, c = n_c + eps the condition
     # log1p(1/a) = log1p(1/b) + log1p(1/c) is bc = a(b + c + 1), the quadratic

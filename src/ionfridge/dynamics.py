@@ -72,13 +72,16 @@ class ThreeModeEnsemble:
 
     sectors: np.recarray
     pops: np.ndarray
-    discarded_weight: float
     xi: float
     detuning: float = 0.0
 
     @property
     def retained_weight(self) -> float:
         return float(self.sectors.weight.sum())
+
+    @property
+    def discarded_weight(self) -> float:
+        return 1.0 - self.retained_weight
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +124,6 @@ def assemble_from_distributions(dists: tuple[PhononDistribution, PhononDistribut
                                 names=("N", "M", "weight", "k_lo", "dim", "start"))
     return ThreeModeEnsemble(sectors=sectors,
                              pops=joint / np.add.reduceat(joint, start)[owner],
-                             discarded_weight=selection.discarded_weight,
                              xi=xi, detuning=detuning)
 
 

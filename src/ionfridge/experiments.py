@@ -347,7 +347,7 @@ def _base_metadata(s: Scenario, dataset: str, ensemble: ThreeModeEnsemble | None
         "schema_version": SCHEMA_VERSION,
         "dataset": dataset,
         "scenario": scenario_echo(s),
-        "constants": CODATA2014.as_dict(),
+        "constants": dataclasses.asdict(CODATA2014),
         "version": __version__,
     }
     if ensemble is not None:
@@ -437,14 +437,6 @@ class SteadyStateRule:
         squeezed = s.preps[1].kind == "squeezed_thermal" and s.preps[1].r > 0.0
         return WINDOW_SQUEEZED if squeezed else WINDOW_DEFAULT
 
-    def window_mask(self, s: "Scenario") -> np.ndarray:
-        """Grid points that ``window_average`` averages: tau > the window start."""
-        start = self.start_for(s)
-        mask = s.time_grid > start
-        if not mask.any():
-            raise DomainError(f"no grid points after window_start = {start * 1e6:g} us")
-        return mask
-
     def occupations(self, spectrum: EnsembleSpectrum, s: "Scenario") -> OccupationTriple:
         """Steady-state occupations of ``spectrum``, the ensemble of ``s``, not
         divided by the retained weight: the dephased moments (the exact
@@ -452,7 +444,11 @@ class SteadyStateRule:
         mean of ``means_at`` over the grid points with tau > the window start."""
         if self.method == "dephasing":
             return spectrum.dephased_moments()
-        avg = spectrum.means_at(s.time_grid[self.window_mask(s)]).mean(axis=1)
+        start = self.start_for(s)
+        window = s.time_grid[s.time_grid > start]
+        if not window.size:
+            raise DomainError(f"no grid points after window_start = {start * 1e6:g} us")
+        avg = spectrum.means_at(window).mean(axis=1)
         return OccupationTriple(*map(float, avg))
 
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -158,7 +158,11 @@ def estimate_nbar(p_up_exp: float, simulated: SimulatedResponse,
     nbar_exp = nbar_th + (d nbar / d p_up) (p_up_exp - p_up_th),
 
     with the derivative taken as the secant through the +/-delta simulations.
+    ``p_up_exp`` and every field of ``simulated`` must be finite.
     """
+    if not all(map(math.isfinite, (p_up_exp, *simulated))):
+        raise DomainError(f"estimate_nbar needs finite inputs, got p_up_exp = {p_up_exp!r} "
+                          f"and {simulated!r}")
     denom = simulated.p_up_plus - simulated.p_up_minus
     if abs(denom) < 1e-6:
         raise SensitivityError(
@@ -322,7 +326,6 @@ class FitResult:
     params: dict[str, float]
     errors: dict[str, float]
     reduced_chi2: float
-    cost_history: list[float] = field(repr=False)
     n_iter: int = 0
     rank: int = 0                  # numerical rank of the fit Jacobian
     cond: float = math.nan         # its condition number
@@ -455,8 +458,7 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
     result = FitResult(model=model, params=dict(zip(names, values)),
                        errors=dict(zip(names, solution.errors.tolist())),
                        reduced_chi2=solution.cost / max(len(samples) - n_params, 1),
-                       cost_history=solution.cost_history, n_iter=solution.n_iter,
-                       rank=solution.rank, cond=solution.cond,
+                       n_iter=solution.n_iter, rank=solution.rank, cond=solution.cond,
                        populations=populations(*values[:len(dist_seeds)]))
     if model == "free":
         # softmax sensitivity to the free logits (head fixed at 0)

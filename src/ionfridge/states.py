@@ -57,9 +57,10 @@ class PhononDistribution:
     mean: float
     tail_mass: float
 
-    @property
-    def cutoff(self) -> int:
-        return self.p.size - 1
+
+def _require_cutoff(cutoff) -> None:
+    if not (_is_count(cutoff) and cutoff >= 0):
+        raise DomainError(f"cutoff must be an integer >= 0, got {cutoff!r}")
 
 
 def _finalize(raw: np.ndarray, tail_mass: float, tail_budget: float) -> PhononDistribution:
@@ -86,6 +87,7 @@ def _finalize(raw: np.ndarray, tail_mass: float, tail_budget: float) -> PhononDi
 
 def _fock(n: int, cutoff: int, tail_budget: float) -> PhononDistribution:
     """The Fock state |n> on n = 0..cutoff."""
+    _require_cutoff(cutoff)
     if n > cutoff:
         raise CutoffError(f"cutoff {cutoff} below Fock index {n}")
     raw = np.zeros(cutoff + 1)
@@ -103,8 +105,7 @@ def thermal_distribution(nbar: float, cutoff: int = DEFAULT_CUTOFF,
     """Geometric (thermal) distribution p(n) = nbar^n / (nbar+1)^(n+1)."""
     if nbar < 0.0:
         raise DomainError("nbar must be >= 0")
-    if cutoff < 0:
-        raise DomainError("cutoff must be >= 0")
+    _require_cutoff(cutoff)
     if nbar == 0.0:
         return _fock(0, cutoff, tail_budget)
     n = np.arange(cutoff + 1)
@@ -119,8 +120,7 @@ def coherent_distribution(mbar: float, cutoff: int = DEFAULT_CUTOFF,
     """Poissonian distribution of a coherent state with mean ``mbar``."""
     if mbar < 0.0:
         raise DomainError("mbar must be >= 0")
-    if cutoff < 0:
-        raise DomainError("cutoff must be >= 0")
+    _require_cutoff(cutoff)
     if mbar == 0.0:
         return _fock(0, cutoff, tail_budget)
     log_factorial = np.fromiter(map(math.lgamma, range(1, cutoff + 2)), float, cutoff + 1)
@@ -157,8 +157,7 @@ def squeezed_thermal_distribution(nbar: float, r: float, cutoff: int = DEFAULT_C
         raise DomainError("nbar must be >= 0")
     if r < 0.0:
         raise DomainError("r must be >= 0")
-    if cutoff < 0:
-        raise DomainError("cutoff must be >= 0")
+    _require_cutoff(cutoff)
     try:
         d_sh2 = (2.0 * nbar + 1.0) * math.sinh(r) ** 2
         q0 = (nbar + 1.0) ** 2 + d_sh2
@@ -195,10 +194,11 @@ def squeezed_number_distribution(m: int, r: float, cutoff: int = DEFAULT_CUTOFF,
     far beyond the upper one, joined at the lower turning point and
     normalized to a unit total.
     """
-    if m < 0:
-        raise DomainError("m must be >= 0")
+    if not (_is_count(m) and m >= 0):
+        raise DomainError(f"m must be an integer >= 0, got {m!r}")
     if not 0.0 <= r < math.inf:
         raise DomainError("r must be finite and >= 0")
+    _require_cutoff(cutoff)
     if r == 0.0:
         return _fock(m, cutoff, tail_budget)
     lo = m % 2
@@ -327,34 +327,14 @@ def prep_mean(prep: ModePrep) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Preparation calibration model
+# Preparation calibration
 # ---------------------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class PreparationModel:
-    """Random-walk heating model for state preparation.
-
-    A preparation applies ``steps`` incoherent displacement kicks of mean
-    size ``mbar`` phonons on top of a residual occupation ``nbar0``;
-    :func:`mbar_from_curvature` gives ``mbar`` from the coherent-drive
-    calibration.
-    """
-
-    nbar0: float = 0.0
-    mbar: float = 0.0
-    steps: int = 0
+#: duration of one calibration step (s)
+_CALIBRATION_STEP = 100e-6
 
 
-def random_walk_nbar(model: PreparationModel) -> float:
-    """Mean occupation after an incoherent random walk: nbar0 + steps * mbar."""
-    if model.steps < 0:
-        raise DomainError("steps must be >= 0")
-    if model.mbar < 0.0 or model.nbar0 < 0.0:
-        raise DomainError("nbar0 and mbar must be >= 0")
-    return model.nbar0 + model.steps * model.mbar
-
-
-def mbar_from_curvature(beta: float, t_step: float = 100e-6) -> float:
-    """Per-step displacement mean from the drive curvature: beta * t_step^2."""
-    return beta * t_step ** 2
+def mbar_from_curvature(beta: float) -> float:
+    """Per-step displacement mean from the drive curvature: beta * t_step^2,
+    with the standard 100 us calibration step t_step."""
+    return beta * _CALIBRATION_STEP ** 2

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 from .errors import DomainError
 
@@ -30,9 +30,6 @@ class PhysicalConstants:
     eps0: float = 8.854187817620e-12     # F / m
     e_charge: float = 1.6021766208e-19   # C
     amu: float = 1.660539040e-27         # kg
-
-    def as_dict(self) -> dict:
-        return asdict(self)
 
 
 CODATA2014 = PhysicalConstants()
@@ -278,6 +275,3 @@ REFERENCE_SETUPS = {
         xi_measured_err=_TWO_PI * 0.04e3,
     ),
 }
-
-#: Detuning applied to switch the trilinear interaction off (rad/s).
-DETUNING_OFF = -_TWO_PI * 40.0e3

@@ -153,6 +153,26 @@ def test_entropy_flow_at_zero_temperature_is_a_domain_error(occ):
         entropy_flow(occ, (1.0, -1.0, -1.0))
 
 
+@pytest.mark.parametrize("rates", [(math.nan, -1.0, -1.0), (1.0, -math.inf, -1.0),
+                                   (1.0, -1.0, math.inf), (1.0, 1.0), (1.0, -1.0, -1.0, 0.0)],
+                         ids=["nan", "work_inf", "cold_inf", "two", "four"])
+def test_entropy_flow_takes_three_finite_rates(rates):
+    """Before, a NaN rate returned NaN, an infinite one inf, and two rates
+    dropped the cold mode without a word."""
+    with pytest.raises(DomainError, match="three finite"):
+        entropy_flow(OccupationTriple(0.66, 4.44, 2.63), rates)
+
+
+@pytest.mark.parametrize("final", [OccupationTriple(math.nan, 4.0, 2.0),
+                                   OccupationTriple(1.0, math.inf, 2.0),
+                                   OccupationTriple(1.0, 4.0, -0.5)],
+                         ids=["nan", "inf", "negative"])
+def test_cooling_report_rejects_a_bad_final_triple(final):
+    """Before, a NaN final occupation came back as eps_h = nan with cooled = True."""
+    with pytest.raises(DomainError, match="final occupations"):
+        cooling_report(OccupationTriple(0.66, 4.44, 2.63), final)
+
+
 _OMEGA = 2.0 * math.pi * 500e3
 
 

@@ -161,7 +161,7 @@ def test_dephased_moments_are_the_long_time_average():
     spectrum = EnsembleSpectrum(ens)
     dm = spectrum.dephased_moments()
     late = spectrum.means_at(np.linspace(0.0, 50e-3, 4001)).mean(axis=1)
-    np.testing.assert_allclose(late, dm.as_tuple(), rtol=0, atol=1e-4)
+    np.testing.assert_allclose(late, dm, rtol=0, atol=1e-4)
     # the dephased state keeps both conserved sums of the initial one
     m0 = _initial_means(ens)
     assert dm.nbar_h + dm.nbar_w == pytest.approx(m0[0] + m0[1], abs=1e-12)

@@ -16,10 +16,9 @@ import pytest
 from ionfridge import oracle
 from ionfridge.errors import CutoffError, DomainError
 from ionfridge.fockspace import TruncationPolicy
-from ionfridge.states import (ModePrep, PreparationModel,
-                              coherent_distribution, mbar_from_curvature,
-                              prep_mean, prep_to_distribution,
-                              random_walk_nbar, squeezed_number_distribution,
+from ionfridge.states import (ModePrep, coherent_distribution,
+                              mbar_from_curvature, prep_mean,
+                              prep_to_distribution, squeezed_number_distribution,
                               squeezed_thermal_distribution,
                               squeezed_thermal_mean,
                               squeezed_vacuum_distribution,
@@ -34,7 +33,7 @@ def test_thermal_distribution_form():
     expected /= expected.sum()
     np.testing.assert_allclose(d.p, expected, rtol=1e-12)
     assert d.mean == pytest.approx(nbar, rel=1e-9)
-    assert d.cutoff == 120
+    assert d.p.size == 121
     # geometric ratio between neighbours
     np.testing.assert_allclose(d.p[1:] / d.p[:-1], nbar / (1 + nbar), rtol=1e-12)
 
@@ -268,14 +267,33 @@ def test_counts_must_be_integers(make, value):
     assert TruncationPolicy(n_max_h=np.int32(3)).caps() == (3, None, None)
 
 
+@pytest.mark.parametrize("build", [
+    lambda: thermal_distribution(1.0, cutoff=2.5, tail_budget=1.0),
+    lambda: thermal_distribution(1.0, cutoff=4.0, tail_budget=1.0),
+    lambda: thermal_distribution(1.0, cutoff=math.nan),
+    lambda: thermal_distribution(0.0, cutoff=2.5),
+    lambda: coherent_distribution(1.0, cutoff=2.5, tail_budget=1.0),
+    lambda: squeezed_vacuum_distribution(0.3, cutoff=2.5, tail_budget=1.0),
+    lambda: squeezed_thermal_distribution(0.5, 0.3, cutoff=2.5, tail_budget=1.0),
+    lambda: squeezed_number_distribution(1, 0.3, cutoff=2.5, tail_budget=1.0),
+    lambda: squeezed_number_distribution(True, 0.3),
+    lambda: squeezed_number_distribution(2.5, 0.3),
+    lambda: prep_to_distribution(ModePrep.thermal_state(0.5), cutoff=2.5, tail_budget=1.0),
+    lambda: prep_to_distribution(ModePrep.fock_state(1), cutoff=2.5),
+], ids=["thermal_fraction", "thermal_float", "thermal_nan", "vacuum_fraction",
+        "coherent_fraction", "squeezed_vacuum_fraction", "squeezed_thermal_fraction",
+        "squeezed_number_fraction", "squeezed_number_m_bool", "squeezed_number_m_fraction",
+        "prep_thermal_fraction", "prep_fock_fraction"])
+def test_ladder_sizes_must_be_integers(build):
+    """A cutoff, and a squeezed number state's m, are whole numbers.  Before,
+    thermal_distribution(1.0, cutoff=2.5) built 4 levels with the tail mass of
+    3.5, the other families raised TypeError, a NaN cutoff raised numpy's
+    ValueError, and m = True ran as m = 1."""
+    with pytest.raises(DomainError, match="integer"):
+        build()
+    assert thermal_distribution(1.0, cutoff=np.int64(3), tail_budget=1.0).p.size == 4
+
+
 def test_preparation_model():
-    model = PreparationModel(nbar0=0.12, mbar=0.05, steps=8)
-    assert random_walk_nbar(model) == pytest.approx(0.12 + 8 * 0.05)
-    assert random_walk_nbar(PreparationModel()) == 0.0
-    with pytest.raises(DomainError):
-        random_walk_nbar(PreparationModel(nbar0=0.1, mbar=0.05, steps=-1))
-    with pytest.raises(DomainError):
-        random_walk_nbar(PreparationModel(nbar0=-0.1))
-    # mbar = beta t_step^2 with the 100 us default step
+    # mbar = beta t_step^2 with the 100 us calibration step
     assert mbar_from_curvature(5.0e6) == pytest.approx(5.0e6 * (100e-6) ** 2)
-    assert mbar_from_curvature(2.0e6, t_step=50e-6) == pytest.approx(2.0e6 * 2.5e-9)
