@@ -40,9 +40,9 @@ preps = (ModePrep.thermal_state(0.66),
 policy = TruncationPolicy(epsilon=1e-4)
 dists = [prep_to_distribution(p) for p in preps]
 selection = select_sectors(*dists, policy)
+retained = selection.weights.sum()
 print(f"\nproduct state at epsilon=1e-4: {len(selection.labels)} sectors "
-      f"retained, weight {selection.retained_weight:.6f} "
-      f"(discarded {selection.discarded_weight:.1e})")
+      f"retained, weight {retained:.6f} (discarded {1.0 - retained:.1e})")
 N, M = selection.labels[0]
 print(f"largest sector (N, M) = ({N}, {M}) with weight "
       f"{selection.weights[0]:.4f} and dimension {min(N, M) + 1}")

@@ -28,8 +28,7 @@ from .fockspace import (SectorSelection, TruncationPolicy, enumerate_sector,
 from .measurement import (BrightnessSample, EstimatorConfig, FitResult,
                           SidebandConfig, SimulatedResponse,
                           blue_sideband_flopping, damped_least_squares,
-                          estimate_nbar, fit_distribution,
-                          fit_preparation_curves, load_brightness_csv,
+                          estimate_nbar, fit_distribution, load_brightness_csv,
                           red_sideband_brightness, save_brightness_csv,
                           synthetic_brightness)
 from .oracle import dense_oracle_evolve

@@ -46,6 +46,14 @@ class CoolingReport:
     threshold_w: float
 
 
+def _as_triple(occ) -> OccupationTriple:
+    """``occ``, any sequence of exactly three entries, as an OccupationTriple."""
+    occ = tuple(occ)
+    if len(occ) != 3:
+        raise DomainError(f"an occupation triple has three entries (hot, work, cold), got {occ}")
+    return OccupationTriple(*occ)
+
+
 def _require_occupations(*nbars: float) -> None:
     if not all(0.0 < nbar < math.inf for nbar in nbars):
         raise DomainError("occupations must be finite and > 0")
@@ -70,6 +78,7 @@ def cooling_condition(occ: OccupationTriple) -> tuple[bool, float]:
     threshold = nbar_h (1 + nbar_c) / (nbar_c - nbar_h); the inequality is
     strict, and cooling is impossible when nbar_c <= nbar_h (threshold +inf).
     """
+    occ = _as_triple(occ)
     _require_occupations(*occ)
     if occ.nbar_c <= occ.nbar_h:
         return (False, math.inf)
@@ -86,7 +95,7 @@ def entropy_flow(occ: OccupationTriple, rates: tuple[float, float, float]) -> fl
     numbers, and each nbar finite and >= 0; one at 0 (T = 0) with a nonzero
     rate has no finite flow: DomainError.
     """
-    rates = tuple(rates)
+    occ, rates = _as_triple(occ), tuple(rates)
     if len(rates) != 3 or not all(map(math.isfinite, rates)):
         raise DomainError(f"rates must be three finite numbers (hot, work, cold), got {rates}")
     total = 0.0
@@ -108,6 +117,7 @@ def cooling_report(initial: OccupationTriple, final: OccupationTriple) -> Coolin
     ``initial`` must pass :func:`cooling_condition`; each ``final`` occupation
     must be finite and >= 0.
     """
+    initial, final = _as_triple(initial), _as_triple(final)
     cooled, threshold = cooling_condition(initial)
     if not all(0.0 <= nbar < math.inf for nbar in final):
         raise DomainError(f"final occupations must be finite and >= 0, got {final}")
@@ -151,7 +161,7 @@ def equilibrium_shift(initial: OccupationTriple) -> float:
     (nbar_h - eps, nbar_w + eps, nbar_c + eps) implied by the conserved
     pairs; eps < 0 corresponds to cooling of the cold mode.
     """
-    n_h, n_w, n_c = initial
+    n_h, n_w, n_c = _as_triple(initial)
     _require_occupations(n_h, n_w, n_c)
     # with a = n_h - eps, b = n_w + eps, c = n_c + eps the condition
     # log1p(1/a) = log1p(1/b) + log1p(1/c) is bc = a(b + c + 1), the quadratic

@@ -130,7 +130,7 @@ def _fit(args) -> int:
     for name, value in result.params.items():
         err = result.errors.get(name, math.nan)
         print(f"  {name} = {value:.6g} +/- {err:.2g}")
-    if result.model == "free" and result.populations is not None:
+    if result.model == "free":
         pops = " ".join(f"{p:.4f}" for p in result.populations)
         print(f"  p(n), n=0..{result.populations.size - 1}: {pops}")
     print(f"  reduced_chi2 = {result.reduced_chi2:.4g}")

@@ -100,10 +100,12 @@ def assemble_from_distributions(dists: tuple[PhononDistribution, PhononDistribut
     runs evolve exactly the finite-box model (matching a dense reference with
     the same caps).  Without caps the full sector is kept.  A distribution
     longer than its cap + 1 is rejected: its mass outside the box would
-    weight the sectors but never evolve.
+    weight the sectors but never evolve.  ``xi`` must be finite and >= 0,
+    and ``detuning`` finite.
     """
-    if xi < 0.0:
-        raise DomainError("xi must be >= 0")
+    if not (0.0 <= xi < math.inf and math.isfinite(detuning)):
+        raise DomainError(f"xi must be finite and >= 0 and the detuning finite, "
+                          f"got xi = {xi!r}, detuning = {detuning!r}")
     for dist, cap in zip(dists, policy.caps()):
         if cap is not None and dist.p.size > cap + 1:
             raise DomainError(f"a distribution over {dist.p.size} levels exceeds "

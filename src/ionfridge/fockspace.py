@@ -60,8 +60,6 @@ class SectorSelection:
 
     labels: np.ndarray
     weights: np.ndarray
-    retained_weight: float
-    discarded_weight: float
 
 
 def _windows(p: np.ndarray, width: int) -> np.ndarray:
@@ -106,11 +104,5 @@ def select_sectors(p_h: PhononDistribution, p_w: PhononDistribution,
         )
     keep = int(np.searchsorted(cum, target) + 1)
     keep = min(keep, weights.size)
-
-    retained = float(cum[keep - 1])
-    return SectorSelection(
-        labels=np.column_stack((n_idx[:keep], m_idx[:keep])),
-        weights=weights[:keep].copy(),
-        retained_weight=retained,
-        discarded_weight=float(1.0 - retained),
-    )
+    return SectorSelection(labels=np.column_stack((n_idx[:keep], m_idx[:keep])),
+                           weights=weights[:keep].copy())

@@ -1,10 +1,10 @@
 """Sideband detection models, the linearized thermometry estimator, and
-calibration fits.
+phonon-distribution fits.
 
 Two distinct forward models are exposed: a single-time red-sideband
 brightness (no decoherence term) used for refrigerator readout, and a
 blue-sideband flopping curve with sqrt(n+1)-scaled Rabi rates and
-decoherence used for calibration fits.  The flopping curve is a sum of
+decoherence used for distribution fits.  The flopping curve is a sum of
 damped oscillations e^{z_n t}, z_n = sqrt(n+1)(-gamma0 + i Omega), summed
 by :func:`~ionfridge.dynamics._kernel_sums` (this module factors no times
 itself), as is the periodogram that seeds a fit, with the frequencies as
@@ -32,8 +32,8 @@ from .dynamics import _kernel_sums
 from .errors import (DomainError, FitConvergenceError, SensitivityError,
                      ValidationError)
 from .states import (PhononDistribution, coherent_distribution,
-                     mbar_from_curvature, squeezed_thermal_distribution,
-                     squeezed_vacuum_distribution, thermal_distribution)
+                     squeezed_thermal_distribution, squeezed_vacuum_distribution,
+                     thermal_distribution)
 
 TWO_PI = 2.0 * math.pi
 
@@ -110,6 +110,9 @@ def _as_probs(p) -> np.ndarray:
     arr = p.p if isinstance(p, PhononDistribution) else np.asarray(p, dtype=float)
     if arr.ndim != 1 or arr.size == 0:
         raise DomainError("phonon distribution must be a 1-d array")
+    # the rounding floor of states._finalize
+    if not (np.all(np.isfinite(arr)) and arr.min() >= -1e-12):
+        raise DomainError("phonon distribution entries must be finite and >= 0")
     if abs(arr.sum() - 1.0) > 1e-6:
         raise DomainError("phonon distribution must be normalized")
     return arr
@@ -326,11 +329,11 @@ class FitResult:
     params: dict[str, float]
     errors: dict[str, float]
     reduced_chi2: float
-    n_iter: int = 0
-    rank: int = 0                  # numerical rank of the fit Jacobian
-    cond: float = math.nan         # its condition number
-    populations: np.ndarray | None = None
-    population_errors: np.ndarray | None = None
+    n_iter: int
+    rank: int                      # numerical rank of the fit Jacobian
+    cond: float                    # its condition number
+    populations: np.ndarray
+    population_errors: np.ndarray | None = None   # free fits only
 
 
 #: relative step of the population differences (scipy's 2-point default)
@@ -410,27 +413,27 @@ def _default_omega_seed(samples: Sequence[BrightnessSample]) -> float:
     return float(omegas[int(np.argmax(power))])
 
 
-def fit_distribution(samples: Sequence[BrightnessSample], model: str,
-                     seed: dict[str, float] | None = None) -> FitResult:
+def fit_distribution(samples: Sequence[BrightnessSample], model: str) -> FitResult:
     """Weighted least-squares fit of the flopping model to brightness data.
 
     ``model`` selects the phonon distribution, one of :data:`FIT_MODELS`:
     ``thermal``, ``coherent``, ``squeezed_vacuum``, ``squeezed_thermal`` or
-    ``free`` (softmax-parameterized populations on n = 0..13).  ``seed``
-    overrides the default initial guesses by name; shape parameters are
-    a (contrast), b (background), omega01 (rad/s) and gamma0 (1/s).
+    ``free`` (softmax-parameterized populations on n = 0..13).  A fit starts
+    from the model's default seeds, a (contrast) = the record's range,
+    b (background) = its minimum, omega01 (rad/s) = the periodogram peak
+    omega_peak and gamma0 (1/s) = 0.05 / the last time.
 
     The periodogram's strongest line may be a level's sqrt(n+1) Omega line
-    instead of the base rate (coherent records above mbar ~ 1).  So unless
-    ``seed`` sets omega01, a coherent fit whose reduced chi2 exceeds
-    ``_REFIT_CHI2`` is refitted from omega01 = omega_peak / sqrt(k) for
-    k = 2..6, and the lowest reduced chi2 is kept; a refit that does not
-    converge is skipped.  The other models are fitted once.
+    instead of the base rate (coherent records above mbar ~ 1).  So a
+    coherent fit whose reduced chi2 exceeds ``_REFIT_CHI2`` is fitted again
+    from omega01 = omega_peak / sqrt(k) for k = 2..6, and the lowest reduced
+    chi2 is kept; a refit that does not converge is skipped.  The other
+    models are fitted once.
     """
     if model not in FIT_MODELS:
         raise ValidationError(f"unknown model {model!r}")
     dist_seeds, populations = FIT_MODELS[model]
-    samples, seed = list(samples), seed or {}
+    samples = list(samples)
     names = tuple(dist_seeds) + _SHAPE_PARAMS
     n_params = len(names)
     if len(samples) < 3 * n_params:
@@ -440,110 +443,39 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str,
     ts = np.array([s.t for s in samples])
     ys = np.array([s.p_up for s in samples])
     sigmas = np.array([s.sigma for s in samples])
-
-    defaults = {
-        **dist_seeds,
-        "a": max(float(ys.max() - ys.min()), 0.1),
-        "b": float(ys.min()),
-        "omega01": seed["omega01"] if "omega01" in seed else _default_omega_seed(samples),
-        "gamma0": 0.05 / max(float(ts.max()), 1e-12),
-    }
     problem = _FloppingFit(model, ts, ys, sigmas)
     lower = np.array([0.0 if name in _NONNEGATIVE_PARAMS else -math.inf for name in names])
-    start = np.array([float(seed.get(name, defaults[name])) for name in names])
+    omega_peak = _default_omega_seed(samples)
 
-    solution = damped_least_squares(problem.residuals, np.maximum(start, lower),
-                                    problem.jacobian, lower=lower)
-    values = solution.theta.tolist()
-    result = FitResult(model=model, params=dict(zip(names, values)),
-                       errors=dict(zip(names, solution.errors.tolist())),
-                       reduced_chi2=solution.cost / max(len(samples) - n_params, 1),
-                       n_iter=solution.n_iter, rank=solution.rank, cond=solution.cond,
-                       populations=populations(*values[:len(dist_seeds)]))
-    if model == "free":
-        # softmax sensitivity to the free logits (head fixed at 0)
-        probs = result.populations
-        smax_jac = np.diag(probs)[:, 1:] - np.outer(probs, probs[1:])
-        cov_p = smax_jac @ solution.cov[:FREE_FIT_NMAX, :FREE_FIT_NMAX] @ smax_jac.T
-        result.population_errors = np.sqrt(np.clip(np.diag(cov_p), 0.0, None))
-    if model == "coherent" and result.reduced_chi2 > _REFIT_CHI2 and "omega01" not in seed:
+    def fit_from(omega01: float) -> FitResult:
+        start = np.array([*dist_seeds.values(), max(float(ys.max() - ys.min()), 0.1),
+                          float(ys.min()), omega01, 0.05 / max(float(ts.max()), 1e-12)])
+        solution = damped_least_squares(problem.residuals, start, problem.jacobian,
+                                        lower=lower)
+        values = solution.theta.tolist()
+        result = FitResult(model=model, params=dict(zip(names, values)),
+                           errors=dict(zip(names, solution.errors.tolist())),
+                           reduced_chi2=solution.cost / max(len(samples) - n_params, 1),
+                           n_iter=solution.n_iter, rank=solution.rank, cond=solution.cond,
+                           populations=populations(*values[:len(dist_seeds)]))
+        if model == "free":
+            # softmax sensitivity to the free logits (head fixed at 0)
+            probs = result.populations
+            smax_jac = np.diag(probs)[:, 1:] - np.outer(probs, probs[1:])
+            cov_p = smax_jac @ solution.cov[:FREE_FIT_NMAX, :FREE_FIT_NMAX] @ smax_jac.T
+            result.population_errors = np.sqrt(np.clip(np.diag(cov_p), 0.0, None))
+        return result
+
+    result = fit_from(omega_peak)
+    if model == "coherent" and result.reduced_chi2 > _REFIT_CHI2:
         for k in _OMEGA_RUNGS:
             try:
-                refit = fit_distribution(samples, model, {
-                    **seed, "omega01": defaults["omega01"] / math.sqrt(k)})
+                refit = fit_from(omega_peak / math.sqrt(k))
             except FitConvergenceError:
                 continue
             if refit.reduced_chi2 < result.reduced_chi2:
                 result = refit
     return result
-
-
-# ---------------------------------------------------------------------------
-# Preparation-curve calibration
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class PreparationFits:
-    """Calibration-curve fits with 1-sigma standard errors (SI units)."""
-
-    beta: float = math.nan            # phonons / s^2
-    beta_err: float = math.nan
-    nbar0: float = math.nan           # residual occupation of the quadratic fit
-    nbar0_err: float = math.nan
-    mbar: float = math.nan            # phonons per calibration step
-    step_slope: float = math.nan      # phonons per random-walk step
-    step_slope_err: float = math.nan
-    step_offset: float = math.nan
-    step_offset_err: float = math.nan
-    rho_rate: float = math.nan        # squeezing parameter growth rate (1/s)
-    rho_rate_err: float = math.nan
-
-
-def fit_preparation_curves(coherent_curve: tuple[np.ndarray, np.ndarray] | None = None,
-                           steps_curve: tuple[np.ndarray, np.ndarray] | None = None,
-                           squeeze_curve: tuple[np.ndarray, np.ndarray] | None = None
-                           ) -> PreparationFits:
-    """Fit the preparation calibration curves by linear least squares.
-
-    - ``coherent_curve``: (t, mbar) fitted to n0 + beta t^2
-    - ``steps_curve``:    (steps, nbar) fitted to offset + slope * steps
-    - ``squeeze_curve``:  (t, r) fitted through the origin to rho_rate * t
-
-    Each curve is two 1-d arrays of the same length, at least 3 finite
-    points.  Errors are those of :func:`_covariance` of the design matrix
-    with unit-norm columns, scaled by the residual variance, so a coefficient
-    the design does not resolve (all x equal) reports an infinite error.
-    ``mbar`` is beta at the standard step duration (:func:`mbar_from_curvature`).
-    """
-    curves = (
-        ("coherent", coherent_curve, lambda x: (np.ones_like(x), x ** 2), ("nbar0", "beta")),
-        ("steps", steps_curve, lambda x: (np.ones_like(x), x), ("step_offset", "step_slope")),
-        ("squeeze", squeeze_curve, lambda x: (x,), ("rho_rate",)),
-    )
-    out: dict[str, float] = {}
-    for label, curve, columns, names in curves:
-        if curve is None:
-            continue
-        x, y = (np.asarray(v, dtype=float) for v in curve)
-        if x.ndim != 1 or x.shape != y.shape or x.size < 3:
-            raise ValidationError(f"{label} curve needs >= 3 (x, y) points as two 1-d arrays")
-        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
-            raise ValidationError(f"{label} curve must be finite")
-        design = np.column_stack(columns(x))
-        coef = np.linalg.lstsq(design, y, rcond=None)[0]
-        resid = y - design @ coef
-        scale = math.sqrt(float(resid @ resid) / max(y.size - len(names), 1))
-        # unit-norm columns make the rank cut independent of the units of x
-        norms = np.linalg.norm(design, axis=0)
-        norms[norms == 0.0] = 1.0           # an all-zero column stays unresolved
-        _, errors, _, _ = _covariance(design / norms)
-        for name, value, err, norm in zip(names, coef, errors, norms):
-            out[name] = float(value)
-            out[f"{name}_err"] = float(err * scale / norm) if err < math.inf else math.inf
-    if not out:
-        raise ValidationError("no calibration curves supplied")
-    return PreparationFits(**out, mbar=mbar_from_curvature(out.get("beta", math.nan)))
 
 
 # ---------------------------------------------------------------------------

@@ -325,16 +325,3 @@ def prep_mean(prep: ModePrep) -> float:
     params, _, mean = PREP_KINDS[prep.kind]
     return mean(*(getattr(prep, f) for f in params.values()))
 
-
-# ---------------------------------------------------------------------------
-# Preparation calibration
-# ---------------------------------------------------------------------------
-
-#: duration of one calibration step (s)
-_CALIBRATION_STEP = 100e-6
-
-
-def mbar_from_curvature(beta: float) -> float:
-    """Per-step displacement mean from the drive curvature: beta * t_step^2,
-    with the standard 100 us calibration step t_step."""
-    return beta * _CALIBRATION_STEP ** 2

@@ -173,6 +173,28 @@ def test_cooling_report_rejects_a_bad_final_triple(final):
         cooling_report(OccupationTriple(0.66, 4.44, 2.63), final)
 
 
+_TRIPLE = OccupationTriple(0.66, 4.44, 2.63)
+
+
+@pytest.mark.parametrize("call", [
+    cooling_condition,
+    lambda occ: entropy_flow(occ, (1.0, -1.0, -1.0)),
+    equilibrium_shift,
+    lambda occ: cooling_report(occ, _TRIPLE),
+    lambda occ: cooling_report(_TRIPLE, occ),
+], ids=["cooling_condition", "entropy_flow", "equilibrium_shift", "report_initial",
+        "report_final"])
+def test_occupation_triples_have_exactly_three_entries(call):
+    """Any sequence of three occupations is a triple, and any other length is a
+    DomainError.  Before, a plain 3-tuple raised AttributeError in
+    cooling_condition and cooling_report, entropy_flow dropped the cold mode of
+    a pair without a word, and equilibrium_shift raised the unpacking ValueError."""
+    assert call(tuple(_TRIPLE)) == call(_TRIPLE)
+    for occ in ((0.66, 4.44), (0.66, 4.44, 2.63, 1.0), ()):
+        with pytest.raises(DomainError, match="three entries"):
+            call(occ)
+
+
 _OMEGA = 2.0 * math.pi * 500e3
 
 

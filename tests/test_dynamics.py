@@ -75,6 +75,17 @@ def test_assembly_rejects_negative_coupling():
                          TruncationPolicy(epsilon=1e-4), xi=-1.0)
 
 
+@pytest.mark.parametrize("xi,detuning", [(math.nan, 0.0), (math.inf, 0.0), (XI, math.nan),
+                                         (XI, -math.inf)],
+                         ids=["xi_nan", "xi_inf", "detuning_nan", "detuning_inf"])
+def test_assembly_rejects_non_finite_coupling_and_detuning(xi, detuning):
+    """Before, these passed the xi < 0 check and failed in EnsembleSpectrum with
+    numpy's LinAlgError (eigenvalues did not converge)."""
+    with pytest.raises(DomainError, match="finite"):
+        EnsembleSpectrum(assemble_initial((ModePrep.thermal_state(0.4),) * 3,
+                                          TruncationPolicy(epsilon=1e-4), xi, detuning))
+
+
 def test_capped_assembly_rejects_distributions_beyond_the_caps():
     """Mass outside the cap box would weight sectors it cannot evolve in; before,
     such sectors were dropped silently and the rest reported retained weight 0.881."""

@@ -67,8 +67,7 @@ def test_select_sectors_weights_match_brute_force():
     dw = thermal_distribution(1.1, cutoff=60)
     dc = thermal_distribution(0.7, cutoff=60)
     sel = select_sectors(dh, dw, dc, TruncationPolicy(epsilon=1e-6))
-    assert sel.retained_weight + sel.discarded_weight == pytest.approx(1.0, abs=1e-12)
-    assert sel.retained_weight >= 1.0 - 1e-6
+    assert 1.0 - 1e-6 <= sel.weights.sum() <= 1.0 + 1e-12
     # weights sorted descending and each one reproducible by direct summation
     assert all(a >= b for a, b in zip(sel.weights, sel.weights[1:]))
     assert sel.labels.shape == (sel.weights.size, 2)

@@ -16,8 +16,7 @@ import pytest
 from ionfridge import oracle
 from ionfridge.errors import CutoffError, DomainError
 from ionfridge.fockspace import TruncationPolicy
-from ionfridge.states import (ModePrep, coherent_distribution,
-                              mbar_from_curvature, prep_mean,
+from ionfridge.states import (ModePrep, coherent_distribution, prep_mean,
                               prep_to_distribution, squeezed_number_distribution,
                               squeezed_thermal_distribution,
                               squeezed_thermal_mean,
@@ -292,8 +291,3 @@ def test_ladder_sizes_must_be_integers(build):
     with pytest.raises(DomainError, match="integer"):
         build()
     assert thermal_distribution(1.0, cutoff=np.int64(3), tail_budget=1.0).p.size == 4
-
-
-def test_preparation_model():
-    # mbar = beta t_step^2 with the 100 us calibration step
-    assert mbar_from_curvature(5.0e6) == pytest.approx(5.0e6 * (100e-6) ** 2)
