@@ -77,10 +77,6 @@ def select_sectors(p_h: PhononDistribution, p_w: PhononDistribution,
     order (ties broken lexicographically by (N, M)) until the running total
     reaches 1 - epsilon; weights below the 1e-15 floor are never retained.
     """
-    for dist in (p_h, p_w, p_c):
-        if abs(dist.p.sum() - 1.0) > 1e-9:
-            raise DomainError("input distributions must be normalized")
-
     # grid[N, M] = sum_k p_h(k) p_w(N - k) p_c(M - k) over hot levels at or
     # above the floor (the ladder cut after the last), one product of the
     # two ladders' sliding windows

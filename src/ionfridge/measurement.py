@@ -16,7 +16,8 @@ the reported parameters, the positive ones bounded below by 0, and report
 the rank and condition number of the final Jacobian, with an infinite error
 for a parameter the data do not resolve or that is held at its bound; the
 free-distribution fit parameterizes the simplex with a softmax so the
-constraints hold by construction.
+constraints hold by construction.  A record's distinct instants, counted
+once per fit, gate the fit and bound the periodogram at their Nyquist rate.
 """
 
 from __future__ import annotations
@@ -44,7 +45,11 @@ TWO_PI = 2.0 * math.pi
 
 @dataclass(frozen=True)
 class SidebandConfig:
-    """Detection parameters shared by the sideband forward models."""
+    """Detection parameters shared by the sideband forward models.
+
+    The readout brightness a_bg + eta * flip is a probability, so
+    a_bg + eta <= 1.
+    """
 
     omega_rabi: float          # base Rabi rate Omega_{0,1} (rad/s)
     t_rsb: float = 0.0         # red-sideband probe duration (s)
@@ -60,6 +65,9 @@ class SidebandConfig:
             raise DomainError("a_bg must be in [0, 1]")
         if not 0.0 <= self.eta <= 1.0:
             raise DomainError("eta must be in [0, 1]")
+        if self.a_bg + self.eta > 1.0:
+            raise DomainError(f"a_bg + eta must be <= 1, so the brightness stays a "
+                              f"probability; got {self.a_bg!r} + {self.eta!r}")
 
 
 @dataclass(frozen=True)
@@ -107,15 +115,7 @@ class SimulatedResponse(NamedTuple):
 
 
 def _as_probs(p) -> np.ndarray:
-    arr = p.p if isinstance(p, PhononDistribution) else np.asarray(p, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise DomainError("phonon distribution must be a 1-d array")
-    # the rounding floor of states._finalize
-    if not (np.all(np.isfinite(arr)) and arr.min() >= -1e-12):
-        raise DomainError("phonon distribution entries must be finite and >= 0")
-    if abs(arr.sum() - 1.0) > 1e-6:
-        raise DomainError("phonon distribution must be normalized")
-    return arr
+    return (p if isinstance(p, PhononDistribution) else PhononDistribution(p)).p
 
 
 def red_sideband_brightness(p, cfg: SidebandConfig) -> float:
@@ -319,6 +319,8 @@ _NONNEGATIVE_PARAMS = {"nbar", "mbar", "r", "omega01", "gamma0"}
 #: rung can win on noise alone.
 _REFIT_CHI2 = 2.0
 _OMEGA_RUNGS = range(2, 7)
+#: shots whose sorted gap is at most this share of the gap scale are one time
+_SAME_INSTANT = 0.1
 
 
 @dataclass(eq=False)
@@ -387,29 +389,19 @@ class _FloppingFit:
         return jac / self.sigmas[:, None]
 
 
-def _default_omega_seed(samples: Sequence[BrightnessSample]) -> float:
+def _default_omega_seed(ts: np.ndarray, ys: np.ndarray, spacing: float) -> float:
     """Dominant angular frequency of the detrended brightness record.
 
     The least-squares cost is multimodal in omega01, so the seed must land
-    in the right basin.  A dense periodogram between one cycle per record
-    and the Nyquist rate finds the strongest spectral line, which sits at
-    the base flopping rate for any low-occupation mixture.
+    in the right basin.  A dense periodogram from one cycle per span to the
+    Nyquist rate pi / ``spacing`` of the distinct times finds the strongest
+    spectral line, the base flopping rate for any low-occupation mixture.
     """
-    ts = np.array([s.t for s in samples])
-    ys = np.array([s.p_up for s in samples])
-    order = np.argsort(ts)
-    ts, ys = ts[order], ys[order] - ys.mean()
-    span = float(ts[-1] - ts[0])
-    if span <= 0.0:
-        return TWO_PI / max(float(ts[-1]), 1e-6)
-    w_lo = TWO_PI / span
-    w_hi = math.pi / max(float(np.median(np.diff(ts))), 1e-12)
-    if w_hi <= w_lo:
-        return w_lo
-    omegas = np.linspace(w_lo, w_hi, 800)
+    span = float(ts.max() - ts.min())
+    omegas = np.linspace(TWO_PI / span, math.pi / spacing, 800)
     # |sum_i y_i e^{-i w t_i}| with the frequencies as the kernel's times and
     # -i t_i as its exponents
-    power = np.abs(_kernel_sums(omegas, -1j * ts, ys[:, None], np.exp)[:, 0])
+    power = np.abs(_kernel_sums(omegas, -1j * ts, (ys - ys.mean())[:, None], np.exp)[:, 0])
     return float(omegas[int(np.argmax(power))])
 
 
@@ -418,7 +410,10 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str) -> FitResu
 
     ``model`` selects the phonon distribution, one of :data:`FIT_MODELS`:
     ``thermal``, ``coherent``, ``squeezed_vacuum``, ``squeezed_thermal`` or
-    ``free`` (softmax-parameterized populations on n = 0..13).  A fit starts
+    ``free`` (softmax-parameterized populations on n = 0..13).  A record
+    needs 3 x (number of parameters) distinct times, else ``ValidationError``;
+    shots at most 0.1 of the gap scale apart (the median, over neighbouring
+    pairs of sorted gaps, of the larger gap) are one time.  A fit starts
     from the model's default seeds, a (contrast) = the record's range,
     b (background) = its minimum, omega01 (rad/s) = the periodogram peak
     omega_peak and gamma0 (1/s) = 0.05 / the last time.
@@ -436,26 +431,29 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str) -> FitResu
     samples = list(samples)
     names = tuple(dist_seeds) + _SHAPE_PARAMS
     n_params = len(names)
-    if len(samples) < 3 * n_params:
-        raise ValidationError(f"need at least {3 * n_params} samples for {n_params} "
-                              f"parameters, got {len(samples)}")
-
     ts = np.array([s.t for s in samples])
     ys = np.array([s.p_up for s in samples])
     sigmas = np.array([s.sigma for s in samples])
+    gaps = np.diff(np.sort(ts))
+    scale = np.median(np.maximum(gaps[:-1], gaps[1:])) if gaps.size > 1 else 0.0
+    distinct = gaps[gaps > _SAME_INSTANT * scale]
+    instants = min(ts.size, 1 + distinct.size)
+    if instants < 3 * n_params:
+        raise ValidationError(f"need at least {3 * n_params} distinct times for {n_params} "
+                              f"parameters, got {instants}")
     problem = _FloppingFit(model, ts, ys, sigmas)
     lower = np.array([0.0 if name in _NONNEGATIVE_PARAMS else -math.inf for name in names])
-    omega_peak = _default_omega_seed(samples)
+    omega_peak = _default_omega_seed(ts, ys, float(np.median(distinct)))
 
     def fit_from(omega01: float) -> FitResult:
         start = np.array([*dist_seeds.values(), max(float(ys.max() - ys.min()), 0.1),
-                          float(ys.min()), omega01, 0.05 / max(float(ts.max()), 1e-12)])
+                          float(ys.min()), omega01, 0.05 / float(ts.max())])
         solution = damped_least_squares(problem.residuals, start, problem.jacobian,
                                         lower=lower)
         values = solution.theta.tolist()
         result = FitResult(model=model, params=dict(zip(names, values)),
                            errors=dict(zip(names, solution.errors.tolist())),
-                           reduced_chi2=solution.cost / max(len(samples) - n_params, 1),
+                           reduced_chi2=solution.cost / (len(samples) - n_params),
                            n_iter=solution.n_iter, rank=solution.rank, cond=solution.cond,
                            populations=populations(*values[:len(dist_seeds)]))
         if model == "free":

@@ -13,8 +13,11 @@ functions:
   elsewhere against a dense matrix exponential of the squeeze generator.
 
 All distributions are truncated at a finite cutoff, renormalized, and carry
-the pre-renormalization tail mass so callers can audit truncation.  The
-module needs numpy only, so a simulation never imports scipy.
+the pre-renormalization tail mass so callers can audit truncation.  A
+``PhononDistribution`` checks its own populations when it is built, so the
+sideband models, sector selection and assembly all take one contract; its
+mean is derived from them.  The module needs numpy only, so a simulation
+never imports scipy.
 """
 
 from __future__ import annotations
@@ -49,13 +52,29 @@ def _is_count(value) -> bool:
 class PhononDistribution:
     """Normalized phonon-number distribution on n = 0..cutoff.
 
+    ``p`` must be a nonempty 1-d array of finite entries >= -1e-12 (the
+    rounding floor) that sums to 1 within 1e-9, else ``DomainError``.
     ``tail_mass`` is the probability that sat beyond the cutoff before
-    renormalization.
+    renormalization; ``mean`` is derived from ``p``.
     """
 
     p: np.ndarray
-    mean: float
-    tail_mass: float
+    tail_mass: float = 0.0
+
+    def __post_init__(self):
+        p = np.asarray(self.p, dtype=float)
+        if p.ndim != 1 or p.size == 0:
+            raise DomainError(f"a phonon distribution must be a nonempty 1-d array, "
+                              f"got shape {p.shape}")
+        if not (np.all(np.isfinite(p)) and p.min() >= -1e-12):
+            raise DomainError("phonon distribution entries must be finite and >= 0")
+        if abs(p.sum() - 1.0) > 1e-9:
+            raise DomainError(f"a phonon distribution must sum to 1, got {p.sum():.12g}")
+        object.__setattr__(self, "p", p)
+
+    @property
+    def mean(self) -> float:
+        return float(np.arange(self.p.size) @ self.p)
 
 
 def _require_cutoff(cutoff) -> None:
@@ -64,14 +83,7 @@ def _require_cutoff(cutoff) -> None:
 
 
 def _finalize(raw: np.ndarray, tail_mass: float, tail_budget: float) -> PhononDistribution:
-    raw = np.asarray(raw, dtype=float)
-    if raw.ndim != 1 or raw.size == 0:
-        raise DomainError("distribution array must be 1-d and non-empty")
-    if not (np.all(np.isfinite(raw)) and math.isfinite(tail_mass)):
-        raise DomainError("non-finite probability encountered")
-    if raw.min() < -1e-12:
-        raise DomainError("negative probability encountered")
-    raw = np.clip(raw, 0.0, None)
+    """Renormalize raw populations; the distribution checks their values."""
     tail = max(0.0, float(tail_mass))
     if tail > tail_budget:
         raise CutoffError(
@@ -80,9 +92,7 @@ def _finalize(raw: np.ndarray, tail_mass: float, tail_budget: float) -> PhononDi
     total = raw.sum()
     if total <= 0.0:
         raise DomainError("distribution has zero total mass")
-    p = raw / total
-    mean = float(np.arange(p.size) @ p)
-    return PhononDistribution(p=p, mean=mean, tail_mass=tail)
+    return PhononDistribution(p=raw / total, tail_mass=tail)
 
 
 def _fock(n: int, cutoff: int, tail_budget: float) -> PhononDistribution:
@@ -301,16 +311,8 @@ class ModePrep:
         return cls(kind="thermal", nbar=nbar)
 
     @classmethod
-    def coherent_state(cls, alpha_sq: float) -> "ModePrep":
-        return cls(kind="coherent", alpha_sq=alpha_sq)
-
-    @classmethod
     def squeezed_thermal_state(cls, nbar: float, r: float) -> "ModePrep":
         return cls(kind="squeezed_thermal", nbar=nbar, r=r)
-
-    @classmethod
-    def fock_state(cls, n: int) -> "ModePrep":
-        return cls(kind="fock", n_fock=n)
 
 
 def prep_to_distribution(prep: ModePrep, cutoff: int = DEFAULT_CUTOFF,

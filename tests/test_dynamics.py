@@ -97,7 +97,7 @@ def test_capped_assembly_rejects_distributions_beyond_the_caps():
 
 def _single_quantum_ensemble(xi=XI):
     """|0, 1, 1> lives in the two-state sector (N, M) = (1, 1)."""
-    preps = (ModePrep.fock_state(0), ModePrep.fock_state(1), ModePrep.fock_state(1))
+    preps = tuple(ModePrep(kind="fock", n_fock=n) for n in (0, 1, 1))
     return assemble_initial(preps, TruncationPolicy(epsilon=1e-12), xi=xi)
 
 
@@ -220,10 +220,10 @@ def _number_diagonal_oracle(caps, detuning, t_grid):
 def _seeded_preps(seed):
     rng = np.random.default_rng(seed)
     return {"thermal": ModePrep.thermal_state(rng.uniform(0.2, 0.6)),
-            "coherent": ModePrep.coherent_state(rng.uniform(0.3, 0.7)),
+            "coherent": ModePrep(kind="coherent", alpha_sq=rng.uniform(0.3, 0.7)),
             "squeezed": ModePrep.squeezed_thermal_state(rng.uniform(0.0, 0.3),
                                                         rng.uniform(0.3, 0.5)),
-            "fock": ModePrep.fock_state(int(rng.integers(0, 3)))}
+            "fock": ModePrep(kind="fock", n_fock=int(rng.integers(0, 3)))}
 
 
 def _drawn_prep(rng, cap):
@@ -231,10 +231,10 @@ def _drawn_prep(rng, cap):
     if kind == "thermal":
         return ModePrep.thermal_state(rng.uniform(0.05, 1.0))
     if kind == "coherent":
-        return ModePrep.coherent_state(rng.uniform(0.05, 1.0))
+        return ModePrep(kind="coherent", alpha_sq=rng.uniform(0.05, 1.0))
     if kind == "squeezed":
         return ModePrep.squeezed_thermal_state(rng.uniform(0.0, 0.5), rng.uniform(0.05, 0.6))
-    return ModePrep.fock_state(int(rng.integers(0, min(cap, 3) + 1)))
+    return ModePrep(kind="fock", n_fock=int(rng.integers(0, min(cap, 3) + 1)))
 
 
 def _drawn_case(seed):
@@ -360,7 +360,7 @@ def test_unitary_views_reject_overflowing_phases():
 
 def test_default_incoherence_strength_edge_cases():
     # vacuum ensemble: single 1x1 sector, no coherences -> 0
-    vac = (ModePrep.fock_state(0),) * 3
+    vac = (ModePrep(kind="fock", n_fock=0),) * 3
     ens = assemble_initial(vac, TruncationPolicy(epsilon=1e-9), xi=XI)
     assert default_incoherence_strength(EnsembleSpectrum(ens)) == 0.0
     with pytest.raises(DomainError):

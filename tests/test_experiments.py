@@ -831,6 +831,17 @@ def test_cli_bad_scenario_exit_code(tmp_path, capsys):
     assert rc == 2
 
 
+def test_cli_readout_brightness_above_one_exit_code(tmp_path, capsys):
+    """A sideband section with a_bg + eta > 1 is a scenario error, exit 2;
+    before, it parsed and its readout reached a brightness of 1.5."""
+    d = _mutate(("sideband",), {"omega_rabi_khz": 20.0, "t_rsb_us": 10.0,
+                                "a_bg": 0.5, "eta": 1.0})
+    with pytest.raises(ScenarioError, match=r"a_bg \+ eta must be <= 1"):
+        scenario_from_dict(d)
+    assert cli_main(["steady-state", _write_scenario(tmp_path, d)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("path,value", [
     (("coupling",), {"xi_khz": math.nan}),
     (("detuning_khz",), math.inf),

@@ -8,11 +8,6 @@ from ionfridge.fockspace import WEIGHT_FLOOR, TruncationPolicy, enumerate_sector
 from ionfridge.states import DEFAULT_CUTOFF, PhononDistribution, thermal_distribution
 
 
-def _raw_distribution(p):
-    p = np.asarray(p, dtype=float)
-    return PhononDistribution(p=p, mean=float(np.arange(p.size) @ p), tail_mass=0.0)
-
-
 def test_sector_label_dim():
     # a sector (N, M) holds min(N, M) + 1 states
     assert len(enumerate_sector(2, 1)) == 2
@@ -81,17 +76,17 @@ def test_select_sectors_skips_hot_levels_below_the_floor():
     ph = np.array([0.5, 5e-16, 0.3, 0.0, 0.2, 1e-16, 1e-16])
     dw = thermal_distribution(1.1, cutoff=30)
     dc = thermal_distribution(0.7, cutoff=30)
-    sel = select_sectors(_raw_distribution(ph), dw, dc, TruncationPolicy(epsilon=1e-9))
+    sel = select_sectors(PhononDistribution(ph), dw, dc, TruncationPolicy(epsilon=1e-9))
     floored = np.where(ph >= WEIGHT_FLOOR, ph, 0.0)
     for (N, M), weight in zip(sel.labels, sel.weights):
         assert weight == pytest.approx(_joint_weight(N, M, floored, dw.p, dc.p), rel=1e-12)
 
 
 def test_select_sectors_requires_normalized_marginals():
-    ok = thermal_distribution(0.4, cutoff=40)
-    bad = _raw_distribution([0.5, 0.2])  # sums to 0.7
-    with pytest.raises(DomainError):
-        select_sectors(ok, bad, ok, TruncationPolicy(epsilon=1e-4))
+    """A marginal that does not sum to 1 cannot be built, so it never
+    reaches the selection."""
+    with pytest.raises(DomainError, match="must sum to 1"):
+        PhononDistribution([0.5, 0.2])
 
 
 def test_select_sectors_unreachable_target():
@@ -99,7 +94,7 @@ def test_select_sectors_unreachable_target():
     # floor: ~1e4 cells of ~2e-16 each carry ~2e-12 of irretrievable mass
     p = np.full(101, 1e-8)
     p[0] = 1.0 - 1e-6
-    dist = _raw_distribution(p)
+    dist = PhononDistribution(p)
     with pytest.raises(TruncationError):
         select_sectors(dist, dist, dist, TruncationPolicy(epsilon=1e-13))
 
@@ -107,7 +102,7 @@ def test_select_sectors_unreachable_target():
 def test_select_sectors_vacuum_is_single_sector():
     vac = np.zeros(10)
     vac[0] = 1.0
-    dist = _raw_distribution(vac)
+    dist = PhononDistribution(vac)
     sel = select_sectors(dist, dist, dist, TruncationPolicy(epsilon=1e-4))
     assert sel.labels.tolist() == [[0, 0]]
     assert sel.weights[0] == pytest.approx(1.0)

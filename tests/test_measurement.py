@@ -1,6 +1,7 @@
 """Sideband detection models, the damped least-squares engine, and fits."""
 
 import math
+import statistics
 import warnings
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from scipy.optimize import least_squares
 
 from ionfridge import measurement
-from ionfridge.errors import (DomainError, FitConvergenceError,
+from ionfridge.errors import (DomainError, FitConvergenceError, NumericsError,
                               SensitivityError, ValidationError)
 from ionfridge.measurement import (FIT_MODELS, FREE_FIT_NMAX, BrightnessSample,
                                    EstimatorConfig, SidebandConfig, SimulatedResponse,
@@ -18,7 +19,8 @@ from ionfridge.measurement import (FIT_MODELS, FREE_FIT_NMAX, BrightnessSample,
                                    fit_distribution, load_brightness_csv,
                                    red_sideband_brightness, save_brightness_csv,
                                    synthetic_brightness)
-from ionfridge.states import coherent_distribution, thermal_distribution
+from ionfridge.states import (coherent_distribution, squeezed_thermal_distribution,
+                              squeezed_vacuum_distribution, thermal_distribution)
 
 TWO_PI = 2.0 * math.pi
 OMEGA = TWO_PI * 50e3
@@ -125,6 +127,16 @@ def test_sideband_config_validation():
     for t, sigma in ((math.inf, 0.01), (math.nan, 0.01), (1e-6, math.nan), (1e-6, math.inf)):
         with pytest.raises(DomainError):
             BrightnessSample(t=t, p_up=0.5, sigma=sigma)
+
+
+def test_readout_brightness_stays_a_probability():
+    """a_bg + eta <= 1 keeps a_bg + eta * flip a probability.  Before, a_bg 0.5
+    and eta 1 gave a brightness of 1.5 on a fully flipped level."""
+    with pytest.raises(DomainError, match=r"a_bg \+ eta must be <= 1"):
+        SidebandConfig(omega_rabi=OMEGA, t_rsb=10e-6, a_bg=0.5, eta=1.0)
+    for k in range(101):          # two-decimal complementary pairs sum to exactly 1
+        cfg = SidebandConfig(omega_rabi=OMEGA, t_rsb=10e-6, a_bg=k / 100, eta=(100 - k) / 100)
+        assert 0.0 <= red_sideband_brightness([0.0, 1.0], cfg) <= 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -385,23 +397,38 @@ def test_thermal_fit_of_an_undamped_record_holds_gamma0_at_zero():
     assert all(math.isfinite(res.errors[k]) for k in ("nbar", "a", "b", "omega01"))
 
 
+def _distinct_spacing(ts):
+    """Median spacing of the distinct instants of ``ts``, by the record rule
+    written out: a sorted gap is a spacing if it exceeds 0.1 of the median
+    of the larger gap of each neighbouring pair."""
+    gaps = [b - a for a, b in zip(sorted(ts), sorted(ts)[1:])]
+    scale = statistics.median(max(g, h) for g, h in zip(gaps, gaps[1:]))
+    return statistics.median(g for g in gaps if g > 0.1 * scale)
+
+
 def test_omega_seed_is_the_direct_periodogram_peak():
     """The periodogram factored over the tableau peaks where the direct sum
-    over samples does, on a uniform and on a shuffled non-uniform record."""
-    uniform = _thermal_record(3)
+    over samples does, from one cycle per span to the Nyquist rate
+    pi / spacing of the distinct times, on a uniform, an unsorted
+    non-uniform and a jittered-repeat record, with the spacing the record
+    rule gives."""
     rng = np.random.default_rng(9)
-    t = rng.uniform(0.5e-6, 150e-6, 120)
     p = thermal_distribution(1.2, cutoff=150, tail_budget=1.0)
-    ragged = synthetic_brightness(p, SidebandConfig(omega_rabi=OMEGA, gamma0=600.0),
-                                  t, 0.95, 0.02, 0.02, rng)
-    for samples in (uniform, ragged):
+    records = [_thermal_record(3)]
+    for t in (rng.uniform(0.5e-6, 150e-6, 120),
+              np.repeat(np.linspace(0.5e-6, 150e-6, 100), 3) + rng.uniform(-1e-9, 1e-9, 300)):
+        records.append(synthetic_brightness(p, SidebandConfig(omega_rabi=OMEGA, gamma0=600.0),
+                                            t, 0.95, 0.02, 0.02, rng))
+    for samples in records:
         ts = np.array([s.t for s in samples])
         ys = np.array([s.p_up for s in samples])
-        order = np.argsort(ts)
-        ts, ys = ts[order], ys[order] - ys.mean()
-        omegas = np.linspace(TWO_PI / (ts[-1] - ts[0]), math.pi / np.median(np.diff(ts)), 800)
-        power = np.abs(np.exp(-1j * np.outer(omegas, ts)) @ ys)
-        assert _default_omega_seed(samples) == omegas[np.argmax(power)]
+        spacing = _distinct_spacing(ts.tolist())
+        span = ts.max() - ts.min()
+        omegas = np.linspace(TWO_PI / span, math.pi / spacing, 800)
+        power = np.abs(np.exp(-1j * np.outer(omegas, ts)) @ (ys - ys.mean()))
+        assert _default_omega_seed(ts, ys, spacing) == omegas[np.argmax(power)]
+    # the jittered triples are 100 instants 1.51 us apart, up to 2 ns of jitter
+    assert spacing == pytest.approx(149.5e-6 / 99, abs=2e-9)
 
 
 def test_free_fit_reaches_a_true_minimum():
@@ -462,6 +489,111 @@ def test_fit_validation_errors():
         fit_distribution(samples, "gaussian")
     with pytest.raises(ValidationError):
         fit_distribution(samples[:5], "thermal")  # < 3 x n_params
+    # 300 shots at 4 distinct times (before, fitted with omega01 near 1e12 rad/s)
+    repeats = [BrightnessSample(t=t, p_up=s.p_up, sigma=s.sigma)
+               for t, s in zip(np.repeat([10e-6, 50e-6, 90e-6, 130e-6], 75), samples)]
+    with pytest.raises(ValidationError, match="need at least 15 distinct times"):
+        fit_distribution(repeats, "thermal")
+    # jittered triples count once: 14 times are refused, 15 are fitted
+    rng = np.random.default_rng(6)
+    for n_times in (14, 15):
+        t = np.repeat(np.linspace(0.5e-6, 60e-6, n_times), 3) + rng.uniform(-1e-9, 1e-9, 3 * n_times)
+        triples = synthetic_brightness(p, SidebandConfig(omega_rabi=OMEGA, gamma0=600.0),
+                                       t, 0.95, 0.02, 0.02, rng)
+        if n_times == 14:
+            with pytest.raises(ValidationError, match="got 14$"):
+                fit_distribution(triples, "thermal")
+        else:
+            assert fit_distribution(triples, "thermal").reduced_chi2 <= 2.0
+
+
+# ---------------------------------------------------------------------------
+# Record designs
+# ---------------------------------------------------------------------------
+
+#: each fit model with a record of its own kind: the generating distribution
+#: and its parameters (free fits: the CI step's thermal record)
+_RECORD_TRUTHS = {
+    "thermal": (thermal_distribution(1.8, 150, 1.0), {"nbar": 1.8}),
+    "coherent": (coherent_distribution(0.65, 150, 1.0), {"mbar": 0.65}),
+    "squeezed_vacuum": (squeezed_vacuum_distribution(1.0, 150, 1.0), {"r": 1.0}),
+    "squeezed_thermal": (squeezed_thermal_distribution(0.75, 1.15, 150, 1.0),
+                         {"nbar": 0.75, "r": 1.15}),
+    "free": (thermal_distribution(1.8, 150, 1.0), {}),
+}
+_UNIFORM = np.linspace(0.5e-6, 150e-6, 300)
+_TWICE = np.repeat(np.linspace(0.5e-6, 150e-6, 150), 2)
+#: record design -> its probe times (s) from an rng and the least record
+#: length of the model, 3 x its number of parameters
+_RECORD_DESIGNS = {
+    "uniform": lambda rng, n_min: _UNIFORM,
+    "repeated_x2": lambda rng, n_min: _TWICE,
+    "repeated_x3": lambda rng, n_min: np.repeat(np.linspace(0.5e-6, 150e-6, 100), 3),
+    "jitter_1ns": lambda rng, n_min: _TWICE + rng.uniform(-1e-9, 1e-9, _TWICE.size),
+    "jitter_100ns": lambda rng, n_min: _TWICE + rng.uniform(-100e-9, 100e-9, _TWICE.size),
+    "t0_block": lambda rng, n_min: np.concatenate((np.zeros(160),
+                                                   np.linspace(0.5e-6, 150e-6, 140))),
+    "shuffled": lambda rng, n_min: rng.permutation(_UNIFORM),
+    "random": lambda rng, n_min: rng.uniform(0.5e-6, 150e-6, 300),
+    "log_spaced": lambda rng, n_min: np.geomspace(0.5e-6, 150e-6, 300),
+    "minimum": lambda rng, n_min: np.linspace(0.5e-6, 60e-6, n_min),
+    "jitter_1ns_x3": lambda rng, n_min: (np.repeat(np.linspace(0.5e-6, 150e-6, 100), 3)
+                                         + rng.uniform(-1e-9, 1e-9, 300)),
+    "late_shot": lambda rng, n_min: np.append(_UNIFORM, 2e-3),
+    "sparse_tail": lambda rng, n_min: np.concatenate((_UNIFORM,
+                                                      np.linspace(0.2e-3, 3e-3, 60))),
+}
+#: the designs that may end in a library error: the least record length
+_MAY_REFUSE = {"minimum"}
+
+
+def _design_record(model, stream, times):
+    """A record of the model's own kind at ``times``, seeded by the model and ``stream``."""
+    rng = np.random.default_rng([list(FIT_MODELS).index(model), stream])
+    n_min = 3 * (len(FIT_MODELS[model][0]) + 4)
+    dist = _RECORD_TRUTHS[model][0]
+    return synthetic_brightness(dist, SidebandConfig(omega_rabi=OMEGA, gamma0=600.0),
+                                times(rng, n_min), 0.95, 0.02, 0.02, rng)
+
+
+@pytest.mark.parametrize("design", list(_RECORD_DESIGNS))
+@pytest.mark.parametrize("model", list(FIT_MODELS))
+def test_fit_over_record_designs(model, design):
+    """Every record design ends in an honest fit: reduced chi2 <= 2 and the
+    distribution parameters (free fits: the populations n <= 6, as the
+    benchmark checks) within 6 errors; only the least-length record may end
+    in a library error instead.  Before, repeated shots, jittered repeats
+    and a t = 0 block fitted omega01 near 1e12 rad/s (or above 1e8) with
+    reduced chi2 above 10 and no error."""
+    samples = _design_record(model, list(_RECORD_DESIGNS).index(design),
+                             _RECORD_DESIGNS[design])
+    try:
+        res = fit_distribution(samples, model)
+    except (ValidationError, NumericsError):
+        if design in _MAY_REFUSE:
+            return
+        raise
+    assert res.reduced_chi2 <= 2.0
+    dist, truth = _RECORD_TRUTHS[model]
+    if model == "free":
+        head = dist.p[:FREE_FIT_NMAX + 1] / dist.p[:FREE_FIT_NMAX + 1].sum()
+        assert np.all(np.abs(res.populations - head)[:7] <= 6.0 * res.population_errors[:7])
+    for name, value in truth.items():
+        assert abs(res.params[name] - value) <= 6.0 * res.errors[name]
+
+
+@pytest.mark.parametrize("model", list(FIT_MODELS))
+def test_fit_of_an_undersampled_record_reports_its_misfit(model):
+    """A least-length record spaced 11 us, whose distinct-time Nyquist rate
+    pi / 11 us is below Omega, cannot resolve the flopping: it ends in a
+    library error or reports a reduced chi2 above 2."""
+    samples = _design_record(model, 10,    # the stream after the first ten designs
+                             lambda rng, n_min: 0.5e-6 + 11e-6 * np.arange(n_min))
+    try:
+        res = fit_distribution(samples, model)
+    except (ValidationError, NumericsError):
+        return
+    assert res.reduced_chi2 > 2.0
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import pytest
 from ionfridge import oracle
 from ionfridge.errors import CutoffError, DomainError
 from ionfridge.fockspace import TruncationPolicy
-from ionfridge.states import (ModePrep, coherent_distribution, prep_mean,
+from ionfridge.states import (ModePrep, PhononDistribution, coherent_distribution, prep_mean,
                               prep_to_distribution, squeezed_number_distribution,
                               squeezed_thermal_distribution,
                               squeezed_thermal_mean,
@@ -69,11 +69,11 @@ def test_coherent_ladder_matches_the_log_gamma_ladder(mbar):
 def test_vacuum_and_fock_states_are_one_delta():
     """Vacuum limits and Fock preparations are the same delta, with one
     cutoff message."""
-    delta = prep_to_distribution(ModePrep.fock_state(0), cutoff=6)
+    delta = prep_to_distribution(ModePrep(kind="fock", n_fock=0), cutoff=6)
     for d in (thermal_distribution(0.0, cutoff=6), coherent_distribution(0.0, cutoff=6),
               squeezed_number_distribution(0, 0.0, cutoff=6)):
         assert np.array_equal(d.p, delta.p) and (d.mean, d.tail_mass) == (0.0, 0.0)
-    for build in (lambda: prep_to_distribution(ModePrep.fock_state(5), cutoff=3),
+    for build in (lambda: prep_to_distribution(ModePrep(kind="fock", n_fock=5), cutoff=3),
                   lambda: squeezed_number_distribution(5, 0.0, cutoff=3)):
         with pytest.raises(CutoffError, match="^cutoff 3 below Fock index 5$"):
             build()
@@ -197,6 +197,24 @@ def test_distribution_domain_errors():
         squeezed_number_distribution(1, 10.0)
 
 
+@pytest.mark.parametrize("p", [[math.nan, 1.0], [1.0, math.inf], [1.5, -0.5], [[0.5, 0.5]],
+                               [], [0.5, 0.2]],
+                         ids=["nan", "inf", "negative", "two_d", "empty", "unnormalized"])
+def test_phonon_distribution_checks_itself(p):
+    """A hand-built distribution is checked where it is built.  Before, it was
+    not: assembly took [nan, 1] to NaN means and [1.5, -0.5] to a retained
+    weight of 1.111, and a 2-d p raised numpy's ValueError."""
+    with pytest.raises(DomainError):
+        PhononDistribution(p)
+
+
+def test_phonon_distribution_mean_is_derived_from_p():
+    d = PhononDistribution([0.25, 0.5, 0.25])
+    assert (d.mean, d.tail_mass) == (1.0, 0.0)
+    # rounding-level negatives, as normalized marginals carry, pass
+    assert PhononDistribution([1.0 + 1e-13, -1e-13]).mean == -1e-13
+
+
 @pytest.mark.parametrize("make", [
     lambda v: thermal_distribution(v),
     lambda v: coherent_distribution(v),
@@ -205,7 +223,7 @@ def test_distribution_domain_errors():
     lambda v: squeezed_thermal_distribution(0.5, v),
     lambda v: squeezed_number_distribution(3, v),
     lambda v: ModePrep.thermal_state(v),
-    lambda v: ModePrep.coherent_state(v),
+    lambda v: ModePrep(kind="coherent", alpha_sq=v),
     lambda v: ModePrep.squeezed_thermal_state(v, 0.5),
     lambda v: ModePrep.squeezed_thermal_state(0.5, v),
 ], ids=["thermal", "coherent", "squeezed_vacuum", "squeezed_thermal_nbar",
@@ -228,21 +246,21 @@ def test_mode_prep_validation_and_dispatch():
     with pytest.raises(DomainError):
         ModePrep.squeezed_thermal_state(0.5, -1.0)
     with pytest.raises(DomainError):
-        ModePrep.fock_state(-1)
+        ModePrep(kind="fock", n_fock=-1)
 
     assert prep_mean(ModePrep.thermal_state(0.66)) == 0.66
-    assert prep_mean(ModePrep.coherent_state(1.7)) == 1.7
-    assert prep_mean(ModePrep.fock_state(3)) == 3.0
+    assert prep_mean(ModePrep(kind="coherent", alpha_sq=1.7)) == 1.7
+    assert prep_mean(ModePrep(kind="fock", n_fock=3)) == 3.0
     sq = ModePrep.squeezed_thermal_state(0.5, 1.34)
     assert prep_mean(sq) == pytest.approx(squeezed_thermal_mean(0.5, 1.34))
 
-    d = prep_to_distribution(ModePrep.fock_state(2), cutoff=8)
+    d = prep_to_distribution(ModePrep(kind="fock", n_fock=2), cutoff=8)
     assert d.p[2] == 1.0 and d.mean == 2.0
     with pytest.raises(CutoffError):
-        prep_to_distribution(ModePrep.fock_state(9), cutoff=8)
+        prep_to_distribution(ModePrep(kind="fock", n_fock=9), cutoff=8)
 
     for prep in (ModePrep.thermal_state(0.66),
-                 ModePrep.coherent_state(1.2),
+                 ModePrep(kind="coherent", alpha_sq=1.2),
                  ModePrep.squeezed_thermal_state(0.47, 0.77)):
         d = prep_to_distribution(prep, cutoff=300)
         assert d.mean == pytest.approx(prep_mean(prep), rel=1e-4)
@@ -278,7 +296,7 @@ def test_counts_must_be_integers(make, value):
     lambda: squeezed_number_distribution(True, 0.3),
     lambda: squeezed_number_distribution(2.5, 0.3),
     lambda: prep_to_distribution(ModePrep.thermal_state(0.5), cutoff=2.5, tail_budget=1.0),
-    lambda: prep_to_distribution(ModePrep.fock_state(1), cutoff=2.5),
+    lambda: prep_to_distribution(ModePrep(kind="fock", n_fock=1), cutoff=2.5),
 ], ids=["thermal_fraction", "thermal_float", "thermal_nan", "vacuum_fraction",
         "coherent_fraction", "squeezed_vacuum_fraction", "squeezed_thermal_fraction",
         "squeezed_number_fraction", "squeezed_number_m_bool", "squeezed_number_m_fraction",
