@@ -128,8 +128,11 @@ def _fit(args) -> int:
     print(f"model: {args.model}  ({len(samples)} samples, {result.n_iter} iterations, "
           f"rank {result.rank}, condition number {result.cond:.3g})")
     for name, value in result.params.items():
-        err = result.errors.get(name, math.nan)
-        print(f"  {name} = {value:.6g} +/- {err:.2g}")
+        err = result.errors[name]
+        if math.isinf(err):       # the value is wherever the solver stopped
+            print(f"  {name} = unresolved")
+        else:
+            print(f"  {name} = {value:.6g} +/- {err:.2g}")
     if result.model == "free":
         pops = " ".join(f"{p:.4f}" for p in result.populations)
         print(f"  p(n), n=0..{result.populations.size - 1}: {pops}")

@@ -8,16 +8,17 @@ decoherence used for distribution fits.  The flopping curve is a sum of
 damped oscillations e^{z_n t}, z_n = sqrt(n+1)(-gamma0 + i Omega), summed
 by :func:`~ionfridge.dynamics._kernel_sums` (this module factors no times
 itself), as is the periodogram that seeds a fit, with the frequencies as
-times.  Fits are weighted least squares on ``scipy.optimize.least_squares``
-(trust-region ``trf``) with an analytic Jacobian read from the same sums,
-one coefficient column per derivative: the shape columns are closed-form
-and the distribution columns difference the populations only.  Fits run in
-the reported parameters, the positive ones bounded below by 0, and report
-the rank and condition number of the final Jacobian, with an infinite error
-for a parameter the data do not resolve or that is held at its bound; the
-free-distribution fit parameterizes the simplex with a softmax so the
-constraints hold by construction.  A record's distinct instants, counted
-once per fit, gate the fit and bound the periodogram at their Nyquist rate.
+times.  Fits are weighted least squares on a bounded Levenberg-Marquardt
+loop in numpy (:func:`damped_least_squares`; no scipy) with an analytic
+Jacobian read from the same sums, one coefficient column per derivative:
+the shape columns are closed-form and the distribution columns difference
+the populations only.  Fits run in the reported parameters, the positive
+ones bounded below by 0, and report the rank and condition number of the
+final Jacobian, with an infinite error for a parameter the data do not
+resolve or that is held at its bound; the free-distribution fit
+parameterizes the simplex with a softmax so the constraints hold by
+construction.  A record's distinct instants, counted once per fit, gate
+the fit and bound the periodogram at their Nyquist rate.
 """
 
 from __future__ import annotations
@@ -192,8 +193,10 @@ class LMSolution:
     cond: float          # its condition number s_max / s_min
 
 
-#: trf stops when the relative cost change, the relative step or the gradient
-#: norm falls below this
+#: the solver stops when an accepted step lowers the cost by less than this
+#: share, when a step is shorter than this share of |theta|, or when the
+#: largest gradient entry of the free parameters falls below it; a parameter
+#: this close to its bound, with its gradient pointing out, is held there
 _SOLVER_TOL = 1e-10
 #: singular values of the final Jacobian below this share of the largest are
 #: dropped from the covariance (the distribution columns of a fit Jacobian
@@ -207,60 +210,88 @@ _RANK_RTOL = math.sqrt(np.finfo(float).eps)
 _UNRESOLVED_LOADING = 1e-6
 #: residual evaluations a fit may spend before it raises FitConvergenceError
 _MAX_NFEV = 500
+#: starting damping as a share of the largest squared singular value, the
+#: least factor an accepted step may shrink the damping by, and the least
+#: damping (so that a zero singular value takes a zero step)
+_DAMPING_START = 1e-12
+_DAMPING_SHRINK = 0.1
+_DAMPING_FLOOR = np.finfo(float).tiny
 
 
 def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndarray,
                          jac: Callable[[np.ndarray], np.ndarray],
                          lower: np.ndarray | float = -np.inf) -> LMSolution:
-    """Trust-region minimization of sum(fn(theta)^2) with Jacobian ``jac(theta)``.
+    """Levenberg-Marquardt minimization of sum(fn(theta)^2) with Jacobian ``jac(theta)``.
 
-    One ``scipy.optimize.least_squares`` call (``trf``); ``jac`` returns the
-    (residuals x parameters) derivative matrix of ``fn``, and ``lower`` bounds
-    theta from below (unbounded by default).  An evaluation of ``fn`` that
-    raises OverflowError, FloatingPointError or ValidationError is an
-    infeasible trial point: it returns non-finite residuals, which ``trf``
-    rejects by shrinking its trust region.  ``jac`` is called only at the
-    start and at accepted points, so the starting point must be feasible.
+    ``jac`` returns the (residuals x parameters) derivative matrix of ``fn``,
+    and ``lower`` bounds theta from below (unbounded by default).  Each
+    accepted point takes one SVD U diag(s) V^T of the free Jacobian columns;
+    every trial step from it is the damped Gauss-Newton step
+    -V diag(s / (s^2 + lam)) U^T r, projected onto the bound, so a rejected
+    trial costs one evaluation of ``fn``.  The damping is lam times the
+    identity, not scaled by the Jacobian's columns: it starts at
+    1e-12 s_max^2 and follows Nielsen's rule, an accepted step with gain
+    ratio rho scaling it by max(0.1, 1 - (2 rho - 1)^3) and rejected ones
+    by 2, 4, 8, ...  An evaluation of ``fn`` that raises OverflowError,
+    FloatingPointError or ValidationError, or returns non-finite residuals,
+    is an infeasible trial point and is rejected.  ``jac`` is called only at
+    the start and at accepted points, so the starting point must be feasible.
     ``cost_history`` holds the starting and accepted costs, so it strictly
-    decreases.  A parameter left on its bound is held there (error inf, zero
-    covariance); ``cov``, ``errors``, ``rank`` and ``cond`` come from
-    :func:`_covariance` of the other columns of the final Jacobian.  Running
-    out of :data:`_MAX_NFEV` residual evaluations raises ``FitConvergenceError``.
+    decreases, and ``n_iter`` counts the trial steps.  A parameter within
+    ``_SOLVER_TOL`` of its bound whose gradient points out of the bounds is
+    held there (error inf, zero covariance); ``cov``, ``errors``, ``rank``
+    and ``cond`` come from :func:`_covariance` of the other columns of the
+    final Jacobian.  Running out of :data:`_MAX_NFEV` residual evaluations
+    raises ``FitConvergenceError``.
     """
-    # imported here, so that only fits pay for loading scipy.optimize
-    from scipy.optimize import least_squares
+    theta = np.asarray(theta0, dtype=float)
+    lower = np.broadcast_to(np.asarray(lower, dtype=float), theta.shape)
+    r = fn(theta)
+    cost = float(r @ r)
+    history, jmat = [cost], jac(theta)
+    nfev, n_iter, lam, nu, stop = 1, 0, math.nan, 2.0, False
+    while True:
+        free = ~((theta - lower <= _SOLVER_TOL) & (jmat.T @ r > 0.0))
+        jfree = jmat[:, free]
+        if stop or np.abs(jfree.T @ r).max(initial=0.0) < _SOLVER_TOL:
+            break
+        u, sv, vt = np.linalg.svd(jfree, full_matrices=False)
+        utr = u.T @ r
+        if math.isnan(lam):
+            lam = max(_DAMPING_START * float(sv[0]) ** 2, _DAMPING_FLOOR)
+        while not stop:
+            if nfev >= _MAX_NFEV:
+                raise FitConvergenceError(f"no convergence within max_nfev = {_MAX_NFEV}")
+            trial = theta.copy()
+            trial[free] -= vt.T @ (sv / (sv * sv + lam) * utr)
+            step = np.maximum(trial, lower) - theta
+            nfev += 1
+            n_iter += 1
+            try:
+                r_new = fn(theta + step)
+                cost_new = float(r_new @ r_new)
+            except (OverflowError, FloatingPointError, ValidationError):
+                cost_new = math.inf
+            model = r + jfree @ step[free]
+            predicted = cost - float(model @ model)
+            rho = (cost - cost_new) / predicted if predicted > 0.0 else -1.0
+            stop = bool(np.linalg.norm(step)
+                        < _SOLVER_TOL * (_SOLVER_TOL + np.linalg.norm(theta)))
+            if rho > 0.0:              # nan (non-finite residuals) is rejected too
+                stop |= rho > 0.25 and cost - cost_new < _SOLVER_TOL * cost
+                theta, r, cost = theta + step, r_new, cost_new
+                history.append(cost)
+                jmat = jac(theta)
+                shrink = max(_DAMPING_SHRINK, 1.0 - (2.0 * rho - 1.0) ** 3)
+                lam, nu = max(lam * shrink, _DAMPING_FLOOR), 2.0
+                break
+            lam *= nu
+            nu *= 2.0
 
-    r0 = None
-    costs: list[float] = []
-
-    def residuals(theta: np.ndarray) -> np.ndarray:
-        nonlocal r0
-        if r0 is None:
-            r0 = fn(theta)
-            return r0
-        try:
-            return fn(theta)
-        except (OverflowError, FloatingPointError, ValidationError):
-            return np.full_like(r0, np.nan)
-
-    def record(intermediate_result) -> None:   # scipy passes its state by this name
-        costs.append(2.0 * float(intermediate_result.cost))   # scipy's cost is half
-
-    res = least_squares(residuals, theta0, jac=jac, method="trf", ftol=_SOLVER_TOL,
-                        xtol=_SOLVER_TOL, gtol=_SOLVER_TOL, max_nfev=_MAX_NFEV,
-                        bounds=(lower, np.inf), callback=record)
-    if res.status == 0:
-        raise FitConvergenceError(f"no convergence within max_nfev = {_MAX_NFEV}")
-    history = [float(r0 @ r0)]
-    for cost in costs:              # iterations that accept no step repeat the cost
-        if cost < history[-1]:
-            history.append(cost)
-
-    free = res.active_mask == 0
     cov, errors = np.zeros((free.size, free.size)), np.full(free.size, math.inf)
-    cov[np.ix_(free, free)], errors[free], rank, cond = _covariance(res.jac[:, free])
-    return LMSolution(theta=res.x, cov=cov, errors=errors, cost=2.0 * res.cost,
-                      cost_history=history, n_iter=len(costs), rank=rank, cond=cond)
+    cov[np.ix_(free, free)], errors[free], rank, cond = _covariance(jfree)
+    return LMSolution(theta=theta, cov=cov, errors=errors, cost=cost,
+                      cost_history=history, n_iter=n_iter, rank=rank, cond=cond)
 
 
 def _covariance(jac: np.ndarray) -> tuple[np.ndarray, np.ndarray, int, float]:
@@ -338,7 +369,8 @@ class FitResult:
     population_errors: np.ndarray | None = None   # free fits only
 
 
-#: relative step of the population differences (scipy's 2-point default)
+#: relative step of the population differences (the root of machine epsilon,
+#: the usual forward-difference step)
 _DIFF_STEP = math.sqrt(np.finfo(float).eps)
 
 
@@ -354,8 +386,8 @@ class _FloppingFit:
     d/d omega01 = (a/2) t Im S_1 and d/d gamma0 = (a/2) t Re S_1 (because
     d e^{z_n t} / d omega01 = i sqrt(n+1) t e^{z_n t}), and -(a/2) Re S_dist
     for the distribution parameters.  dp/dtheta_dist is a forward difference
-    of the populations alone in theta, at scipy's 2-point step, the same for
-    every model; a parameter at 0 steps upward, inside its bound.
+    of the populations alone in theta, at the ``_DIFF_STEP`` step, the same
+    for every model; a parameter at 0 steps upward, inside its bound.
     """
 
     def __init__(self, model: str, ts: np.ndarray, ys: np.ndarray, sigmas: np.ndarray):

@@ -55,7 +55,8 @@ class PhononDistribution:
     ``p`` must be a nonempty 1-d array of finite entries >= -1e-12 (the
     rounding floor) that sums to 1 within 1e-9, else ``DomainError``.
     ``tail_mass`` is the probability that sat beyond the cutoff before
-    renormalization; ``mean`` is derived from ``p``.
+    renormalization, finite and >= 0, else ``DomainError``; ``mean`` is
+    derived from ``p``.
     """
 
     p: np.ndarray
@@ -70,6 +71,8 @@ class PhononDistribution:
             raise DomainError("phonon distribution entries must be finite and >= 0")
         if abs(p.sum() - 1.0) > 1e-9:
             raise DomainError(f"a phonon distribution must sum to 1, got {p.sum():.12g}")
+        if not (math.isfinite(self.tail_mass) and self.tail_mass >= 0.0):
+            raise DomainError(f"tail_mass must be finite and >= 0, got {self.tail_mass!r}")
         object.__setattr__(self, "p", p)
 
     @property

@@ -28,7 +28,8 @@ from ionfridge.experiments import (GRID_TABLE, MAX_GRID_POINTS, PREP_TABLES,
                                    _prep_echo, _prep_from_dict)
 from ionfridge.dynamics import EnsembleSpectrum
 from ionfridge.fockspace import TruncationPolicy
-from ionfridge.measurement import (FIT_MODELS, SidebandConfig, red_sideband_brightness,
+from ionfridge.measurement import (FIT_MODELS, SidebandConfig, fit_distribution,
+                                   load_brightness_csv, red_sideband_brightness,
                                    save_brightness_csv, synthetic_brightness)
 from ionfridge.states import (DEFAULT_CUTOFF, PREP_KINDS, ModePrep, prep_mean,
                               thermal_distribution)
@@ -1088,7 +1089,7 @@ def test_cli_numerical_failure_exit_code(capsys):
     assert capsys.readouterr().err.startswith("numerical failure: retainable weight")
 
 
-def test_cli_fit_free_prints_the_populations(tmp_path, capsys):
+def _free_record(tmp_path):
     rng = np.random.default_rng(21)
     cfg = SidebandConfig(omega_rabi=TWO_PI * 50e3, gamma0=600.0)
     p = thermal_distribution(0.8, cutoff=150, tail_budget=1.0)
@@ -1096,12 +1097,32 @@ def test_cli_fit_free_prints_the_populations(tmp_path, capsys):
                                    0.02, rng)
     path = tmp_path / "flops.csv"
     save_brightness_csv(path, samples)
+    return path
+
+
+def test_cli_fit_free_prints_the_populations(tmp_path, capsys):
+    path = _free_record(tmp_path)
     assert cli_main(["fit", str(path), "--model", "free"]) == 0
     line = next(line for line in capsys.readouterr().out.splitlines() if "p(n)" in line)
     pops = np.array(line.split(":")[1].split(), dtype=float)
     assert line.startswith("  p(n), n=0..13:") and pops.size == 14
     assert pops.sum() == pytest.approx(1.0, abs=1e-3)
     assert pops[0] == pytest.approx(1.0 / 1.8, abs=0.1)
+
+
+def test_cli_fit_prints_unresolved_parameters_without_a_value(tmp_path, capsys):
+    """A parameter with an infinite error prints as unresolved: its value is
+    wherever the solver stopped.  Before, such a logit printed a number
+    (-171.789 on one record) with "+/- inf"."""
+    path = _free_record(tmp_path)
+    result = fit_distribution(load_brightness_csv(path), "free")
+    assert cli_main(["fit", str(path), "--model", "free"]) == 0
+    out = capsys.readouterr().out
+    assert "inf" not in out
+    lines = {line.split(" = ")[0].strip(): line for line in out.splitlines() if " = " in line}
+    unresolved = {name for name, err in result.errors.items() if math.isinf(err)}
+    assert unresolved and all(lines[name].endswith(f"{name} = unresolved") for name in unresolved)
+    assert all("+/-" in lines[name] for name in result.errors.keys() - unresolved)
 
 
 def test_cli_oracle_check_subprocess():

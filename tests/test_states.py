@@ -208,6 +208,15 @@ def test_phonon_distribution_checks_itself(p):
         PhononDistribution(p)
 
 
+@pytest.mark.parametrize("tail_mass", [math.nan, math.inf, -3.0, -1e-300])
+def test_phonon_distribution_checks_its_tail_mass(tail_mass):
+    """tail_mass is a probability mass: finite and >= 0.  Before, nan and
+    -3.0 were accepted and stored."""
+    with pytest.raises(DomainError, match="tail_mass"):
+        PhononDistribution([1.0], tail_mass=tail_mass)
+    assert PhononDistribution([1.0], tail_mass=0.25).tail_mass == 0.25
+
+
 def test_phonon_distribution_mean_is_derived_from_p():
     d = PhononDistribution([0.25, 0.5, 0.25])
     assert (d.mean, d.tail_mass) == (1.0, 0.0)
