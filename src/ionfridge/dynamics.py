@@ -8,8 +8,9 @@ symmetric tridiagonal matrix
 acting on |k, N-k, M-k>.  An ensemble is one table of retained sectors
 (labels, weights, cap windows) plus one flat vector of their populations;
 :class:`EnsembleSpectrum` eigendecomposes the sector matrices once per
-ensemble, one batched ``eigh`` per distinct sector dimension, and every
-result is a view of that spectrum.  Means are one projected observable:
+ensemble, one batched ``eigh`` per distinct sector dimension that solves
+each mirror pair (N, M), (M, N) once, and every result is a view of that
+spectrum.  Means are one projected observable:
 inside sector (N, M), n_w = N - n_h and n_c = M - n_h, so with the hot
 number projected onto each eigenbasis once, all sectors flatten into one
 sorted vector of distinct gaps g (equal gaps, common in symmetric
@@ -19,15 +20,18 @@ coefficient vector C, and
     <n_h>(t) = <n_h>_dephased + kernel(t, g) @ C,
     <n_w> = sum_s w_s N_s - <n_h>,   <n_c> = sum_s w_s M_s - <n_h>,
 
-with kernel cos(g t) (unitary), exp(-xi_in g^2 t) (incoherent
-double-commutator model) or none (dephased).  Both kernels factor over a
-sum of times, so a uniform grid of T points is evaluated as a tableau of
-about sqrt(T) rows r plus sqrt(T) offsets s, t = r + s: the transcendentals
-are taken on the rows and the offsets only, and a small matrix product
-combines them.  One routine, :func:`_kernel_sums`, owns that tableau for
-every time-dependent sum against a coefficient matrix: the means, the
-per-mode marginals (only where a readout needs them) and the flopping sums
-of :mod:`ionfridge.measurement`.
+with kernel cos(g t) = Re e^{g (i t)} (unitary: the gaps at imaginary
+times), exp(-xi_in g^2 t) (incoherent double-commutator model) or none
+(dephased).  Every kernel is
+an exponential e^{z t}, which factors over a sum of times, so a uniform
+grid of T points is evaluated as a tableau of about sqrt(T) rows r plus
+sqrt(T) offsets s, t = r + s: the row and offset factors are powers of
+e^{z dr} and e^{z dt}, built by repeated multiplication from three
+exponentials per exponent, and a small matrix product combines them.  One
+routine, :func:`_kernel_sums`, owns that tableau for every time-dependent
+sum against a coefficient matrix: the means, the per-mode marginals (only
+where a readout needs them), and the flopping sums and the periodogram of
+:mod:`ionfridge.measurement`.
 
 Off-diagonal couplings are strictly positive inside a sector, so each
 sector Hamiltonian is an unreduced Jacobi matrix with a simple spectrum;
@@ -152,8 +156,8 @@ def assemble_initial(preps: tuple[ModePrep, ModePrep, ModePrep],
 # ---------------------------------------------------------------------------
 
 
-#: kernel factor elements evaluated per block of gaps (about 1 MB per block)
-_KERNEL_BLOCK = 1 << 17
+#: complex kernel factors evaluated per block of exponents (512 KiB per block)
+_KERNEL_BLOCK = 1 << 15
 #: most eigenvalue pairs, sum d(d - 1)/2 over the sectors, an ensemble may hold;
 #: the shipped studies reach 1.6e5; 3.8e7 took 42 s and 1.1 GiB on a 2-vCPU x86-64 host
 MAX_SECTOR_PAIRS = 10_000_000
@@ -162,51 +166,86 @@ MAX_SECTOR_PAIRS = 10_000_000
 _GAP_MERGE_RTOL = 1e-13
 
 
-def _tableau(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows r and offsets s with t[a * s.size + b] = r[a] + s[b], row-major.
+def _tableau(t: np.ndarray) -> tuple | None:
+    """(t_0, dt, rows, cols) with t[a * cols + b] = t_0 + (a cols + b) dt, or None.
 
-    An ascending uniform grid, t_n = t_0 + n dt to a few ulps of max |t|,
-    becomes ceil(T / B) rows of B = ceil(sqrt(T)) offsets, r_a = t_0 + a B dt
-    and s_b = b dt, the last row padded past T.  Any other grid, one point
-    included, is the single column (t, [0]).
+    A uniform grid of two or more points, t_n = t_0 + n dt to a few ulps of
+    max |t|, with Re dt >= 0 (ascending, or imaginary), becomes ``rows`` =
+    ceil(T / cols) rows of ``cols`` = ceil(sqrt(T)) offsets, the last row
+    padded past T.  Any other grid, one point included, has no tableau.
     """
     if t.size > 1:
         dt = (t[-1] - t[0]) / (t.size - 1)
         drift = np.abs(t - (t[0] + dt * np.arange(t.size))).max()
-        if dt >= 0.0 and drift <= 4.0 * np.spacing(np.abs(t).max()):
+        if dt.real >= 0.0 and drift <= 4.0 * np.spacing(np.abs(t).max()):
             cols = math.isqrt(t.size - 1) + 1
-            return t[0] + dt * cols * np.arange(-(-t.size // cols)), dt * np.arange(cols)
-    return t, np.zeros(1)
+            return t[0], dt, -(-t.size // cols), cols
+    return None
 
 
-def _kernel_sums(t: np.ndarray, g: np.ndarray, coef: np.ndarray, even, odd=None,
-                 start: float = 0.0) -> np.ndarray:
-    """start + sum_j coef[j, k] K(g_j t_i), shape (t.size, coef.shape[1]).
+def _powers(first: np.ndarray, ratio: np.ndarray, n: int) -> np.ndarray:
+    """first * ratio**a for a = 0 .. n - 1 by repeated multiplication, shape (n, ratio.size)."""
+    out = np.empty((n, ratio.size), dtype=np.result_type(first, ratio))
+    out[0] = first
+    for a in range(1, n):
+        np.multiply(out[a - 1], ratio, out=out[a])
+    return out
 
-    The kernel factors over a sum of times, K(g (r + s)) =
-    even(g r) even(g s) - odd(g r) odd(g s): (cos, sin) by angle addition,
-    or one exponential with ``odd`` None; ``g`` may be complex.  Over the
-    :func:`_tableau` of ``t``, each block of exponents adds, for every
-    column k, (even(rows g) * coef[:, k]) @ even(offsets g).T, all columns
-    in one product, minus the same product of the odd factors.  The single
-    offset [0], where the factors are 1 and 0, adds even(rows g) @ coef.
-    Blocks keep each factor block near ``_KERNEL_BLOCK`` elements.
+
+def _exp_columns(t: np.ndarray, z: np.ndarray, real: bool) -> np.ndarray:
+    """e^{z_j t_i}, shape (t.size, z.size), or with ``real`` its real part:
+    for real z at complex times e^{z Re t} cos(z Im t), the exponential taken
+    only if some Re t != 0."""
+    if real and np.isrealobj(z) and np.iscomplexobj(t):
+        f = np.cos(np.outer(t.imag, z))
+        if t.real.any():
+            f *= np.exp(np.outer(t.real, z))
+        return f
+    f = np.exp(np.outer(t, z))
+    return f.real if real else f
+
+
+def _kernel_sums(t: np.ndarray, z: np.ndarray, coef: np.ndarray, start: float = 0.0,
+                 real: bool = False) -> np.ndarray:
+    """start + sum_j coef[j, k] e^{z_j t_i}, shape (t.size, coef.shape[1]).
+
+    ``t`` and ``z`` may each be real or complex.  With ``real`` the sum's
+    real part, so real gaps g at imaginary times i t give sum coef cos(g t)
+    for real coefficients, as the unitary means take it.  On the
+    :func:`_tableau` of ``t``, e^{z t} factors as a row factor e^{z t_0}
+    (e^{z cols dt})^a times an offset factor (e^{z dt})^b, the powers built
+    by repeated multiplication, so each exponent takes three exponentials;
+    each block of exponents then adds, for every column k,
+    (rows * coef[:, k]) @ offsets.T, all columns in one product (for the
+    real part, one real product over interleaved real and imaginary parts).
+    Any other grid takes the factors at every time (:func:`_exp_columns`).
+    Blocks keep each factor block near ``_KERNEL_BLOCK`` complex elements.
     """
-    rows, offsets = _tableau(t)
     cols = coef.shape[1]
-    sums = np.full((rows.size * cols, offsets.size), start, dtype=np.result_type(g, coef, start))
-    one_column = offsets.size == 1 and offsets[0] == 0.0
-    step = max(1, _KERNEL_BLOCK // (rows.size + offsets.size))
-    for lo in range(0, g.size, step):
-        gb, cb = g[lo:lo + step], coef[lo:lo + step]
-        if one_column:
-            sums[:, 0] += (even(np.outer(rows, gb)) @ cb).ravel()
-            continue
-        for f, sign in ((even, 1.0), (odd, -1.0)):
-            if f is not None:
-                scaled = (f(np.outer(rows, gb))[:, None, :] * cb.T).reshape(-1, gb.size)
-                sums += sign * (scaled @ f(np.outer(offsets, gb)).T)
-    sums = sums.reshape(rows.size, cols, offsets.size).transpose(0, 2, 1)
+    dtype = float if real else np.result_type(t, z, coef, start)
+    grid = _tableau(t)
+    if grid is None:
+        sums = np.full((t.size, cols), start, dtype=dtype)
+        step = max(1, _KERNEL_BLOCK // max(1, t.size))
+        for lo in range(0, z.size, step):
+            sums += _exp_columns(t, z[lo:lo + step], real) @ coef[lo:lo + step]
+        return sums
+    t0, dt, rows, offsets = grid
+    sums = np.full((rows * cols, offsets), start, dtype=dtype)
+    step = max(1, _KERNEL_BLOCK // (rows + offsets))
+    for lo in range(0, z.size, step):
+        zb, cb = z[lo:lo + step], coef[lo:lo + step]
+        first, row_ratio, off_ratio = np.exp(np.multiply.outer((t0, dt * offsets, dt), zb))
+        scaled = np.multiply(_powers(first, row_ratio, rows)[:, None, :], cb.T,
+                             order="C").reshape(-1, zb.size)
+        if real and np.iscomplexobj(scaled):
+            # Re(x @ y.T) = [Re x, Im x] @ [Re y, -Im y].T: the offsets are
+            # powers of the conjugate ratio, taken over interleaved pairs
+            conj = _powers(complex(1.0), off_ratio.conj(), offsets)
+            sums += scaled.view(float) @ conj.view(float).T
+        else:
+            sums += scaled @ _powers(1.0, off_ratio, offsets).T
+    sums = sums.reshape(rows, cols, offsets).transpose(0, 2, 1)
     return sums.reshape(-1, cols)[:t.size]
 
 
@@ -215,25 +254,30 @@ class EnsembleSpectrum:
 
     Sectors of equal dimension d are solved together: their tridiagonal
     Hamiltonians are stacked as one (S_d, d, d) array for one
-    ``np.linalg.eigh`` call, and the populations and n_h are projected onto
-    the eigenbases with ``einsum``.  ``eig[i]`` holds sector ``i``'s (in
+    ``np.linalg.eigh`` call per distinct dimension.  Mirror sectors (N, M)
+    and (M, N) with the same window (``k_lo``) have the same Hamiltonian, so
+    each such pair is solved once and shares its eigenpairs.  The
+    populations and n_h are projected onto the eigenbases as batched
+    matrix products (vec.T * pops) @ vec.  ``eig[i]`` holds sector ``i``'s (in
     ``ensemble.sectors`` order) eigenvalues ``lam``, eigenvectors ``vec``
     (columns) and its initial populations rotated to the eigenbasis,
-    ``b = vec.T diag(pops) vec`` (real), as views of its group's arrays;
-    :meth:`marginals_at` reads them.
+    ``b = vec.T diag(pops) vec`` (real), as views of its group's arrays
+    (mirror sectors share one ``lam`` and one ``vec``); :meth:`marginals_at`
+    reads them.
 
     For the means, with A = vec.T diag(n_h) vec and sector weight w, each
     pair i < j of each sector contributes the gap lam_j - lam_i with the
     coefficient 2 w b_ij A_ij, and ``nh_dephased`` = sum w b_ii A_ii.  The
-    gaps are sorted (stably) and merged: a gap within ``_GAP_MERGE_RTOL``
-    (relative) of the previous one joins its bin, so ``gaps`` is strictly
-    increasing, holding each bin's smallest gap, and ``coef`` holds each
-    bin's summed coefficients.  Then
+    gaps are sorted (numpy's default sort, not a stable one) and merged: a
+    gap within ``_GAP_MERGE_RTOL`` (relative) of the previous one joins its
+    bin, so ``gaps`` is strictly increasing, holding each bin's smallest
+    gap, and ``coef`` holds each bin's summed coefficients.  Then
     <n_h>(t) = nh_dephased + kernel(t, gaps) @ coef, and <n_w>, <n_c> are
     ``sum_wN``, ``sum_wM`` minus <n_h>, because n_w = N - n_h and
     n_c = M - n_h inside sector (N, M).  Pairs and reductions run in a
     fixed order, dimension groups ascending and selection order within a
-    group, so results do not depend on scheduling.
+    group, and the sort of a given gap vector is deterministic, so results
+    do not depend on scheduling.
     """
 
     def __init__(self, ensemble: ThreeModeEnsemble):
@@ -250,27 +294,34 @@ class EnsembleSpectrum:
         for d in np.unique(sec.dim):
             group = np.flatnonzero(sec.dim == d)
             row = np.arange(d)
-            n_h = sec.k_lo[group, None] + row
-            kk = n_h[:, :-1]
-            ham = np.zeros((group.size, d, d))
-            ham[:, row, row] = ensemble.detuning * n_h
+            N, M, k_lo = sec.N[group], sec.M[group], sec.k_lo[group]
+            # mirror sectors (N, M) and (M, N) with one window share a
+            # Hamiltonian: one key per (min(N, M), max(N, M), k_lo)
+            lo, hi = np.minimum(N, M), np.maximum(N, M)
+            _, solved, mirror = np.unique((lo * (hi.max() + 1) + hi) * (k_lo.max() + 1) + k_lo,
+                                          return_index=True, return_inverse=True)
+            kk = k_lo[solved, None] + row[:-1]
+            ham = np.zeros((solved.size, d, d))
+            ham[:, row, row] = ensemble.detuning * (k_lo[solved, None] + row)
             ham[:, row[1:], row[:-1]] = ensemble.xi * np.sqrt(
-                (kk + 1.0) * (sec.N[group, None] - kk) * (sec.M[group, None] - kk))
+                (kk + 1.0) * (N[solved, None] - kk) * (M[solved, None] - kk))
             lam, vec = np.linalg.eigh(ham)          # reads the lower triangle
-            pops = ensemble.pops[sec.start[group, None] + row]
-            b = np.einsum("ski,sk,skj->sij", vec, pops, vec)
+            # b = vec.T diag(pops) vec and A = vec.T diag(n_h) vec, batched
+            own = vec[mirror]
+            own_t = own.transpose(0, 2, 1)
+            b = (own_t * ensemble.pops[sec.start[group, None] + row][:, None, :]) @ own
             terms = (sec.weight[group, None, None] * b
-                     * np.einsum("ski,sk,skj->sij", vec, n_h, vec))
+                     * ((own_t * (k_lo[:, None] + row)[:, None, :]) @ own))
             i, j = np.triu_indices(d, 1)
-            gaps.append((lam[:, j] - lam[:, i]).ravel())
+            gaps.append((lam[:, j] - lam[:, i])[mirror].ravel())
             coef.append(2.0 * terms[:, i, j].ravel())
             self.nh_dephased += float(np.einsum("sii->", terms))
-            for s, eig in zip(group, zip(lam, vec, b)):
-                self.eig[s] = eig
+            for s, m, b_s in zip(group.tolist(), mirror.tolist(), b):
+                self.eig[s] = lam[m], vec[m], b_s
         # sorted one vector at a time, so no more vectors are alive than during
         # the concatenation
         gaps, coef = np.concatenate(gaps), np.concatenate(coef)
-        order = np.argsort(gaps, kind="stable")
+        order = np.argsort(gaps)
         gaps = gaps[order]
         coef = coef[order]
         # a bin opens at the first gap and where a gap exceeds the previous one
@@ -283,15 +334,16 @@ class EnsembleSpectrum:
         self.sum_wN = float(sec.weight @ sec.N)
         self.sum_wM = float(sec.weight @ sec.M)
 
-    def _means(self, t: np.ndarray, g: np.ndarray, even, odd=None) -> np.ndarray:
-        """[n_h, sum w N - n_h, sum w M - n_h], n_h = nh_dephased + sum coef K(g t)."""
-        n_h = _kernel_sums(t, g, self.coef[:, None], even, odd, self.nh_dephased)[:, 0]
+    def _means(self, t: np.ndarray, z: np.ndarray) -> np.ndarray:
+        """[n_h, sum w N - n_h, sum w M - n_h], n_h = nh_dephased + sum coef Re e^{z t}."""
+        n_h = _kernel_sums(t, z, self.coef[:, None], self.nh_dephased, real=True)[:, 0]
         return np.array([n_h, self.sum_wN - n_h, self.sum_wM - n_h])
 
     def _unitary_grid(self, t_grid) -> np.ndarray:
         """``t_grid`` as a flat float array; raises unless every phase g t is finite."""
         t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
-        if not math.isfinite(float(self.gaps.max(initial=0.0))
+        # the gaps ascend, so the last one (if any) is the largest
+        if not math.isfinite(float(self.gaps[-1:].sum())
                              * float(np.abs(t_grid).max(initial=0.0))):
             raise DomainError("every time and every phase g t must be finite")
         return t_grid
@@ -313,7 +365,7 @@ class EnsembleSpectrum:
         for (N, M, weight, k_lo, d, _), (lam, vec, b) in zip(sec.tolist(), self.eig):
             gaps = (lam[:, None] - lam[None, :]).reshape(-1)
             w3 = ((vec[:, :, None] * vec[:, None, :]) * b[None, :, :]).reshape(d, d * d)
-            w_pops = weight * _kernel_sums(t_grid, gaps, w3.T, np.cos, np.sin).T
+            w_pops = weight * _kernel_sums(1j * t_grid, gaps, w3.T, real=True).T
             k = k_lo + np.arange(d)
             p_h[k] += w_pops
             p_w[N - k] += w_pops
@@ -323,7 +375,7 @@ class EnsembleSpectrum:
     def means_at(self, t_grid: np.ndarray) -> np.ndarray:
         """Mean occupations (not normalized by the retained weight), shape (3, len(t_grid))."""
         t_grid = self._unitary_grid(t_grid)
-        return self._means(t_grid, self.gaps, np.cos, np.sin)
+        return self._means(1j * t_grid, self.gaps)
 
     def incoherent_means_at(self, t_grid: np.ndarray, xi_in: float) -> np.ndarray:
         """Means under the double-commutator model d rho/dt = -xi_in [H, [H, rho]].
@@ -334,7 +386,7 @@ class EnsembleSpectrum:
         t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
         if not (0.0 <= xi_in < math.inf and np.all((0.0 <= t_grid) & (t_grid < math.inf))):
             raise DomainError("xi_in and every time must be finite and >= 0")
-        return self._means(t_grid, self.gaps * self.gaps, lambda x: np.exp(-xi_in * x))
+        return self._means(t_grid, -xi_in * self.gaps * self.gaps)
 
     def dephased_moments(self) -> OccupationTriple:
         """Means of the infinite-time average (exact for simple spectra)."""

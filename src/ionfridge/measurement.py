@@ -147,7 +147,7 @@ def blue_sideband_flopping(p, cfg: SidebandConfig, t_grid,
 def _flopping_sums(t: np.ndarray, omega: float, gamma0: float, coef: np.ndarray) -> np.ndarray:
     """sum_n coef[n, k] e^{z_n t}, z_n = sqrt(n+1)(-gamma0 + i omega), at times t >= 0."""
     z = np.sqrt(np.arange(coef.shape[0]) + 1.0) * complex(-gamma0, omega)
-    return _kernel_sums(t, z, coef, np.exp)
+    return _kernel_sums(t, z, coef)
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +433,7 @@ def _default_omega_seed(ts: np.ndarray, ys: np.ndarray, spacing: float) -> float
     omegas = np.linspace(TWO_PI / span, math.pi / spacing, 800)
     # |sum_i y_i e^{-i w t_i}| with the frequencies as the kernel's times and
     # -i t_i as its exponents
-    power = np.abs(_kernel_sums(omegas, -1j * ts, (ys - ys.mean())[:, None], np.exp)[:, 0])
+    power = np.abs(_kernel_sums(omegas, -1j * ts, (ys - ys.mean())[:, None])[:, 0])
     return float(omegas[int(np.argmax(power))])
 
 

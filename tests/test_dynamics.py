@@ -5,6 +5,7 @@ oracle."""
 import functools
 import itertools
 import math
+import pathlib
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from ionfridge.dynamics import (_KERNEL_BLOCK, EnsembleSpectrum, _kernel_sums,
                                 assemble_from_distributions, assemble_initial,
                                 default_incoherence_strength)
 from ionfridge.errors import DomainError
+from ionfridge.experiments import build_ensemble, load_scenario
 from ionfridge.fockspace import TruncationPolicy, select_sectors
 from ionfridge.oracle import MAX_CAP, dense_hamiltonian, dense_oracle_evolve, prep_density
 from ionfridge.states import ModePrep, prep_to_distribution, thermal_distribution
@@ -461,42 +463,123 @@ def test_merged_gaps_are_increasing_and_keep_the_coefficients():
         assert spectrum.gaps.size < pairs or not resonant
 
 
-#: name -> (even, odd, the kernel K taken directly, exponents g)
+#: name -> (exponents z, factor on the times, whether the sums take the real
+#: part); "cos" takes e^{g (i t)} at imaginary times, as the means do
 _KERNELS = {
-    "cos": (np.cos, np.sin, np.cos, np.linspace(-3e5, 3e5, 150)),
-    "decay": (lambda x: np.exp(-x), None, lambda x: np.exp(-x), np.linspace(0.0, 2e4, 150)),
-    "complex": (np.exp, None, np.exp,
-                np.sqrt(np.arange(150) + 1.0) * complex(-600.0, TWO_PI * 50e3)),
-    "no_exponents": (np.cos, np.sin, np.cos, np.zeros(0)),
+    "cos": (np.linspace(-3e5, 3e5, 150), 1j, True),
+    "decay": (-np.linspace(0.0, 2e4, 150), 1.0, True),
+    "complex": (np.sqrt(np.arange(150) + 1.0) * complex(-600.0, TWO_PI * 50e3), 1.0, False),
+    "complex_real": (np.sqrt(np.arange(150) + 1.0) * complex(-600.0, TWO_PI * 50e3), 1.0, True),
+    "no_exponents": (np.zeros(0), 1j, True),
 }
 _KERNEL_TIMES = {
     "uniform": np.linspace(0.5e-6, 150e-6, 300),
+    "two_point": np.array([3e-6, 40e-6]),
+    "negative": np.linspace(-150e-6, -0.5e-6, 300),
     "non_uniform": np.sort(np.random.default_rng(4).uniform(0.0, 150e-6, 40)),
     "one_point": np.array([42e-6]),
     "empty": np.zeros(0),
 }
 
 
-@pytest.mark.parametrize("block", [None, 250], ids=["one_block", "small_blocks"])
+@pytest.mark.parametrize("block", [None, 100], ids=["one_block", "small_blocks"])
 @pytest.mark.parametrize("cols", [1, 4], ids=["one_column", "four_columns"])
 @pytest.mark.parametrize("times", list(_KERNEL_TIMES))
 @pytest.mark.parametrize("kernel", list(_KERNELS))
 def test_kernel_sums_match_direct_sums(monkeypatch, kernel, times, cols, block):
-    """start + sum_j coef[j, k] K(g_j t_i) against K taken at every time and
-    exponent, to 1e-12 of start + sum_j |coef[j, k]|; with no exponents the
-    sums are the start.  A block of 250 factor elements cuts the 150
-    exponents into blocks of 7 on the uniform grid, 6 on the non-uniform one
-    and 125 at one point."""
-    even, odd, direct, g = _KERNELS[kernel]
-    t = _KERNEL_TIMES[times]
+    """start + sum_j coef[j, k] e^{z_j t_i}, or its real part, at real or
+    imaginary times, against e^{z t} taken at every time and exponent, to
+    1e-12 of start + sum_j |coef[j, k]|; with no exponents the sums are the
+    start.  The two-point grid is a tableau of one row.  A block of 100
+    complex factors cuts the 150 exponents into blocks of 2 on the 300-point
+    grids (17 rows and 18 offsets), 33 on the two-point grid, 2 on the
+    non-uniform one and 100 at one point."""
+    z, factor, real = _KERNELS[kernel]
+    t = factor * _KERNEL_TIMES[times]
     if block is not None:
         monkeypatch.setattr(dynamics, "_KERNEL_BLOCK", block)
-    coef = np.random.default_rng(cols).normal(size=(g.size, cols))
-    sums = _kernel_sums(t, g, coef, even, odd, start=0.3)
+    coef = np.random.default_rng(cols).normal(size=(z.size, cols))
+    sums = _kernel_sums(t, z, coef, start=0.3, real=real)
     assert sums.shape == (t.size, cols)
+    assert np.isrealobj(sums) == (real or np.isrealobj(t) and np.isrealobj(z))
+    direct = np.exp(np.outer(t, z))
     bound = 0.3 + np.abs(coef).sum(axis=0)
-    np.testing.assert_allclose(sums, 0.3 + direct(np.outer(t, g)) @ coef,
+    np.testing.assert_allclose(sums, 0.3 + (direct.real if real else direct) @ coef,
                                rtol=0, atol=1e-12 * bound.max())
+
+
+@functools.cache
+def _relaxation_thermal_spectrum():
+    """The spectrum of ``scenarios/relaxation_thermal.json`` (18,751 merged gaps)."""
+    return EnsembleSpectrum(build_ensemble(load_scenario(
+        pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "relaxation_thermal.json")))
+
+
+@pytest.mark.parametrize("stop,bound", [(1.0, 3e-12), (10.0, 3e-11), (1e3, 3e-9)],
+                         ids=["1s", "10s", "1000s"])
+def test_long_time_means_match_an_unmerged_long_double_sum(stop, bound):
+    """Powers of e^{i g dt} accumulate phase, so the merged-gap means on a
+    281-point uniform grid to ``stop`` (the tableau) and at its points one at
+    a time (one column) are checked against n_h summed over every unmerged
+    pair in long double, at every tenth grid point.  The bounds are about 4x
+    the errors of cos and sin taken at every row and offset (6.4e-13,
+    6.3e-12, 8.0e-10 on the whole grid)."""
+    spectrum = _relaxation_thermal_spectrum()
+    sec = spectrum.ensemble.sectors
+    gaps, coef = [], []
+    for (weight, k_lo, dim), (lam, vec, b) in zip(sec[["weight", "k_lo", "dim"]].tolist(),
+                                                  spectrum.eig):
+        a = vec.T @ ((k_lo + np.arange(dim))[:, None] * vec)
+        i, j = np.triu_indices(dim, 1)
+        gaps.append(lam[j].astype(np.longdouble) - lam[i])
+        coef.append(2.0 * weight * (b * a)[i, j])
+    gaps, coef = np.concatenate(gaps), np.concatenate(coef).astype(np.longdouble)
+    t_grid = np.linspace(0.0, stop, 281)
+    exact = np.array([float(coef @ np.cos(gaps * t)) for t in t_grid[::10].astype(np.longdouble)])
+    tableau = spectrum.means_at(t_grid)[0, ::10]
+    points = np.hstack([spectrum.means_at(t[None])[0] for t in t_grid[::10]])
+    for n_h in (tableau, points):
+        assert np.abs(n_h - spectrum.nh_dephased - exact).max() < bound
+
+
+def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
+    """Work counts, no timing, on ``scenarios/relaxation_thermal.json``: the
+    281-point grid takes at most three exponentials (e^{i g t_0},
+    e^{i g cols dt}, e^{i g dt}) per merged gap and no cos or sin, and one
+    eigensolve per distinct (min(N, M), max(N, M), k_lo, dim), the mirror
+    sectors (N, M) and (M, N) sharing it, bit for bit."""
+    ens = _relaxation_thermal_spectrum().ensemble
+    solved = []
+    eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        solved.append(int(np.prod(np.shape(a)[:-2])))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    spectrum = EnsembleSpectrum(ens)
+    sec = ens.sectors
+    keys = {(min(N, M), max(N, M), k_lo, dim)
+            for N, M, k_lo, dim in sec[["N", "M", "k_lo", "dim"]].tolist()}
+    assert sum(solved) == len(keys) < sec.size
+    index = {(N, M): s for s, (N, M) in enumerate(sec[["N", "M"]].tolist())}
+    mirrored = 0
+    for (N, M), s in index.items():
+        m = index.get((M, N))
+        if m is not None and N != M:
+            mirrored += 1
+            assert spectrum.eig[s][0].tobytes() == spectrum.eig[m][0].tobytes()
+    assert mirrored > 0
+
+    elements = {"exp": 0, "cos": 0, "sin": 0}
+    for name in elements:
+        def counted(x, *args, _name=name, _f=getattr(np, name), **kwargs):
+            elements[_name] += np.size(x)
+            return _f(x, *args, **kwargs)
+        monkeypatch.setattr(np, name, counted)
+    spectrum.means_at(np.linspace(0.0, 700e-6, 281))
+    assert elements["cos"] == elements["sin"] == 0
+    assert 0 < elements["exp"] <= 3 * spectrum.gaps.size
 
 
 def test_ensemble_above_the_pair_limit_is_rejected(monkeypatch):
