@@ -282,19 +282,22 @@ class EnsembleSpectrum:
 
     def __init__(self, ensemble: ThreeModeEnsemble):
         self.ensemble = ensemble
-        sec = ensemble.sectors
-        pairs = int((sec.dim * (sec.dim - 1) // 2).sum())
+        # each column read once, as a plain array: every record-array
+        # attribute read (sec.N) costs some microseconds
+        sec_N, sec_M, weight, sec_k_lo, dim, start = (
+            ensemble.sectors[name] for name in ("N", "M", "weight", "k_lo", "dim", "start"))
+        pairs = int((dim * (dim - 1) // 2).sum())
         if pairs > MAX_SECTOR_PAIRS:
             raise DomainError(f"the ensemble holds {pairs} eigenvalue pairs, more than "
                               f"MAX_SECTOR_PAIRS = {MAX_SECTOR_PAIRS}; lower the per-mode "
                               "caps or raise epsilon to shrink it")
-        self.eig: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * sec.size
+        self.eig: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * dim.size
         gaps, coef = [], []
         self.nh_dephased = 0.0
-        for d in np.unique(sec.dim):
-            group = np.flatnonzero(sec.dim == d)
+        for d in np.unique(dim):
+            group = np.flatnonzero(dim == d)
             row = np.arange(d)
-            N, M, k_lo = sec.N[group], sec.M[group], sec.k_lo[group]
+            N, M, k_lo = sec_N[group], sec_M[group], sec_k_lo[group]
             # mirror sectors (N, M) and (M, N) with one window share a
             # Hamiltonian: one key per (min(N, M), max(N, M), k_lo)
             lo, hi = np.minimum(N, M), np.maximum(N, M)
@@ -309,8 +312,8 @@ class EnsembleSpectrum:
             # b = vec.T diag(pops) vec and A = vec.T diag(n_h) vec, batched
             own = vec[mirror]
             own_t = own.transpose(0, 2, 1)
-            b = (own_t * ensemble.pops[sec.start[group, None] + row][:, None, :]) @ own
-            terms = (sec.weight[group, None, None] * b
+            b = (own_t * ensemble.pops[start[group, None] + row][:, None, :]) @ own
+            terms = (weight[group, None, None] * b
                      * ((own_t * (k_lo[:, None] + row)[:, None, :]) @ own))
             i, j = np.triu_indices(d, 1)
             gaps.append((lam[:, j] - lam[:, i])[mirror].ravel())
@@ -331,8 +334,8 @@ class EnsembleSpectrum:
         bins = np.flatnonzero(opens)
         self.gaps = gaps[bins]
         self.coef = np.add.reduceat(coef, bins)
-        self.sum_wN = float(sec.weight @ sec.N)
-        self.sum_wM = float(sec.weight @ sec.M)
+        self.sum_wN = float(weight @ sec_N)
+        self.sum_wM = float(weight @ sec_M)
 
     def _means(self, t: np.ndarray, z: np.ndarray) -> np.ndarray:
         """[n_h, sum w N - n_h, sum w M - n_h], n_h = nh_dephased + sum coef Re e^{z t}."""

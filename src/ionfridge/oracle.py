@@ -1,22 +1,24 @@
 """Dense-matrix reference path.
 
-Brute-force constructions on small truncated ladders: the squeeze operator
-as a matrix exponential of its generator, full three-mode density matrices
-with all coherences, and exact evolution under the dense trilinear
-Hamiltonian.  Everything here is deliberately independent of the
-closed-form distributions in :mod:`ionfridge.states` and of the
-sector-decomposed evolution in :mod:`ionfridge.dynamics`; the test suite
-plays the two routes against each other.
+Brute-force constructions on small truncated ladders, in numpy only: the
+squeeze operator as the exponential of its generator (one Hermitian
+eigensolve), full three-mode density matrices with all coherences, and
+exact evolution under the dense trilinear Hamiltonian.  All of it is
+independent of the closed-form distributions in :mod:`ionfridge.states`
+and of the sector-decomposed evolution in :mod:`ionfridge.dynamics`; the
+test suite plays the two routes against each other.
 
 Caps are limited to n_max <= 8 per mode (full dimension <= 729).
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import DomainError
-from .states import ModePrep
+from .states import ModePrep, _is_count
 
 MAX_CAP = 8
 
@@ -34,21 +36,17 @@ def number_operator(dim: int) -> np.ndarray:
 
 
 def squeeze_operator(r: float, theta: float = 0.0, dim: int = 60) -> np.ndarray:
-    """S(z) = expm((conj(z) a^2 - z adag^2)/2) with z = r e^{i theta}."""
-    from scipy.linalg import expm     # only the oracle's squeezing needs scipy
+    """S(z) = exp(G), G = (conj(z) a^2 - z adag^2)/2 with z = r e^{i theta}."""
     a = ladder(dim)
     z = r * np.exp(1j * theta)
     gen = 0.5 * (np.conj(z) * (a @ a) - z * (a.T @ a.T))
-    return expm(gen)
+    lam, v = np.linalg.eigh(1j * gen)      # G is anti-Hermitian: i G = V diag(lam) V^dagger
+    return (v * np.exp(-1j * lam)) @ v.conj().T
 
 
 def thermal_density(nbar: float, dim: int) -> np.ndarray:
     if nbar < 0.0:
         raise DomainError("nbar must be >= 0")
-    if nbar == 0.0:
-        rho = np.zeros((dim, dim))
-        rho[0, 0] = 1.0
-        return rho
     x = nbar / (nbar + 1.0)
     w = x ** np.arange(dim)
     return np.diag(w / w.sum())
@@ -63,13 +61,20 @@ def fock_density(n: int, dim: int) -> np.ndarray:
 
 
 def coherent_density(alpha_sq: float, dim: int) -> np.ndarray:
-    """|alpha><alpha| with real alpha = sqrt(alpha_sq), truncated and renormalized."""
+    """|alpha><alpha| with real alpha = sqrt(alpha_sq), truncated and renormalized.
+
+    The log-amplitudes are shifted by their largest before they are
+    exponentiated, so a ladder far below alpha_sq cannot underflow to 0 / 0.
+    """
     if alpha_sq < 0.0:
         raise DomainError("alpha_sq must be >= 0")
     n = np.arange(dim)
-    from scipy.special import gammaln
-    vec = (n == 0).astype(float) if alpha_sq == 0.0 else np.exp(
-        n * np.log(np.sqrt(alpha_sq)) - 0.5 * alpha_sq - 0.5 * gammaln(n + 1.0))
+    if alpha_sq == 0.0:
+        vec = (n == 0).astype(float)
+    else:
+        log_amp = 0.5 * (n * math.log(alpha_sq)
+                         - np.fromiter(map(math.lgamma, range(1, dim + 1)), float, dim))
+        vec = np.exp(log_amp - log_amp.max())
     rho = np.outer(vec, vec)
     return rho / np.trace(rho)
 
@@ -124,16 +129,23 @@ def dense_oracle_evolve(preps: tuple[ModePrep, ModePrep, ModePrep], xi: float,
 
     Returns an array of shape (3, len(t_grid)) with <n_h>, <n_w>, <n_c>.
     The initial state is the full tensor product of the preparation density
-    matrices (coherences kept).
+    matrices (coherences kept).  As on the sector path, ``xi`` must be finite
+    and >= 0, ``detuning`` finite, each cap an integer in 0..``MAX_CAP``, and
+    every phase E t finite, else ``DomainError``.
     """
-    if any(c < 0 or c > MAX_CAP for c in caps):
-        raise DomainError(f"caps must be within 0..{MAX_CAP} per mode")
+    if not all(_is_count(c) and 0 <= c <= MAX_CAP for c in caps):
+        raise DomainError(f"caps must be integers within 0..{MAX_CAP} per mode, got {caps!r}")
+    if not (0.0 <= xi < math.inf and math.isfinite(detuning)):
+        raise DomainError(f"xi must be finite and >= 0 and the detuning finite, "
+                          f"got xi = {xi!r}, detuning = {detuning!r}")
     t_grid = np.asarray(t_grid, dtype=float)
     dh, dw, dc = (c + 1 for c in caps)
     rho0 = np.kron(prep_density(preps[0], dh),
                    np.kron(prep_density(preps[1], dw), prep_density(preps[2], dc)))
     h = dense_hamiltonian(caps, xi, detuning)
     evals, u = np.linalg.eigh(h)
+    if not math.isfinite(float(np.abs(evals).max()) * float(np.abs(t_grid).max(initial=0.0))):
+        raise DomainError("every time and every phase E t must be finite")
     b = u.conj().T @ rho0 @ u
 
     # number-operator diagonals in the product basis

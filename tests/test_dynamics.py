@@ -194,6 +194,22 @@ def test_means_at_matches_dense_oracle_detuned(detuning_khz):
     np.testing.assert_allclose(sector, dense, rtol=0, atol=1e-9)
 
 
+@pytest.mark.parametrize("xi,t,caps,detuning,message", [
+    (XI, math.inf, (2, 2, 2), 0.0, "phase"),
+    (XI, math.nan, (2, 2, 2), 0.0, "phase"),
+    (XI, 1e305, (2, 2, 2), 0.0, "phase"),
+    (math.nan, 0.0, (2, 2, 2), 0.0, "finite"),
+    (XI, 0.0, (2, 2, 2), math.inf, "finite"),
+    (XI, 0.0, (2.5, 2, 2), 0.0, "integers"),
+], ids=["t_inf", "t_nan", "t_1e305", "xi_nan", "detuning_inf", "cap_float"])
+def test_dense_oracle_rejects_what_the_sector_path_rejects(xi, t, caps, detuning, message):
+    """Before, the non-finite inputs and the overflowing phase gave
+    [nan nan nan] with a RuntimeWarning, and a float cap a bare TypeError."""
+    preps = (ModePrep.thermal_state(0.3),) * 3
+    with pytest.raises(DomainError, match=message):
+        dense_oracle_evolve(preps, xi, np.array([0.0, t]), caps, detuning)
+
+
 def _number_diagonal_oracle(caps, detuning, t_grid):
     """Dense means from the number-basis diagonals of the preparation
     densities: the phase-randomized product state, evolved exactly.  Returns

@@ -55,8 +55,10 @@ def test_coherent_distribution_is_poisson():
 
 @pytest.mark.parametrize("mbar", [1e-300, 1e-12, 0.3, 2.5, 7.0, 60.0, 150.0])
 def test_coherent_ladder_matches_the_log_gamma_ladder(mbar):
-    """The Poisson ladder is built from math.lgamma, without scipy; it agrees
-    with scipy's gammaln ladder to 1e-11 wherever p > 1e-300."""
+    """The Poisson ladder and the oracle's coherent density are built from
+    math.lgamma, without scipy; the ladder agrees with scipy's gammaln ladder
+    to 1e-11 wherever p > 1e-300, and the density with the gammaln
+    amplitudes to 1e-12."""
     from scipy.special import gammaln
     n = np.arange(301)
     raw = np.exp(n * math.log(mbar) - mbar - gammaln(n + 1.0))
@@ -64,6 +66,36 @@ def test_coherent_ladder_matches_the_log_gamma_ladder(mbar):
     kept = raw > 1e-300
     np.testing.assert_allclose(d.p[kept], (raw / raw.sum())[kept], rtol=1e-11, atol=0.0)
     assert d.tail_mass == pytest.approx(max(0.0, 1.0 - raw.sum()), abs=1e-13)
+    amp = np.exp(n * np.log(np.sqrt(mbar)) - 0.5 * mbar - 0.5 * gammaln(n + 1.0))
+    np.testing.assert_allclose(oracle.coherent_density(mbar, 301),
+                               np.outer(amp, amp) / (amp @ amp), rtol=0, atol=1e-12)
+
+
+def test_oracle_densities_renormalize_far_below_the_mean():
+    """A coherent ladder far shorter than its mean keeps the renormalized
+    truncation: a pure state with the Poisson ratios p(n+1)/p(n) = mbar/(n+1).
+    Before, every amplitude underflowed and the density was NaN (0 / 0).
+    nbar = 0 is the vacuum."""
+    rho = oracle.coherent_density(1e3, 9)
+    p = np.diag(rho)
+    assert p.sum() == pytest.approx(1.0, abs=1e-15) and p[8] > 0.99
+    np.testing.assert_allclose(p[1:] / p[:-1], 1e3 / np.arange(1, 9), rtol=1e-12)
+    np.testing.assert_allclose(rho, np.sqrt(np.outer(p, p)), rtol=1e-12)
+    assert np.array_equal(oracle.thermal_density(0.0, 4), np.diag([1.0, 0.0, 0.0, 0.0]))
+
+
+@pytest.mark.parametrize("dim", [60, 120, 240])
+@pytest.mark.parametrize("theta", [0.0, 0.7])
+@pytest.mark.parametrize("r", [0.05, 0.5, 1.34, 2.0])
+def test_squeeze_operator_matches_scipy_expm(r, theta, dim):
+    """The squeeze operator, exponentiated through numpy's eigh of i G,
+    matches scipy's expm of the same generator G to 1e-12."""
+    from scipy.linalg import expm
+    a = oracle.ladder(dim)
+    z = r * np.exp(1j * theta)
+    gen = 0.5 * (np.conj(z) * (a @ a) - z * (a.T @ a.T))
+    np.testing.assert_allclose(oracle.squeeze_operator(r, theta, dim), expm(gen),
+                               rtol=0, atol=1e-12)
 
 
 def test_vacuum_and_fock_states_are_one_delta():
