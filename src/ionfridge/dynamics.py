@@ -8,9 +8,14 @@ symmetric tridiagonal matrix
 acting on |k, N-k, M-k>.  An ensemble is one table of retained sectors
 (labels, weights, cap windows) plus one flat vector of their populations;
 :class:`EnsembleSpectrum` eigendecomposes the sector matrices once per
-ensemble, one batched ``eigh`` per distinct sector dimension that solves
-each mirror pair (N, M), (M, N) once, and every result is a view of that
-spectrum.  Means are one projected observable:
+ensemble, each mirror pair (N, M), (M, N) once, and every result is a view
+of that spectrum.  At zero detuning, the paper's resonance, a sector
+matrix is xi J with J tridiagonal and zero on the diagonal: its spectrum
+is symmetric (+-xi sigma) and its eigenvectors split over the even and
+odd sites, so one batched ``eigh`` of a floor(d/2) tridiagonal block per
+half size solves every sector.  Detuned ensembles, and xi = 0, take one
+batched ``eigh`` of the d x d matrices per dimension.  Means are one
+projected observable:
 inside sector (N, M), n_w = N - n_h and n_c = M - n_h, so with the hot
 number projected onto each eigenbasis once, all sectors flatten into one
 sorted vector of distinct gaps g (equal gaps, common in symmetric
@@ -49,6 +54,7 @@ coherences in all three modes.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -249,78 +255,90 @@ def _kernel_sums(t: np.ndarray, z: np.ndarray, coef: np.ndarray, start: float = 
     return sums.reshape(-1, cols)[:t.size]
 
 
+def _distinct_matrices(N: np.ndarray, M: np.ndarray, k_lo: np.ndarray,
+                       dim: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(solved, mirror, bounds) for the sector columns: ``solved`` holds the
+    first sector of each distinct (dim, min(N, M), max(N, M), k_lo), in that
+    order, ``mirror[s]`` the row of sector s's matrix, and the matrices of
+    dimension d are rows ``bounds[d]`` to ``bounds[d + 1] - 1`` (d <=
+    dim.max() + 1).  Mirror sectors (N, M) and (M, N) with one window have
+    one Hamiltonian."""
+    order = np.lexsort((k_lo, np.maximum(N, M), np.minimum(N, M), dim))
+    key = np.stack((dim, np.minimum(N, M), np.maximum(N, M), k_lo))[:, order]
+    opens = np.ones(dim.size, dtype=bool)
+    np.any(key[:, 1:] != key[:, :-1], axis=0, out=opens[1:])
+    mirror = np.empty(dim.size, dtype=np.int64)
+    mirror[order] = np.cumsum(opens) - 1
+    solved = order[opens]
+    return solved, mirror, np.searchsorted(dim[solved], np.arange(dim.max() + 3))
+
+
 class EnsembleSpectrum:
     """Eigendecomposition of every sector of an ensemble, the one spectral core.
 
-    Sectors of equal dimension d are solved together: their tridiagonal
-    Hamiltonians are stacked as one (S_d, d, d) array for one
-    ``np.linalg.eigh`` call per distinct dimension.  Mirror sectors (N, M)
-    and (M, N) with the same window (``k_lo``) have the same Hamiltonian, so
-    each such pair is solved once and shares its eigenpairs.  The
-    populations and n_h are projected onto the eigenbases as batched
-    matrix products (vec.T * pops) @ vec.  ``eig[i]`` holds sector ``i``'s (in
-    ``ensemble.sectors`` order) eigenvalues ``lam``, eigenvectors ``vec``
-    (columns) and its initial populations rotated to the eigenbasis,
-    ``b = vec.T diag(pops) vec`` (real), as views of its group's arrays
-    (mirror sectors share one ``lam`` and one ``vec``); :meth:`marginals_at`
-    reads them.
+    Each distinct sector matrix is solved once (see
+    :func:`_distinct_matrices`; mirror sectors share it).  ``eig`` holds
+    sector ``i``'s (in ``ensemble.sectors`` order) ascending eigenvalues
+    ``lam``, eigenvectors ``vec`` (columns) and its initial populations
+    rotated to the eigenbasis, ``b = vec.T diag(pops) vec`` (real), as views
+    of batched arrays (mirror sectors share one ``lam`` and one ``vec``);
+    it is built when first read (:meth:`marginals_at`), never for the means.
 
     For the means, with A = vec.T diag(n_h) vec and sector weight w, each
     pair i < j of each sector contributes the gap lam_j - lam_i with the
-    coefficient 2 w b_ij A_ij, and ``nh_dephased`` = sum w b_ii A_ii.  The
-    gaps are sorted (numpy's default sort, not a stable one) and merged: a
-    gap within ``_GAP_MERGE_RTOL`` (relative) of the previous one joins its
-    bin, so ``gaps`` is strictly increasing, holding each bin's smallest
-    gap, and ``coef`` holds each bin's summed coefficients.  Then
-    <n_h>(t) = nh_dephased + kernel(t, gaps) @ coef, and <n_w>, <n_c> are
-    ``sum_wN``, ``sum_wM`` minus <n_h>, because n_w = N - n_h and
-    n_c = M - n_h inside sector (N, M).  Pairs and reductions run in a
-    fixed order, dimension groups ascending and selection order within a
-    group, and the sort of a given gap vector is deterministic, so results
-    do not depend on scheduling.
+    coefficient 2 w b_ij A_ij, and ``nh_dephased`` = sum w b_ii A_ii.  Two
+    paths build that table:
+
+    - Resonant (zero detuning, xi > 0): H = xi J, J tridiagonal with
+      couplings t_k and a zero diagonal.  With the even sites first,
+      J = [[0, B], [B.T, 0]], B[m, m] = t_2m and B[m + 1, m] = t_2m+1
+      (ceil(d/2) x floor(d/2)).  One batched ``eigh`` of the tridiagonal
+      B.T B per half size n = floor(d/2) (dimensions 2n and 2n + 1) gives
+      sigma^2 and v, u = B v / sigma, and the eigenvectors [u; +-v] /
+      sqrt(2) of +-xi sigma; odd d adds the zero mode [u_0; 0],
+      B.T u_0 = 0.  J is solved at unit coupling (xi t would overflow
+      squared).  With Pe = u.T diag(q_even) u and Po = v.T diag(q_odd) v
+      for q the mirror sectors' summed weighted populations, and Ne, No
+      the same with n_h, the pairs are the gap sigma_b - sigma_a (a < b)
+      with (Pe + Po)(Ne + No), sigma_a + sigma_b (a <= b) with
+      (Pe - Po)(Ne - No), halved at a = b, and sigma_b with
+      2 (u_0.T diag(q) u_b)(u_0.T diag(n_h) u_b): every pair with its
+      mirror images folded, about half the d x d table's entries per
+      matrix, and one table for both mirror sectors.
+      ``nh_dephased`` is half the trace of (Pe + Po)(Ne + No) plus the
+      zero mode's term.
+    - General (detuned, or xi = 0, where the number basis is the
+      eigenbasis): the matrices of each dimension d are stacked as one
+      (S_d, d, d) array for one ``eigh``, the populations and n_h
+      projected by batched products (vec.T * pops) @ vec, and every pair
+      of every sector taken.
+
+    The gaps are sorted (numpy's default sort, not a stable one) and
+    merged: a gap within ``_GAP_MERGE_RTOL`` (relative) of the previous
+    one joins its bin, so ``gaps`` is strictly increasing, holding each
+    bin's smallest gap, and ``coef`` holds each bin's summed coefficients.
+    Then <n_h>(t) = nh_dephased + kernel(t, gaps) @ coef, and <n_w>,
+    <n_c> are ``sum_wN``, ``sum_wM`` minus <n_h>, because n_w = N - n_h
+    and n_c = M - n_h inside sector (N, M).  Pairs and reductions run in a
+    fixed order, dimension groups ascending, and the sort of a given gap
+    vector is deterministic, so results do not depend on scheduling.
     """
 
     def __init__(self, ensemble: ThreeModeEnsemble):
         self.ensemble = ensemble
         # each column read once, as a plain array: every record-array
         # attribute read (sec.N) costs some microseconds
-        sec_N, sec_M, weight, sec_k_lo, dim, start = (
-            ensemble.sectors[name] for name in ("N", "M", "weight", "k_lo", "dim", "start"))
+        columns = tuple(ensemble.sectors[name]
+                        for name in ("N", "M", "weight", "k_lo", "dim", "start"))
+        sec_N, sec_M, weight, _, dim, _ = columns
         pairs = int((dim * (dim - 1) // 2).sum())
         if pairs > MAX_SECTOR_PAIRS:
             raise DomainError(f"the ensemble holds {pairs} eigenvalue pairs, more than "
                               f"MAX_SECTOR_PAIRS = {MAX_SECTOR_PAIRS}; lower the per-mode "
                               "caps or raise epsilon to shrink it")
-        self.eig: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = [None] * dim.size
-        gaps, coef = [], []
-        self.nh_dephased = 0.0
-        for d in np.unique(dim):
-            group = np.flatnonzero(dim == d)
-            row = np.arange(d)
-            N, M, k_lo = sec_N[group], sec_M[group], sec_k_lo[group]
-            # mirror sectors (N, M) and (M, N) with one window share a
-            # Hamiltonian: one key per (min(N, M), max(N, M), k_lo)
-            lo, hi = np.minimum(N, M), np.maximum(N, M)
-            _, solved, mirror = np.unique((lo * (hi.max() + 1) + hi) * (k_lo.max() + 1) + k_lo,
-                                          return_index=True, return_inverse=True)
-            kk = k_lo[solved, None] + row[:-1]
-            ham = np.zeros((solved.size, d, d))
-            ham[:, row, row] = ensemble.detuning * (k_lo[solved, None] + row)
-            ham[:, row[1:], row[:-1]] = ensemble.xi * np.sqrt(
-                (kk + 1.0) * (N[solved, None] - kk) * (M[solved, None] - kk))
-            lam, vec = np.linalg.eigh(ham)          # reads the lower triangle
-            # b = vec.T diag(pops) vec and A = vec.T diag(n_h) vec, batched
-            own = vec[mirror]
-            own_t = own.transpose(0, 2, 1)
-            b = (own_t * ensemble.pops[start[group, None] + row][:, None, :]) @ own
-            terms = (weight[group, None, None] * b
-                     * ((own_t * (k_lo[:, None] + row)[:, None, :]) @ own))
-            i, j = np.triu_indices(d, 1)
-            gaps.append((lam[:, j] - lam[:, i])[mirror].ravel())
-            coef.append(2.0 * terms[:, i, j].ravel())
-            self.nh_dephased += float(np.einsum("sii->", terms))
-            for s, m, b_s in zip(group.tolist(), mirror.tolist(), b):
-                self.eig[s] = lam[m], vec[m], b_s
+        self._resonant = ensemble.detuning == 0.0 and ensemble.xi > 0.0
+        table = self._resonant_table if self._resonant else self._general_table
+        gaps, coef, self.nh_dephased, self._groups = table(*columns)
         # sorted one vector at a time, so no more vectors are alive than during
         # the concatenation
         gaps, coef = np.concatenate(gaps), np.concatenate(coef)
@@ -336,6 +354,138 @@ class EnsembleSpectrum:
         self.coef = np.add.reduceat(coef, bins)
         self.sum_wN = float(weight @ sec_N)
         self.sum_wM = float(weight @ sec_M)
+
+    def _general_table(self, sec_N, sec_M, weight, sec_k_lo, dim, start):
+        """Gap and coefficient blocks, nh_dephased and, per dimension, the
+        (sectors, solved matrix of each, lam, vec, b) that ``eig`` views."""
+        ensemble = self.ensemble
+        gaps, coef, groups = [], [], []
+        nh_dephased = 0.0
+        solved, mirror, bounds = _distinct_matrices(sec_N, sec_M, sec_k_lo, dim)
+        for d in np.unique(dim):
+            group = np.flatnonzero(dim == d)
+            row = np.arange(d)
+            rep, local = solved[bounds[d]:bounds[d + 1]], mirror[group] - bounds[d]
+            N, M, k_lo = sec_N[rep, None], sec_M[rep, None], sec_k_lo[rep, None]
+            kk = k_lo + row[:-1]
+            ham = np.zeros((rep.size, d, d))
+            ham[:, row, row] = ensemble.detuning * (k_lo + row)
+            ham[:, row[1:], row[:-1]] = ensemble.xi * np.sqrt((kk + 1.0) * (N - kk) * (M - kk))
+            lam, vec = np.linalg.eigh(ham)          # reads the lower triangle
+            # b = vec.T diag(pops) vec and A = vec.T diag(n_h) vec, batched
+            own = vec[local]
+            own_t = own.transpose(0, 2, 1)
+            b = (own_t * ensemble.pops[start[group, None] + row][:, None, :]) @ own
+            terms = (weight[group, None, None] * b
+                     * ((own_t * (sec_k_lo[group, None] + row)[:, None, :]) @ own))
+            i, j = np.triu_indices(d, 1)
+            gaps.append((lam[:, j] - lam[:, i])[local].ravel())
+            coef.append(2.0 * terms[:, i, j].ravel())
+            nh_dephased += float(np.einsum("sii->", terms))
+            groups.append((group, local, lam, vec, b))
+        return gaps, coef, nh_dephased, groups
+
+    def _resonant_table(self, sec_N, sec_M, weight, sec_k_lo, dim, start):
+        """Gap and coefficient blocks and nh_dephased from the half-size
+        blocks, and the row of each sector's matrix with, per half size n,
+        the (first row, number of dimension 2n, xi sigma, u, v, u_0) that
+        ``eig`` is rebuilt from."""
+        xi, pops = self.ensemble.xi, self.ensemble.pops
+        solved, mirror, bounds = _distinct_matrices(sec_N, sec_M, sec_k_lo, dim)
+        # q: the weighted populations of the mirror sectors summed per
+        # matrix, each matrix at slots 2 (dim // 2) + 1 wide
+        width = dim[solved] // 2 * 2 + 1
+        slot = np.cumsum(width) - width
+        owner = np.repeat(np.arange(dim.size), dim)
+        row = np.arange(owner.size) - (np.cumsum(dim) - dim)[owner]
+        q = np.bincount(slot[mirror[owner]] + row,
+                        weights=weight[owner] * pops[start[owner] + row], minlength=width.sum())
+        gaps, coef, groups = [], [], []
+        nh_dephased = 0.0
+        for n in range(dim.max() // 2 + 1):
+            # half size n: the dimensions 2n (rows :even) and 2n + 1 (rows even:)
+            first, last = bounds[2 * n], bounds[2 * n + 2]
+            if first == last:
+                continue
+            rep, even = solved[first:last], bounds[2 * n + 1] - first
+            odd = slice(even, None)
+            k_lo = sec_k_lo[rep, None]
+            q_n = q[slot[first]:slot[first] + rep.size * (2 * n + 1)].reshape(rep.size, -1)
+            n_h = k_lo + np.arange(2 * n + 1)
+            q_e, q_o, n_e, n_o = q_n[:, 0::2], q_n[:, 1::2], n_h[:, 0::2], n_h[:, 1::2]
+            m = np.arange(n)
+            # couplings at unit xi; the even dimensions lack t_2n-1, so the
+            # last row of their B (and of u) is zero
+            kk = k_lo + np.arange(2 * n)
+            t = np.sqrt((kk + 1.0) * (sec_N[rep, None] - kk) * (sec_M[rep, None] - kk))
+            t[:even, -1:] = 0.0
+            t_e, t_o = t[:, 0::2], t[:, 1::2]
+            btb = np.zeros((rep.size, n, n))
+            btb[:, m, m] = t_e * t_e + t_o * t_o
+            btb[:, m[1:], m[:-1]] = t_o[:, :-1] * t_e[:, 1:]
+            sigma_sq, v = np.linalg.eigh(btb) if n else (np.zeros((rep.size, 0)), btb)
+            sigma = np.sqrt(sigma_sq)
+            u = np.zeros((rep.size, n + 1, n))
+            u[:, :n] = t_e[:, :, None] * v
+            u[:, 1:] += t_o[:, :, None] * v
+            u /= sigma[:, None, :]
+            s = xi * sigma
+            u_t, v_t = u.transpose(0, 2, 1), v.transpose(0, 2, 1)
+            p_e, p_o = u_t @ (q_e[:, :, None] * u), v_t @ (q_o[:, :, None] * v)
+            a_e, a_o = u_t @ (n_e[:, :, None] * u), v_t @ (n_o[:, :, None] * v)
+            # +1 within a branch (a < b), -1 across the branches (a >= b)
+            sign = np.where(m[:, None] < m, 1.0, -1.0)
+            terms = (p_e + sign * p_o) * (a_e + sign * a_o)
+            terms[:, m, m] *= 0.5
+            gaps.append((s[:, None, :] - sign * s[:, :, None]).ravel())
+            coef.append(terms.ravel())
+            nh_dephased += 0.5 * float(np.einsum("saa,saa->", p_e + p_o, a_e + a_o))
+            # the zero mode of each odd dimension: B.T u_0 = 0, so
+            # u_0[m + 1] = -t_2m / t_2m+1 u_0[m]
+            z = np.ones((rep.size - even, n + 1))
+            z[:, 1:] = np.cumprod(-t_e[odd] / t_o[odd], axis=1)
+            z /= np.sqrt((z * z).sum(axis=1, keepdims=True))
+            z_q, z_n = z * q_e[odd], z * n_e[odd]
+            gaps.append(s[odd].ravel())
+            coef.append(2.0 * ((z_q[:, None] @ u[odd]) * (z_n[:, None] @ u[odd])).ravel())
+            nh_dephased += float((z_q * z).sum(axis=1) @ (z_n * z).sum(axis=1))
+            groups.append((first, even, s, u, v, z))
+        return gaps, coef, nh_dephased, (mirror, groups)
+
+    @functools.cached_property
+    def eig(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+        """Per sector (lam, vec, b), built on the first read (see the class)."""
+        eig = [None] * len(self.ensemble.sectors)
+        for sectors, mirror, lam, vec, b in (self._resonant_eig() if self._resonant
+                                             else self._groups):
+            for s, m, b_s in zip(sectors.tolist(), mirror.tolist(), b):
+                eig[s] = lam[m], vec[m], b_s
+        return eig
+
+    def _resonant_eig(self):
+        """(sectors, matrix of each, lam, vec, b) per dimension, the
+        eigenvectors [u; -+v] / sqrt(2) and [u_0; 0] scattered onto the
+        even and odd sites."""
+        mirror, groups = self._groups
+        dim, start = self.ensemble.sectors["dim"], self.ensemble.sectors["start"]
+        for first, even, s, u, v, z in groups:
+            n = s.shape[1]
+            for d, rows in ((2 * n, slice(None, even)), (2 * n + 1, slice(even, None))):
+                count = len(s[rows])
+                if not count:
+                    continue
+                u_d, v_d = u[rows, :d - n] / math.sqrt(2.0), v[rows] / math.sqrt(2.0)
+                vec = np.zeros((count, d, d))
+                vec[:, 0::2, :n], vec[:, 1::2, :n] = u_d[:, :, ::-1], -v_d[:, :, ::-1]
+                vec[:, 0::2, d - n:], vec[:, 1::2, d - n:] = u_d, v_d
+                if d % 2:
+                    vec[:, 0::2, n] = z
+                lam = np.concatenate((-s[rows, ::-1], np.zeros((count, d % 2)), s[rows]), axis=1)
+                sectors = np.flatnonzero(dim == d)
+                local = mirror[sectors] - first - (d % 2) * even
+                own = vec[local]
+                pops = self.ensemble.pops[start[sectors, None] + np.arange(d)]
+                yield sectors, local, lam, vec, (own.transpose(0, 2, 1) * pops[:, None, :]) @ own
 
     def _means(self, t: np.ndarray, z: np.ndarray) -> np.ndarray:
         """[n_h, sum w N - n_h, sum w M - n_h], n_h = nh_dephased + sum coef Re e^{z t}."""

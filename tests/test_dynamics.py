@@ -2,6 +2,7 @@
 (unitary, dephased, incoherent), checked against closed forms and the dense
 oracle."""
 
+import collections
 import functools
 import itertools
 import math
@@ -272,18 +273,26 @@ _ORACLE_GRIDS = (np.linspace(0.0, 400e-6, 9), np.array([0.0, 3e-6, 4e-6, 50e-6, 
                  np.array([0.0]), np.array([137e-6]), np.array([1e-3]))
 
 
+_WINDOWED_TRIPLE = (_KINDS["coherent"], _KINDS["squeezed"], _KINDS["coherent"])
+_DRAWN = [_drawn_case(seed) for seed in range(8)]
+
+
 @pytest.mark.parametrize("caps,detuning_khz,triples", [
     ((6, 6, 6), 0.0, list(itertools.product(_KINDS.values(), repeat=3))),
     ((6, 6, 6), -40.0, list(itertools.product(_KINDS.values(), repeat=3))),
-    (_WINDOWED_CAPS, 3.0, [(_KINDS["coherent"], _KINDS["squeezed"], _KINDS["coherent"])]),
-] + [_drawn_case(seed) for seed in range(8)],
-    ids=["resonant", "detuned", "windowed"] + [f"seeded{seed}" for seed in range(8)])
+    (_WINDOWED_CAPS, 3.0, [_WINDOWED_TRIPLE]),
+    (_WINDOWED_CAPS, 0.0, [_WINDOWED_TRIPLE]),
+] + _DRAWN + [(caps, 0.0, triples) for caps, _, triples in _DRAWN],
+    ids=["resonant", "detuned", "windowed", "windowed_resonant"]
+    + [f"seeded{seed}" for seed in range(8)] + [f"seeded{seed}_resonant" for seed in range(8)])
 def test_preparations_are_phase_randomized(caps, detuning_khz, triples):
     """Sectors hold populations only, so every preparation evolves as its
     phase-randomized (number-diagonal) density: all 64 kind triples agree
     with the dense oracle built from number-diagonal densities, and so do
     seeded draws of the kinds, occupations, caps and detuning, on each
-    kernel path (tableau, one column, single points)."""
+    kernel path (tableau, one column, single points).  The windowed case
+    and every seeded draw also run at zero detuning, where the sectors
+    are solved on their half-size blocks, with unequal caps."""
     detuning = TWO_PI * detuning_khz * 1e3
     policy = TruncationPolicy(epsilon=1e-12, n_max_h=caps[0], n_max_w=caps[1],
                               n_max_c=caps[2])
@@ -383,6 +392,48 @@ def test_default_incoherence_strength_edge_cases():
     assert default_incoherence_strength(EnsembleSpectrum(ens)) == 0.0
     with pytest.raises(DomainError):
         default_incoherence_strength(EnsembleSpectrum(_single_quantum_ensemble(xi=0.0)))
+
+
+def test_zero_coupling_keeps_the_initial_state():
+    """At xi = 0 nothing moves: the number basis is the eigenbasis, so the
+    dephased moments are the initial means and means_at is constant.  A
+    resonant solve in the basis of the zero-detuning J would dephase what
+    does not evolve (nbar_h 1.048 against 0.66 here)."""
+    preps = tuple(ModePrep.thermal_state(v) for v in (0.66, 4.44, 2.63))
+    ens = assemble_initial(preps, TruncationPolicy(epsilon=1e-4), xi=0.0)
+    spectrum = EnsembleSpectrum(ens)
+    initial = _initial_means(ens)
+    np.testing.assert_allclose(spectrum.dephased_moments(), initial, rtol=1e-13)
+    means = spectrum.means_at(np.linspace(0.0, 700e-6, 29))
+    np.testing.assert_allclose(means, np.repeat(initial[:, None], 29, axis=1), rtol=1e-13)
+
+
+@pytest.mark.parametrize("caps", [(None, None, None), (7, 4, 5)], ids=["uncapped", "windowed"])
+def test_resonant_eigenpairs_diagonalize_every_sector(caps):
+    """The zero-detuning eigenpairs, scattered from the half-size blocks when
+    ``eig`` is first read, against each sector Hamiltonian built here: every
+    dimension from 1 to the largest, both parities, orthonormal vectors,
+    H vec = vec diag(lam), ascending lam and b = vec.T diag(pops) vec."""
+    preps = (ModePrep.thermal_state(0.8), ModePrep.squeezed_thermal_state(0.5, 0.7),
+             ModePrep.thermal_state(1.2))
+    policy = TruncationPolicy(epsilon=1e-9, n_max_h=caps[0], n_max_w=caps[1], n_max_c=caps[2])
+    ens = assemble_initial(preps, policy, XI)
+    spectrum = EnsembleSpectrum(ens)
+    assert "eig" not in vars(spectrum)
+    dims = set(ens.sectors.dim.tolist())
+    assert dims == set(range(1, max(dims) + 1)) and max(dims) >= 5
+    assert caps[0] is None or (ens.sectors.k_lo > 0).any()
+    for (N, M, k_lo, dim, start), (lam, vec, b) in zip(
+            ens.sectors[["N", "M", "k_lo", "dim", "start"]].tolist(), spectrum.eig):
+        k = k_lo + np.arange(dim - 1)
+        t = XI * np.sqrt((k + 1.0) * (N - k) * (M - k))
+        ham = np.diag(t, 1) + np.diag(t, -1)
+        scale = max(1.0, np.abs(lam).max())
+        np.testing.assert_allclose(vec.T @ vec, np.eye(dim), rtol=0, atol=1e-13)
+        np.testing.assert_allclose(ham @ vec, vec * lam, rtol=0, atol=1e-12 * scale)
+        assert np.all(np.diff(lam) > 0.0)
+        pops = ens.pops[start:start + dim]
+        np.testing.assert_allclose(b, vec.T @ (pops[:, None] * vec), rtol=0, atol=1e-15)
 
 
 def test_marginals_sum_to_retained_weight(thermal_triple, small_policy):
@@ -561,15 +612,18 @@ def test_long_time_means_match_an_unmerged_long_double_sum(stop, bound):
 def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
     """Work counts, no timing, on ``scenarios/relaxation_thermal.json``: the
     281-point grid takes at most three exponentials (e^{i g t_0},
-    e^{i g cols dt}, e^{i g dt}) per merged gap and no cos or sin, and one
-    eigensolve per distinct (min(N, M), max(N, M), k_lo, dim), the mirror
-    sectors (N, M) and (M, N) sharing it, bit for bit."""
+    e^{i g cols dt}, e^{i g dt}) per merged gap and no cos or sin, and the
+    resonant sectors take one eigensolve of size dim // 2 per distinct
+    (min(N, M), max(N, M), k_lo, dim) with dim >= 2, 666 matrices and
+    sum (dim // 2)^3 = 124,753 (the d x d solves took 721 and
+    sum d^3 = 1,102,276), the mirror sectors (N, M) and (M, N) sharing
+    it, bit for bit."""
     ens = _relaxation_thermal_spectrum().ensemble
-    solved = []
+    solved = collections.Counter()
     eigh = np.linalg.eigh
 
     def counted_eigh(a, *args, **kwargs):
-        solved.append(int(np.prod(np.shape(a)[:-2])))
+        solved[np.shape(a)[-1]] += int(np.prod(np.shape(a)[:-2]))
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
@@ -577,7 +631,9 @@ def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
     sec = ens.sectors
     keys = {(min(N, M), max(N, M), k_lo, dim)
             for N, M, k_lo, dim in sec[["N", "M", "k_lo", "dim"]].tolist()}
-    assert sum(solved) == len(keys) < sec.size
+    assert solved == collections.Counter(dim // 2 for *_, dim in keys if dim >= 2)
+    assert sum(solved.values()) == 666
+    assert sum(n ** 3 * count for n, count in solved.items()) == 124_753
     index = {(N, M): s for s, (N, M) in enumerate(sec[["N", "M"]].tolist())}
     mirrored = 0
     for (N, M), s in index.items():
@@ -585,7 +641,9 @@ def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
         if m is not None and N != M:
             mirrored += 1
             assert spectrum.eig[s][0].tobytes() == spectrum.eig[m][0].tobytes()
+            assert spectrum.eig[s][1].tobytes() == spectrum.eig[m][1].tobytes()
     assert mirrored > 0
+    assert sum(solved.values()) == 666          # reading eig solved nothing more
 
     elements = {"exp": 0, "cos": 0, "sin": 0}
     for name in elements:
