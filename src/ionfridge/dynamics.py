@@ -13,8 +13,10 @@ of that spectrum.  At zero detuning, the paper's resonance, a sector
 matrix is xi J with J tridiagonal and zero on the diagonal: its spectrum
 is symmetric (+-xi sigma) and its eigenvectors split over the even and
 odd sites, so one batched ``eigh`` of a floor(d/2) tridiagonal block per
-half size solves every sector.  Detuned ensembles, and xi = 0, take one
-batched ``eigh`` of the d x d matrices per dimension.  Means are one
+half size gives the means of every sector.  Detuned ensembles, and
+xi = 0, take one batched ``eigh`` of the d x d matrices per dimension;
+the per-sector eigenvectors that only the marginals read come from that
+d x d solve for every ensemble, made when first read.  Means are one
 projected observable:
 inside sector (N, M), n_w = N - n_h and n_c = M - n_h, so with the hot
 number projected onto each eigenbasis once, all sectors flatten into one
@@ -276,13 +278,16 @@ def _distinct_matrices(N: np.ndarray, M: np.ndarray, k_lo: np.ndarray,
 class EnsembleSpectrum:
     """Eigendecomposition of every sector of an ensemble, the one spectral core.
 
-    Each distinct sector matrix is solved once (see
+    Each distinct sector matrix is solved once for the means (see
     :func:`_distinct_matrices`; mirror sectors share it).  ``eig`` holds
     sector ``i``'s (in ``ensemble.sectors`` order) ascending eigenvalues
     ``lam``, eigenvectors ``vec`` (columns) and its initial populations
     rotated to the eigenbasis, ``b = vec.T diag(pops) vec`` (real), as views
-    of batched arrays (mirror sectors share one ``lam`` and one ``vec``);
-    it is built when first read (:meth:`marginals_at`), never for the means.
+    of batched arrays (mirror sectors share one ``lam`` and one ``vec``).
+    It is built when first read (:meth:`marginals_at`), never for the
+    means, from the d x d solves of the general path below
+    (:meth:`_dense_groups`) for every ensemble, so a detuned ensemble whose
+    ``eig`` is read solves its matrices twice.
 
     For the means, with A = vec.T diag(n_h) vec and sector weight w, each
     pair i < j of each sector contributes the gap lam_j - lam_i with the
@@ -309,9 +314,9 @@ class EnsembleSpectrum:
       zero mode's term.
     - General (detuned, or xi = 0, where the number basis is the
       eigenbasis): the matrices of each dimension d are stacked as one
-      (S_d, d, d) array for one ``eigh``, the populations and n_h
-      projected by batched products (vec.T * pops) @ vec, and every pair
-      of every sector taken.
+      (S_d, d, d) array for one ``eigh`` (:meth:`_dense_groups`), the
+      populations and n_h projected by batched products
+      (vec.T * pops) @ vec, and every pair of every sector taken.
 
     The gaps are sorted (numpy's default sort, not a stable one) and
     merged: a gap within ``_GAP_MERGE_RTOL`` (relative) of the previous
@@ -336,9 +341,9 @@ class EnsembleSpectrum:
             raise DomainError(f"the ensemble holds {pairs} eigenvalue pairs, more than "
                               f"MAX_SECTOR_PAIRS = {MAX_SECTOR_PAIRS}; lower the per-mode "
                               "caps or raise epsilon to shrink it")
-        self._resonant = ensemble.detuning == 0.0 and ensemble.xi > 0.0
-        table = self._resonant_table if self._resonant else self._general_table
-        gaps, coef, self.nh_dephased, self._groups = table(*columns)
+        resonant = ensemble.detuning == 0.0 and ensemble.xi > 0.0
+        table = self._resonant_table if resonant else self._general_table
+        gaps, coef, self.nh_dephased = table(*columns)
         # sorted one vector at a time, so no more vectors are alive than during
         # the concatenation
         gaps, coef = np.concatenate(gaps), np.concatenate(coef)
@@ -355,12 +360,13 @@ class EnsembleSpectrum:
         self.sum_wN = float(weight @ sec_N)
         self.sum_wM = float(weight @ sec_M)
 
-    def _general_table(self, sec_N, sec_M, weight, sec_k_lo, dim, start):
-        """Gap and coefficient blocks, nh_dephased and, per dimension, the
-        (sectors, solved matrix of each, lam, vec, b) that ``eig`` views."""
+    def _dense_groups(self):
+        """Per dimension d, (sectors, row of each sector's matrix, lam, vec,
+        b): the distinct d x d matrices (:func:`_distinct_matrices`) in one
+        batched ``eigh``, b = vec.T diag(pops) vec of each sector."""
         ensemble = self.ensemble
-        gaps, coef, groups = [], [], []
-        nh_dephased = 0.0
+        sec_N, sec_M, sec_k_lo, dim, start = (ensemble.sectors[name] for name
+                                              in ("N", "M", "k_lo", "dim", "start"))
         solved, mirror, bounds = _distinct_matrices(sec_N, sec_M, sec_k_lo, dim)
         for d in np.unique(dim):
             group = np.flatnonzero(dim == d)
@@ -372,24 +378,28 @@ class EnsembleSpectrum:
             ham[:, row, row] = ensemble.detuning * (k_lo + row)
             ham[:, row[1:], row[:-1]] = ensemble.xi * np.sqrt((kk + 1.0) * (N - kk) * (M - kk))
             lam, vec = np.linalg.eigh(ham)          # reads the lower triangle
-            # b = vec.T diag(pops) vec and A = vec.T diag(n_h) vec, batched
             own = vec[local]
-            own_t = own.transpose(0, 2, 1)
-            b = (own_t * ensemble.pops[start[group, None] + row][:, None, :]) @ own
+            pops = ensemble.pops[start[group, None] + row]
+            yield group, local, lam, vec, (own.transpose(0, 2, 1) * pops[:, None, :]) @ own
+
+    def _general_table(self, _N, _M, weight, sec_k_lo, *_):
+        """Gap and coefficient blocks and nh_dephased from the d x d solves."""
+        gaps, coef = [], []
+        nh_dephased = 0.0
+        for group, local, lam, vec, b in self._dense_groups():
+            own = vec[local]
+            n_h = sec_k_lo[group, None] + np.arange(lam.shape[1])
+            # w b * A, A = vec.T diag(n_h) vec, batched
             terms = (weight[group, None, None] * b
-                     * ((own_t * (sec_k_lo[group, None] + row)[:, None, :]) @ own))
-            i, j = np.triu_indices(d, 1)
+                     * ((own.transpose(0, 2, 1) * n_h[:, None, :]) @ own))
+            i, j = np.triu_indices(lam.shape[1], 1)
             gaps.append((lam[:, j] - lam[:, i])[local].ravel())
             coef.append(2.0 * terms[:, i, j].ravel())
             nh_dephased += float(np.einsum("sii->", terms))
-            groups.append((group, local, lam, vec, b))
-        return gaps, coef, nh_dephased, groups
+        return gaps, coef, nh_dephased
 
     def _resonant_table(self, sec_N, sec_M, weight, sec_k_lo, dim, start):
-        """Gap and coefficient blocks and nh_dephased from the half-size
-        blocks, and the row of each sector's matrix with, per half size n,
-        the (first row, number of dimension 2n, xi sigma, u, v, u_0) that
-        ``eig`` is rebuilt from."""
+        """Gap and coefficient blocks and nh_dephased from the half-size blocks."""
         xi, pops = self.ensemble.xi, self.ensemble.pops
         solved, mirror, bounds = _distinct_matrices(sec_N, sec_M, sec_k_lo, dim)
         # q: the weighted populations of the mirror sectors summed per
@@ -400,7 +410,7 @@ class EnsembleSpectrum:
         row = np.arange(owner.size) - (np.cumsum(dim) - dim)[owner]
         q = np.bincount(slot[mirror[owner]] + row,
                         weights=weight[owner] * pops[start[owner] + row], minlength=width.sum())
-        gaps, coef, groups = [], [], []
+        gaps, coef = [], []
         nh_dephased = 0.0
         for n in range(dim.max() // 2 + 1):
             # half size n: the dimensions 2n (rows :even) and 2n + 1 (rows even:)
@@ -449,43 +459,16 @@ class EnsembleSpectrum:
             gaps.append(s[odd].ravel())
             coef.append(2.0 * ((z_q[:, None] @ u[odd]) * (z_n[:, None] @ u[odd])).ravel())
             nh_dephased += float((z_q * z).sum(axis=1) @ (z_n * z).sum(axis=1))
-            groups.append((first, even, s, u, v, z))
-        return gaps, coef, nh_dephased, (mirror, groups)
+        return gaps, coef, nh_dephased
 
     @functools.cached_property
     def eig(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per sector (lam, vec, b), built on the first read (see the class)."""
+        """Per sector (lam, vec, b), solved on the first read (see the class)."""
         eig = [None] * len(self.ensemble.sectors)
-        for sectors, mirror, lam, vec, b in (self._resonant_eig() if self._resonant
-                                             else self._groups):
+        for sectors, mirror, lam, vec, b in self._dense_groups():
             for s, m, b_s in zip(sectors.tolist(), mirror.tolist(), b):
                 eig[s] = lam[m], vec[m], b_s
         return eig
-
-    def _resonant_eig(self):
-        """(sectors, matrix of each, lam, vec, b) per dimension, the
-        eigenvectors [u; -+v] / sqrt(2) and [u_0; 0] scattered onto the
-        even and odd sites."""
-        mirror, groups = self._groups
-        dim, start = self.ensemble.sectors["dim"], self.ensemble.sectors["start"]
-        for first, even, s, u, v, z in groups:
-            n = s.shape[1]
-            for d, rows in ((2 * n, slice(None, even)), (2 * n + 1, slice(even, None))):
-                count = len(s[rows])
-                if not count:
-                    continue
-                u_d, v_d = u[rows, :d - n] / math.sqrt(2.0), v[rows] / math.sqrt(2.0)
-                vec = np.zeros((count, d, d))
-                vec[:, 0::2, :n], vec[:, 1::2, :n] = u_d[:, :, ::-1], -v_d[:, :, ::-1]
-                vec[:, 0::2, d - n:], vec[:, 1::2, d - n:] = u_d, v_d
-                if d % 2:
-                    vec[:, 0::2, n] = z
-                lam = np.concatenate((-s[rows, ::-1], np.zeros((count, d % 2)), s[rows]), axis=1)
-                sectors = np.flatnonzero(dim == d)
-                local = mirror[sectors] - first - (d % 2) * even
-                own = vec[local]
-                pops = self.ensemble.pops[start[sectors, None] + np.arange(d)]
-                yield sectors, local, lam, vec, (own.transpose(0, 2, 1) * pops[:, None, :]) @ own
 
     def _means(self, t: np.ndarray, z: np.ndarray) -> np.ndarray:
         """[n_h, sum w N - n_h, sum w M - n_h], n_h = nh_dephased + sum coef Re e^{z t}."""

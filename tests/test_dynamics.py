@@ -212,28 +212,31 @@ def test_dense_oracle_rejects_what_the_sector_path_rejects(xi, t, caps, detuning
 
 
 def _number_diagonal_oracle(caps, detuning, t_grid):
-    """Dense means from the number-basis diagonals of the preparation
-    densities: the phase-randomized product state, evolved exactly.  Returns
-    a function of the three preparations."""
+    """Dense means and per-mode marginals from the number-basis diagonals of
+    the preparation densities: the phase-randomized product state, evolved
+    exactly.  Returns a function of the three preparations giving the means,
+    shape (3, len(t_grid)), and the (hot, work, cold) marginals, each of
+    shape (cap + 1, len(t_grid))."""
     dims = [c + 1 for c in caps]
     evals, u = np.linalg.eigh(dense_hamiltonian(caps, XI, detuning))
     idx = np.arange(evals.size)
     numbers = np.array([idx // (dims[1] * dims[2]), (idx // dims[2]) % dims[1],
                         idx % dims[2]], dtype=float)
     # populations move by |<k|U(t)|j>|^2 from a diagonal initial state
-    transfer = np.array([numbers @ np.abs((u * np.exp(-1j * evals * t)) @ u.T) ** 2
-                         for t in t_grid])
+    transfer = np.array([np.abs((u * np.exp(-1j * evals * t)) @ u.T) ** 2 for t in t_grid])
 
     @functools.cache
     def diagonal(prep, dim):
         return np.diag(prep_density(prep, dim)).real
 
-    def means(preps):
+    def evolve(preps):
         p0 = np.ones(1)
         for prep, dim in zip(preps, dims):
             p0 = np.kron(p0, diagonal(prep, dim))
-        return (transfer @ p0).T
-    return means
+        pops = (transfer @ p0).reshape(-1, *dims)
+        marginals = tuple(pops.sum(axis=tuple({1, 2, 3} - {axis})).T for axis in (1, 2, 3))
+        return numbers @ pops.reshape(len(t_grid), -1).T, marginals
+    return evolve
 
 
 def _seeded_preps(seed):
@@ -291,8 +294,10 @@ def test_preparations_are_phase_randomized(caps, detuning_khz, triples):
     with the dense oracle built from number-diagonal densities, and so do
     seeded draws of the kinds, occupations, caps and detuning, on each
     kernel path (tableau, one column, single points).  The windowed case
-    and every seeded draw also run at zero detuning, where the sectors
-    are solved on their half-size blocks, with unequal caps."""
+    and every seeded draw also run at zero detuning, where the means come
+    from the half-size blocks, with unequal caps.  ``marginals_at`` on the
+    joined grids matches the oracle's marginals to 1e-14 plus the
+    discarded weight, and is zero beyond each cap."""
     detuning = TWO_PI * detuning_khz * 1e3
     policy = TruncationPolicy(epsilon=1e-12, n_max_h=caps[0], n_max_w=caps[1],
                               n_max_c=caps[2])
@@ -301,8 +306,16 @@ def test_preparations_are_phase_randomized(caps, detuning_khz, triples):
         ens = assemble_initial(preps, policy, XI, detuning)
         assert caps != _WINDOWED_CAPS or (ens.sectors.k_lo > 0).any()
         spectrum = EnsembleSpectrum(ens)
+        means, marginals = oracle(preps)
         sector = np.hstack([spectrum.means_at(grid) for grid in _ORACLE_GRIDS])
-        np.testing.assert_allclose(sector, oracle(preps), rtol=0, atol=1e-9)
+        np.testing.assert_allclose(sector, means, rtol=0, atol=1e-9)
+        # the sector marginals leave out the discarded weight (at most 9.6e-13 here)
+        atol = 1e-14 + ens.discarded_weight
+        for got, want in zip(spectrum.marginals_at(np.concatenate(_ORACLE_GRIDS)), marginals):
+            assert not got[want.shape[0]:].any()            # rows beyond the cap
+            rows = min(got.shape[0], want.shape[0])
+            np.testing.assert_allclose(got[:rows], want[:rows], rtol=0, atol=atol)
+            np.testing.assert_allclose(want[rows:], 0.0, rtol=0, atol=atol)
 
 
 def test_phase_definite_preparations_differ_from_sector_means():
@@ -410,10 +423,10 @@ def test_zero_coupling_keeps_the_initial_state():
 
 @pytest.mark.parametrize("caps", [(None, None, None), (7, 4, 5)], ids=["uncapped", "windowed"])
 def test_resonant_eigenpairs_diagonalize_every_sector(caps):
-    """The zero-detuning eigenpairs, scattered from the half-size blocks when
-    ``eig`` is first read, against each sector Hamiltonian built here: every
-    dimension from 1 to the largest, both parities, orthonormal vectors,
-    H vec = vec diag(lam), ascending lam and b = vec.T diag(pops) vec."""
+    """The zero-detuning eigenpairs, solved when ``eig`` is first read,
+    against each sector Hamiltonian built here: every dimension from 1 to
+    the largest, both parities, orthonormal vectors, H vec = vec diag(lam),
+    ascending lam and b = vec.T diag(pops) vec."""
     preps = (ModePrep.thermal_state(0.8), ModePrep.squeezed_thermal_state(0.5, 0.7),
              ModePrep.thermal_state(1.2))
     policy = TruncationPolicy(epsilon=1e-9, n_max_h=caps[0], n_max_w=caps[1], n_max_c=caps[2])
@@ -447,20 +460,23 @@ def test_marginals_sum_to_retained_weight(thermal_triple, small_policy):
     np.testing.assert_allclose(means, _initial_means(ens), rtol=1e-13)
 
 
-def _capped_detuned_spectrum():
-    """A capped (windowed), detuned, squeezed-work ensemble's spectrum."""
+def _capped_spectrum(detuning_khz=3.0):
+    """A capped (windowed), squeezed-work ensemble's spectrum, detuned by
+    default; at zero detuning its means come from the half-size blocks."""
     preps = (ModePrep.thermal_state(0.8), ModePrep.squeezed_thermal_state(0.5, 0.7),
              ModePrep.thermal_state(1.2))
     policy = TruncationPolicy(epsilon=1e-6, n_max_h=7, n_max_w=5, n_max_c=6)
-    ens = assemble_initial(preps, policy, XI, detuning=TWO_PI * 3e3)
+    ens = assemble_initial(preps, policy, XI, detuning=TWO_PI * detuning_khz * 1e3)
     assert (ens.sectors.k_lo > 0).any()
     return EnsembleSpectrum(ens)
 
 
-def test_means_at_match_means_of_marginals_at():
+@pytest.mark.parametrize("detuning_khz", [3.0, 0.0], ids=["detuned", "resonant"])
+def test_means_at_match_means_of_marginals_at(detuning_khz):
     """The projected hot-mode sum against the independent per-mode
-    accumulation, on a capped (windowed), detuned, squeezed-work ensemble."""
-    spectrum = _capped_detuned_spectrum()
+    accumulation over the d x d ``eig``, on a capped (windowed),
+    squeezed-work ensemble, detuned and at resonance."""
+    spectrum = _capped_spectrum(detuning_khz)
     t_grid = np.linspace(0.0, 700e-6, 37)
     margs = spectrum.marginals_at(t_grid)
     from_marginals = np.array([np.arange(m.shape[0]) @ m for m in margs])
@@ -492,15 +508,20 @@ def _direct_means(spectrum, t_grid, kernel):
     return np.array([n_h, sec.weight @ sec.N - n_h, sec.weight @ sec.M - n_h])
 
 
-@pytest.mark.parametrize("t_grid", [np.linspace(13e-6, 700e-6, n) for n in (2, 3, 7, 17, 30, 281)]
-                         + [np.array([0.0, 3e-6, 4e-6, 50e-6, 51e-6, 600e-6]),
-                            np.array([250e-6])],
-                         ids=[f"uniform{n}" for n in (2, 3, 7, 17, 30, 281)]
-                         + ["non_uniform", "one_point"])
-def test_means_match_a_direct_kernel_over_unmerged_pairs(t_grid):
+_DIRECT_GRIDS = {**{f"uniform{n}": np.linspace(13e-6, 700e-6, n) for n in (2, 3, 7, 17, 30, 281)},
+                 "non_uniform": np.array([0.0, 3e-6, 4e-6, 50e-6, 51e-6, 600e-6]),
+                 "one_point": np.array([250e-6])}
+
+
+@pytest.mark.parametrize("t_grid,detuning_khz",
+                         [(grid, 3.0) for grid in _DIRECT_GRIDS.values()]
+                         + [(grid, 0.0) for grid in _DIRECT_GRIDS.values()],
+                         ids=list(_DIRECT_GRIDS) + [f"{name}_resonant" for name in _DIRECT_GRIDS])
+def test_means_match_a_direct_kernel_over_unmerged_pairs(t_grid, detuning_khz):
     """Merged gaps and the rows + offsets tableau against cos(g t) and
-    exp(-xi_in g^2 t) taken directly at every time and every pair."""
-    spectrum = _capped_detuned_spectrum()
+    exp(-xi_in g^2 t) taken directly at every time and every pair of the
+    d x d ``eig``; at resonance this also checks the half-size table."""
+    spectrum = _capped_spectrum(detuning_khz)
     xi_in = default_incoherence_strength(spectrum)
     np.testing.assert_allclose(spectrum.means_at(t_grid),
                                _direct_means(spectrum, t_grid, lambda g, t: np.cos(g * t)),
@@ -515,7 +536,7 @@ def test_merged_gaps_are_increasing_and_keep_the_coefficients():
     """Merging sums the coefficients of equal gaps: the sum over all pairs i < j
     is kept, and the merged gaps are distinct and sorted.  The resonant
     spectra are symmetric, so there pairs do share gaps."""
-    for spectrum, resonant in ((_capped_detuned_spectrum(), False),
+    for spectrum, resonant in ((_capped_spectrum(), False),
                                (EnsembleSpectrum(_thermal_ensemble((0.66, 2.16, 2.63))), True)):
         assert np.all(np.diff(spectrum.gaps) > 0.0)
         unmerged, pairs = 0.0, 0
@@ -615,9 +636,10 @@ def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
     e^{i g cols dt}, e^{i g dt}) per merged gap and no cos or sin, and the
     resonant sectors take one eigensolve of size dim // 2 per distinct
     (min(N, M), max(N, M), k_lo, dim) with dim >= 2, 666 matrices and
-    sum (dim // 2)^3 = 124,753 (the d x d solves took 721 and
-    sum d^3 = 1,102,276), the mirror sectors (N, M) and (M, N) sharing
-    it, bit for bit."""
+    sum (dim // 2)^3 = 124,753.  The first read of ``eig`` adds one d x d
+    solve per distinct key, 721 matrices and sum d^3 = 1,102,276, the
+    mirror sectors (N, M) and (M, N) sharing it, bit for bit; a second
+    read solves nothing."""
     ens = _relaxation_thermal_spectrum().ensemble
     solved = collections.Counter()
     eigh = np.linalg.eigh
@@ -634,16 +656,21 @@ def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
     assert solved == collections.Counter(dim // 2 for *_, dim in keys if dim >= 2)
     assert sum(solved.values()) == 666
     assert sum(n ** 3 * count for n, count in solved.items()) == 124_753
+    solved.clear()
+    eig = spectrum.eig
+    assert solved == collections.Counter(dim for *_, dim in keys)
+    assert sum(solved.values()) == 721
+    assert sum(d ** 3 * count for d, count in solved.items()) == 1_102_276
     index = {(N, M): s for s, (N, M) in enumerate(sec[["N", "M"]].tolist())}
     mirrored = 0
     for (N, M), s in index.items():
         m = index.get((M, N))
         if m is not None and N != M:
             mirrored += 1
-            assert spectrum.eig[s][0].tobytes() == spectrum.eig[m][0].tobytes()
-            assert spectrum.eig[s][1].tobytes() == spectrum.eig[m][1].tobytes()
+            assert eig[s][0].tobytes() == eig[m][0].tobytes()
+            assert eig[s][1].tobytes() == eig[m][1].tobytes()
     assert mirrored > 0
-    assert sum(solved.values()) == 666          # reading eig solved nothing more
+    assert spectrum.eig is eig and sum(solved.values()) == 721    # a second read
 
     elements = {"exp": 0, "cos": 0, "sin": 0}
     for name in elements:
