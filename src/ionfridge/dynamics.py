@@ -20,9 +20,9 @@ d x d solve for every ensemble, made when first read.  Means are one
 projected observable:
 inside sector (N, M), n_w = N - n_h and n_c = M - n_h, so with the hot
 number projected onto each eigenbasis once, all sectors flatten into one
-sorted vector of distinct gaps g (equal gaps, common in symmetric
-zero-detuning spectra, merged by summing their coefficients) and one
-coefficient vector C, and
+vector of gaps g, one per eigenvalue pair of each distinct matrix (the
+populations of mirror sectors summed first), and one coefficient vector C,
+and
 
     <n_h>(t) = <n_h>_dephased + kernel(t, g) @ C,
     <n_w> = sum_s w_s N_s - <n_h>,   <n_c> = sum_s w_s M_s - <n_h>,
@@ -169,9 +169,6 @@ _KERNEL_BLOCK = 1 << 15
 #: most eigenvalue pairs, sum d(d - 1)/2 over the sectors, an ensemble may hold;
 #: the shipped studies reach 1.6e5; 3.8e7 took 42 s and 1.1 GiB on a 2-vCPU x86-64 host
 MAX_SECTOR_PAIRS = 10_000_000
-#: gaps within this relative distance of their sorted neighbour share one
-#: kernel term; the phase error is at most this times max(g t)
-_GAP_MERGE_RTOL = 1e-13
 
 
 def _tableau(t: np.ndarray) -> tuple | None:
@@ -278,7 +275,7 @@ def _distinct_matrices(N: np.ndarray, M: np.ndarray, k_lo: np.ndarray,
 class EnsembleSpectrum:
     """Eigendecomposition of every sector of an ensemble, the one spectral core.
 
-    Each distinct sector matrix is solved once for the means (see
+    Each distinct sector matrix is solved once (see
     :func:`_distinct_matrices`; mirror sectors share it).  ``eig`` holds
     sector ``i``'s (in ``ensemble.sectors`` order) ascending eigenvalues
     ``lam``, eigenvectors ``vec`` (columns) and its initial populations
@@ -286,13 +283,16 @@ class EnsembleSpectrum:
     of batched arrays (mirror sectors share one ``lam`` and one ``vec``).
     It is built when first read (:meth:`marginals_at`), never for the
     means, from the d x d solves of the general path below
-    (:meth:`_dense_groups`) for every ensemble, so a detuned ensemble whose
+    (:meth:`_dense_solves`) for every ensemble, so a detuned ensemble whose
     ``eig`` is read solves its matrices twice.
 
     For the means, with A = vec.T diag(n_h) vec and sector weight w, each
     pair i < j of each sector contributes the gap lam_j - lam_i with the
-    coefficient 2 w b_ij A_ij, and ``nh_dephased`` = sum w b_ii A_ii.  Two
-    paths build that table:
+    coefficient 2 w b_ij A_ij, and ``nh_dephased`` = sum w b_ii A_ii.
+    Mirror sectors share lam, vec and A, so both paths take the pairs once
+    per distinct matrix, with P = vec.T diag(q) vec in place of w b: q, the
+    mirror fold, sums the weighted populations of the matrix's sectors and
+    is built once per spectrum.  The two paths:
 
     - Resonant (zero detuning, xi > 0): H = xi J, J tridiagonal with
       couplings t_k and a zero diagonal.  With the even sites first,
@@ -302,140 +302,125 @@ class EnsembleSpectrum:
       sigma^2 and v, u = B v / sigma, and the eigenvectors [u; +-v] /
       sqrt(2) of +-xi sigma; odd d adds the zero mode [u_0; 0],
       B.T u_0 = 0.  J is solved at unit coupling (xi t would overflow
-      squared).  With Pe = u.T diag(q_even) u and Po = v.T diag(q_odd) v
-      for q the mirror sectors' summed weighted populations, and Ne, No
-      the same with n_h, the pairs are the gap sigma_b - sigma_a (a < b)
-      with (Pe + Po)(Ne + No), sigma_a + sigma_b (a <= b) with
+      squared).  With Pe = u.T diag(q_even) u and Po = v.T diag(q_odd) v,
+      and Ne, No the same with n_h, the pairs are the gap sigma_b - sigma_a
+      (a < b) with (Pe + Po)(Ne + No), sigma_a + sigma_b (a <= b) with
       (Pe - Po)(Ne - No), halved at a = b, and sigma_b with
       2 (u_0.T diag(q) u_b)(u_0.T diag(n_h) u_b): every pair with its
-      mirror images folded, about half the d x d table's entries per
-      matrix, and one table for both mirror sectors.
-      ``nh_dephased`` is half the trace of (Pe + Po)(Ne + No) plus the
-      zero mode's term.
+      images under the sign flip folded, about half the d x d table's
+      entries per matrix.  ``nh_dephased`` is half the trace of
+      (Pe + Po)(Ne + No) plus the zero mode's term.
     - General (detuned, or xi = 0, where the number basis is the
       eigenbasis): the matrices of each dimension d are stacked as one
-      (S_d, d, d) array for one ``eigh`` (:meth:`_dense_groups`), the
-      populations and n_h projected by batched products
-      (vec.T * pops) @ vec, and every pair of every sector taken.
+      (S_d, d, d) array for one ``eigh`` (:meth:`_dense_solves`), q and
+      n_h projected by batched products (vec.T * q) @ vec, and every pair
+      i < j of every matrix taken with 2 P_ij A_ij.
 
-    The gaps are sorted (numpy's default sort, not a stable one) and
-    merged: a gap within ``_GAP_MERGE_RTOL`` (relative) of the previous
-    one joins its bin, so ``gaps`` is strictly increasing, holding each
-    bin's smallest gap, and ``coef`` holds each bin's summed coefficients.
-    Then <n_h>(t) = nh_dephased + kernel(t, gaps) @ coef, and <n_w>,
-    <n_c> are ``sum_wN``, ``sum_wM`` minus <n_h>, because n_w = N - n_h
-    and n_c = M - n_h inside sector (N, M).  Pairs and reductions run in a
-    fixed order, dimension groups ascending, and the sort of a given gap
-    vector is deterministic, so results do not depend on scheduling.
+    ``gaps`` and ``coef`` are the two paths' blocks concatenated and sorted
+    by gap; equal gaps stay separate terms.  Then <n_h>(t) = nh_dephased
+    + kernel(t, gaps) @ coef, and <n_w>, <n_c> are ``sum_wN``, ``sum_wM``
+    minus <n_h>, because n_w = N - n_h and n_c = M - n_h inside sector
+    (N, M).  Pairs and reductions run in a fixed order, and the sort of a
+    given gap vector is deterministic, so results do not depend on
+    scheduling.
     """
 
     def __init__(self, ensemble: ThreeModeEnsemble):
         self.ensemble = ensemble
         # each column read once, as a plain array: every record-array
         # attribute read (sec.N) costs some microseconds
-        columns = tuple(ensemble.sectors[name]
-                        for name in ("N", "M", "weight", "k_lo", "dim", "start"))
-        sec_N, sec_M, weight, _, dim, _ = columns
+        sec_N, sec_M, weight, sec_k_lo, dim, start = (
+            ensemble.sectors[name] for name in ("N", "M", "weight", "k_lo", "dim", "start"))
         pairs = int((dim * (dim - 1) // 2).sum())
         if pairs > MAX_SECTOR_PAIRS:
             raise DomainError(f"the ensemble holds {pairs} eigenvalue pairs, more than "
                               f"MAX_SECTOR_PAIRS = {MAX_SECTOR_PAIRS}; lower the per-mode "
                               "caps or raise epsilon to shrink it")
-        resonant = ensemble.detuning == 0.0 and ensemble.xi > 0.0
-        table = self._resonant_table if resonant else self._general_table
-        gaps, coef, self.nh_dephased = table(*columns)
-        # sorted one vector at a time, so no more vectors are alive than during
-        # the concatenation
-        gaps, coef = np.concatenate(gaps), np.concatenate(coef)
-        order = np.argsort(gaps)
-        gaps = gaps[order]
-        coef = coef[order]
-        # a bin opens at the first gap and where a gap exceeds the previous one
-        # by more than the tolerance
-        opens = np.ones(gaps.size, dtype=bool)
-        np.greater(gaps[1:] * (1.0 - _GAP_MERGE_RTOL), gaps[:-1], out=opens[1:])
-        bins = np.flatnonzero(opens)
-        self.gaps = gaps[bins]
-        self.coef = np.add.reduceat(coef, bins)
-        self.sum_wN = float(weight @ sec_N)
-        self.sum_wM = float(weight @ sec_M)
-
-    def _dense_groups(self):
-        """Per dimension d, (sectors, row of each sector's matrix, lam, vec,
-        b): the distinct d x d matrices (:func:`_distinct_matrices`) in one
-        batched ``eigh``, b = vec.T diag(pops) vec of each sector."""
-        ensemble = self.ensemble
-        sec_N, sec_M, sec_k_lo, dim, start = (ensemble.sectors[name] for name
-                                              in ("N", "M", "k_lo", "dim", "start"))
         solved, mirror, bounds = _distinct_matrices(sec_N, sec_M, sec_k_lo, dim)
-        for d in np.unique(dim):
-            group = np.flatnonzero(dim == d)
-            row = np.arange(d)
-            rep, local = solved[bounds[d]:bounds[d + 1]], mirror[group] - bounds[d]
-            N, M, k_lo = sec_N[rep, None], sec_M[rep, None], sec_k_lo[rep, None]
-            kk = k_lo + row[:-1]
-            ham = np.zeros((rep.size, d, d))
-            ham[:, row, row] = ensemble.detuning * (k_lo + row)
-            ham[:, row[1:], row[:-1]] = ensemble.xi * np.sqrt((kk + 1.0) * (N - kk) * (M - kk))
-            lam, vec = np.linalg.eigh(ham)          # reads the lower triangle
-            own = vec[local]
-            pops = ensemble.pops[start[group, None] + row]
-            yield group, local, lam, vec, (own.transpose(0, 2, 1) * pops[:, None, :]) @ own
-
-    def _general_table(self, _N, _M, weight, sec_k_lo, *_):
-        """Gap and coefficient blocks and nh_dephased from the d x d solves."""
-        gaps, coef = [], []
-        nh_dephased = 0.0
-        for group, local, lam, vec, b in self._dense_groups():
-            own = vec[local]
-            n_h = sec_k_lo[group, None] + np.arange(lam.shape[1])
-            # w b * A, A = vec.T diag(n_h) vec, batched
-            terms = (weight[group, None, None] * b
-                     * ((own.transpose(0, 2, 1) * n_h[:, None, :]) @ own))
-            i, j = np.triu_indices(lam.shape[1], 1)
-            gaps.append((lam[:, j] - lam[:, i])[local].ravel())
-            coef.append(2.0 * terms[:, i, j].ravel())
-            nh_dephased += float(np.einsum("sii->", terms))
-        return gaps, coef, nh_dephased
-
-    def _resonant_table(self, sec_N, sec_M, weight, sec_k_lo, dim, start):
-        """Gap and coefficient blocks and nh_dephased from the half-size blocks."""
-        xi, pops = self.ensemble.xi, self.ensemble.pops
-        solved, mirror, bounds = _distinct_matrices(sec_N, sec_M, sec_k_lo, dim)
-        # q: the weighted populations of the mirror sectors summed per
-        # matrix, each matrix at slots 2 (dim // 2) + 1 wide
+        # the mirror fold q: the weighted populations of each matrix's sectors
+        # summed, per half size n = dim // 2 one (matrices, 2n + 1) array whose
+        # even dimensions leave their last column zero
         width = dim[solved] // 2 * 2 + 1
         slot = np.cumsum(width) - width
         owner = np.repeat(np.arange(dim.size), dim)
         row = np.arange(owner.size) - (np.cumsum(dim) - dim)[owner]
-        q = np.bincount(slot[mirror[owner]] + row,
-                        weights=weight[owner] * pops[start[owner] + row], minlength=width.sum())
+        q = np.bincount(slot[mirror[owner]] + row, minlength=width.sum(),
+                        weights=weight[owner] * ensemble.pops[start[owner] + row])
+        fold = [part.reshape(-1, 2 * n + 1) for n, part
+                in enumerate(np.split(q, np.append(slot, q.size)[bounds[::2][1:-1]]))]
+        resonant = ensemble.detuning == 0.0 and ensemble.xi > 0.0
+        table = self._resonant_table if resonant else self._general_table
+        gaps, coef, self.nh_dephased = table(sec_N[solved], sec_M[solved], sec_k_lo[solved],
+                                             bounds, fold)
+        gaps, coef = np.concatenate(gaps), np.concatenate(coef)
+        # sorted: on unsorted gaps the one-point calls (cos) and the
+        # incoherent grids took about twice as long, the dense grids ~5 % more
+        order = np.argsort(gaps)
+        self.gaps, self.coef = gaps[order], coef[order]
+        self.sum_wN = float(weight @ sec_N)
+        self.sum_wM = float(weight @ sec_M)
+
+    def _dense_solves(self, N, M, k_lo, bounds):
+        """Per dimension d, (d, rows, lam, vec): the distinct d x d matrices,
+        rows ``bounds[d]`` to ``bounds[d + 1] - 1`` of the columns N, M, k_lo
+        of :func:`_distinct_matrices`' ``solved`` sectors, in one batched
+        ``eigh``."""
+        for d in np.flatnonzero(np.diff(bounds)):
+            rows, row = slice(bounds[d], bounds[d + 1]), np.arange(d)
+            lo = k_lo[rows, None]
+            kk = lo + row[:-1]
+            ham = np.zeros((lo.size, d, d))
+            ham[:, row, row] = self.ensemble.detuning * (lo + row)
+            ham[:, row[1:], row[:-1]] = self.ensemble.xi * np.sqrt(
+                (kk + 1.0) * (N[rows, None] - kk) * (M[rows, None] - kk))
+            lam, vec = np.linalg.eigh(ham)          # reads the lower triangle
+            yield d, rows, lam, vec
+
+    def _general_table(self, N, M, k_lo, bounds, fold):
+        """Gap and coefficient blocks and nh_dephased from the d x d solves."""
         gaps, coef = [], []
         nh_dephased = 0.0
-        for n in range(dim.max() // 2 + 1):
+        for d, rows, lam, vec in self._dense_solves(N, M, k_lo, bounds):
+            # this dimension's rows of its half size's fold
+            half = bounds[d - d % 2]
+            q = fold[d // 2][rows.start - half:rows.stop - half, :d]
+            n_h = k_lo[rows, None] + np.arange(d)
+            vec_t = vec.transpose(0, 2, 1)
+            # P * A, P = vec.T diag(q) vec and A = vec.T diag(n_h) vec, batched
+            terms = ((vec_t * q[:, None, :]) @ vec) * ((vec_t * n_h[:, None, :]) @ vec)
+            i, j = np.triu_indices(d, 1)
+            gaps.append((lam[:, j] - lam[:, i]).ravel())
+            coef.append(2.0 * terms[:, i, j].ravel())
+            nh_dephased += float(np.einsum("sii->", terms))
+        return gaps, coef, nh_dephased
+
+    def _resonant_table(self, N, M, k_lo, bounds, fold):
+        """Gap and coefficient blocks and nh_dephased from the half-size blocks."""
+        xi = self.ensemble.xi
+        gaps, coef = [], []
+        nh_dephased = 0.0
+        for n, q_n in enumerate(fold):
             # half size n: the dimensions 2n (rows :even) and 2n + 1 (rows even:)
-            first, last = bounds[2 * n], bounds[2 * n + 2]
-            if first == last:
+            if not q_n.size:
                 continue
-            rep, even = solved[first:last], bounds[2 * n + 1] - first
+            rows = slice(bounds[2 * n], bounds[2 * n + 2])
+            count, even = len(q_n), bounds[2 * n + 1] - rows.start
             odd = slice(even, None)
-            k_lo = sec_k_lo[rep, None]
-            q_n = q[slot[first]:slot[first] + rep.size * (2 * n + 1)].reshape(rep.size, -1)
-            n_h = k_lo + np.arange(2 * n + 1)
+            n_h = k_lo[rows, None] + np.arange(2 * n + 1)
             q_e, q_o, n_e, n_o = q_n[:, 0::2], q_n[:, 1::2], n_h[:, 0::2], n_h[:, 1::2]
             m = np.arange(n)
             # couplings at unit xi; the even dimensions lack t_2n-1, so the
             # last row of their B (and of u) is zero
-            kk = k_lo + np.arange(2 * n)
-            t = np.sqrt((kk + 1.0) * (sec_N[rep, None] - kk) * (sec_M[rep, None] - kk))
+            kk = n_h[:, :-1]
+            t = np.sqrt((kk + 1.0) * (N[rows, None] - kk) * (M[rows, None] - kk))
             t[:even, -1:] = 0.0
             t_e, t_o = t[:, 0::2], t[:, 1::2]
-            btb = np.zeros((rep.size, n, n))
+            btb = np.zeros((count, n, n))
             btb[:, m, m] = t_e * t_e + t_o * t_o
             btb[:, m[1:], m[:-1]] = t_o[:, :-1] * t_e[:, 1:]
-            sigma_sq, v = np.linalg.eigh(btb) if n else (np.zeros((rep.size, 0)), btb)
+            sigma_sq, v = np.linalg.eigh(btb) if n else (np.zeros((count, 0)), btb)
             sigma = np.sqrt(sigma_sq)
-            u = np.zeros((rep.size, n + 1, n))
+            u = np.zeros((count, n + 1, n))
             u[:, :n] = t_e[:, :, None] * v
             u[:, 1:] += t_o[:, :, None] * v
             u /= sigma[:, None, :]
@@ -452,7 +437,7 @@ class EnsembleSpectrum:
             nh_dephased += 0.5 * float(np.einsum("saa,saa->", p_e + p_o, a_e + a_o))
             # the zero mode of each odd dimension: B.T u_0 = 0, so
             # u_0[m + 1] = -t_2m / t_2m+1 u_0[m]
-            z = np.ones((rep.size - even, n + 1))
+            z = np.ones((count - even, n + 1))
             z[:, 1:] = np.cumprod(-t_e[odd] / t_o[odd], axis=1)
             z /= np.sqrt((z * z).sum(axis=1, keepdims=True))
             z_q, z_n = z * q_e[odd], z * n_e[odd]
@@ -464,9 +449,18 @@ class EnsembleSpectrum:
     @functools.cached_property
     def eig(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
         """Per sector (lam, vec, b), solved on the first read (see the class)."""
-        eig = [None] * len(self.ensemble.sectors)
-        for sectors, mirror, lam, vec, b in self._dense_groups():
-            for s, m, b_s in zip(sectors.tolist(), mirror.tolist(), b):
+        sec_N, sec_M, sec_k_lo, dim, start = (self.ensemble.sectors[name] for name
+                                              in ("N", "M", "k_lo", "dim", "start"))
+        solved, mirror, bounds = _distinct_matrices(sec_N, sec_M, sec_k_lo, dim)
+        eig = [None] * dim.size
+        for d, rows, lam, vec in self._dense_solves(sec_N[solved], sec_M[solved],
+                                                    sec_k_lo[solved], bounds):
+            group = np.flatnonzero(dim == d)
+            local = mirror[group] - rows.start
+            own = vec[local]
+            pops = self.ensemble.pops[start[group, None] + np.arange(d)]
+            b = (own.transpose(0, 2, 1) * pops[:, None, :]) @ own
+            for s, m, b_s in zip(group.tolist(), local.tolist(), b):
                 eig[s] = lam[m], vec[m], b_s
         return eig
 
@@ -478,8 +472,7 @@ class EnsembleSpectrum:
     def _unitary_grid(self, t_grid) -> np.ndarray:
         """``t_grid`` as a flat float array; raises unless every phase g t is finite."""
         t_grid = np.asarray(t_grid, dtype=float).reshape(-1)
-        # the gaps ascend, so the last one (if any) is the largest
-        if not math.isfinite(float(self.gaps[-1:].sum())
+        if not math.isfinite(float(self.gaps.max(initial=0.0))
                              * float(np.abs(t_grid).max(initial=0.0))):
             raise DomainError("every time and every phase g t must be finite")
         return t_grid
@@ -488,8 +481,9 @@ class EnsembleSpectrum:
         """Unitary per-mode marginals, each of shape (n_max + 1, len(t_grid)).
 
         Sector populations are P[k, t] = sum_ij vec[k, i] vec[k, j] b[i, j]
-        cos((lam_i - lam_j) t), one coefficient column per k over the d^2
-        unmerged gaps.  Marginals sum to the retained weight (not to
+        cos((lam_i - lam_j) t): the time-independent diagonal i = j plus
+        twice the pairs i < j, one coefficient column per k over the
+        d(d - 1)/2 gaps.  Marginals sum to the retained weight (not to
         1) so that truncation stays visible; normalize before feeding them to
         detection models.
         """
@@ -499,9 +493,10 @@ class EnsembleSpectrum:
         p_w = np.zeros((sec.N.max() + 1, t_grid.size))
         p_c = np.zeros((sec.M.max() + 1, t_grid.size))
         for (N, M, weight, k_lo, d, _), (lam, vec, b) in zip(sec.tolist(), self.eig):
-            gaps = (lam[:, None] - lam[None, :]).reshape(-1)
-            w3 = ((vec[:, :, None] * vec[:, None, :]) * b[None, :, :]).reshape(d, d * d)
-            w_pops = weight * _kernel_sums(1j * t_grid, gaps, w3.T, real=True).T
+            i, j = np.triu_indices(d, 1)
+            pairs = 2.0 * vec[:, i] * vec[:, j] * b[i, j]
+            w_pops = weight * (_kernel_sums(1j * t_grid, lam[j] - lam[i], pairs.T, real=True).T
+                               + ((vec * vec) @ np.diag(b))[:, None])
             k = k_lo + np.arange(d)
             p_h[k] += w_pops
             p_w[N - k] += w_pops

@@ -3,6 +3,7 @@
 oracle."""
 
 import collections
+import dataclasses
 import functools
 import itertools
 import math
@@ -318,6 +319,44 @@ def test_preparations_are_phase_randomized(caps, detuning_khz, triples):
             np.testing.assert_allclose(want[rows:], 0.0, rtol=0, atol=atol)
 
 
+@pytest.mark.parametrize("detuning_khz,triples",
+                         [(detuning_khz, triples) for _, detuning_khz, triples in _DRAWN]
+                         + [(0.0, triples) for *_, triples in _DRAWN],
+                         ids=[f"seeded{seed}" for seed in range(8)]
+                         + [f"seeded{seed}_resonant" for seed in range(8)])
+def test_incoherent_means_match_the_dense_double_commutator_solution(detuning_khz, triples):
+    """``incoherent_means_at`` against the exact solution of
+    d rho/dt = -xi_in [H, [H, rho]] from the number-diagonal product state,
+    rho_ij(t) = b_ij e^{-xi_in (E_i - E_j)^2 t} in the eigenbasis of one
+    ``eigh`` of the dense Hamiltonian, at caps 6, on each kernel path
+    (tableau, one column, single points), to 1e-12 plus 6 times the
+    discarded weight: a discarded sector's share of a mean is its weight
+    times a number of at most the cap (up to 5.7e-12 here).  The seeded
+    draws' preparations and detunings, and each at zero detuning (the
+    half-size blocks)."""
+    caps = (6, 6, 6)
+    detuning = TWO_PI * detuning_khz * 1e3
+    policy = TruncationPolicy(epsilon=1e-12, n_max_h=6, n_max_w=6, n_max_c=6)
+    evals, u = np.linalg.eigh(dense_hamiltonian(caps, XI, detuning))
+    idx = np.arange(evals.size)
+    numbers = np.array([idx // 49, (idx // 7) % 7, idx % 7], dtype=float)
+    gap_sq = (evals[:, None] - evals[None, :]) ** 2
+    t_grid = np.concatenate(_ORACLE_GRIDS)
+    for preps in triples:
+        ens = assemble_initial(preps, policy, XI, detuning)
+        spectrum = EnsembleSpectrum(ens)
+        xi_in = default_incoherence_strength(spectrum)
+        p0 = np.ones(1)
+        for prep in preps:
+            p0 = np.kron(p0, np.diag(prep_density(prep, 7)).real)
+        b = u.T @ (p0[:, None] * u)
+        pops = np.array([((u @ (b * np.exp(-xi_in * gap_sq * t))) * u).sum(axis=1)
+                         for t in t_grid])
+        sector = np.hstack([spectrum.incoherent_means_at(grid, xi_in) for grid in _ORACLE_GRIDS])
+        np.testing.assert_allclose(sector, numbers @ pops.T, rtol=0,
+                                   atol=1e-12 + 6.0 * ens.discarded_weight)
+
+
 def test_phase_definite_preparations_differ_from_sector_means():
     """The meaning is tested, not assumed: with number-basis coherences in all
     three modes the phase-definite dense evolution is a different answer."""
@@ -497,7 +536,7 @@ def test_grid_longer_than_one_kernel_block_matches_point_calls():
 
 
 def _direct_means(spectrum, t_grid, kernel):
-    """Means summed over every unmerged eigenvalue pair (i, j) of every sector,
+    """Means summed over every eigenvalue pair (i, j) of every sector,
     from ``eig`` alone: n_h(t) = sum_s w_s sum_ij b_ij A_ij kernel(lam_j - lam_i, t)."""
     sec = spectrum.ensemble.sectors
     n_h = np.zeros(t_grid.size)
@@ -518,7 +557,7 @@ _DIRECT_GRIDS = {**{f"uniform{n}": np.linspace(13e-6, 700e-6, n) for n in (2, 3,
                          + [(grid, 0.0) for grid in _DIRECT_GRIDS.values()],
                          ids=list(_DIRECT_GRIDS) + [f"{name}_resonant" for name in _DIRECT_GRIDS])
 def test_means_match_a_direct_kernel_over_unmerged_pairs(t_grid, detuning_khz):
-    """Merged gaps and the rows + offsets tableau against cos(g t) and
+    """The gap table and the rows + offsets tableau against cos(g t) and
     exp(-xi_in g^2 t) taken directly at every time and every pair of the
     d x d ``eig``; at resonance this also checks the half-size table."""
     spectrum = _capped_spectrum(detuning_khz)
@@ -532,23 +571,30 @@ def test_means_match_a_direct_kernel_over_unmerged_pairs(t_grid, detuning_khz):
                                rtol=0, atol=1e-12)
 
 
-def test_merged_gaps_are_increasing_and_keep_the_coefficients():
-    """Merging sums the coefficients of equal gaps: the sum over all pairs i < j
-    is kept, and the merged gaps are distinct and sorted.  The resonant
-    spectra are symmetric, so there pairs do share gaps."""
+def test_gap_table_holds_one_block_per_distinct_matrix():
+    """Mirror sectors (N, M) and (M, N) share a matrix, so the table takes
+    each distinct matrix's pairs once, its sectors' populations summed: the
+    coefficients sum to the per-sector pair sum over ``eig``, and the table
+    holds d(d - 1)/2 gaps per distinct d x d matrix when detuned, or
+    n^2 + n (d mod 2), n = floor(d/2), from the half-size blocks at
+    resonance.  Both ensembles hold mirror pairs, so the table is shorter
+    than the per-sector pairs."""
     for spectrum, resonant in ((_capped_spectrum(), False),
                                (EnsembleSpectrum(_thermal_ensemble((0.66, 2.16, 2.63))), True)):
-        assert np.all(np.diff(spectrum.gaps) > 0.0)
-        unmerged, pairs = 0.0, 0
-        for (weight, k_lo, dim), (lam, vec, b) in zip(
-                spectrum.ensemble.sectors[["weight", "k_lo", "dim"]].tolist(), spectrum.eig):
+        sec = spectrum.ensemble.sectors
+        per_sector = 0.0
+        for (weight, k_lo, dim), (lam, vec, b) in zip(sec[["weight", "k_lo", "dim"]].tolist(),
+                                                      spectrum.eig):
             a = vec.T @ ((k_lo + np.arange(dim))[:, None] * vec)
             i, j = np.triu_indices(dim, 1)
-            unmerged += 2.0 * weight * (b * a)[i, j].sum()
-            pairs += i.size
-        assert spectrum.coef.sum() == pytest.approx(unmerged, abs=1e-14)
-        assert spectrum.gaps.size <= pairs
-        assert spectrum.gaps.size < pairs or not resonant
+            per_sector += 2.0 * weight * (b * a)[i, j].sum()
+        assert spectrum.coef.sum() == pytest.approx(per_sector, abs=1e-14)
+        keys = {(min(N, M), max(N, M), k_lo, dim)
+                for N, M, k_lo, dim in sec[["N", "M", "k_lo", "dim"]].tolist()}
+        d = np.array([dim for *_, dim in keys])
+        n = d // 2
+        assert spectrum.gaps.size == (n * n + n * (d % 2) if resonant else d * (d - 1) // 2).sum()
+        assert spectrum.gaps.size < (sec.dim * (sec.dim - 1) // 2).sum()
 
 
 #: name -> (exponents z, factor on the times, whether the sums take the real
@@ -598,7 +644,7 @@ def test_kernel_sums_match_direct_sums(monkeypatch, kernel, times, cols, block):
 
 @functools.cache
 def _relaxation_thermal_spectrum():
-    """The spectrum of ``scenarios/relaxation_thermal.json`` (18,751 merged gaps)."""
+    """The spectrum of ``scenarios/relaxation_thermal.json`` (18,764 gaps)."""
     return EnsembleSpectrum(build_ensemble(load_scenario(
         pathlib.Path(__file__).resolve().parents[1] / "scenarios" / "relaxation_thermal.json")))
 
@@ -606,10 +652,10 @@ def _relaxation_thermal_spectrum():
 @pytest.mark.parametrize("stop,bound", [(1.0, 3e-12), (10.0, 3e-11), (1e3, 3e-9)],
                          ids=["1s", "10s", "1000s"])
 def test_long_time_means_match_an_unmerged_long_double_sum(stop, bound):
-    """Powers of e^{i g dt} accumulate phase, so the merged-gap means on a
-    281-point uniform grid to ``stop`` (the tableau) and at its points one at
-    a time (one column) are checked against n_h summed over every unmerged
-    pair in long double, at every tenth grid point.  The bounds are about 4x
+    """Powers of e^{i g dt} accumulate phase, so the means on a 281-point
+    uniform grid to ``stop`` (the tableau) and at its points one at a time
+    (one column) are checked against n_h summed over every pair of every
+    sector in long double, at every tenth grid point.  The bounds are about 4x
     the errors of cos and sin taken at every row and offset (6.4e-13,
     6.3e-12, 8.0e-10 on the whole grid)."""
     spectrum = _relaxation_thermal_spectrum()
@@ -632,14 +678,16 @@ def test_long_time_means_match_an_unmerged_long_double_sum(stop, bound):
 
 def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
     """Work counts, no timing, on ``scenarios/relaxation_thermal.json``: the
-    281-point grid takes at most three exponentials (e^{i g t_0},
-    e^{i g cols dt}, e^{i g dt}) per merged gap and no cos or sin, and the
     resonant sectors take one eigensolve of size dim // 2 per distinct
     (min(N, M), max(N, M), k_lo, dim) with dim >= 2, 666 matrices and
-    sum (dim // 2)^3 = 124,753.  The first read of ``eig`` adds one d x d
-    solve per distinct key, 721 matrices and sum d^3 = 1,102,276, the
-    mirror sectors (N, M) and (M, N) sharing it, bit for bit; a second
-    read solves nothing."""
+    sum (dim // 2)^3 = 124,753, for 18,764 gaps.  The first read of ``eig``
+    adds one d x d solve per distinct key, 721 matrices and
+    sum d^3 = 1,102,276, the mirror sectors (N, M) and (M, N) sharing it,
+    bit for bit; a second read solves nothing.  Its 3 kHz twin takes the
+    same 721 d x d solves for 34,629 gaps, one per pair of each distinct
+    matrix (the 54,667 pairs of its sectors are never built).  On either,
+    the 281-point grid takes at most three exponentials (e^{i g t_0},
+    e^{i g cols dt}, e^{i g dt}) per gap and no cos or sin."""
     ens = _relaxation_thermal_spectrum().ensemble
     solved = collections.Counter()
     eigh = np.linalg.eigh
@@ -656,6 +704,7 @@ def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
     assert solved == collections.Counter(dim // 2 for *_, dim in keys if dim >= 2)
     assert sum(solved.values()) == 666
     assert sum(n ** 3 * count for n, count in solved.items()) == 124_753
+    assert spectrum.gaps.size == 18_764
     solved.clear()
     eig = spectrum.eig
     assert solved == collections.Counter(dim for *_, dim in keys)
@@ -671,6 +720,11 @@ def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
             assert eig[s][1].tobytes() == eig[m][1].tobytes()
     assert mirrored > 0
     assert spectrum.eig is eig and sum(solved.values()) == 721    # a second read
+    solved.clear()
+    detuned = EnsembleSpectrum(dataclasses.replace(ens, detuning=TWO_PI * 3e3))
+    assert solved == collections.Counter(dim for *_, dim in keys)
+    assert detuned.gaps.size == 34_629
+    assert int((sec.dim * (sec.dim - 1) // 2).sum()) == 54_667
 
     elements = {"exp": 0, "cos": 0, "sin": 0}
     for name in elements:
@@ -678,9 +732,11 @@ def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
             elements[_name] += np.size(x)
             return _f(x, *args, **kwargs)
         monkeypatch.setattr(np, name, counted)
-    spectrum.means_at(np.linspace(0.0, 700e-6, 281))
-    assert elements["cos"] == elements["sin"] == 0
-    assert 0 < elements["exp"] <= 3 * spectrum.gaps.size
+    for grid_spectrum in (spectrum, detuned):
+        elements.update(exp=0)
+        grid_spectrum.means_at(np.linspace(0.0, 700e-6, 281))
+        assert elements["cos"] == elements["sin"] == 0
+        assert 0 < elements["exp"] <= 3 * grid_spectrum.gaps.size
 
 
 def test_ensemble_above_the_pair_limit_is_rejected(monkeypatch):
