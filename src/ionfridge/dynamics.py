@@ -197,46 +197,39 @@ def _powers(first: np.ndarray, ratio: np.ndarray, n: int) -> np.ndarray:
     return out
 
 
-def _exp_columns(t: np.ndarray, z: np.ndarray, real: bool) -> np.ndarray:
-    """e^{z_j t_i}, shape (t.size, z.size), or with ``real`` its real part:
-    for real z at complex times e^{z Re t} cos(z Im t), the exponential taken
-    only if some Re t != 0."""
-    if real and np.isrealobj(z) and np.iscomplexobj(t):
-        f = np.cos(np.outer(t.imag, z))
-        if t.real.any():
-            f *= np.exp(np.outer(t.real, z))
-        return f
-    f = np.exp(np.outer(t, z))
-    return f.real if real else f
-
-
-def _kernel_sums(t: np.ndarray, z: np.ndarray, coef: np.ndarray, start: float = 0.0,
+def _kernel_sums(t: np.ndarray, z: np.ndarray, coef: np.ndarray,
                  real: bool = False) -> np.ndarray:
-    """start + sum_j coef[j, k] e^{z_j t_i}, shape (t.size, coef.shape[1]).
+    """sum_j coef[j, k] e^{z_j t_i}, shape (t.size, coef.shape[1]).
 
-    ``t`` and ``z`` may each be real or complex.  With ``real`` the sum's
-    real part, so real gaps g at imaginary times i t give sum coef cos(g t)
-    for real coefficients, as the unitary means take it.  On the
-    :func:`_tableau` of ``t``, e^{z t} factors as a row factor e^{z t_0}
-    (e^{z cols dt})^a times an offset factor (e^{z dt})^b, the powers built
-    by repeated multiplication, so each exponent takes three exponentials;
-    each block of exponents then adds, for every column k,
-    (rows * coef[:, k]) @ offsets.T, all columns in one product (for the
+    Its callers: the unitary means and marginals (real gaps g at imaginary
+    times i t, with ``real``: sum coef cos(g t)), the incoherent means (real
+    exponents at real times, with ``real``), and the flopping sums and the
+    periodogram of :mod:`ionfridge.measurement` (complex exponents at real
+    times or frequencies).  Other real or complex t and z are summed
+    exactly too.  On the :func:`_tableau` of ``t``, e^{z t} factors as a row
+    factor e^{z t_0} (e^{z cols dt})^a times an offset factor (e^{z dt})^b,
+    the powers built by repeated multiplication, so each exponent takes
+    three exponentials; each block of exponents then adds, for every column
+    k, (rows * coef[:, k]) @ offsets.T, all columns in one product (for the
     real part, one real product over interleaved real and imaginary parts).
-    Any other grid takes the factors at every time (:func:`_exp_columns`).
-    Blocks keep each factor block near ``_KERNEL_BLOCK`` complex elements.
+    Any other grid takes e^{z t} at every time, as cos(g t) where ``real``
+    meets real z and purely imaginary times.  Blocks keep each factor block
+    near ``_KERNEL_BLOCK`` complex elements.
     """
     cols = coef.shape[1]
-    dtype = float if real else np.result_type(t, z, coef, start)
+    dtype = float if real else np.result_type(t, z, coef)
     grid = _tableau(t)
     if grid is None:
-        sums = np.full((t.size, cols), start, dtype=dtype)
+        sums = np.zeros((t.size, cols), dtype=dtype)
+        cosine = real and np.isrealobj(z) and np.iscomplexobj(t) and not t.real.any()
         step = max(1, _KERNEL_BLOCK // max(1, t.size))
         for lo in range(0, z.size, step):
-            sums += _exp_columns(t, z[lo:lo + step], real) @ coef[lo:lo + step]
+            zb = z[lo:lo + step]
+            f = np.cos(np.outer(t.imag, zb)) if cosine else np.exp(np.outer(t, zb))
+            sums += (f.real if real else f) @ coef[lo:lo + step]
         return sums
     t0, dt, rows, offsets = grid
-    sums = np.full((rows * cols, offsets), start, dtype=dtype)
+    sums = np.zeros((rows * cols, offsets), dtype=dtype)
     step = max(1, _KERNEL_BLOCK // (rows + offsets))
     for lo in range(0, z.size, step):
         zb, cb = z[lo:lo + step], coef[lo:lo + step]
@@ -276,7 +269,8 @@ class EnsembleSpectrum:
     """Eigendecomposition of every sector of an ensemble, the one spectral core.
 
     Each distinct sector matrix is solved once (see
-    :func:`_distinct_matrices`; mirror sectors share it).  ``eig`` holds
+    :func:`_distinct_matrices`, whose map is built once per spectrum and
+    kept for ``eig``; mirror sectors share a matrix).  ``eig`` holds
     sector ``i``'s (in ``ensemble.sectors`` order) ascending eigenvalues
     ``lam``, eigenvectors ``vec`` (columns) and its initial populations
     rotated to the eigenbasis, ``b = vec.T diag(pops) vec`` (real), as views
@@ -336,7 +330,7 @@ class EnsembleSpectrum:
             raise DomainError(f"the ensemble holds {pairs} eigenvalue pairs, more than "
                               f"MAX_SECTOR_PAIRS = {MAX_SECTOR_PAIRS}; lower the per-mode "
                               "caps or raise epsilon to shrink it")
-        solved, mirror, bounds = _distinct_matrices(sec_N, sec_M, sec_k_lo, dim)
+        solved, mirror, bounds = self._matrices = _distinct_matrices(sec_N, sec_M, sec_k_lo, dim)
         # the mirror fold q: the weighted populations of each matrix's sectors
         # summed, per half size n = dim // 2 one (matrices, 2n + 1) array whose
         # even dimensions leave their last column zero
@@ -451,7 +445,7 @@ class EnsembleSpectrum:
         """Per sector (lam, vec, b), solved on the first read (see the class)."""
         sec_N, sec_M, sec_k_lo, dim, start = (self.ensemble.sectors[name] for name
                                               in ("N", "M", "k_lo", "dim", "start"))
-        solved, mirror, bounds = _distinct_matrices(sec_N, sec_M, sec_k_lo, dim)
+        solved, mirror, bounds = self._matrices
         eig = [None] * dim.size
         for d, rows, lam, vec in self._dense_solves(sec_N[solved], sec_M[solved],
                                                     sec_k_lo[solved], bounds):
@@ -466,7 +460,7 @@ class EnsembleSpectrum:
 
     def _means(self, t: np.ndarray, z: np.ndarray) -> np.ndarray:
         """[n_h, sum w N - n_h, sum w M - n_h], n_h = nh_dephased + sum coef Re e^{z t}."""
-        n_h = _kernel_sums(t, z, self.coef[:, None], self.nh_dephased, real=True)[:, 0]
+        n_h = self.nh_dephased + _kernel_sums(t, z, self.coef[:, None], real=True)[:, 0]
         return np.array([n_h, self.sum_wN - n_h, self.sum_wM - n_h])
 
     def _unitary_grid(self, t_grid) -> np.ndarray:

@@ -33,7 +33,7 @@ from .benchmarks import (OccupationTriple, equilibrium_cold_occupation,
                          equilibrium_shift, extract_equilibrium_nc)
 from .dynamics import (EnsembleSpectrum, ThreeModeEnsemble, assemble_initial,
                        default_incoherence_strength)
-from .errors import DomainError, ScenarioError
+from .errors import DomainError, ScenarioError, ValidationError
 from .fockspace import TruncationPolicy
 from .measurement import SidebandConfig, red_sideband_brightness
 from .states import PREP_KINDS, ModePrep, prep_mean
@@ -606,7 +606,7 @@ class RelaxationStudy:
             ["label", "nbar_w_eff", "nbar_c_in", "nbar_c_ss", "delta_nc0",
              "measured_ss"],
             [[tr.label, tr.nbar_w_eff, tr.nbar_c_in, tr.nbar_c_ss,
-              tr.nbar_c_in - tr.nbar_c_ss, tr.measured_ss] for tr in self.traces],
+              tr.nbar_c[0] - tr.nbar_c_ss, tr.measured_ss] for tr in self.traces],
             self.metadata)
         return [traces_path, summary_path]
 
@@ -644,6 +644,9 @@ def fig3_dataset(base: Scenario,
     caller-supplied ones) on the base scenario's grid and truncation.  The
     six thermal presets keep the base coupling; the four squeezed-work
     presets run at z425's Hamiltonian rate, where they were recorded.
+    Each delta subtracts two means of one truncated ensemble, not a
+    truncated mean from the preparation's; ``nbar_c_in`` stays the
+    preparation's mean.
     """
     if scenarios is None:
         scenarios = relaxation_scenarios(base)
@@ -654,7 +657,10 @@ def fig3_dataset(base: Scenario,
             label=s.name, nbar_w_eff=prep_mean(s.preps[1]), nbar_c_in=prep_mean(s.preps[2]),
             nbar_c_ss=rule.occupations(spectrum, s).nbar_c, tau=s.time_grid.copy(),
             nbar_c=spectrum.means_at(s.time_grid)[2], measured_ss=measured))
-    return RelaxationStudy(traces=traces, metadata=_base_metadata(base, "fig3", None))
+    return RelaxationStudy(traces=traces, metadata=dict(
+        _base_metadata(base, "fig3", None),
+        deltas="delta_nbar_c = nbar_c - nbar_c_ss and delta_nc0 = nbar_c at the first grid "
+               "time - nbar_c_ss, both ends from one truncated ensemble"))
 
 
 # ---------------------------------------------------------------------------
@@ -686,7 +692,7 @@ class SingleShotPoint:
     nbar_w: float
     tau_star: float                 # s
     nbar_c_min: float
-    delta_single_shot: float        # nbar_c_in - nbar_c(tau*)
+    delta_single_shot: float        # nbar_c(first grid time) - nbar_c(tau*), one ensemble
     delta_dephased: float           # nbar_c_in - dephased steady state
     delta_classical: float          # exchange-balance equilibrium benchmark
     nbar_c_min_incoherent: float = math.nan
@@ -712,7 +718,13 @@ class SingleShotStudy:
 
 
 def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleShotPoint:
-    """Transient cold-mode minimum of one scenario vs the two benchmarks."""
+    """Transient cold-mode minimum of one scenario vs the two benchmarks.
+
+    ``delta_single_shot`` subtracts the minimum from the grid's first value,
+    both means of the one truncated ensemble, so where the cold mode only
+    heats it is not positive.  ``delta_dephased`` subtracts the dephased
+    mean from the preparation's.
+    """
     grid = s.time_grid
     if grid.size < 3:
         raise ScenarioError("single-shot search needs >= 3 grid points")
@@ -734,8 +746,7 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
     nbar_c_min = nc_at(tau_star)
 
     occ = OccupationTriple(*(prep_mean(p) for p in s.preps))
-    nc_in = occ.nbar_c
-    delta_dephased = nc_in - spectrum.dephased_moments().nbar_c
+    delta_dephased = occ.nbar_c - spectrum.dephased_moments().nbar_c
     delta_classical = -equilibrium_shift(occ)
 
     nc_min_inc = math.nan
@@ -745,7 +756,7 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
         nc_min_inc = float(nc_inc.min())
     return SingleShotPoint(
         nbar_w=prep_mean(s.preps[1]), tau_star=tau_star, nbar_c_min=nbar_c_min,
-        delta_single_shot=nc_in - nbar_c_min, delta_dephased=delta_dephased,
+        delta_single_shot=float(nc[0]) - nbar_c_min, delta_dephased=delta_dephased,
         delta_classical=delta_classical, nbar_c_min_incoherent=nc_min_inc)
 
 
@@ -757,7 +768,11 @@ def fig4_dataset(base: Scenario, nbar_w_values: Sequence[float] | None = None) -
         raise ScenarioError("fig4 needs a work_nbar sweep")
     points = [single_shot_point(with_thermal(base, "work", nw), include_incoherent=True)
               for nw in nbar_w_values]
-    return SingleShotStudy(points=points, metadata=_base_metadata(base, "fig4", None))
+    return SingleShotStudy(points=points, metadata=dict(
+        _base_metadata(base, "fig4", None),
+        deltas="delta_single_shot = nbar_c at the first grid time - nbar_c_min, both from one "
+               "truncated ensemble; delta_dephased = the cold preparation's mean - the "
+               "dephased nbar_c"))
 
 
 # ---------------------------------------------------------------------------
@@ -770,9 +785,14 @@ def write_dataset_csv(path, columns: Sequence[str], rows, metadata: dict) -> Non
 
     Strings (labels) pass through; every other value is emitted with 12
     significant digits.  Output is deterministic (sorted metadata keys, LF
-    endings, no timestamps).
+    endings, no timestamps).  A row whose length is not the header's is a
+    ValidationError naming it, raised before the file is opened.
     """
-    path = Path(path)
+    path, rows = Path(path), list(rows)
+    for i, row in enumerate(rows):
+        if len(row) != len(columns):
+            raise ValidationError(f"{path}: rows[{i}] has {len(row)} cells, the header "
+                                  f"{len(columns)}")
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# " + json.dumps(metadata, sort_keys=True,

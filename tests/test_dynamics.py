@@ -604,6 +604,7 @@ _KERNELS = {
     "decay": (-np.linspace(0.0, 2e4, 150), 1.0, True),
     "complex": (np.sqrt(np.arange(150) + 1.0) * complex(-600.0, TWO_PI * 50e3), 1.0, False),
     "complex_real": (np.sqrt(np.arange(150) + 1.0) * complex(-600.0, TWO_PI * 50e3), 1.0, True),
+    "cos_growth": (np.linspace(-3e5, 3e5, 150), complex(0.01, 1.0), True),
     "no_exponents": (np.zeros(0), 1j, True),
 }
 _KERNEL_TIMES = {
@@ -621,24 +622,25 @@ _KERNEL_TIMES = {
 @pytest.mark.parametrize("times", list(_KERNEL_TIMES))
 @pytest.mark.parametrize("kernel", list(_KERNELS))
 def test_kernel_sums_match_direct_sums(monkeypatch, kernel, times, cols, block):
-    """start + sum_j coef[j, k] e^{z_j t_i}, or its real part, at real or
-    imaginary times, against e^{z t} taken at every time and exponent, to
-    1e-12 of start + sum_j |coef[j, k]|; with no exponents the sums are the
-    start.  The two-point grid is a tableau of one row.  A block of 100
-    complex factors cuts the 150 exponents into blocks of 2 on the 300-point
-    grids (17 rows and 18 offsets), 33 on the two-point grid, 2 on the
-    non-uniform one and 100 at one point."""
+    """sum_j coef[j, k] e^{z_j t_i}, or its real part, at real, imaginary or
+    complex times, against e^{z t} taken at every time and exponent, to
+    1e-12 of sum_j |coef[j, k]|; with no exponents the sums are zero.  Real
+    gaps at complex times with ``real`` ("cos_growth") take the exponential
+    where imaginary times take the cosine.  The two-point grid is a tableau
+    of one row.  A block of 100 complex factors cuts the 150 exponents into
+    blocks of 2 on the 300-point grids (17 rows and 18 offsets), 33 on the
+    two-point grid, 2 on the non-uniform one and 100 at one point."""
     z, factor, real = _KERNELS[kernel]
     t = factor * _KERNEL_TIMES[times]
     if block is not None:
         monkeypatch.setattr(dynamics, "_KERNEL_BLOCK", block)
     coef = np.random.default_rng(cols).normal(size=(z.size, cols))
-    sums = _kernel_sums(t, z, coef, start=0.3, real=real)
+    sums = _kernel_sums(t, z, coef, real=real)
     assert sums.shape == (t.size, cols)
     assert np.isrealobj(sums) == (real or np.isrealobj(t) and np.isrealobj(z))
     direct = np.exp(np.outer(t, z))
-    bound = 0.3 + np.abs(coef).sum(axis=0)
-    np.testing.assert_allclose(sums, 0.3 + (direct.real if real else direct) @ coef,
+    bound = np.abs(coef).sum(axis=0)
+    np.testing.assert_allclose(sums, (direct.real if real else direct) @ coef,
                                rtol=0, atol=1e-12 * bound.max())
 
 
@@ -683,11 +685,13 @@ def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
     sum (dim // 2)^3 = 124,753, for 18,764 gaps.  The first read of ``eig``
     adds one d x d solve per distinct key, 721 matrices and
     sum d^3 = 1,102,276, the mirror sectors (N, M) and (M, N) sharing it,
-    bit for bit; a second read solves nothing.  Its 3 kHz twin takes the
-    same 721 d x d solves for 34,629 gaps, one per pair of each distinct
-    matrix (the 54,667 pairs of its sectors are never built).  On either,
-    the 281-point grid takes at most three exponentials (e^{i g t_0},
-    e^{i g cols dt}, e^{i g dt}) per gap and no cos or sin."""
+    bit for bit; a second read solves nothing.  The map of distinct
+    matrices is built once per spectrum, however often ``eig`` and
+    ``marginals_at`` read it (before, reading ``eig`` built it again).  Its
+    3 kHz twin takes the same 721 d x d solves for 34,629 gaps, one per pair
+    of each distinct matrix (the 54,667 pairs of its sectors are never
+    built).  On either, the 281-point grid takes at most three exponentials
+    (e^{i g t_0}, e^{i g cols dt}, e^{i g dt}) per gap and no cos or sin."""
     ens = _relaxation_thermal_spectrum().ensemble
     solved = collections.Counter()
     eigh = np.linalg.eigh
@@ -697,6 +701,14 @@ def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
         return eigh(a, *args, **kwargs)
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    maps = []
+    distinct = dynamics._distinct_matrices
+
+    def counted_distinct(*args):
+        maps.append(None)
+        return distinct(*args)
+
+    monkeypatch.setattr(dynamics, "_distinct_matrices", counted_distinct)
     spectrum = EnsembleSpectrum(ens)
     sec = ens.sectors
     keys = {(min(N, M), max(N, M), k_lo, dim)
@@ -720,10 +732,14 @@ def test_kernel_and_eigensolve_work_is_pinned(monkeypatch):
             assert eig[s][1].tobytes() == eig[m][1].tobytes()
     assert mirrored > 0
     assert spectrum.eig is eig and sum(solved.values()) == 721    # a second read
+    spectrum.marginals_at(np.linspace(0.0, 700e-6, 3))
+    assert len(maps) == 1
     solved.clear()
     detuned = EnsembleSpectrum(dataclasses.replace(ens, detuning=TWO_PI * 3e3))
     assert solved == collections.Counter(dim for *_, dim in keys)
     assert detuned.gaps.size == 34_629
+    detuned.marginals_at(np.linspace(0.0, 700e-6, 3))
+    assert len(maps) == 2
     assert int((sec.dim * (sec.dim - 1) // 2).sum()) == 54_667
 
     elements = {"exp": 0, "cos": 0, "sin": 0}

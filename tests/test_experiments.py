@@ -624,7 +624,7 @@ def test_fig3_preset_labels_and_coupling():
     assert pairs[6][0].preps[1].r == 1.34
 
 
-def test_fig3_dataset_subset():
+def test_fig3_dataset_subset(tmp_path):
     base = reference_scenario("z570", t_stop=400e-6, num=41)
     pairs = relaxation_scenarios(base)[:2]
     study = fig3_dataset(base, scenarios=pairs)
@@ -635,6 +635,14 @@ def test_fig3_dataset_subset():
     assert tr.measured_ss == pytest.approx(2.11)
     # cooling row: steady state below the input occupation
     assert tr.nbar_c_ss < tr.nbar_c_in
+    # delta_nc0 takes both ends from the truncated ensemble: the trace's first
+    # value, not the preparation's mean (which carries the discarded tail)
+    meta, cols, data = read_dataset_csv(study.write(tmp_path)[1])
+    assert "first grid time" in meta["deltas"]
+    for row, trace in zip(data, study.traces):
+        assert row[cols.index("delta_nc0")] == pytest.approx(
+            trace.nbar_c[0] - trace.nbar_c_ss, rel=1e-11)
+        assert row[cols.index("nbar_c_in")] == pytest.approx(trace.nbar_c_in, rel=1e-11)
     # an empty averaging window is an error, named by its start in us
     late = SteadyStateRule(method="window_average", window_start=500e-6)
     with pytest.raises(ValidationError, match="after window_start = 500 us"):
@@ -655,7 +663,8 @@ def test_single_shot_point_cooling_row():
     pt = single_shot_point(s)
     assert 0.0 < pt.tau_star < 200e-6
     assert pt.nbar_c_min < 2.63
-    assert pt.delta_single_shot == pytest.approx(2.63 - pt.nbar_c_min, rel=1e-9)
+    start = EnsembleSpectrum(build_ensemble(s)).means_at(s.time_grid[:1])[2, 0]
+    assert pt.delta_single_shot == pytest.approx(start - pt.nbar_c_min, rel=1e-9)
     assert pt.delta_single_shot > pt.delta_dephased > 0.0
     assert pt.delta_classical > 0.0
     assert math.isnan(pt.nbar_c_min_incoherent)
@@ -673,6 +682,28 @@ def test_fig4_dataset_uses_sweep(tmp_path):
     assert data.shape == (2, 7)
     with pytest.raises(ScenarioError):
         fig4_dataset(s)  # no sweep on the reference scenario
+
+
+def test_fig4_single_shot_delta_takes_both_ends_from_one_ensemble(tmp_path):
+    """On ``scenarios/single_shot.json`` (epsilon 1e-4) the cold mode only
+    heats at nbar_w 1.1, 0.67, 0.37 and 0.19, so no single-shot cooling may
+    be reported there; the two cooling points lie within 5e-4 of an epsilon
+    1e-8 run.  Before, delta_single_shot subtracted the truncated minimum
+    from the preparation's mean and read +1.71e-3 to +1.77e-3 at the four
+    points, and 1.5e-3 and 1.7e-3 above the tight run at the other two."""
+    base = load_scenario(_SHIPPED / "single_shot.json")
+    study = fig4_dataset(base)
+    by_nbar = {p.nbar_w: p for p in study.points}
+    for nbar_w in (1.1, 0.67, 0.37, 0.19):
+        assert by_nbar[nbar_w].delta_single_shot <= 0.0
+    tight = dataclasses.replace(base, truncation=dataclasses.replace(base.truncation,
+                                                                     epsilon=1e-8))
+    for converged in fig4_dataset(tight, nbar_w_values=[4.44, 2.16]).points:
+        assert abs(by_nbar[converged.nbar_w].delta_single_shot
+                   - converged.delta_single_shot) <= 5e-4
+    meta, cols, data = read_dataset_csv(study.write(tmp_path)[0])
+    assert "first grid time" in meta["deltas"]
+    assert np.all(data[2:, cols.index("delta_single_shot")] <= 0.0)
 
 
 def test_fig4_csv_carries_the_incoherent_minimum(tmp_path):
@@ -700,6 +731,17 @@ def test_dataset_csv_round_trip(tmp_path):
     text = path.read_text()
     assert text.startswith("# {")
     assert "\r" not in text
+
+
+def test_dataset_csv_rejects_a_row_of_the_wrong_length(tmp_path):
+    """Before, the row was written and only read_dataset_csv rejected the file."""
+    path = tmp_path / "data.csv"
+    with pytest.raises(ValidationError, match=r"rows\[1\] has 3 cells, the header 2"):
+        write_dataset_csv(path, ["a", "b"], [[1.0, 2.0], [3.0, 4.0, 5.0]], {})
+    assert not path.exists()
+    # rows are read twice, to check them and to write them: a generator too
+    write_dataset_csv(path, ["a", "b"], ([float(i), 2.0 * i] for i in range(3)), {})
+    assert read_dataset_csv(path)[2].tolist() == [[0.0, 0.0], [1.0, 2.0], [2.0, 4.0]]
 
 
 def test_fig3_csv_row_text_is_pinned(tmp_path):

@@ -339,27 +339,30 @@ def test_fit_thermal_round_trip():
     assert res.populations.sum() == pytest.approx(1.0, rel=1e-9)
 
 
-#: model -> the distribution of its benchmark record from a uniform draw u(lo, hi)
+#: model -> (the distribution of its benchmark record from its parameters,
+#: their names and uniform ranges in draw order)
 _BENCH_DISTRIBUTIONS = {
-    "thermal": lambda u: thermal_distribution(u(1.5, 2.1), 150, 1.0),
-    "coherent": lambda u: coherent_distribution(u(0.4, 0.9), 150, 1.0),
-    "squeezed_vacuum": lambda u: squeezed_vacuum_distribution(u(0.9, 1.2), 150, 1.0),
-    "squeezed_thermal": lambda u: squeezed_thermal_distribution(u(0.6, 0.9), u(1.0, 1.3),
-                                                                150, 1.0),
-    "free": lambda u: thermal_distribution(u(1.5, 2.1), 150, 1.0),
+    "thermal": (lambda nbar: thermal_distribution(nbar, 150, 1.0), {"nbar": (1.5, 2.1)}),
+    "coherent": (lambda mbar: coherent_distribution(mbar, 150, 1.0), {"mbar": (0.4, 0.9)}),
+    "squeezed_vacuum": (lambda r: squeezed_vacuum_distribution(r, 150, 1.0), {"r": (0.9, 1.2)}),
+    "squeezed_thermal": (lambda nbar, r: squeezed_thermal_distribution(nbar, r, 150, 1.0),
+                         {"nbar": (0.6, 0.9), "r": (1.0, 1.3)}),
+    "free": (lambda nbar: thermal_distribution(nbar, 150, 1.0), {"nbar": (1.5, 2.1)}),
 }
 
 
 def _bench_record(seed, model="thermal"):
     """Seeded flopping record of the model's kind drawn like the benchmark's
-    (free fits: a thermal record)."""
+    (free fits: a thermal record), and its distribution parameters."""
     rng = np.random.default_rng(seed)
     u = rng.uniform
-    dist = _BENCH_DISTRIBUTIONS[model](u)
+    build, ranges = _BENCH_DISTRIBUTIONS[model]
+    truth = {name: u(lo, hi) for name, (lo, hi) in ranges.items()}
     contrast, background, gamma0 = u(0.92, 0.97), u(0.01, 0.03), u(500.0, 700.0)
-    return synthetic_brightness(dist, SidebandConfig(omega_rabi=OMEGA, gamma0=gamma0),
-                                np.linspace(0.5e-6, 150e-6, 300), contrast,
-                                background, 0.02, rng)
+    cfg = SidebandConfig(omega_rabi=OMEGA, gamma0=gamma0)
+    samples = synthetic_brightness(build(**truth), cfg, np.linspace(0.5e-6, 150e-6, 300),
+                                   contrast, background, 0.02, rng)
+    return samples, truth
 
 
 @pytest.mark.parametrize("model", list(FIT_MODELS))
@@ -367,7 +370,7 @@ def test_fit_jacobian_matches_central_differences(model):
     """The analytic Jacobian of every fit model against central differences
     of its residuals, at seeded internal parameters."""
     rng = np.random.default_rng(sorted(FIT_MODELS).index(model))
-    samples = _bench_record(7)
+    samples, _ = _bench_record(7)
     ts, ys, sigmas = (np.array([getattr(s, f) for s in samples]) for f in ("t", "p_up", "sigma"))
     fit = _FloppingFit(model, ts, ys, sigmas)
     dist_seeds = FIT_MODELS[model][0]
@@ -458,7 +461,7 @@ def test_omega_seed_is_the_direct_periodogram_peak():
     rule gives."""
     rng = np.random.default_rng(9)
     p = thermal_distribution(1.2, cutoff=150, tail_budget=1.0)
-    records = [_bench_record(3)]
+    records = [_bench_record(3)[0]]
     for t in (rng.uniform(0.5e-6, 150e-6, 120),
               np.repeat(np.linspace(0.5e-6, 150e-6, 100), 3) + rng.uniform(-1e-9, 1e-9, 300)):
         records.append(synthetic_brightness(p, SidebandConfig(omega_rabi=OMEGA, gamma0=600.0),
@@ -482,7 +485,7 @@ def test_fit_reaches_a_true_minimum(model):
     model.  On the free record the fit once stopped short, at reduced chi^2
     1.1054 where 1.0751 is reachable, and a solver that scaled its damping by
     the Jacobian's column norms stopped at 1.1189."""
-    samples = _bench_record(18, model)
+    samples, _ = _bench_record(18, model)
     res = fit_distribution(samples, model)
     ts, ys = np.array([s.t for s in samples]), np.array([s.p_up for s in samples])
 
@@ -510,10 +513,31 @@ def test_fit_reaches_a_true_minimum(model):
         assert res.reduced_chi2 < 1.08
 
 
+def test_fit_errors_cover_the_truth_at_the_nominal_rate():
+    """The coverage pin: fit each parametric model to 40 seeded benchmark
+    records of its kind, and take z = (fit - truth) / error for every
+    distribution parameter, 200 in all.  |z| < 2 must hold in at least as
+    many as the binomial lower limit of the nominal 0.954 at level 1e-3, so
+    honest errors fail the pin in under 1 in 1000 record sets; it read 0.955
+    when written."""
+    z = []
+    for seed in range(40):
+        for model in ("thermal", "coherent", "squeezed_vacuum", "squeezed_thermal"):
+            samples, truth = _bench_record(seed, model)
+            res = fit_distribution(samples, model)
+            z += [(res.params[name] - value) / res.errors[name] for name, value in truth.items()]
+    assert len(z) == 200
+    nominal = math.erf(2.0 / math.sqrt(2.0))
+    below = np.cumsum([math.comb(200, k) * nominal ** k * (1.0 - nominal) ** (200 - k)
+                       for k in range(201)])
+    limit = int(np.searchsorted(below, 1e-3))    # P(covered < limit) < 1e-3
+    assert sum(abs(v) < 2.0 for v in z) >= limit
+
+
 def test_free_fit_reports_infinite_errors_along_dropped_directions():
     """Logits of populations the record cannot see sit on dropped singular
     directions; their errors are inf (before, ~1e-9 from the pseudo-inverse)."""
-    res = fit_distribution(_bench_record(16), "free")
+    res = fit_distribution(_bench_record(16)[0], "free")
     unresolved = [name for name, err in res.errors.items() if math.isinf(err)]
     assert len(unresolved) == len(res.errors) - res.rank > 0    # rank 14 of 17 here
     assert all(name.startswith("logit") for name in unresolved)
