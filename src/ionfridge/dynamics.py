@@ -14,10 +14,12 @@ matrix is xi J with J tridiagonal and zero on the diagonal: its spectrum
 is symmetric (+-xi sigma) and its eigenvectors split over the even and
 odd sites, so one batched ``eigh`` of a floor(d/2) tridiagonal block per
 half size gives the means of every sector.  Detuned ensembles, and
-xi = 0, take one batched ``eigh`` of the d x d matrices per dimension;
-the per-sector eigenvectors that only the marginals read come from that
-d x d solve for every ensemble, made when first read.  Means are one
-projected observable:
+xi = 0, take one batched ``eigh`` of the d x d matrices per dimension,
+made once per spectrum when first read; the per-sector eigenvectors that
+only the marginals read come from those d x d solves for every ensemble.
+Both paths read one mirror fold, the weighted populations of the sectors
+that share a matrix summed into one padded (matrices, max dim + 1)
+array, one row per distinct matrix.  Means are one projected observable:
 inside sector (N, M), n_w = N - n_h and n_c = M - n_h, so with the hot
 number projected onto each eigenbasis once, all sectors flatten into one
 vector of gaps g, one per eigenvalue pair of each distinct matrix (the
@@ -269,24 +271,33 @@ class EnsembleSpectrum:
     """Eigendecomposition of every sector of an ensemble, the one spectral core.
 
     Each distinct sector matrix is solved once (see
-    :func:`_distinct_matrices`, whose map is built once per spectrum and
-    kept for ``eig``; mirror sectors share a matrix).  ``eig`` holds
+    :func:`_distinct_matrices`; mirror sectors share a matrix).  Its map
+    (``_mirror``, ``_bounds``) and the distinct matrices' columns (``_N``,
+    ``_M``, ``_k_lo``, of each matrix's first sector) are built once per
+    spectrum and read by both gap tables, by :meth:`_couplings`, which
+    gives both paths their couplings t_k = sqrt((k + 1)(N - k)(M - k)) at
+    unit xi, and by ``eig``.  ``eig`` holds
     sector ``i``'s (in ``ensemble.sectors`` order) ascending eigenvalues
     ``lam``, eigenvectors ``vec`` (columns) and its initial populations
     rotated to the eigenbasis, ``b = vec.T diag(pops) vec`` (real), as views
     of batched arrays (mirror sectors share one ``lam`` and one ``vec``).
     It is built when first read (:meth:`marginals_at`), never for the
-    means, from the d x d solves of the general path below
-    (:meth:`_dense_solves`) for every ensemble, so a detuned ensemble whose
-    ``eig`` is read solves its matrices twice.
+    means, from the d x d solves of the general path below for every
+    ensemble: ``_dense_solves`` is one list per spectrum, solved on its
+    first read, so a detuned ensemble's gap table and ``eig`` share one
+    solve per matrix.
 
     For the means, with A = vec.T diag(n_h) vec and sector weight w, each
     pair i < j of each sector contributes the gap lam_j - lam_i with the
     coefficient 2 w b_ij A_ij, and ``nh_dephased`` = sum w b_ii A_ii.
     Mirror sectors share lam, vec and A, so both paths take the pairs once
     per distinct matrix, with P = vec.T diag(q) vec in place of w b: q, the
-    mirror fold, sums the weighted populations of the matrix's sectors and
-    is built once per spectrum.  The two paths:
+    mirror fold, sums the weighted populations of the matrix's sectors.  It
+    is built once per spectrum, by one ``bincount``, as one (matrices,
+    max dim + 1) array, row ``_mirror[s]`` for sector s and zero past the
+    matrix's dimension: the general path reads ``fold[rows, :d]``, the
+    resonant one ``fold[rows, :2n + 1]``, where an even dimension's last
+    column is zero.  The two paths:
 
     - Resonant (zero detuning, xi > 0): H = xi J, J tridiagonal with
       couplings t_k and a zero diagonal.  With the even sites first,
@@ -306,7 +317,7 @@ class EnsembleSpectrum:
       (Pe + Po)(Ne + No) plus the zero mode's term.
     - General (detuned, or xi = 0, where the number basis is the
       eigenbasis): the matrices of each dimension d are stacked as one
-      (S_d, d, d) array for one ``eigh`` (:meth:`_dense_solves`), q and
+      (S_d, d, d) array for one ``eigh`` (``_dense_solves``), q and
       n_h projected by batched products (vec.T * q) @ vec, and every pair
       i < j of every matrix taken with 2 P_ij A_ij.
 
@@ -330,22 +341,18 @@ class EnsembleSpectrum:
             raise DomainError(f"the ensemble holds {pairs} eigenvalue pairs, more than "
                               f"MAX_SECTOR_PAIRS = {MAX_SECTOR_PAIRS}; lower the per-mode "
                               "caps or raise epsilon to shrink it")
-        solved, mirror, bounds = self._matrices = _distinct_matrices(sec_N, sec_M, sec_k_lo, dim)
+        solved, self._mirror, self._bounds = _distinct_matrices(sec_N, sec_M, sec_k_lo, dim)
+        self._N, self._M, self._k_lo = sec_N[solved], sec_M[solved], sec_k_lo[solved]
         # the mirror fold q: the weighted populations of each matrix's sectors
-        # summed, per half size n = dim // 2 one (matrices, 2n + 1) array whose
-        # even dimensions leave their last column zero
-        width = dim[solved] // 2 * 2 + 1
-        slot = np.cumsum(width) - width
+        # summed, one row per matrix, zero past its dimension
+        width = dim.max() + 1
         owner = np.repeat(np.arange(dim.size), dim)
         row = np.arange(owner.size) - (np.cumsum(dim) - dim)[owner]
-        q = np.bincount(slot[mirror[owner]] + row, minlength=width.sum(),
-                        weights=weight[owner] * ensemble.pops[start[owner] + row])
-        fold = [part.reshape(-1, 2 * n + 1) for n, part
-                in enumerate(np.split(q, np.append(slot, q.size)[bounds[::2][1:-1]]))]
+        fold = np.bincount(self._mirror[owner] * width + row, minlength=solved.size * width,
+                           weights=weight[owner] * ensemble.pops[start[owner] + row])
         resonant = ensemble.detuning == 0.0 and ensemble.xi > 0.0
         table = self._resonant_table if resonant else self._general_table
-        gaps, coef, self.nh_dephased = table(sec_N[solved], sec_M[solved], sec_k_lo[solved],
-                                             bounds, fold)
+        gaps, coef, self.nh_dephased = table(fold.reshape(-1, width))
         gaps, coef = np.concatenate(gaps), np.concatenate(coef)
         # sorted: on unsorted gaps the one-point calls (cos) and the
         # incoherent grids took about twice as long, the dense grids ~5 % more
@@ -354,31 +361,33 @@ class EnsembleSpectrum:
         self.sum_wN = float(weight @ sec_N)
         self.sum_wM = float(weight @ sec_M)
 
-    def _dense_solves(self, N, M, k_lo, bounds):
-        """Per dimension d, (d, rows, lam, vec): the distinct d x d matrices,
-        rows ``bounds[d]`` to ``bounds[d + 1] - 1`` of the columns N, M, k_lo
-        of :func:`_distinct_matrices`' ``solved`` sectors, in one batched
-        ``eigh``."""
-        for d in np.flatnonzero(np.diff(bounds)):
-            rows, row = slice(bounds[d], bounds[d + 1]), np.arange(d)
-            lo = k_lo[rows, None]
-            kk = lo + row[:-1]
-            ham = np.zeros((lo.size, d, d))
-            ham[:, row, row] = self.ensemble.detuning * (lo + row)
-            ham[:, row[1:], row[:-1]] = self.ensemble.xi * np.sqrt(
-                (kk + 1.0) * (N[rows, None] - kk) * (M[rows, None] - kk))
-            lam, vec = np.linalg.eigh(ham)          # reads the lower triangle
-            yield d, rows, lam, vec
+    def _couplings(self, rows: slice, d: int) -> np.ndarray:
+        """sqrt((k + 1)(N - k)(M - k)) at k = k_lo .. k_lo + d - 2, the
+        couplings at unit xi of the matrices ``rows``, shape (rows, d - 1)."""
+        k = self._k_lo[rows, None] + np.arange(d - 1)
+        return np.sqrt((k + 1.0) * (self._N[rows, None] - k) * (self._M[rows, None] - k))
 
-    def _general_table(self, N, M, k_lo, bounds, fold):
+    @functools.cached_property
+    def _dense_solves(self) -> list[tuple[int, slice, np.ndarray, np.ndarray]]:
+        """Per dimension d, (d, rows, lam, vec): the distinct d x d matrices,
+        rows ``_bounds[d]`` to ``_bounds[d + 1] - 1``, in one batched ``eigh``,
+        solved on the first read."""
+        solves = []
+        for d in np.flatnonzero(np.diff(self._bounds)):
+            rows, row = slice(self._bounds[d], self._bounds[d + 1]), np.arange(d)
+            ham = np.zeros((rows.stop - rows.start, d, d))
+            ham[:, row, row] = self.ensemble.detuning * (self._k_lo[rows, None] + row)
+            ham[:, row[1:], row[:-1]] = self.ensemble.xi * self._couplings(rows, d)
+            solves.append((d, rows, *np.linalg.eigh(ham)))     # reads the lower triangle
+        return solves
+
+    def _general_table(self, fold):
         """Gap and coefficient blocks and nh_dephased from the d x d solves."""
         gaps, coef = [], []
         nh_dephased = 0.0
-        for d, rows, lam, vec in self._dense_solves(N, M, k_lo, bounds):
-            # this dimension's rows of its half size's fold
-            half = bounds[d - d % 2]
-            q = fold[d // 2][rows.start - half:rows.stop - half, :d]
-            n_h = k_lo[rows, None] + np.arange(d)
+        for d, rows, lam, vec in self._dense_solves:
+            q = fold[rows, :d]
+            n_h = self._k_lo[rows, None] + np.arange(d)
             vec_t = vec.transpose(0, 2, 1)
             # P * A, P = vec.T diag(q) vec and A = vec.T diag(n_h) vec, batched
             terms = ((vec_t * q[:, None, :]) @ vec) * ((vec_t * n_h[:, None, :]) @ vec)
@@ -388,25 +397,23 @@ class EnsembleSpectrum:
             nh_dephased += float(np.einsum("sii->", terms))
         return gaps, coef, nh_dephased
 
-    def _resonant_table(self, N, M, k_lo, bounds, fold):
+    def _resonant_table(self, fold):
         """Gap and coefficient blocks and nh_dephased from the half-size blocks."""
-        xi = self.ensemble.xi
+        xi, bounds = self.ensemble.xi, self._bounds
         gaps, coef = [], []
         nh_dephased = 0.0
-        for n, q_n in enumerate(fold):
+        for n in np.flatnonzero(np.diff(bounds[::2])):
             # half size n: the dimensions 2n (rows :even) and 2n + 1 (rows even:)
-            if not q_n.size:
-                continue
             rows = slice(bounds[2 * n], bounds[2 * n + 2])
+            q_n = fold[rows, :2 * n + 1]
             count, even = len(q_n), bounds[2 * n + 1] - rows.start
             odd = slice(even, None)
-            n_h = k_lo[rows, None] + np.arange(2 * n + 1)
+            n_h = self._k_lo[rows, None] + np.arange(2 * n + 1)
             q_e, q_o, n_e, n_o = q_n[:, 0::2], q_n[:, 1::2], n_h[:, 0::2], n_h[:, 1::2]
             m = np.arange(n)
-            # couplings at unit xi; the even dimensions lack t_2n-1, so the
-            # last row of their B (and of u) is zero
-            kk = n_h[:, :-1]
-            t = np.sqrt((kk + 1.0) * (N[rows, None] - kk) * (M[rows, None] - kk))
+            # the even dimensions lack t_2n-1, so the last row of their B
+            # (and of u) is zero
+            t = self._couplings(rows, 2 * n + 1)
             t[:even, -1:] = 0.0
             t_e, t_o = t[:, 0::2], t[:, 1::2]
             btb = np.zeros((count, n, n))
@@ -442,15 +449,12 @@ class EnsembleSpectrum:
 
     @functools.cached_property
     def eig(self) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-        """Per sector (lam, vec, b), solved on the first read (see the class)."""
-        sec_N, sec_M, sec_k_lo, dim, start = (self.ensemble.sectors[name] for name
-                                              in ("N", "M", "k_lo", "dim", "start"))
-        solved, mirror, bounds = self._matrices
+        """Per sector (lam, vec, b), built on the first read (see the class)."""
+        dim, start = (self.ensemble.sectors[name] for name in ("dim", "start"))
         eig = [None] * dim.size
-        for d, rows, lam, vec in self._dense_solves(sec_N[solved], sec_M[solved],
-                                                    sec_k_lo[solved], bounds):
+        for d, rows, lam, vec in self._dense_solves:
             group = np.flatnonzero(dim == d)
-            local = mirror[group] - rows.start
+            local = self._mirror[group] - rows.start
             own = vec[local]
             pops = self.ensemble.pops[start[group, None] + np.arange(d)]
             b = (own.transpose(0, 2, 1) * pops[:, None, :]) @ own

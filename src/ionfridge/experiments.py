@@ -65,6 +65,12 @@ class SweepSpec:
     work_nbar: tuple[float, ...] = ()
     cold_nbar: tuple[float, ...] = ()
 
+    def __post_init__(self):
+        for name, values in (("work_nbar", self.work_nbar), ("cold_nbar", self.cold_nbar)):
+            if not all(0.0 <= nbar < math.inf for nbar in values):
+                raise ScenarioError(f"sweep.{name} occupations must be finite and >= 0, "
+                                    f"got {values!r}")
+
 
 @dataclass(frozen=True, eq=False)
 class Scenario:
@@ -720,10 +726,12 @@ class SingleShotStudy:
 def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleShotPoint:
     """Transient cold-mode minimum of one scenario vs the two benchmarks.
 
-    ``delta_single_shot`` subtracts the minimum from the grid's first value,
-    both means of the one truncated ensemble, so where the cold mode only
-    heats it is not positive.  ``delta_dephased`` subtracts the dephased
-    mean from the preparation's.
+    ``tau_star`` is the golden-section minimum in the grid steps around the
+    grid's lowest point, or that grid point where it is lower (at t = 0
+    where the cold mode only heats).  ``delta_single_shot`` subtracts the
+    minimum from the grid's first value, both means of the one truncated
+    ensemble, so where the cold mode only heats it is 0.
+    ``delta_dephased`` subtracts the dephased mean from the preparation's.
     """
     grid = s.time_grid
     if grid.size < 3:
@@ -744,6 +752,8 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
     hi = grid[min(i + 1, grid.size - 1)]
     tau_star = _golden_minimum(nc_at, lo, hi, TAU_STAR_RESOLUTION)
     nbar_c_min = nc_at(tau_star)
+    if nc[i] < nbar_c_min:          # the search never evaluates its bracket's ends
+        tau_star, nbar_c_min = float(grid[i]), float(nc[i])
 
     occ = OccupationTriple(*(prep_mean(p) for p in s.preps))
     delta_dephased = occ.nbar_c - spectrum.dephased_moments().nbar_c

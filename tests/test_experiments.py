@@ -155,6 +155,9 @@ _BAD_SCENARIOS = [
                                                         "num": 2.7})),
     ("grid_string_point", _mutate(("time_grid_us",), [0.0, "5"])),
     ("sweep_string", _mutate(("sweep",), {"work_nbar": "4.44"})),
+    ("sweep_negative", _mutate(("sweep",), {"work_nbar": [4.44, -1.0]})),
+    ("sweep_nan", _mutate(("sweep",), {"cold_nbar": [math.nan]})),
+    ("sweep_inf", _mutate(("sweep",), {"work_nbar": [math.inf]})),
     ("coupling_bool", _mutate(("coupling",), {"xi_khz": True})),
 ]
 
@@ -686,16 +689,21 @@ def test_fig4_dataset_uses_sweep(tmp_path):
 
 def test_fig4_single_shot_delta_takes_both_ends_from_one_ensemble(tmp_path):
     """On ``scenarios/single_shot.json`` (epsilon 1e-4) the cold mode only
-    heats at nbar_w 1.1, 0.67, 0.37 and 0.19, so no single-shot cooling may
-    be reported there; the two cooling points lie within 5e-4 of an epsilon
-    1e-8 run.  Before, delta_single_shot subtracted the truncated minimum
-    from the preparation's mean and read +1.71e-3 to +1.77e-3 at the four
-    points, and 1.5e-3 and 1.7e-3 above the tight run at the other two."""
+    heats at nbar_w 1.1, 0.67, 0.37 and 0.19, so the minimum is the first
+    grid point, t = 0, and no single-shot cooling may be reported there;
+    the two cooling points lie within 5e-4 of an epsilon 1e-8 run.  Before,
+    delta_single_shot subtracted the truncated minimum from the
+    preparation's mean and read +1.71e-3 to +1.77e-3 at the four points,
+    and 1.5e-3 and 1.7e-3 above the tight run at the other two; and the
+    golden-section search, which never evaluates its bracket's ends,
+    reported tau* = 0.0430523 us and delta_single_shot -1.5e-8 to -1.3e-7
+    there."""
     base = load_scenario(_SHIPPED / "single_shot.json")
     study = fig4_dataset(base)
     by_nbar = {p.nbar_w: p for p in study.points}
     for nbar_w in (1.1, 0.67, 0.37, 0.19):
-        assert by_nbar[nbar_w].delta_single_shot <= 0.0
+        assert by_nbar[nbar_w].tau_star == 0.0
+        assert by_nbar[nbar_w].delta_single_shot == 0.0
     tight = dataclasses.replace(base, truncation=dataclasses.replace(base.truncation,
                                                                      epsilon=1e-8))
     for converged in fig4_dataset(tight, nbar_w_values=[4.44, 2.16]).points:
@@ -703,7 +711,7 @@ def test_fig4_single_shot_delta_takes_both_ends_from_one_ensemble(tmp_path):
                    - converged.delta_single_shot) <= 5e-4
     meta, cols, data = read_dataset_csv(study.write(tmp_path)[0])
     assert "first grid time" in meta["deltas"]
-    assert np.all(data[2:, cols.index("delta_single_shot")] <= 0.0)
+    assert np.all(data[2:, cols.index("delta_single_shot")] == 0.0)
 
 
 def test_fig4_csv_carries_the_incoherent_minimum(tmp_path):
@@ -928,11 +936,15 @@ def test_cli_readout_brightness_above_one_exit_code(tmp_path, capsys):
     (("preps", "cold"), {"kind": "thermal", "nbar": math.inf}),
     (("sideband",), {"omega_rabi_khz": math.nan, "t_rsb_us": 10.0}),
     (("sideband",), {"omega_rabi_khz": 20.0, "t_rsb_us": math.inf}),
-], ids=["xi_nan", "detuning_inf", "grid_inf", "nbar_inf", "omega_rabi_nan", "t_rsb_inf"])
+    (("sweep",), {"work_nbar": [4.44], "cold_nbar": [0.5, math.nan]}),
+], ids=["xi_nan", "detuning_inf", "grid_inf", "nbar_inf", "omega_rabi_nan", "t_rsb_inf",
+        "sweep_nan"])
 def test_cli_non_finite_scenario_exit_code(tmp_path, capsys, path, value):
     """Non-finite numbers (JSON NaN / Infinity) are validation errors, exit 2;
     before they raised from scipy, returned NaN or exited 3 (a non-finite
-    sideband value wrote all-NaN p_up columns and exited 0)."""
+    sideband value wrote all-NaN p_up columns and exited 0; a non-finite or
+    negative sweep occupation parsed, and fig2 and fig4 raised only partway
+    through their studies)."""
     rc = cli_main(["steady-state", _write_scenario(tmp_path, _mutate(path, value))])
     assert rc == 2
     assert "error:" in capsys.readouterr().err
