@@ -25,8 +25,8 @@ from .experiments import (Scenario, SteadyStateRule, TrajectoryResult,
                           single_shot_point, steady_state)
 from .fockspace import (SectorSelection, TruncationPolicy, enumerate_sector,
                         select_sectors)
-from .measurement import (BrightnessSample, EstimatorConfig, FitResult,
-                          SidebandConfig, SimulatedResponse,
+from .measurement import (BrightnessRecord, BrightnessSample, EstimatorConfig,
+                          FitResult, SidebandConfig, SimulatedResponse,
                           blue_sideband_flopping, damped_least_squares,
                           estimate_nbar, fit_distribution, load_brightness_csv,
                           red_sideband_brightness, save_brightness_csv,

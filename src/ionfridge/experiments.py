@@ -101,6 +101,10 @@ class Scenario:
             raise ScenarioError("coupling rate must be finite and > 0")
         if not math.isfinite(self.detuning):
             raise ScenarioError("detuning must be finite")
+        for mode, prep, cap in zip(("hot", "work", "cold"), self.preps, self.truncation.caps()):
+            if prep.kind == "fock" and cap is not None and prep.n_fock > cap:
+                raise ScenarioError(f"preps.{mode} is Fock n = {prep.n_fock}, above its "
+                                    f"cap n_max_{mode[0]} = {cap}")
         # output files are named after the scenario, so it must be one file name
         if (not isinstance(self.name, str) or self.name in ("", ".", "..")
                 or any(c in self.name for c in "/\\\0")):

@@ -26,7 +26,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from collections.abc import Iterable, Sequence
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -71,6 +72,25 @@ class SidebandConfig:
                               f"probability; got {self.a_bg!r} + {self.eta!r}")
 
 
+#: a brightness sample's rules: field, test (on a number or an array of
+#: them; NaN fails every test) and the message of its DomainError
+_SAMPLE_RULES = (
+    ("t", lambda t: (0.0 <= t) & (t < math.inf), "t must be finite and >= 0"),
+    ("p_up", lambda p: (0.0 <= p) & (p <= 1.0), "p_up must be in [0, 1]"),
+    ("sigma", lambda s: (0.0 < s) & (s < math.inf), "sigma must be finite and > 0"),
+)
+
+
+def _first_invalid(columns) -> tuple[int, str] | None:
+    """Index of the first sample that breaks a :data:`_SAMPLE_RULES` rule and
+    the first rule it breaks, or None."""
+    ok = np.array([test(col) for (_, test, _), col in zip(_SAMPLE_RULES, columns)])
+    bad = np.flatnonzero(~ok.all(axis=0))
+    if not bad.size:
+        return None
+    return int(bad[0]), _SAMPLE_RULES[int(np.argmin(ok[:, bad[0]]))][2]
+
+
 @dataclass(frozen=True)
 class BrightnessSample:
     """One measured brightness point."""
@@ -80,12 +100,52 @@ class BrightnessSample:
     sigma: float
 
     def __post_init__(self):
-        if not 0.0 <= self.t < math.inf:
-            raise DomainError("t must be finite and >= 0")
-        if not 0.0 <= self.p_up <= 1.0:
-            raise DomainError("p_up must be in [0, 1]")
-        if not (math.isfinite(self.sigma) and self.sigma > 0.0):
-            raise DomainError("sigma must be finite and > 0")
+        for field, test, message in _SAMPLE_RULES:
+            if not test(getattr(self, field)):
+                raise DomainError(message)
+
+
+class BrightnessRecord(Sequence[BrightnessSample]):
+    """A brightness record: the columns t (s), p_up and sigma as read-only
+    float arrays of one length, every sample checked once by
+    :class:`BrightnessSample`'s rules (``DomainError``, naming the sample).
+
+    It is a sequence of :class:`BrightnessSample`: indexing and iteration
+    build the samples, and a slice is a record.  :meth:`of` takes a record
+    or any iterable of samples.
+    """
+
+    __slots__ = ("t", "p_up", "sigma")
+
+    def __init__(self, t, p_up, sigma):
+        columns = [np.array(c, dtype=float) for c in (t, p_up, sigma)]
+        if any(c.ndim != 1 or c.size != columns[0].size for c in columns):
+            raise DomainError(f"t, p_up and sigma must be 1-d columns of one length, got "
+                              f"shapes {[c.shape for c in columns]}")
+        invalid = _first_invalid(columns)
+        if invalid is not None:
+            raise DomainError(f"{invalid[1]} (sample {invalid[0]})")
+        for column in columns:
+            column.flags.writeable = False
+        self.t, self.p_up, self.sigma = columns
+
+    @classmethod
+    def of(cls, samples: Iterable[BrightnessSample]) -> BrightnessRecord:
+        """``samples`` itself if it is a record, else a record of its samples."""
+        if isinstance(samples, cls):
+            return samples
+        samples = list(samples)
+        return cls([s.t for s in samples], [s.p_up for s in samples],
+                   [s.sigma for s in samples])
+
+    def __len__(self) -> int:
+        return self.t.size
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return BrightnessRecord(self.t[index], self.p_up[index], self.sigma[index])
+        return BrightnessSample(float(self.t[index]), float(self.p_up[index]),
+                                float(self.sigma[index]))
 
 
 @dataclass(frozen=True)
@@ -437,9 +497,10 @@ def _default_omega_seed(ts: np.ndarray, ys: np.ndarray, spacing: float) -> float
     return float(omegas[int(np.argmax(power))])
 
 
-def fit_distribution(samples: Sequence[BrightnessSample], model: str) -> FitResult:
+def fit_distribution(samples: Iterable[BrightnessSample], model: str) -> FitResult:
     """Weighted least-squares fit of the flopping model to brightness data.
 
+    ``samples`` is a :class:`BrightnessRecord` or any iterable of samples.
     ``model`` selects the phonon distribution, one of :data:`FIT_MODELS`:
     ``thermal``, ``coherent``, ``squeezed_vacuum``, ``squeezed_thermal`` or
     ``free`` (softmax-parameterized populations on n = 0..13).  A record
@@ -460,12 +521,10 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str) -> FitResu
     if model not in FIT_MODELS:
         raise ValidationError(f"unknown model {model!r}")
     dist_seeds, populations = FIT_MODELS[model]
-    samples = list(samples)
+    record = BrightnessRecord.of(samples)
     names = tuple(dist_seeds) + _SHAPE_PARAMS
     n_params = len(names)
-    ts = np.array([s.t for s in samples])
-    ys = np.array([s.p_up for s in samples])
-    sigmas = np.array([s.sigma for s in samples])
+    ts, ys, sigmas = record.t, record.p_up, record.sigma
     gaps = np.diff(np.sort(ts))
     scale = np.median(np.maximum(gaps[:-1], gaps[1:])) if gaps.size > 1 else 0.0
     distinct = gaps[gaps > _SAME_INSTANT * scale]
@@ -485,7 +544,7 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str) -> FitResu
         values = solution.theta.tolist()
         result = FitResult(model=model, params=dict(zip(names, values)),
                            errors=dict(zip(names, solution.errors.tolist())),
-                           reduced_chi2=solution.cost / (len(samples) - n_params),
+                           reduced_chi2=solution.cost / (ts.size - n_params),
                            n_iter=solution.n_iter, rank=solution.rank, cond=solution.cond,
                            populations=populations(*values[:len(dist_seeds)]))
         if model == "free":
@@ -515,8 +574,10 @@ def fit_distribution(samples: Sequence[BrightnessSample], model: str) -> FitResu
 _CSV_HEADER = ["t_us", "p_up", "sigma"]
 
 
-def load_brightness_csv(path) -> list[BrightnessSample]:
-    """Read brightness samples from CSV with header ``t_us,p_up,sigma``."""
+def load_brightness_csv(path) -> BrightnessRecord:
+    """Read a brightness record from CSV with header ``t_us,p_up,sigma``; a
+    malformed row or a sample that breaks :class:`BrightnessSample`'s rules
+    is a ``ValidationError`` naming its line."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = fh.readlines()
@@ -530,33 +591,39 @@ def load_brightness_csv(path) -> list[BrightnessSample]:
     if [h.strip() for h in header] != _CSV_HEADER:
         raise ValidationError(
             f"bad header {header!r}; expected {','.join(_CSV_HEADER)}")
-    samples = []
+    rows, line_nums = [], []
     for row in reader:
         if not row:
             continue
-        where = f"{path}, line {reader.line_num}"
         if len(row) != 3:
-            raise ValidationError(f"{where}: bad row {row!r}")
+            raise ValidationError(f"{path}, line {reader.line_num}: bad row {row!r}")
         try:
-            t_us, p_up, sigma = (float(v) for v in row)
-            samples.append(BrightnessSample(t=t_us * 1e-6, p_up=p_up, sigma=sigma))
-        except ValueError as exc:       # DomainError is a ValueError too
-            raise ValidationError(f"{where}: {exc}") from None
-    return samples
+            rows.append([float(v) for v in row])
+        except ValueError as exc:
+            raise ValidationError(f"{path}, line {reader.line_num}: {exc}") from None
+        line_nums.append(reader.line_num)
+    t_us, p_up, sigma = np.array(rows, dtype=float).reshape(-1, 3).T
+    columns = (t_us * 1e-6, p_up, sigma)
+    invalid = _first_invalid(columns)
+    if invalid is not None:
+        raise ValidationError(f"{path}, line {line_nums[invalid[0]]}: {invalid[1]}")
+    return BrightnessRecord(*columns)
 
 
-def save_brightness_csv(path, samples: Sequence[BrightnessSample]) -> None:
+def save_brightness_csv(path, samples: Iterable[BrightnessSample]) -> None:
+    """Write a :class:`BrightnessRecord` or any iterable of samples as CSV."""
+    record = BrightnessRecord.of(samples)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_CSV_HEADER) + "\n")
-        for s in samples:
-            fh.write(f"{s.t * 1e6:.12g},{s.p_up:.12g},{s.sigma:.12g}\n")
+        for t, p_up, sigma in zip(record.t.tolist(), record.p_up.tolist(),
+                                  record.sigma.tolist()):
+            fh.write(f"{t * 1e6:.12g},{p_up:.12g},{sigma:.12g}\n")
 
 
 def synthetic_brightness(p, cfg: SidebandConfig, t_grid, contrast: float,
                          background: float, sigma: float,
-                         rng: np.random.Generator) -> list[BrightnessSample]:
-    """Noisy flopping samples for round-trip tests and demos."""
+                         rng: np.random.Generator) -> BrightnessRecord:
+    """Noisy flopping record for round-trip tests and demos."""
     curve = blue_sideband_flopping(p, cfg, t_grid, contrast, background)
     noisy = np.clip(curve + rng.normal(0.0, sigma, curve.size), 0.0, 1.0)
-    return [BrightnessSample(t=float(t), p_up=float(y), sigma=sigma)
-            for t, y in zip(np.atleast_1d(t_grid), noisy)]
+    return BrightnessRecord(np.ravel(t_grid), noisy, np.full(curve.size, sigma))

@@ -21,6 +21,8 @@ from .errors import DomainError
 from .states import ModePrep, _is_count
 
 MAX_CAP = 8
+#: largest imaginary part a preparation density may carry into the real oracle
+_IMAG_TOL = 1e-12
 
 
 def ladder(dim: int) -> np.ndarray:
@@ -131,7 +133,15 @@ def dense_oracle_evolve(preps: tuple[ModePrep, ModePrep, ModePrep], xi: float,
     The initial state is the full tensor product of the preparation density
     matrices (coherences kept).  As on the sector path, ``xi`` must be finite
     and >= 0, ``detuning`` finite, each cap an integer in 0..``MAX_CAP``, and
-    every phase E t finite, else ``DomainError``.
+    every phase E t finite, else ``DomainError``.  Every preparation density
+    is real, so the whole evaluation is real: a density with an imaginary
+    part above ``_IMAG_TOL`` raises ``DomainError`` instead of losing it.
+
+    With H = u diag(E) u^T and b = u^T rho0 u, each mean is the real
+    quadratic form <n_x>(t) = c^T w_x c + s^T w_x s, where
+    w_x = (u^T diag(n_x) u) o b and c, s = cos(E t), sin(E t): the real part
+    of sum_ij w_ij e^{-i (E_i - E_j) t}, whose imaginary part cancels since
+    w_x is symmetric.
     """
     if not all(_is_count(c) and 0 <= c <= MAX_CAP for c in caps):
         raise DomainError(f"caps must be integers within 0..{MAX_CAP} per mode, got {caps!r}")
@@ -139,27 +149,27 @@ def dense_oracle_evolve(preps: tuple[ModePrep, ModePrep, ModePrep], xi: float,
         raise DomainError(f"xi must be finite and >= 0 and the detuning finite, "
                           f"got xi = {xi!r}, detuning = {detuning!r}")
     t_grid = np.asarray(t_grid, dtype=float)
-    dh, dw, dc = (c + 1 for c in caps)
-    rho0 = np.kron(prep_density(preps[0], dh),
-                   np.kron(prep_density(preps[1], dw), prep_density(preps[2], dc)))
-    h = dense_hamiltonian(caps, xi, detuning)
-    evals, u = np.linalg.eigh(h)
+    dims = tuple(c + 1 for c in caps)
+    evals, u = np.linalg.eigh(dense_hamiltonian(caps, xi, detuning))
     if not math.isfinite(float(np.abs(evals).max()) * float(np.abs(t_grid).max(initial=0.0))):
         raise DomainError("every time and every phase E t must be finite")
-    b = u.conj().T @ rho0 @ u
+    rho0 = np.ones((1, 1))
+    for prep, dim in zip(preps, dims):
+        rho = prep_density(prep, dim)
+        if np.abs(rho.imag).max() > _IMAG_TOL:
+            raise DomainError(f"the {prep.kind} density has an imaginary part above "
+                              f"{_IMAG_TOL:g}; the oracle evaluates real densities only")
+        rho0 = np.kron(rho0, rho.real)
+    b = u.T @ rho0 @ u
+    del rho0
 
+    phases = np.multiply.outer(evals, t_grid)
+    cos, sin = np.cos(phases), np.sin(phases)
     # number-operator diagonals in the product basis
-    idx = np.arange(dh * dw * dc)
-    n_h = (idx // (dw * dc)).astype(float)
-    n_w = ((idx // dc) % dw).astype(float)
-    n_c = (idx % dc).astype(float)
-
+    levels = np.indices(dims).reshape(3, -1).astype(float)
     out = np.empty((3, t_grid.size))
-    for k, t in enumerate(t_grid):
-        phase = np.exp(-1j * evals * t)
-        c_t = (phase[:, None] * b) * np.conj(phase)[None, :]
-        pops = np.einsum("ki,ij,kj->k", u, c_t, u.conj(), optimize=True).real
-        out[0, k] = n_h @ pops
-        out[1, k] = n_w @ pops
-        out[2, k] = n_c @ pops
+    for x, n_x in enumerate(levels):
+        w = u.T @ (n_x[:, None] * u)
+        w *= b
+        out[x] = (cos * (w @ cos)).sum(axis=0) + (sin * (w @ sin)).sum(axis=0)
     return out

@@ -8,6 +8,7 @@ import functools
 import itertools
 import math
 import pathlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -210,6 +211,81 @@ def test_dense_oracle_rejects_what_the_sector_path_rejects(xi, t, caps, detuning
     preps = (ModePrep.thermal_state(0.3),) * 3
     with pytest.raises(DomainError, match=message):
         dense_oracle_evolve(preps, xi, np.array([0.0, t]), caps, detuning)
+
+
+def _density_matrix_oracle(preps, t_grid, caps, detuning):
+    """The oracle's means from the evolved density matrix at each time:
+    rho(t) = u e^{-iEt} b e^{iEt} u^dagger with b = u^dagger rho0 u in
+    complex arithmetic, and <n_x>(t) = Tr(diag(n_x) rho(t))."""
+    dh, dw, dc = (c + 1 for c in caps)
+    rho0 = np.kron(prep_density(preps[0], dh),
+                   np.kron(prep_density(preps[1], dw), prep_density(preps[2], dc)))
+    evals, u = np.linalg.eigh(dense_hamiltonian(caps, XI, detuning))
+    b = u.conj().T @ rho0 @ u
+    idx = np.arange(dh * dw * dc)
+    numbers = np.array([idx // (dw * dc), (idx // dc) % dw, idx % dc], dtype=float)
+    out = np.empty((3, t_grid.size))
+    for k, t in enumerate(t_grid):
+        phase = np.exp(-1j * evals * t)
+        rho_t = (phase[:, None] * b) * np.conj(phase)[None, :]
+        out[:, k] = numbers @ np.einsum("ki,ij,kj->k", u, rho_t, u.conj()).real
+    return out
+
+
+@pytest.mark.parametrize("kinds,caps,detuning_khz", [
+    (("thermal", "thermal", "thermal"), (6, 6, 6), 0.0),
+    (("coherent", "squeezed", "fock"), (7, 4, 5), 3.0),
+    (("squeezed", "fock", "coherent"), (3, 8, 5), -40.0),
+    (("fock", "coherent", "squeezed"), (5, 5, 2), 0.0),
+    (("squeezed", "squeezed", "squeezed"), (6, 6, 6), 1.0),
+], ids=["thermal", "coherent_squeezed_fock_detuned", "squeezed_fock_coherent_detuned",
+        "fock_coherent_squeezed", "squeezed_detuned"])
+def test_dense_oracle_matches_the_density_matrix_evolution(kinds, caps, detuning_khz):
+    """The real quadratic forms c^T w c + s^T w s give the means of the
+    per-time density matrix to 1e-13, coherences kept, with unequal caps and
+    detuning."""
+    preps = tuple(_KINDS[kind] for kind in kinds)
+    detuning = TWO_PI * detuning_khz * 1e3
+    grid = np.concatenate(_ORACLE_GRIDS)
+    np.testing.assert_allclose(dense_oracle_evolve(preps, XI, grid, caps, detuning),
+                               _density_matrix_oracle(preps, grid, caps, detuning),
+                               rtol=0, atol=1e-13)
+
+
+def test_dense_oracle_rejects_an_imaginary_density(monkeypatch):
+    """The oracle evaluates in real arithmetic, so a preparation density with
+    an imaginary part above 1e-12 raises instead of losing it; one at
+    rounding level gives the real density's means."""
+    preps = (ModePrep.thermal_state(0.3),) * 3
+    grid = np.linspace(0.0, 400e-6, 5)
+    real = dense_oracle_evolve(preps, XI, grid, (3, 3, 3))
+    coherence = np.zeros((4, 4), dtype=complex)
+    coherence[0, 1], coherence[1, 0] = 1j, -1j
+    for scale, raises in ((1e-9, True), (1e-14, False)):
+        monkeypatch.setattr("ionfridge.oracle.prep_density", lambda prep, dim, scale=scale:
+                            prep_density(prep, dim) + scale * coherence[:dim, :dim])
+        if raises:
+            with pytest.raises(DomainError, match="imaginary part"):
+                dense_oracle_evolve(preps, XI, grid, (3, 3, 3))
+        else:
+            np.testing.assert_allclose(dense_oracle_evolve(preps, XI, grid, (3, 3, 3)), real,
+                                       rtol=0, atol=1e-15)
+
+
+def test_dense_oracle_traced_peak_is_pinned():
+    """At caps 6 (dimension 343) the oracle holds a few real D x D arrays at
+    once: traced peak below 6 MB.  The per-time complex density matrices and
+    the einsum's complex copies of u took it to 9.1 MB."""
+    preps = tuple(ModePrep.thermal_state(v) for v in (0.3, 0.5, 0.4))
+    grid = np.linspace(0.0, 400e-6, 10)
+    dense_oracle_evolve(preps, XI, grid, (6, 6, 6))
+    tracemalloc.start()
+    try:
+        dense_oracle_evolve(preps, XI, grid, (6, 6, 6))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2 ** 20
 
 
 def _number_diagonal_oracle(caps, detuning, t_grid):

@@ -929,6 +929,22 @@ def test_cli_readout_brightness_above_one_exit_code(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("mode,cap", [("hot", "n_max_h"), ("work", "n_max_w"),
+                                      ("cold", "n_max_c")])
+def test_fock_index_above_its_cap_exit_code(tmp_path, capsys, mode, cap):
+    """A Fock n above its mode's hard cap is a scenario error, exit 2; n at
+    the cap parses.  Before, n = 3 under a cap of 2 parsed, and steady-state
+    exited 3 with "cutoff 2 below Fock index 3"."""
+    d = _mutate(("preps", mode), {"kind": "fock", "n": 3})
+    d["truncation"] = {cap: 2}
+    with pytest.raises(ScenarioError, match=f"Fock n = 3, above its cap {cap} = 2"):
+        scenario_from_dict(d)
+    assert cli_main(["steady-state", _write_scenario(tmp_path, d)]) == 2
+    assert "error:" in capsys.readouterr().err
+    d["truncation"] = {cap: 3}
+    assert scenario_from_dict(d).preps[("hot", "work", "cold").index(mode)].n_fock == 3
+
+
 @pytest.mark.parametrize("path,value", [
     (("coupling",), {"xi_khz": math.nan}),
     (("detuning_khz",), math.inf),

@@ -5,6 +5,7 @@ import os
 import statistics
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from scipy.optimize import least_squares
 from ionfridge import measurement
 from ionfridge.errors import (DomainError, FitConvergenceError, NumericsError,
                               SensitivityError, ValidationError)
-from ionfridge.measurement import (FIT_MODELS, FREE_FIT_NMAX, BrightnessSample,
+from ionfridge.measurement import (FIT_MODELS, FREE_FIT_NMAX, BrightnessRecord,
+                                   BrightnessSample,
                                    EstimatorConfig, SidebandConfig, SimulatedResponse,
                                    _default_omega_seed, _FloppingFit,
                                    blue_sideband_flopping,
@@ -712,3 +714,120 @@ def test_synthetic_brightness_is_seeded():
     b = synthetic_brightness(p, cfg, t, 0.9, 0.03, 0.02, np.random.default_rng(11))
     assert [s.p_up for s in a] == [s.p_up for s in b]
     assert all(0.0 <= s.p_up <= 1.0 for s in a)
+
+
+# ---------------------------------------------------------------------------
+# Brightness records
+# ---------------------------------------------------------------------------
+
+_BAD_VALUES = [("t", -1e-6), ("t", math.inf), ("t", math.nan), ("p_up", 1.2),
+               ("p_up", -0.1), ("p_up", math.nan), ("sigma", 0.0), ("sigma", -0.02),
+               ("sigma", math.inf), ("sigma", math.nan)]
+
+
+@pytest.mark.parametrize("field,value", _BAD_VALUES,
+                         ids=[f"{field}_{value}" for field, value in _BAD_VALUES])
+def test_brightness_record_keeps_the_sample_rules(field, value):
+    """A column entry that a BrightnessSample refuses gives the record the
+    same DomainError, naming the sample."""
+    good = {"t": 1e-6, "p_up": 0.5, "sigma": 0.02}
+    with pytest.raises(DomainError) as sample_error:
+        BrightnessSample(**{**good, field: value})
+    columns = {name: [v, v, v] for name, v in good.items()}
+    columns[field][1] = value
+    with pytest.raises(DomainError, match=r"\(sample 1\)$") as record_error:
+        BrightnessRecord(**columns)
+    assert str(record_error.value) == f"{sample_error.value} (sample 1)"
+
+
+@pytest.mark.parametrize("columns", [([0.0, 1e-6], [0.5], [0.02, 0.02]),
+                                     ([0.0, 1e-6], [0.5, 0.5], [0.02]),
+                                     (1e-6, 0.5, 0.02),
+                                     ([[0.0, 1e-6]], [[0.5, 0.5]], [[0.02, 0.02]])],
+                         ids=["ragged_p_up", "ragged_sigma", "scalars", "two_d"])
+def test_brightness_record_needs_one_dimensional_columns_of_one_length(columns):
+    with pytest.raises(DomainError, match="1-d columns of one length"):
+        BrightnessRecord(*columns)
+
+
+def test_brightness_record_is_a_sequence_of_samples():
+    """Indexing and iteration give the samples the columns hold, a slice is a
+    record, and the columns are read-only copies of the input."""
+    t = np.linspace(0.5e-6, 150e-6, 7)
+    record = BrightnessRecord(t, np.linspace(0.1, 0.7, 7), np.full(7, 0.02))
+    samples = [BrightnessSample(float(a), float(b), 0.02)
+               for a, b in zip(t, np.linspace(0.1, 0.7, 7))]
+    assert len(record) == 7
+    assert list(record) == samples
+    assert [record[i] for i in range(-7, 7)] == samples + samples
+    assert isinstance(record[2:6:2], BrightnessRecord)
+    assert list(record[2:6:2]) == samples[2:6:2]
+    assert len(record[5:2]) == 0
+    with pytest.raises(IndexError):
+        record[7]
+    assert BrightnessRecord.of(record) is record
+    again = BrightnessRecord.of(iter(samples))
+    for name in ("t", "p_up", "sigma"):
+        assert np.array_equal(getattr(again, name), getattr(record, name))
+    t[0] = 1.0
+    assert record.t[0] == 0.5e-6
+    with pytest.raises(ValueError, match="read-only"):
+        record.p_up[0] = 0.0
+
+
+@pytest.mark.parametrize("model", ["thermal", "coherent", "free"])
+def test_fit_of_a_record_equals_the_fit_of_its_samples(model):
+    """fit_distribution reads a record's columns and a list of samples through
+    the same record: bitwise the same FitResult."""
+    record, _ = _bench_record(5, model)
+    assert isinstance(record, BrightnessRecord)
+    a, b = fit_distribution(record, model), fit_distribution(list(record), model)
+    for field in ("model", "params", "errors", "reduced_chi2", "n_iter", "rank", "cond"):
+        assert getattr(a, field) == getattr(b, field)
+    assert np.array_equal(a.populations, b.populations)
+    assert (a.population_errors is None if model != "free"
+            else np.array_equal(a.population_errors, b.population_errors))
+
+
+def test_brightness_csv_round_trip_of_a_record(tmp_path):
+    """A record and the list of its samples write the same file, which reads
+    back as a record of the same values to the CSV's 12 digits and then
+    writes that same file again."""
+    record, _ = _bench_record(6)
+    paths = [tmp_path / name for name in ("record.csv", "samples.csv", "again.csv")]
+    save_brightness_csv(paths[0], record)
+    save_brightness_csv(paths[1], list(record))
+    back = load_brightness_csv(paths[0])
+    save_brightness_csv(paths[2], back)
+    assert isinstance(back, BrightnessRecord) and len(back) == 300
+    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+    for name in ("t", "p_up", "sigma"):
+        np.testing.assert_allclose(getattr(back, name), getattr(record, name), rtol=1e-11)
+
+
+def test_brightness_csv_names_the_line_of_the_first_bad_sample(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("t_us,p_up,sigma\n1.0,0.5,0.02\n\n2.0,1.5,0.02\n3.0,0.5,0.0\n")
+    with pytest.raises(ValidationError, match=r"line 4: p_up must be in \[0, 1\]$"):
+        load_brightness_csv(path)
+    path.write_text("t_us,p_up,sigma\n")
+    assert len(load_brightness_csv(path)) == 0
+
+
+def test_brightness_record_memory_is_pinned():
+    """A 300-point record holds three float columns: less than 16 KB traced.
+    As 300 BrightnessSample objects it held about 45 KB."""
+    p = thermal_distribution(1.8, 150, 1.0)
+    cfg = SidebandConfig(omega_rabi=OMEGA, gamma0=600.0)
+    grid = np.linspace(0.5e-6, 150e-6, 300)
+    rng = np.random.default_rng(0)
+    synthetic_brightness(p, cfg, grid, 0.95, 0.02, 0.02, rng)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        record = synthetic_brightness(p, cfg, grid, 0.95, 0.02, 0.02, rng)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(record) == 300
+    assert held < 16 * 1024
