@@ -25,7 +25,7 @@ from .experiments import (Scenario, SteadyStateRule, TrajectoryResult,
                           single_shot_point, steady_state)
 from .fockspace import (SectorSelection, TruncationPolicy, enumerate_sector,
                         select_sectors)
-from .measurement import (BrightnessRecord, BrightnessSample, EstimatorConfig,
+from .measurement import (BrightnessRecord, EstimatorConfig,
                           FitResult, SidebandConfig, SimulatedResponse,
                           blue_sideband_flopping, damped_least_squares,
                           estimate_nbar, fit_distribution, load_brightness_csv,

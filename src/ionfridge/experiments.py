@@ -704,7 +704,8 @@ class SingleShotPoint:
     nbar_c_min: float
     delta_single_shot: float        # nbar_c(first grid time) - nbar_c(tau*), one ensemble
     delta_dephased: float           # nbar_c_in - dephased steady state
-    delta_classical: float          # exchange-balance equilibrium benchmark
+    delta_classical: float          # exchange-balance equilibrium benchmark; NaN where an
+                                    # occupation is 0 (T = 0: ln(1 + 1/nbar) diverges)
     nbar_c_min_incoherent: float = math.nan
 
 
@@ -736,6 +737,8 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
     minimum from the grid's first value, both means of the one truncated
     ensemble, so where the cold mode only heats it is 0.
     ``delta_dephased`` subtracts the dephased mean from the preparation's.
+    ``delta_classical`` is -:func:`~ionfridge.benchmarks.equilibrium_shift`
+    of the preparations' means, NaN where one of them is 0.
     """
     grid = s.time_grid
     if grid.size < 3:
@@ -761,7 +764,10 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
 
     occ = OccupationTriple(*(prep_mean(p) for p in s.preps))
     delta_dephased = occ.nbar_c - spectrum.dephased_moments().nbar_c
-    delta_classical = -equilibrium_shift(occ)
+    try:
+        delta_classical = -equilibrium_shift(occ)
+    except DomainError:             # an occupation is 0
+        delta_classical = math.nan
 
     nc_min_inc = math.nan
     if include_incoherent:

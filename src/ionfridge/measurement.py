@@ -26,7 +26,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -72,8 +71,9 @@ class SidebandConfig:
                               f"probability; got {self.a_bg!r} + {self.eta!r}")
 
 
-#: a brightness sample's rules: field, test (on a number or an array of
-#: them; NaN fails every test) and the message of its DomainError
+#: the rules every sample of a brightness record keeps: field, test (on an
+#: array of the field's values; NaN fails every test) and the message of the
+#: error it raises
 _SAMPLE_RULES = (
     ("t", lambda t: (0.0 <= t) & (t < math.inf), "t must be finite and >= 0"),
     ("p_up", lambda p: (0.0 <= p) & (p <= 1.0), "p_up must be in [0, 1]"),
@@ -91,29 +91,10 @@ def _first_invalid(columns) -> tuple[int, str] | None:
     return int(bad[0]), _SAMPLE_RULES[int(np.argmin(ok[:, bad[0]]))][2]
 
 
-@dataclass(frozen=True)
-class BrightnessSample:
-    """One measured brightness point."""
-
-    t: float          # s
-    p_up: float
-    sigma: float
-
-    def __post_init__(self):
-        for field, test, message in _SAMPLE_RULES:
-            if not test(getattr(self, field)):
-                raise DomainError(message)
-
-
-class BrightnessRecord(Sequence[BrightnessSample]):
+class BrightnessRecord:
     """A brightness record: the columns t (s), p_up and sigma as read-only
     float arrays of one length, every sample checked once by
-    :class:`BrightnessSample`'s rules (``DomainError``, naming the sample).
-
-    It is a sequence of :class:`BrightnessSample`: indexing and iteration
-    build the samples, and a slice is a record.  :meth:`of` takes a record
-    or any iterable of samples.
-    """
+    :data:`_SAMPLE_RULES` (``DomainError``, naming the sample)."""
 
     __slots__ = ("t", "p_up", "sigma")
 
@@ -129,23 +110,8 @@ class BrightnessRecord(Sequence[BrightnessSample]):
             column.flags.writeable = False
         self.t, self.p_up, self.sigma = columns
 
-    @classmethod
-    def of(cls, samples: Iterable[BrightnessSample]) -> BrightnessRecord:
-        """``samples`` itself if it is a record, else a record of its samples."""
-        if isinstance(samples, cls):
-            return samples
-        samples = list(samples)
-        return cls([s.t for s in samples], [s.p_up for s in samples],
-                   [s.sigma for s in samples])
-
     def __len__(self) -> int:
         return self.t.size
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return BrightnessRecord(self.t[index], self.p_up[index], self.sigma[index])
-        return BrightnessSample(float(self.t[index]), float(self.p_up[index]),
-                                float(self.sigma[index]))
 
 
 @dataclass(frozen=True)
@@ -497,10 +463,9 @@ def _default_omega_seed(ts: np.ndarray, ys: np.ndarray, spacing: float) -> float
     return float(omegas[int(np.argmax(power))])
 
 
-def fit_distribution(samples: Iterable[BrightnessSample], model: str) -> FitResult:
-    """Weighted least-squares fit of the flopping model to brightness data.
+def fit_distribution(record: BrightnessRecord, model: str) -> FitResult:
+    """Weighted least-squares fit of the flopping model to a brightness record.
 
-    ``samples`` is a :class:`BrightnessRecord` or any iterable of samples.
     ``model`` selects the phonon distribution, one of :data:`FIT_MODELS`:
     ``thermal``, ``coherent``, ``squeezed_vacuum``, ``squeezed_thermal`` or
     ``free`` (softmax-parameterized populations on n = 0..13).  A record
@@ -521,7 +486,6 @@ def fit_distribution(samples: Iterable[BrightnessSample], model: str) -> FitResu
     if model not in FIT_MODELS:
         raise ValidationError(f"unknown model {model!r}")
     dist_seeds, populations = FIT_MODELS[model]
-    record = BrightnessRecord.of(samples)
     names = tuple(dist_seeds) + _SHAPE_PARAMS
     n_params = len(names)
     ts, ys, sigmas = record.t, record.p_up, record.sigma
@@ -576,8 +540,8 @@ _CSV_HEADER = ["t_us", "p_up", "sigma"]
 
 def load_brightness_csv(path) -> BrightnessRecord:
     """Read a brightness record from CSV with header ``t_us,p_up,sigma``; a
-    malformed row or a sample that breaks :class:`BrightnessSample`'s rules
-    is a ``ValidationError`` naming its line."""
+    malformed row or a sample that breaks a :data:`_SAMPLE_RULES` rule is a
+    ``ValidationError`` naming its line."""
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             lines = fh.readlines()
@@ -610,9 +574,8 @@ def load_brightness_csv(path) -> BrightnessRecord:
     return BrightnessRecord(*columns)
 
 
-def save_brightness_csv(path, samples: Iterable[BrightnessSample]) -> None:
-    """Write a :class:`BrightnessRecord` or any iterable of samples as CSV."""
-    record = BrightnessRecord.of(samples)
+def save_brightness_csv(path, record: BrightnessRecord) -> None:
+    """Write a brightness record as CSV with header ``t_us,p_up,sigma``."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(_CSV_HEADER) + "\n")
         for t, p_up, sigma in zip(record.t.tolist(), record.p_up.tolist(),

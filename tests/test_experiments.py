@@ -673,6 +673,21 @@ def test_single_shot_point_cooling_row():
     assert math.isnan(pt.nbar_c_min_incoherent)
 
 
+def test_single_shot_point_at_a_zero_cold_occupation():
+    """A cold mode prepared in vacuum only heats: tau* is the first grid time,
+    no single-shot cooling is reported, the dephased state lies above the
+    preparation, and the exchange balance has no finite value, so
+    delta_classical is NaN.  Before, equilibrium_shift's DomainError escaped."""
+    s = with_thermal(reference_scenario("z570", t_stop=200e-6, num=81), "cold", 0.0)
+    pt = single_shot_point(s, include_incoherent=True)
+    assert pt.tau_star == 0.0
+    assert pt.delta_single_shot == 0.0
+    assert abs(pt.nbar_c_min) < 1e-12
+    assert pt.delta_dephased < 0.0
+    assert math.isnan(pt.delta_classical)
+    assert math.isfinite(pt.nbar_c_min_incoherent)
+
+
 def test_fig4_dataset_uses_sweep(tmp_path):
     s = reference_scenario("z570", t_stop=150e-6, num=61)
     study = fig4_dataset(s, nbar_w_values=[4.44, 2.16])
@@ -721,6 +736,35 @@ def test_fig4_csv_carries_the_incoherent_minimum(tmp_path):
     (path,) = fig4_dataset(s, nbar_w_values=[4.44]).write(tmp_path)
     _, cols, data = read_dataset_csv(path)
     assert np.all(np.isfinite(data[:, cols.index("nbar_c_min_incoherent")]))
+
+
+def test_fig4_reports_nan_delta_classical_at_a_zero_occupation(tmp_path, capsys):
+    """The exchange balance has no finite value where an occupation is 0, so
+    that row's delta_classical is NaN and every other column and row is as
+    without it.  Before, fig4 exited 2 with "occupations must be finite and
+    > 0" after building the first spectrum, while steady-state ran the same
+    file."""
+    d = json.loads((_SHIPPED / "single_shot.json").read_text())
+    d["sweep"]["work_nbar"] = [0.0, 4.44, 2.16]
+    scenario = _write_scenario(tmp_path, d)
+    assert cli_main(["steady-state", scenario]) == 0
+    assert cli_main(["fig4", scenario, "--out", str(tmp_path / "zero_work")]) == 0
+    _, cols, data = read_dataset_csv(tmp_path / "zero_work" / "fig4_summary.csv")
+    classical = data[:, cols.index("delta_classical")]
+    assert math.isnan(classical[0]) and np.all(np.isfinite(classical[1:]))
+    assert data[0, cols.index("tau_star_us")] == 0.0
+    assert data[0, cols.index("delta_single_shot")] == 0.0
+    base = load_scenario(scenario)
+    reference = fig4_dataset(base, nbar_w_values=[4.44, 2.16]).points
+    assert fig4_dataset(base).points[1:] == reference
+
+    d["preps"]["hot"]["nbar"] = 0.0
+    scenario = _write_scenario(tmp_path, d)
+    assert cli_main(["steady-state", scenario]) == 0
+    assert cli_main(["fig4", scenario, "--out", str(tmp_path / "zero_hot")]) == 0
+    _, cols, data = read_dataset_csv(tmp_path / "zero_hot" / "fig4_summary.csv")
+    assert np.all(np.isnan(data[:, cols.index("delta_classical")]))
+    assert np.all(np.isfinite(np.delete(data, cols.index("delta_classical"), axis=1)))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from ionfridge import measurement
 from ionfridge.errors import (DomainError, FitConvergenceError, NumericsError,
                               SensitivityError, ValidationError)
 from ionfridge.measurement import (FIT_MODELS, FREE_FIT_NMAX, BrightnessRecord,
-                                   BrightnessSample,
                                    EstimatorConfig, SidebandConfig, SimulatedResponse,
                                    _default_omega_seed, _FloppingFit,
                                    blue_sideband_flopping,
@@ -86,7 +85,7 @@ def test_flopping_rejects_negative_and_non_finite_times():
         with pytest.raises(DomainError, match="time"):
             blue_sideband_flopping(np.array([1.0]), cfg, t)
     with pytest.raises(DomainError):
-        BrightnessSample(t=-1e-6, p_up=0.5, sigma=0.01)
+        BrightnessRecord([-1e-6], [0.5], [0.01])
 
 
 def test_forward_models_reject_unnormalized_input():
@@ -127,12 +126,12 @@ def test_sideband_config_validation():
         with pytest.raises(DomainError):
             SidebandConfig(**{"omega_rabi": OMEGA, field: value})
     with pytest.raises(DomainError):
-        BrightnessSample(t=1e-6, p_up=1.2, sigma=0.01)
+        BrightnessRecord([1e-6], [1.2], [0.01])
     with pytest.raises(DomainError):
-        BrightnessSample(t=1e-6, p_up=0.5, sigma=0.0)
+        BrightnessRecord([1e-6], [0.5], [0.0])
     for t, sigma in ((math.inf, 0.01), (math.nan, 0.01), (1e-6, math.nan), (1e-6, math.inf)):
         with pytest.raises(DomainError):
-            BrightnessSample(t=t, p_up=0.5, sigma=sigma)
+            BrightnessRecord([t], [0.5], [sigma])
 
 
 def test_readout_brightness_stays_a_probability():
@@ -373,8 +372,7 @@ def test_fit_jacobian_matches_central_differences(model):
     of its residuals, at seeded internal parameters."""
     rng = np.random.default_rng(sorted(FIT_MODELS).index(model))
     samples, _ = _bench_record(7)
-    ts, ys, sigmas = (np.array([getattr(s, f) for s in samples]) for f in ("t", "p_up", "sigma"))
-    fit = _FloppingFit(model, ts, ys, sigmas)
+    fit = _FloppingFit(model, samples.t, samples.p_up, samples.sigma)
     dist_seeds = FIT_MODELS[model][0]
     start = [v * rng.uniform(0.7, 1.3) if v else rng.normal(0.0, 1.0)
              for v in dist_seeds.values()]
@@ -425,8 +423,8 @@ def test_fit_above_chi2_two_keeps_the_base_rate(model):
     k (n + 1) - 1, so on a cold thermal record with its sigma column halved
     (reduced chi2 ~ 4) the Omega / sqrt(3) rung fits the noise better; it
     was kept before, with omega01 = 0.577 Omega."""
-    samples = [BrightnessSample(s.t, s.p_up, 0.5 * s.sigma) for s in
-               _samples(thermal_distribution(0.2, 150, 1.0), np.random.default_rng(0))]
+    record = _samples(thermal_distribution(0.2, 150, 1.0), np.random.default_rng(0))
+    samples = BrightnessRecord(record.t, record.p_up, 0.5 * record.sigma)
     res = fit_distribution(samples, model)
     assert res.reduced_chi2 > 2.0
     assert res.params["omega01"] == pytest.approx(OMEGA, rel=0.01)
@@ -469,8 +467,7 @@ def test_omega_seed_is_the_direct_periodogram_peak():
         records.append(synthetic_brightness(p, SidebandConfig(omega_rabi=OMEGA, gamma0=600.0),
                                             t, 0.95, 0.02, 0.02, rng))
     for samples in records:
-        ts = np.array([s.t for s in samples])
-        ys = np.array([s.p_up for s in samples])
+        ts, ys = samples.t, samples.p_up
         spacing = _distinct_spacing(ts.tolist())
         span = ts.max() - ts.min()
         omegas = np.linspace(TWO_PI / span, math.pi / spacing, 800)
@@ -489,7 +486,7 @@ def test_fit_reaches_a_true_minimum(model):
     the Jacobian's column norms stopped at 1.1189."""
     samples, _ = _bench_record(18, model)
     res = fit_distribution(samples, model)
-    ts, ys = np.array([s.t for s in samples]), np.array([s.p_up for s in samples])
+    ts, ys = samples.t, samples.p_up
 
     # external parameters (distribution, a, b, omega01 / OMEGA, gamma0 / 1e3);
     # bounded ones enter by their absolute value
@@ -563,10 +560,11 @@ def test_fit_validation_errors():
     with pytest.raises(ValidationError):
         fit_distribution(samples, "gaussian")
     with pytest.raises(ValidationError):
-        fit_distribution(samples[:5], "thermal")  # < 3 x n_params
+        fit_distribution(BrightnessRecord(samples.t[:5], samples.p_up[:5], samples.sigma[:5]),
+                         "thermal")  # < 3 x n_params
     # 300 shots at 4 distinct times (before, fitted with omega01 near 1e12 rad/s)
-    repeats = [BrightnessSample(t=t, p_up=s.p_up, sigma=s.sigma)
-               for t, s in zip(np.repeat([10e-6, 50e-6, 90e-6, 130e-6], 75), samples)]
+    repeats = BrightnessRecord(np.repeat([10e-6, 50e-6, 90e-6, 130e-6], 75), samples.p_up,
+                               samples.sigma)
     with pytest.raises(ValidationError, match="need at least 15 distinct times"):
         fit_distribution(repeats, "thermal")
     # jittered triples count once: 14 times are refused, 15 are fitted
@@ -677,16 +675,14 @@ def test_fit_of_an_undersampled_record_reports_its_misfit(model):
 
 
 def test_brightness_csv_round_trip(tmp_path):
-    samples = [BrightnessSample(t=1.5e-6, p_up=0.25, sigma=0.02),
-               BrightnessSample(t=42e-6, p_up=0.75, sigma=0.015)]
+    record = BrightnessRecord([1.5e-6, 42e-6], [0.25, 0.75], [0.02, 0.015])
     path = tmp_path / "brightness.csv"
-    save_brightness_csv(path, samples)
+    save_brightness_csv(path, record)
     back = load_brightness_csv(path)
     assert len(back) == 2
-    for orig, rt in zip(samples, back):
-        assert rt.t == pytest.approx(orig.t, rel=1e-12)
-        assert rt.p_up == orig.p_up
-        assert rt.sigma == orig.sigma
+    np.testing.assert_allclose(back.t, record.t, rtol=1e-12)
+    assert back.p_up.tolist() == record.p_up.tolist()
+    assert back.sigma.tolist() == record.sigma.tolist()
 
 
 def test_brightness_csv_bad_header(tmp_path):
@@ -712,8 +708,8 @@ def test_synthetic_brightness_is_seeded():
     t = np.linspace(1e-6, 60e-6, 20)
     a = synthetic_brightness(p, cfg, t, 0.9, 0.03, 0.02, np.random.default_rng(11))
     b = synthetic_brightness(p, cfg, t, 0.9, 0.03, 0.02, np.random.default_rng(11))
-    assert [s.p_up for s in a] == [s.p_up for s in b]
-    assert all(0.0 <= s.p_up <= 1.0 for s in a)
+    assert a.p_up.tolist() == b.p_up.tolist()
+    assert np.all((0.0 <= a.p_up) & (a.p_up <= 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -723,21 +719,24 @@ def test_synthetic_brightness_is_seeded():
 _BAD_VALUES = [("t", -1e-6), ("t", math.inf), ("t", math.nan), ("p_up", 1.2),
                ("p_up", -0.1), ("p_up", math.nan), ("sigma", 0.0), ("sigma", -0.02),
                ("sigma", math.inf), ("sigma", math.nan)]
+_RULE_MESSAGES = {"t": "t must be finite and >= 0", "p_up": "p_up must be in [0, 1]",
+                  "sigma": "sigma must be finite and > 0"}
 
 
 @pytest.mark.parametrize("field,value", _BAD_VALUES,
                          ids=[f"{field}_{value}" for field, value in _BAD_VALUES])
 def test_brightness_record_keeps_the_sample_rules(field, value):
-    """A column entry that a BrightnessSample refuses gives the record the
-    same DomainError, naming the sample."""
+    """A column entry that breaks a sample rule gives a one-sample record and a
+    three-sample record the same DomainError, naming the sample."""
     good = {"t": 1e-6, "p_up": 0.5, "sigma": 0.02}
-    with pytest.raises(DomainError) as sample_error:
-        BrightnessSample(**{**good, field: value})
+    with pytest.raises(DomainError) as one_error:
+        BrightnessRecord(**{name: [v] for name, v in {**good, field: value}.items()})
+    assert str(one_error.value) == f"{_RULE_MESSAGES[field]} (sample 0)"
     columns = {name: [v, v, v] for name, v in good.items()}
     columns[field][1] = value
-    with pytest.raises(DomainError, match=r"\(sample 1\)$") as record_error:
+    with pytest.raises(DomainError) as record_error:
         BrightnessRecord(**columns)
-    assert str(record_error.value) == f"{sample_error.value} (sample 1)"
+    assert str(record_error.value) == f"{_RULE_MESSAGES[field]} (sample 1)"
 
 
 @pytest.mark.parametrize("columns", [([0.0, 1e-6], [0.5], [0.02, 0.02]),
@@ -750,57 +749,27 @@ def test_brightness_record_needs_one_dimensional_columns_of_one_length(columns):
         BrightnessRecord(*columns)
 
 
-def test_brightness_record_is_a_sequence_of_samples():
-    """Indexing and iteration give the samples the columns hold, a slice is a
-    record, and the columns are read-only copies of the input."""
+def test_brightness_record_columns_are_read_only_copies():
+    """The columns are read-only copies of the input."""
     t = np.linspace(0.5e-6, 150e-6, 7)
     record = BrightnessRecord(t, np.linspace(0.1, 0.7, 7), np.full(7, 0.02))
-    samples = [BrightnessSample(float(a), float(b), 0.02)
-               for a, b in zip(t, np.linspace(0.1, 0.7, 7))]
     assert len(record) == 7
-    assert list(record) == samples
-    assert [record[i] for i in range(-7, 7)] == samples + samples
-    assert isinstance(record[2:6:2], BrightnessRecord)
-    assert list(record[2:6:2]) == samples[2:6:2]
-    assert len(record[5:2]) == 0
-    with pytest.raises(IndexError):
-        record[7]
-    assert BrightnessRecord.of(record) is record
-    again = BrightnessRecord.of(iter(samples))
-    for name in ("t", "p_up", "sigma"):
-        assert np.array_equal(getattr(again, name), getattr(record, name))
     t[0] = 1.0
     assert record.t[0] == 0.5e-6
     with pytest.raises(ValueError, match="read-only"):
         record.p_up[0] = 0.0
 
 
-@pytest.mark.parametrize("model", ["thermal", "coherent", "free"])
-def test_fit_of_a_record_equals_the_fit_of_its_samples(model):
-    """fit_distribution reads a record's columns and a list of samples through
-    the same record: bitwise the same FitResult."""
-    record, _ = _bench_record(5, model)
-    assert isinstance(record, BrightnessRecord)
-    a, b = fit_distribution(record, model), fit_distribution(list(record), model)
-    for field in ("model", "params", "errors", "reduced_chi2", "n_iter", "rank", "cond"):
-        assert getattr(a, field) == getattr(b, field)
-    assert np.array_equal(a.populations, b.populations)
-    assert (a.population_errors is None if model != "free"
-            else np.array_equal(a.population_errors, b.population_errors))
-
-
 def test_brightness_csv_round_trip_of_a_record(tmp_path):
-    """A record and the list of its samples write the same file, which reads
-    back as a record of the same values to the CSV's 12 digits and then
-    writes that same file again."""
+    """A record's file reads back as a record of the same values to the CSV's
+    12 digits, which writes that same file again."""
     record, _ = _bench_record(6)
-    paths = [tmp_path / name for name in ("record.csv", "samples.csv", "again.csv")]
+    paths = [tmp_path / name for name in ("record.csv", "again.csv")]
     save_brightness_csv(paths[0], record)
-    save_brightness_csv(paths[1], list(record))
     back = load_brightness_csv(paths[0])
-    save_brightness_csv(paths[2], back)
+    save_brightness_csv(paths[1], back)
     assert isinstance(back, BrightnessRecord) and len(back) == 300
-    assert paths[0].read_bytes() == paths[1].read_bytes() == paths[2].read_bytes()
+    assert paths[0].read_bytes() == paths[1].read_bytes()
     for name in ("t", "p_up", "sigma"):
         np.testing.assert_allclose(getattr(back, name), getattr(record, name), rtol=1e-11)
 
@@ -816,7 +785,7 @@ def test_brightness_csv_names_the_line_of_the_first_bad_sample(tmp_path):
 
 def test_brightness_record_memory_is_pinned():
     """A 300-point record holds three float columns: less than 16 KB traced.
-    As 300 BrightnessSample objects it held about 45 KB."""
+    As 300 per-sample objects it held about 45 KB."""
     p = thermal_distribution(1.8, 150, 1.0)
     cfg = SidebandConfig(omega_rabi=OMEGA, gamma0=600.0)
     grid = np.linspace(0.5e-6, 150e-6, 300)
