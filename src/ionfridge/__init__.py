@@ -9,6 +9,8 @@ thermometry fits, thermodynamic benchmarks, and reproducible dataset
 generation via the ``ionfridge`` CLI.
 """
 
+from types import ModuleType as _ModuleType
+
 from ._version import __version__
 from .benchmarks import (CoolingReport, OccupationTriple, cooling_condition,
                          cooling_report, entropy_flow,
@@ -42,4 +44,4 @@ from .trap import (CODATA2014, REFERENCE_SETUPS, CouplingFormulaWarning,
                    equilibrium_spacing, mode_frequencies, mode_temperature,
                    refrigeration_ordering)
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [n for n in dir() if not n.startswith("_") and not isinstance(globals()[n], _ModuleType)]

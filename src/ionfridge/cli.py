@@ -46,12 +46,10 @@ from .oracle import dense_oracle_evolve
 from .states import ModePrep
 from .trap import coupling_rate, mode_frequencies
 
-TWO_PI = 2.0 * math.pi
-
 #: oracle-check settings: thermal occupations, per-mode cap, coupling, grid
 _ORACLE_NBARS = (0.3, 0.5, 0.4)
 _ORACLE_CAP = 6
-_ORACLE_XI = TWO_PI * 2.64e3
+_ORACLE_XI = math.tau * 2.64e3
 _ORACLE_TOL = 1e-9
 
 
@@ -144,12 +142,12 @@ def _coupling(args) -> int:
     trap = load_trap(args.trap)
     freqs = mode_frequencies(trap)
     rate = coupling_rate(trap)
-    print(f"omega_h/2pi = {freqs.omega_h / TWO_PI / 1e3:.6g} kHz")
-    print(f"omega_w/2pi = {freqs.omega_w / TWO_PI / 1e3:.6g} kHz")
-    print(f"omega_c/2pi = {freqs.omega_c / TWO_PI / 1e3:.6g} kHz")
-    print(f"resonance residual = {freqs.residual / TWO_PI / 1e3:.4g} kHz")
+    print(f"omega_h/2pi = {freqs.omega_h / math.tau / 1e3:.6g} kHz")
+    print(f"omega_w/2pi = {freqs.omega_w / math.tau / 1e3:.6g} kHz")
+    print(f"omega_c/2pi = {freqs.omega_c / math.tau / 1e3:.6g} kHz")
+    print(f"resonance residual = {freqs.residual / math.tau / 1e3:.4g} kHz")
     print(f"ion spacing = {rate.x0 * 1e6:.6g} um")
-    print(f"xi/2pi = {rate.xi / TWO_PI / 1e3:.6g} kHz (geometric formula)")
+    print(f"xi/2pi = {rate.xi / math.tau / 1e3:.6g} kHz (geometric formula)")
     return 0
 
 

@@ -29,10 +29,10 @@ and
     <n_h>(t) = <n_h>_dephased + kernel(t, g) @ C,
     <n_w> = sum_s w_s N_s - <n_h>,   <n_c> = sum_s w_s M_s - <n_h>,
 
-with kernel cos(g t) = Re e^{g (i t)} (unitary: the gaps at imaginary
-times), exp(-xi_in g^2 t) (incoherent double-commutator model) or none
-(dephased).  Every kernel is
-an exponential e^{z t}, which factors over a sum of times, so a uniform
+each floored at 0 where it rounds below, with kernel cos(g t) =
+Re e^{g (i t)} (unitary: the gaps at imaginary times), exp(-xi_in g^2 t)
+(incoherent double-commutator model) or none (dephased).  Every kernel
+is an exponential e^{z t}, which factors over a sum of times, so a uniform
 grid of T points is evaluated as a tableau of about sqrt(T) rows r plus
 sqrt(T) offsets s, t = r + s: the row and offset factors are powers of
 e^{z dr} and e^{z dt}, built by repeated multiplication from three
@@ -87,15 +87,12 @@ class ThreeModeEnsemble:
     sectors: np.recarray
     pops: np.ndarray
     xi: float
+    tail_mass: tuple[float, float, float]    # mass each mode's cutoff dropped
     detuning: float = 0.0
 
     @property
     def retained_weight(self) -> float:
         return float(self.sectors.weight.sum())
-
-    @property
-    def discarded_weight(self) -> float:
-        return 1.0 - self.retained_weight
 
 
 # ---------------------------------------------------------------------------
@@ -140,7 +137,8 @@ def assemble_from_distributions(dists: tuple[PhononDistribution, PhononDistribut
                                 names=("N", "M", "weight", "k_lo", "dim", "start"))
     return ThreeModeEnsemble(sectors=sectors,
                              pops=joint / np.add.reduceat(joint, start)[owner],
-                             xi=xi, detuning=detuning)
+                             xi=xi, detuning=detuning,
+                             tail_mass=tuple(dist.tail_mass for dist in dists))
 
 
 def assemble_initial(preps: tuple[ModePrep, ModePrep, ModePrep],
@@ -150,7 +148,7 @@ def assemble_initial(preps: tuple[ModePrep, ModePrep, ModePrep],
 
     Per-mode cutoffs default to 300 and are overridden by the policy's hard
     caps; with a hard cap the truncated tail is intentional, so the tail
-    budget is waived (the tail mass is still recorded on the distribution).
+    budget is waived (the tail mass is still recorded on the ensemble).
     """
     dists = []
     for prep, cap in zip(preps, policy.caps()):
@@ -325,9 +323,10 @@ class EnsembleSpectrum:
     by gap; equal gaps stay separate terms.  Then <n_h>(t) = nh_dephased
     + kernel(t, gaps) @ coef, and <n_w>, <n_c> are ``sum_wN``, ``sum_wM``
     minus <n_h>, because n_w = N - n_h and n_c = M - n_h inside sector
-    (N, M).  Pairs and reductions run in a fixed order, and the sort of a
-    given gap vector is deterministic, so results do not depend on
-    scheduling.
+    (N, M); ``_occupations`` builds that triple, each entry floored at 0,
+    for every mean and the dephased moments.  Pairs and reductions run in
+    a fixed order, and the sort of a given gap vector is deterministic, so
+    results do not depend on scheduling.
     """
 
     def __init__(self, ensemble: ThreeModeEnsemble):
@@ -462,10 +461,15 @@ class EnsembleSpectrum:
                 eig[s] = lam[m], vec[m], b_s
         return eig
 
+    def _occupations(self, n_h):
+        """[n_h, sum w N - n_h, sum w M - n_h], each floored at 0 (rounding puts an exact 0 at -3e-16)."""
+        occ = np.array([n_h, self.sum_wN - n_h, self.sum_wM - n_h])
+        return np.maximum(occ, 0.0, out=occ)
+
     def _means(self, t: np.ndarray, z: np.ndarray) -> np.ndarray:
-        """[n_h, sum w N - n_h, sum w M - n_h], n_h = nh_dephased + sum coef Re e^{z t}."""
-        n_h = self.nh_dephased + _kernel_sums(t, z, self.coef[:, None], real=True)[:, 0]
-        return np.array([n_h, self.sum_wN - n_h, self.sum_wM - n_h])
+        """The occupations at n_h = nh_dephased + sum coef Re e^{z t}."""
+        return self._occupations(
+            self.nh_dephased + _kernel_sums(t, z, self.coef[:, None], real=True)[:, 0])
 
     def _unitary_grid(self, t_grid) -> np.ndarray:
         """``t_grid`` as a flat float array; raises unless every phase g t is finite."""
@@ -519,8 +523,7 @@ class EnsembleSpectrum:
 
     def dephased_moments(self) -> OccupationTriple:
         """Means of the infinite-time average (exact for simple spectra)."""
-        n_h = self.nh_dephased
-        return OccupationTriple(n_h, self.sum_wN - n_h, self.sum_wM - n_h)
+        return OccupationTriple(*self._occupations(self.nh_dephased).tolist())
 
 
 def default_incoherence_strength(spectrum: EnsembleSpectrum) -> float:

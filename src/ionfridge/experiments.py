@@ -42,7 +42,7 @@ from .trap import CODATA2014, REFERENCE_SETUPS, TrapConfig, coupling_rate
 SCHEMA_VERSION = 1
 
 #: scenario-file units: kHz (ordinary frequency) and microseconds, in rad/s and s
-_KHZ = 2.0 * math.pi * 1e3
+_KHZ = math.tau * 1e3
 _US = 1e-6
 
 #: most points a time grid may hold; the shipped scenarios use at most 281
@@ -362,7 +362,7 @@ def _base_metadata(s: Scenario, dataset: str, ensemble: ThreeModeEnsemble | None
     }
     if ensemble is not None:
         md["retained_weight"] = ensemble.retained_weight
-        md["discarded_weight"] = ensemble.discarded_weight
+        md["tail_mass"] = list(ensemble.tail_mass)
         md["n_sectors"] = len(ensemble.sectors)
     return md
 

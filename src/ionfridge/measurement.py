@@ -37,7 +37,6 @@ from .states import (PhononDistribution, coherent_distribution,
                      squeezed_thermal_distribution, squeezed_vacuum_distribution,
                      thermal_distribution)
 
-TWO_PI = 2.0 * math.pi
 
 # ---------------------------------------------------------------------------
 # Types
@@ -456,7 +455,7 @@ def _default_omega_seed(ts: np.ndarray, ys: np.ndarray, spacing: float) -> float
     spectral line, the base flopping rate for any low-occupation mixture.
     """
     span = float(ts.max() - ts.min())
-    omegas = np.linspace(TWO_PI / span, math.pi / spacing, 800)
+    omegas = np.linspace(math.tau / span, math.pi / spacing, 800)
     # |sum_i y_i e^{-i w t_i}| with the frequencies as the kernel's times and
     # -i t_i as its exponents
     power = np.abs(_kernel_sums(omegas, -1j * ts, (ys - ys.mean())[:, None])[:, 0])

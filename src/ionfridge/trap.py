@@ -39,7 +39,7 @@ ION_MASS = 171 * CODATA2014.amu
 
 #: Admissible trap frequencies (rad/s): 1 Hz to 1 GHz, far beyond any ion trap
 #: either way, and narrow enough that every formula below stays finite.
-TRAP_OMEGA_RANGE = (2.0 * math.pi, 2.0 * math.pi * 1e9)
+TRAP_OMEGA_RANGE = (math.tau, math.tau * 1e9)
 
 
 # ---------------------------------------------------------------------------
@@ -227,8 +227,6 @@ def cooling_power_per_mass(delta_n_c: float, tau: float, omega_c: float) -> floa
 # Reference setups (measured operating points of the reference experiment)
 # ---------------------------------------------------------------------------
 
-_TWO_PI = 2.0 * math.pi
-
 
 @dataclass(frozen=True)
 class ReferenceSetup:
@@ -258,20 +256,20 @@ class ReferenceSetup:
 REFERENCE_SETUPS = {
     "z570": ReferenceSetup(
         trap=TrapConfig(
-            omega_x=_TWO_PI * 1025.1e3,
-            omega_y=_TWO_PI * 937.7e3,
-            omega_z=_TWO_PI * 570.0e3,
+            omega_x=math.tau * 1025.1e3,
+            omega_y=math.tau * 937.7e3,
+            omega_z=math.tau * 570.0e3,
         ),
-        xi_measured=_TWO_PI * 2.64e3,
-        xi_measured_err=_TWO_PI * 0.05e3,
+        xi_measured=math.tau * 2.64e3,
+        xi_measured_err=math.tau * 0.05e3,
     ),
     "z425": ReferenceSetup(
         trap=TrapConfig(
-            omega_x=_TWO_PI * 764.9e3,
-            omega_y=_TWO_PI * 701.8e3,
-            omega_z=_TWO_PI * 425.3e3,
+            omega_x=math.tau * 764.9e3,
+            omega_y=math.tau * 701.8e3,
+            omega_z=math.tau * 425.3e3,
         ),
-        xi_measured=_TWO_PI * 1.89e3,
-        xi_measured_err=_TWO_PI * 0.04e3,
+        xi_measured=math.tau * 1.89e3,
+        xi_measured_err=math.tau * 0.04e3,
     ),
 }

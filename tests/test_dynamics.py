@@ -387,7 +387,7 @@ def test_preparations_are_phase_randomized(caps, detuning_khz, triples):
         sector = np.hstack([spectrum.means_at(grid) for grid in _ORACLE_GRIDS])
         np.testing.assert_allclose(sector, means, rtol=0, atol=1e-9)
         # the sector marginals leave out the discarded weight (at most 9.6e-13 here)
-        atol = 1e-14 + ens.discarded_weight
+        atol = 1e-14 + (1.0 - ens.retained_weight)
         for got, want in zip(spectrum.marginals_at(np.concatenate(_ORACLE_GRIDS)), marginals):
             assert not got[want.shape[0]:].any()            # rows beyond the cap
             rows = min(got.shape[0], want.shape[0])
@@ -430,7 +430,7 @@ def test_incoherent_means_match_the_dense_double_commutator_solution(detuning_kh
                          for t in t_grid])
         sector = np.hstack([spectrum.incoherent_means_at(grid, xi_in) for grid in _ORACLE_GRIDS])
         np.testing.assert_allclose(sector, numbers @ pops.T, rtol=0,
-                                   atol=1e-12 + 6.0 * ens.discarded_weight)
+                                   atol=1e-12 + 6.0 * (1.0 - ens.retained_weight))
 
 
 def test_phase_definite_preparations_differ_from_sector_means():

@@ -206,21 +206,41 @@ def test_shipped_scenarios_parse():
         assert s.name == f.stem
 
 
-def test_retained_and_discarded_weight_sum_to_one():
-    """The discarded weight is 1 - the retained weight, the sum of the sector
-    weights.  Before, it was copied from the selection's 1 - cumsum, and on
-    relaxation_thermal.json the two written numbers missed 1 by about 2e-15."""
-    import pathlib
-    root = pathlib.Path(__file__).resolve().parents[1] / "scenarios"
-    for f in sorted(root.glob("*.json")):
-        ensemble = build_ensemble(load_scenario(f))
-        total = ensemble.retained_weight + ensemble.discarded_weight
-        assert abs(total - 1.0) <= math.ulp(1.0), f.name
+def _capped_work_scenario():
+    """The reference triple with a coherent work mode (mbar 1.01) capped at n = 0."""
     d = _base_dict()
-    d["time_grid_us"] = {"start": 0.0, "stop": 100.0, "num": 3}
-    d["truncation"] = {"epsilon": 1e-2}
-    meta = run_scenario(scenario_from_dict(d)).metadata
-    assert abs(meta["retained_weight"] + meta["discarded_weight"] - 1.0) <= math.ulp(1.0)
+    d["preps"]["work"] = {"kind": "coherent", "mbar": 1.01}
+    d["truncation"]["n_max_w"] = 0
+    return scenario_from_dict(d)
+
+
+def test_a_capped_mode_reports_the_mass_its_cap_drops():
+    """A cap at n = 0 runs the coherent work mode in vacuum, so its
+    preparation loses 1 - e^-1.01 of its mass; the ensemble and the
+    ``simulate`` metadata carry that tail mass beside the retained weight.
+    Before, the metadata reported only the retained weight (0.9999) and a
+    discarded weight, 1 minus it."""
+    s = _capped_work_scenario()
+    dropped = 1.0 - math.exp(-1.01)
+    assert build_ensemble(s).tail_mass[1] == pytest.approx(dropped, abs=1e-12)
+    meta = run_scenario(s).metadata
+    assert meta["tail_mass"][1] == pytest.approx(dropped, abs=1e-12)
+    assert meta["retained_weight"] > 0.9999 and "discarded_weight" not in meta
+
+
+def test_a_mode_capped_at_zero_has_a_mean_of_exactly_zero(tmp_path):
+    """n_w = N - n_h is 0 in every sector when the work mode is capped at
+    n = 0, and every mean is floored at 0, so ``run_scenario``, its
+    trajectory CSV and both steady-state rules read nbar_w = 0.0.  Before,
+    each read -3.3e-16."""
+    s = _capped_work_scenario()
+    result = run_scenario(s)
+    assert np.all(result.nbar[1] == 0.0) and not np.signbit(result.nbar).any()
+    result.to_csv(tmp_path / "trajectory.csv")
+    _, cols, data = read_dataset_csv(tmp_path / "trajectory.csv")
+    assert np.all(data[:, cols.index("nbar_w")] == 0.0)
+    for rule in (SteadyStateRule(), SteadyStateRule(method="window_average")):
+        assert steady_state(s, rule).nbar_w == 0.0
 
 
 def test_absent_optional_keys_take_the_dataclass_defaults():
@@ -431,6 +451,18 @@ def test_the_runtime_needs_no_scipy(tmp_path):
                            str(root / "scenarios")], capture_output=True, text=True,
                           timeout=300, env={**os.environ, "PYTHONPATH": str(root / "src")})
     assert proc.returncode == 0, proc.stderr
+
+
+def test_the_package_exports_names_not_submodules():
+    """``ionfridge.__all__`` lists the 71 public names and none of the
+    submodules, which stay importable as attributes.  Before, its ``dir()``
+    comprehension also picked up the nine submodule objects (80 names)."""
+    import types
+    import ionfridge
+    assert not [name for name in ionfridge.__all__
+                if isinstance(getattr(ionfridge, name), types.ModuleType)]
+    assert len(ionfridge.__all__) == 71
+    assert ionfridge.dynamics.EnsembleSpectrum is ionfridge.EnsembleSpectrum
 
 
 # ---------------------------------------------------------------------------
