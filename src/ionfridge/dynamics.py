@@ -88,6 +88,7 @@ class ThreeModeEnsemble:
     pops: np.ndarray
     xi: float
     tail_mass: tuple[float, float, float]    # mass each mode's cutoff dropped
+    ladder_means: tuple[float, float, float]  # mean of each mode's evolved ladder
     detuning: float = 0.0
 
     @property
@@ -138,7 +139,8 @@ def assemble_from_distributions(dists: tuple[PhononDistribution, PhononDistribut
     return ThreeModeEnsemble(sectors=sectors,
                              pops=joint / np.add.reduceat(joint, start)[owner],
                              xi=xi, detuning=detuning,
-                             tail_mass=tuple(dist.tail_mass for dist in dists))
+                             tail_mass=tuple(dist.tail_mass for dist in dists),
+                             ladder_means=tuple(dist.mean for dist in dists))
 
 
 def assemble_initial(preps: tuple[ModePrep, ModePrep, ModePrep],

@@ -36,7 +36,7 @@ from .dynamics import (EnsembleSpectrum, ThreeModeEnsemble, assemble_initial,
 from .errors import DomainError, ScenarioError, ValidationError
 from .fockspace import TruncationPolicy
 from .measurement import SidebandConfig, red_sideband_brightness
-from .states import PREP_KINDS, ModePrep, prep_mean
+from .states import PREP_KINDS, ModePrep
 from .trap import CODATA2014, REFERENCE_SETUPS, TrapConfig, coupling_rate
 
 SCHEMA_VERSION = 1
@@ -523,7 +523,8 @@ def fig2_dataset(base: Scenario, nbar_c_values: Sequence[float] | None = None,
     """Hot-mode equilibration sweep.
 
     For each (work, cold) input occupation the hot-mode shift
-    eps_h = nbar_h_in - nbar_h_ss is recorded; per work row the simulated
+    eps_h = nbar_h_in - nbar_h_ss is recorded, nbar_h_in the mean of the hot
+    ladder the ensemble evolved; per work row the simulated
     equilibrium cold occupation (zero crossing of eps_h) is extracted and
     compared to the closed-form balance prediction.
     """
@@ -533,8 +534,6 @@ def fig2_dataset(base: Scenario, nbar_c_values: Sequence[float] | None = None,
                          else base.sweep.work_nbar)
     if not nbar_c_values or not nbar_w_values:
         raise ScenarioError("fig2 needs both work_nbar and cold_nbar sweeps")
-    nbar_h_in = prep_mean(base.preps[0])
-
     cells: list[EquilibriumCell] = []
     rows: list[EquilibriumRow] = []
     for nw in nbar_w_values:
@@ -542,6 +541,7 @@ def fig2_dataset(base: Scenario, nbar_c_values: Sequence[float] | None = None,
         for nc in nbar_c_values:
             s = with_thermal(with_thermal(base, "work", nw), "cold", nc)
             ensemble = build_ensemble(s)
+            nbar_h_in = ensemble.ladder_means[0]    # one hot ladder in every cell
             mom = EnsembleSpectrum(ensemble).dephased_moments()
             eps_h = nbar_h_in - mom.nbar_h
             cells.append(EquilibriumCell(
@@ -655,16 +655,18 @@ def fig3_dataset(base: Scenario,
     six thermal presets keep the base coupling; the four squeezed-work
     presets run at z425's Hamiltonian rate, where they were recorded.
     Each delta subtracts two means of one truncated ensemble, not a
-    truncated mean from the preparation's; ``nbar_c_in`` stays the
-    preparation's mean.
+    truncated mean from the preparation's; ``nbar_w_eff`` and ``nbar_c_in``
+    are the means of the work and cold ladders the ensemble evolved.
     """
     if scenarios is None:
         scenarios = relaxation_scenarios(base)
     traces = []
     for s, measured in scenarios:
-        spectrum = EnsembleSpectrum(build_ensemble(s))
+        ensemble = build_ensemble(s)
+        spectrum = EnsembleSpectrum(ensemble)
         traces.append(RelaxationTrace(
-            label=s.name, nbar_w_eff=prep_mean(s.preps[1]), nbar_c_in=prep_mean(s.preps[2]),
+            label=s.name, nbar_w_eff=ensemble.ladder_means[1],
+            nbar_c_in=ensemble.ladder_means[2],
             nbar_c_ss=rule.occupations(spectrum, s).nbar_c, tau=s.time_grid.copy(),
             nbar_c=spectrum.means_at(s.time_grid)[2], measured_ss=measured))
     return RelaxationStudy(traces=traces, metadata=dict(
@@ -732,13 +734,16 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
     """Transient cold-mode minimum of one scenario vs the two benchmarks.
 
     ``tau_star`` is the golden-section minimum in the grid steps around the
-    grid's lowest point, or that grid point where it is lower (at t = 0
-    where the cold mode only heats).  ``delta_single_shot`` subtracts the
-    minimum from the grid's first value, both means of the one truncated
-    ensemble, so where the cold mode only heats it is 0.
-    ``delta_dephased`` subtracts the dephased mean from the preparation's.
-    ``delta_classical`` is -:func:`~ionfridge.benchmarks.equilibrium_shift`
-    of the preparations' means, NaN where one of them is 0.
+    grid's lowest point, or that grid point where it is as low (at t = 0
+    where the cold mode only heats or stays put).  ``delta_single_shot``
+    subtracts the minimum from the grid's first value, both means of the
+    one truncated ensemble, so where the cold mode only heats it is 0.
+    ``nbar_w`` and the inputs of the two benchmarks are the means of the
+    ladders the ensemble evolved (``ladder_means``), so a mode capped at
+    n = 0 enters them at 0.  ``delta_dephased`` subtracts the dephased mean
+    from the cold ladder's.  ``delta_classical`` is
+    -:func:`~ionfridge.benchmarks.equilibrium_shift` of the ladders' means,
+    NaN where one of them is 0.
     """
     grid = s.time_grid
     if grid.size < 3:
@@ -759,10 +764,10 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
     hi = grid[min(i + 1, grid.size - 1)]
     tau_star = _golden_minimum(nc_at, lo, hi, TAU_STAR_RESOLUTION)
     nbar_c_min = nc_at(tau_star)
-    if nc[i] < nbar_c_min:          # the search never evaluates its bracket's ends
+    if nc[i] <= nbar_c_min:         # the search never evaluates its bracket's ends
         tau_star, nbar_c_min = float(grid[i]), float(nc[i])
 
-    occ = OccupationTriple(*(prep_mean(p) for p in s.preps))
+    occ = OccupationTriple(*ensemble.ladder_means)
     delta_dephased = occ.nbar_c - spectrum.dephased_moments().nbar_c
     try:
         delta_classical = -equilibrium_shift(occ)
@@ -775,7 +780,7 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
         nc_inc = spectrum.incoherent_means_at(grid, xi_in)[2]
         nc_min_inc = float(nc_inc.min())
     return SingleShotPoint(
-        nbar_w=prep_mean(s.preps[1]), tau_star=tau_star, nbar_c_min=nbar_c_min,
+        nbar_w=occ.nbar_w, tau_star=tau_star, nbar_c_min=nbar_c_min,
         delta_single_shot=float(nc[0]) - nbar_c_min, delta_dephased=delta_dephased,
         delta_classical=delta_classical, nbar_c_min_incoherent=nc_min_inc)
 
@@ -791,7 +796,7 @@ def fig4_dataset(base: Scenario, nbar_w_values: Sequence[float] | None = None) -
     return SingleShotStudy(points=points, metadata=dict(
         _base_metadata(base, "fig4", None),
         deltas="delta_single_shot = nbar_c at the first grid time - nbar_c_min, both from one "
-               "truncated ensemble; delta_dephased = the cold preparation's mean - the "
+               "truncated ensemble; delta_dephased = the cold ladder's mean - the "
                "dephased nbar_c"))
 
 

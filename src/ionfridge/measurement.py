@@ -233,7 +233,7 @@ _RANK_RTOL = math.sqrt(np.finfo(float).eps)
 #: the free fits of thermometry records), and a parameter along a dropped
 #: direction loads ~1.
 _UNRESOLVED_LOADING = 1e-6
-#: residual evaluations a fit may spend before it raises FitConvergenceError
+#: evaluations a fit may spend before it raises FitConvergenceError
 _MAX_NFEV = 500
 #: starting damping as a share of the largest squared singular value, the
 #: least factor an accepted step may shrink the damping by, and the least
@@ -243,37 +243,37 @@ _DAMPING_SHRINK = 0.1
 _DAMPING_FLOOR = np.finfo(float).tiny
 
 
-def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndarray,
-                         jac: Callable[[np.ndarray], np.ndarray],
+def damped_least_squares(fn: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]],
+                         theta0: np.ndarray,
                          lower: np.ndarray | float = -np.inf) -> LMSolution:
-    """Levenberg-Marquardt minimization of sum(fn(theta)^2) with Jacobian ``jac(theta)``.
+    """Levenberg-Marquardt minimization of sum(r^2), where ``fn(theta)`` returns
+    the residuals r and their (residuals x parameters) Jacobian.
 
-    ``jac`` returns the (residuals x parameters) derivative matrix of ``fn``,
-    and ``lower`` bounds theta from below (unbounded by default).  Each
+    ``lower`` bounds theta from below (unbounded by default).  Each
     accepted point takes one SVD U diag(s) V^T of the free Jacobian columns;
     every trial step from it is the damped Gauss-Newton step
-    -V diag(s / (s^2 + lam)) U^T r, projected onto the bound, so a rejected
-    trial costs one evaluation of ``fn``.  The damping is lam times the
-    identity, not scaled by the Jacobian's columns: it starts at
-    1e-12 s_max^2 and follows Nielsen's rule, an accepted step with gain
-    ratio rho scaling it by max(0.1, 1 - (2 rho - 1)^3) and rejected ones
-    by 2, 4, 8, ...  An evaluation of ``fn`` that raises OverflowError,
-    FloatingPointError or ValidationError, or returns non-finite residuals,
-    is an infeasible trial point and is rejected.  ``jac`` is called only at
-    the start and at accepted points, so the starting point must be feasible.
-    ``cost_history`` holds the starting and accepted costs, so it strictly
-    decreases, and ``n_iter`` counts the trial steps.  A parameter within
+    -V diag(s / (s^2 + lam)) U^T r, projected onto the bound.  The damping
+    is lam times the identity, not scaled by the Jacobian's columns: it
+    starts at 1e-12 s_max^2 and follows Nielsen's rule, an accepted step
+    with gain ratio rho scaling it by max(0.1, 1 - (2 rho - 1)^3) and
+    rejected ones by 2, 4, 8, ...  ``fn`` is evaluated at the start and once
+    per trial, and an accepted trial keeps the Jacobian of its evaluation.
+    A trial whose evaluation raises OverflowError, FloatingPointError or
+    ValidationError, or returns non-finite residuals, is infeasible and is
+    rejected; the starting point must be feasible.  ``cost_history`` holds
+    the starting and accepted costs, so it strictly decreases, and
+    ``n_iter`` counts the trial steps.  A parameter within
     ``_SOLVER_TOL`` of its bound whose gradient points out of the bounds is
     held there (error inf, zero covariance); ``cov``, ``errors``, ``rank``
     and ``cond`` come from :func:`_covariance` of the other columns of the
-    final Jacobian.  Running out of :data:`_MAX_NFEV` residual evaluations
+    final Jacobian.  Running out of :data:`_MAX_NFEV` evaluations
     raises ``FitConvergenceError``.
     """
     theta = np.asarray(theta0, dtype=float)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), theta.shape)
-    r = fn(theta)
+    r, jmat = fn(theta)
     cost = float(r @ r)
-    history, jmat = [cost], jac(theta)
+    history = [cost]
     nfev, n_iter, lam, nu, stop = 1, 0, math.nan, 2.0, False
     while True:
         free = ~((theta - lower <= _SOLVER_TOL) & (jmat.T @ r > 0.0))
@@ -293,7 +293,7 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
             nfev += 1
             n_iter += 1
             try:
-                r_new = fn(theta + step)
+                r_new, j_new = fn(theta + step)
                 cost_new = float(r_new @ r_new)
             except (OverflowError, FloatingPointError, ValidationError):
                 cost_new = math.inf
@@ -304,9 +304,8 @@ def damped_least_squares(fn: Callable[[np.ndarray], np.ndarray], theta0: np.ndar
                         < _SOLVER_TOL * (_SOLVER_TOL + np.linalg.norm(theta)))
             if rho > 0.0:              # nan (non-finite residuals) is rejected too
                 stop |= rho > 0.25 and cost - cost_new < _SOLVER_TOL * cost
-                theta, r, cost = theta + step, r_new, cost_new
+                theta, r, cost, jmat = theta + step, r_new, cost_new, j_new
                 history.append(cost)
-                jmat = jac(theta)
                 shrink = max(_DAMPING_SHRINK, 1.0 - (2.0 * rho - 1.0) ** 3)
                 lam, nu = max(lam * shrink, _DAMPING_FLOOR), 2.0
                 break
@@ -402,17 +401,18 @@ _DIFF_STEP = math.sqrt(np.finfo(float).eps)
 class _FloppingFit:
     """Residuals (curve - y) / sigma of a :data:`FIT_MODELS` fit and their Jacobian.
 
-    Both take the reported parameters theta: the model's distribution
-    parameters, then a, b, omega01 and gamma0, the ``_NONNEGATIVE_PARAMS``
-    >= 0.  With p the populations and S the flopping sums
-    (:func:`_flopping_sums`) of the columns [p, sqrt(n+1) p, dp/dtheta_dist],
-    the Jacobian columns of the
-    curve are d/da = (1 - Re S_0) / 2, d/db = 1,
-    d/d omega01 = (a/2) t Im S_1 and d/d gamma0 = (a/2) t Re S_1 (because
-    d e^{z_n t} / d omega01 = i sqrt(n+1) t e^{z_n t}), and -(a/2) Re S_dist
-    for the distribution parameters.  dp/dtheta_dist is a forward difference
-    of the populations alone in theta, at the ``_DIFF_STEP`` step, the same
-    for every model; a parameter at 0 steps upward, inside its bound.
+    :meth:`evaluate` takes the reported parameters theta: the model's
+    distribution parameters, then a, b, omega01 and gamma0, the
+    ``_NONNEGATIVE_PARAMS`` >= 0.  It builds the populations p and their
+    forward differences once, and takes one set of flopping sums S
+    (:func:`_flopping_sums`) of the columns [p, sqrt(n+1) p, dp/dtheta_dist].
+    The curve is (a/2)(1 - Re S_0) + b, and its Jacobian columns are
+    d/da = (1 - Re S_0) / 2, d/db = 1, d/d omega01 = (a/2) t Im S_1 and
+    d/d gamma0 = (a/2) t Re S_1 (because d e^{z_n t} / d omega01 =
+    i sqrt(n+1) t e^{z_n t}), and -(a/2) Re S_dist for the distribution
+    parameters.  dp/dtheta_dist is a forward difference of the populations
+    alone in theta, at the ``_DIFF_STEP`` step, the same for every model; a
+    parameter at 0 steps upward, inside its bound.
     """
 
     def __init__(self, model: str, ts: np.ndarray, ys: np.ndarray, sigmas: np.ndarray):
@@ -420,14 +420,7 @@ class _FloppingFit:
         self.n_dist = len(dist_seeds)
         self.ts, self.ys, self.sigmas = ts, ys, sigmas
 
-    def residuals(self, theta: np.ndarray) -> np.ndarray:
-        probs = self.populations(*theta[:self.n_dist].tolist())
-        a, b = theta[self.n_dist:self.n_dist + 2]
-        sums = _flopping_sums(self.ts, *theta[-2:], probs[:, None])
-        curve = 0.5 * a * (1.0 - sums[:, 0].real) + b
-        return (curve - self.ys) / self.sigmas
-
-    def jacobian(self, theta: np.ndarray) -> np.ndarray:
+    def evaluate(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         probs = self.populations(*theta[:self.n_dist].tolist())
         columns = [probs, np.sqrt(np.arange(probs.size) + 1.0) * probs]
         for j in range(self.n_dist):
@@ -436,14 +429,15 @@ class _FloppingFit:
             columns.append((self.populations(*step.tolist()) - probs)
                            / (step[j] - theta[j]))
         sums = _flopping_sums(self.ts, *theta[-2:], np.column_stack(columns))
-        a = theta[self.n_dist]
+        a, b = theta[self.n_dist:self.n_dist + 2]
+        curve = 0.5 * a * (1.0 - sums[:, 0].real) + b
         jac = np.empty((self.ts.size, theta.size))
         jac[:, :self.n_dist] = -0.5 * a * sums[:, 2:].real
         jac[:, self.n_dist] = 0.5 * (1.0 - sums[:, 0].real)
         jac[:, self.n_dist + 1] = 1.0
         jac[:, self.n_dist + 2] = 0.5 * a * self.ts * sums[:, 1].imag
         jac[:, self.n_dist + 3] = 0.5 * a * self.ts * sums[:, 1].real
-        return jac / self.sigmas[:, None]
+        return (curve - self.ys) / self.sigmas, jac / self.sigmas[:, None]
 
 
 def _default_omega_seed(ts: np.ndarray, ys: np.ndarray, spacing: float) -> float:
@@ -460,6 +454,12 @@ def _default_omega_seed(ts: np.ndarray, ys: np.ndarray, spacing: float) -> float
     # -i t_i as its exponents
     power = np.abs(_kernel_sums(omegas, -1j * ts, (ys - ys.mean())[:, None])[:, 0])
     return float(omegas[int(np.argmax(power))])
+
+
+def _median(x: np.ndarray) -> float:
+    """np.median(x), without the numpy.ma import of np.median's first call."""
+    s = np.sort(x)
+    return 0.5 * float(s[(s.size - 1) // 2] + s[s.size // 2])
 
 
 def fit_distribution(record: BrightnessRecord, model: str) -> FitResult:
@@ -489,7 +489,7 @@ def fit_distribution(record: BrightnessRecord, model: str) -> FitResult:
     n_params = len(names)
     ts, ys, sigmas = record.t, record.p_up, record.sigma
     gaps = np.diff(np.sort(ts))
-    scale = np.median(np.maximum(gaps[:-1], gaps[1:])) if gaps.size > 1 else 0.0
+    scale = _median(np.maximum(gaps[:-1], gaps[1:])) if gaps.size > 1 else 0.0
     distinct = gaps[gaps > _SAME_INSTANT * scale]
     instants = min(ts.size, 1 + distinct.size)
     if instants < 3 * n_params:
@@ -497,13 +497,12 @@ def fit_distribution(record: BrightnessRecord, model: str) -> FitResult:
                               f"parameters, got {instants}")
     problem = _FloppingFit(model, ts, ys, sigmas)
     lower = np.array([0.0 if name in _NONNEGATIVE_PARAMS else -math.inf for name in names])
-    omega_peak = _default_omega_seed(ts, ys, float(np.median(distinct)))
+    omega_peak = _default_omega_seed(ts, ys, _median(distinct))
 
     def fit_from(omega01: float) -> FitResult:
         start = np.array([*dist_seeds.values(), max(float(ys.max() - ys.min()), 0.1),
                           float(ys.min()), omega01, 0.05 / float(ts.max())])
-        solution = damped_least_squares(problem.residuals, start, problem.jacobian,
-                                        lower=lower)
+        solution = damped_least_squares(problem.evaluate, start, lower=lower)
         values = solution.theta.tolist()
         result = FitResult(model=model, params=dict(zip(names, values)),
                            errors=dict(zip(names, solution.errors.tolist())),

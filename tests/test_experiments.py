@@ -243,6 +243,35 @@ def test_a_mode_capped_at_zero_has_a_mean_of_exactly_zero(tmp_path):
         assert steady_state(s, rule).nbar_w == 0.0
 
 
+def _capped_single_shot():
+    """``scenarios/single_shot.json`` with a coherent work mode (mbar 1.01)
+    capped at n = 0: the work mode runs in vacuum."""
+    d = json.loads((_SHIPPED / "single_shot.json").read_text())
+    d["preps"]["work"] = {"kind": "coherent", "mbar": 1.01}
+    d["truncation"]["n_max_w"] = 0
+    return scenario_from_dict(d)
+
+
+def test_a_mode_capped_at_zero_enters_the_single_shot_row_at_zero():
+    """The row reads the means of the ladders the ensemble evolved, so the
+    capped work mode enters at 0: nbar_w is 0.0 and delta_classical is NaN
+    by the zero-occupation rule.  Before, it read the preparation's mean:
+    nbar_w 1.01 and delta_classical -0.0569."""
+    point = single_shot_point(_capped_single_shot())
+    assert point.nbar_w == 0.0
+    assert math.isnan(point.delta_classical)
+
+
+def test_a_flat_single_shot_trace_reports_its_first_grid_time():
+    """With the work mode in vacuum every sector has dimension 1 and the
+    cold mode does not move; a grid point as low as the golden-section
+    minimum is kept, so tau* = 0.  Before, the tie went to the search's
+    midpoint of the first step, tau* = 2.457 us."""
+    point = single_shot_point(_capped_single_shot())
+    assert point.tau_star == 0.0
+    assert point.delta_single_shot == 0.0
+
+
 def test_absent_optional_keys_take_the_dataclass_defaults():
     """The parser holds no defaults: an absent optional key is left out of the
     constructor call, and a null cap is no cap."""
@@ -747,15 +776,16 @@ def test_fig4_single_shot_delta_takes_both_ends_from_one_ensemble(tmp_path):
     there."""
     base = load_scenario(_SHIPPED / "single_shot.json")
     study = fig4_dataset(base)
-    by_nbar = {p.nbar_w: p for p in study.points}
+    # keyed by the sweep's inputs: a point's nbar_w is its ladder's mean
+    by_nbar = dict(zip(base.sweep.work_nbar, study.points))
     for nbar_w in (1.1, 0.67, 0.37, 0.19):
         assert by_nbar[nbar_w].tau_star == 0.0
         assert by_nbar[nbar_w].delta_single_shot == 0.0
     tight = dataclasses.replace(base, truncation=dataclasses.replace(base.truncation,
                                                                      epsilon=1e-8))
-    for converged in fig4_dataset(tight, nbar_w_values=[4.44, 2.16]).points:
-        assert abs(by_nbar[converged.nbar_w].delta_single_shot
-                   - converged.delta_single_shot) <= 5e-4
+    converged = fig4_dataset(tight, nbar_w_values=[4.44, 2.16]).points
+    for nbar_w, point in zip((4.44, 2.16), converged):
+        assert abs(by_nbar[nbar_w].delta_single_shot - point.delta_single_shot) <= 5e-4
     meta, cols, data = read_dataset_csv(study.write(tmp_path)[0])
     assert "first grid time" in meta["deltas"]
     assert np.all(data[2:, cols.index("delta_single_shot")] == 0.0)

@@ -196,22 +196,20 @@ def test_estimate_nbar_rejects_non_finite_inputs(p_up_exp, field, value):
 def test_lm_quadratic_exact():
     # residuals linear in theta: one Gauss-Newton step must land on (2, -3)
     def fn(theta):
-        return np.array([theta[0] - 2.0, theta[1] + 3.0, 0.5 * (theta[0] - 2.0)])
+        return (np.array([theta[0] - 2.0, theta[1] + 3.0, 0.5 * (theta[0] - 2.0)]),
+                np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.0]]))
 
-    jac = lambda theta: np.array([[1.0, 0.0], [0.0, 1.0], [0.5, 0.0]])
-    sol = damped_least_squares(fn, np.array([10.0, 10.0]), jac)
+    sol = damped_least_squares(fn, np.array([10.0, 10.0]))
     np.testing.assert_allclose(sol.theta, [2.0, -3.0], atol=1e-10)
     assert sol.cost == pytest.approx(0.0, abs=1e-20)
 
 
 def test_lm_cost_history_monotone_on_rosenbrock():
     def fn(theta):
-        return np.array([10.0 * (theta[1] - theta[0] ** 2), 1.0 - theta[0]])
+        return (np.array([10.0 * (theta[1] - theta[0] ** 2), 1.0 - theta[0]]),
+                np.array([[-20.0 * theta[0], 10.0], [-1.0, 0.0]]))
 
-    def jac(theta):
-        return np.array([[-20.0 * theta[0], 10.0], [-1.0, 0.0]])
-
-    sol = damped_least_squares(fn, np.array([-1.2, 1.0]), jac)
+    sol = damped_least_squares(fn, np.array([-1.2, 1.0]))
     np.testing.assert_allclose(sol.theta, [1.0, 1.0], atol=1e-6)
     hist = np.array(sol.cost_history)
     assert np.all(np.diff(hist) < 0.0)
@@ -219,22 +217,21 @@ def test_lm_cost_history_monotone_on_rosenbrock():
 
 
 def test_lm_zero_iterations_raises(monkeypatch):
-    fn = lambda theta: np.array([theta[0] - 1.0])
-    jac = lambda theta: np.array([[1.0]])
+    fn = lambda theta: (np.array([theta[0] - 1.0]), np.array([[1.0]]))
     monkeypatch.setattr(measurement, "_MAX_NFEV", 1)    # the start only
     with pytest.raises(FitConvergenceError, match="max_nfev = 1"):
-        damped_least_squares(fn, np.array([5.0]), jac)
+        damped_least_squares(fn, np.array([5.0]))
 
 
 def test_lm_rank_deficient_jacobian_reports_rank():
     # second parameter never enters the residuals
     def fn(theta):
-        return np.array([theta[0] - 2.0, 2.0 * (theta[0] - 2.0)])
+        return (np.array([theta[0] - 2.0, 2.0 * (theta[0] - 2.0)]),
+                np.array([[1.0, 0.0], [2.0, 0.0]]))
 
-    jac = lambda theta: np.array([[1.0, 0.0], [2.0, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        sol = damped_least_squares(fn, np.array([7.0, 1.0]), jac)
+        sol = damped_least_squares(fn, np.array([7.0, 1.0]))
     assert sol.theta[0] == pytest.approx(2.0, abs=1e-8)
     assert sol.rank == 1
     assert sol.cond > 1e12
@@ -254,10 +251,10 @@ def test_lm_infeasible_trial_points_are_rejected():
             if theta[0] > limit:
                 infeasible.append(theta[0])
                 raise OverflowError("model exploded")
-            return np.array([math.exp(theta[0]) - math.exp(3.0)])
+            return (np.array([math.exp(theta[0]) - math.exp(3.0)]),
+                    np.array([[math.exp(theta[0])]]))
 
-        jac = lambda theta: np.array([[math.exp(theta[0])]])
-        sol = damped_least_squares(fn, np.array([start]), jac)
+        sol = damped_least_squares(fn, np.array([start]))
         assert sol.theta[0] == pytest.approx(3.0, abs=1e-6)
     assert infeasible       # the start from below overshoots the limit
 
@@ -267,11 +264,10 @@ def test_lm_parameter_held_at_its_lower_bound():
     solution sits on the bound, reports an infinite error there and leaves
     that column out of the covariance, rank and condition number."""
     def fn(theta):
-        return np.array([theta[0] + 1.0, theta[1] - 2.0, 0.5 * (theta[1] - 2.0)])
+        return (np.array([theta[0] + 1.0, theta[1] - 2.0, 0.5 * (theta[1] - 2.0)]),
+                np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.5]]))
 
-    jac = lambda theta: np.array([[1.0, 0.0], [0.0, 1.0], [0.0, 0.5]])
-    sol = damped_least_squares(fn, np.array([3.0, 0.0]), jac,
-                               lower=np.array([0.0, -math.inf]))
+    sol = damped_least_squares(fn, np.array([3.0, 0.0]), lower=np.array([0.0, -math.inf]))
     assert 0.0 <= sol.theta[0] <= 1e-10
     assert sol.theta[1] == pytest.approx(2.0, abs=1e-8)
     assert sol.errors[0] == math.inf
@@ -280,8 +276,8 @@ def test_lm_parameter_held_at_its_lower_bound():
     assert sol.rank == 1
     assert sol.cond == pytest.approx(1.0)
     # with every parameter held nothing is resolved
-    sol = damped_least_squares(lambda theta: theta + 1.0, np.array([3.0]),
-                               lambda theta: np.eye(1), lower=np.zeros(1))
+    sol = damped_least_squares(lambda theta: (theta + 1.0, np.eye(1)), np.array([3.0]),
+                               lower=np.zeros(1))
     assert sol.errors[0] == math.inf and sol.rank == 0 and sol.cond == math.inf
 
 
@@ -297,21 +293,37 @@ samples = synthetic_brightness(thermal_distribution(1.8, 150, 1.0),
                                np.random.default_rng(0))
 print(fit_distribution(samples, "thermal").reduced_chi2)
 print("scipy.optimize" in sys.modules)
+print("numpy.ma" in sys.modules)
 """
 
 
-def test_a_fit_does_not_load_scipy_optimize():
-    """The solver is numpy alone.  Before, every fitting process imported
-    scipy.optimize for one least_squares call (~0.5 s and ~49 MB)."""
+def _fit_in_a_fresh_process() -> tuple[float, bool, bool]:
+    """Reduced chi2 of a thermal fit in a fresh process, and whether it
+    loaded scipy.optimize and numpy.ma."""
     src = str(Path(measurement.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (src, os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run([sys.executable, "-c", _FIT_IN_A_FRESH_PROCESS], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    chi2, loaded = proc.stdout.split()
-    assert float(chi2) <= 2.0
-    assert loaded == "False"
+    chi2, optimize, ma = proc.stdout.split()
+    return float(chi2), optimize == "True", ma == "True"
+
+
+def test_a_fit_does_not_load_scipy_optimize():
+    """The solver is numpy alone.  Before, every fitting process imported
+    scipy.optimize for one least_squares call (~0.5 s and ~49 MB)."""
+    chi2, optimize, _ = _fit_in_a_fresh_process()
+    assert chi2 <= 2.0
+    assert not optimize
+
+
+def test_a_fit_does_not_load_numpy_ma():
+    """The fit takes its medians from a sort.  np.median imports numpy.ma on
+    its first call, 15-20 ms of the first fit in a process."""
+    chi2, _, ma = _fit_in_a_fresh_process()
+    assert chi2 <= 2.0
+    assert not ma
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +391,35 @@ def test_fit_jacobian_matches_central_differences(model):
     start += [rng.uniform(0.85, 1.0), rng.uniform(0.01, 0.04),
               OMEGA * rng.uniform(0.97, 1.03), rng.uniform(400.0, 800.0)]
     theta = np.array(start)
-    jac = fit.jacobian(theta)
+    r, jac = fit.evaluate(theta)
     h = 1e-6
-    central = np.column_stack([(fit.residuals(theta + h * e) - fit.residuals(theta - h * e))
+    central = np.column_stack([(fit.evaluate(theta + h * e)[0] - fit.evaluate(theta - h * e)[0])
                                / (2.0 * h) for e in np.eye(theta.size)])
     np.testing.assert_allclose(jac, central, rtol=1e-6, atol=1e-6 * np.abs(central).max())
-    # the residuals at theta, then the Jacobian at theta from the kept kernel
-    fit.residuals(theta)
-    np.testing.assert_array_equal(fit.jacobian(theta), jac)
+    # a second evaluation at theta is bitwise the first
+    r_again, jac_again = fit.evaluate(theta)
+    np.testing.assert_array_equal(r_again, r)
+    np.testing.assert_array_equal(jac_again, jac)
+
+
+@pytest.mark.parametrize("model", list(FIT_MODELS))
+def test_a_fit_sums_its_flopping_curve_once_per_trial(monkeypatch, model):
+    """A fit that does not refit makes n_iter + 2 kernel sums: one at the
+    start, one per trial step (residuals and Jacobian together) and the
+    periodogram.  Evaluating the residuals and the Jacobian apart made
+    n_iter + accepted + 3."""
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return kernel_sums(*args, **kwargs)
+
+    samples, _ = _bench_record(7, model)
+    kernel_sums = measurement._kernel_sums
+    monkeypatch.setattr(measurement, "_kernel_sums", counted)
+    res = fit_distribution(samples, model)
+    assert res.reduced_chi2 <= measurement._REFIT_CHI2     # no coherent refit
+    assert len(calls) == res.n_iter + 2
 
 
 @pytest.mark.parametrize("seed", [0, 1])

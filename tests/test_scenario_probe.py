@@ -12,10 +12,10 @@ import pytest
 
 from ionfridge.cli import main as cli_main
 from ionfridge.errors import DomainError, ScenarioError, TruncationError
-from ionfridge.experiments import (SCHEMA_VERSION, SteadyStateRule, fig2_dataset,
-                                   fig4_dataset, load_scenario, read_dataset_csv,
-                                   run_scenario, steady_state)
-from ionfridge.states import PREP_KINDS, prep_mean
+from ionfridge.experiments import (SCHEMA_VERSION, SteadyStateRule, build_ensemble,
+                                   fig2_dataset, fig4_dataset, load_scenario,
+                                   read_dataset_csv, run_scenario, steady_state)
+from ionfridge.states import PREP_KINDS
 
 N_DRAWS = 40
 #: rounding allowed past a brightness bound; means are floored at 0 exactly
@@ -153,7 +153,7 @@ def test_every_parsed_scenario_runs_to_the_end(tmp_path, capsys):
 
         study = _check_study(lambda: fig4_dataset(s), counts, "fig4")
         if study is not None:
-            means = [prep_mean(p) for p in s.preps]
+            means = build_ensemble(s).ladder_means     # the means the dynamics ran
             for point in study.points:
                 assert point.delta_single_shot >= 0.0, d
                 assert grid[0] <= point.tau_star <= grid[-1], d
