@@ -708,7 +708,10 @@ class SingleShotPoint:
     delta_dephased: float           # nbar_c_in - dephased steady state
     delta_classical: float          # exchange-balance equilibrium benchmark; NaN where an
                                     # occupation is 0 (T = 0: ln(1 + 1/nbar) diverges)
+    retained_weight: float          # of the ensemble the point evolved
+    n_sectors: int
     nbar_c_min_incoherent: float = math.nan
+    tau_incoherent: float = math.nan    # s, grid time of nbar_c_min_incoherent
 
 
 @dataclass(eq=False)
@@ -722,9 +725,11 @@ class SingleShotStudy:
         write_dataset_csv(
             path,
             ["nbar_w_in", "tau_star_us", "nbar_c_min", "delta_single_shot",
-             "delta_dephased", "delta_classical", "nbar_c_min_incoherent"],
+             "delta_dephased", "delta_classical", "nbar_c_min_incoherent",
+             "tau_incoherent_us", "retained_weight", "n_sectors"],
             [[p.nbar_w, p.tau_star * 1e6, p.nbar_c_min, p.delta_single_shot,
-              p.delta_dephased, p.delta_classical, p.nbar_c_min_incoherent]
+              p.delta_dephased, p.delta_classical, p.nbar_c_min_incoherent,
+              p.tau_incoherent * 1e6, p.retained_weight, p.n_sectors]
              for p in self.points],
             self.metadata)
         return [path]
@@ -743,7 +748,11 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
     n = 0 enters them at 0.  ``delta_dephased`` subtracts the dephased mean
     from the cold ladder's.  ``delta_classical`` is
     -:func:`~ionfridge.benchmarks.equilibrium_shift` of the ladders' means,
-    NaN where one of them is 0.
+    NaN where one of them is 0.  ``nbar_c_min_incoherent`` is the incoherent
+    twin's grid minimum and ``tau_incoherent`` its grid time (both NaN
+    without the twin); a time at the grid's first or last point is a grid
+    end, not an interior minimum.  ``retained_weight`` and ``n_sectors``
+    describe the truncated ensemble.
     """
     grid = s.time_grid
     if grid.size < 3:
@@ -774,15 +783,18 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
     except DomainError:             # an occupation is 0
         delta_classical = math.nan
 
-    nc_min_inc = math.nan
+    nc_min_inc = tau_inc = math.nan
     if include_incoherent:
         xi_in = default_incoherence_strength(spectrum)
         nc_inc = spectrum.incoherent_means_at(grid, xi_in)[2]
-        nc_min_inc = float(nc_inc.min())
+        i_inc = int(np.argmin(nc_inc))
+        nc_min_inc, tau_inc = float(nc_inc[i_inc]), float(grid[i_inc])
     return SingleShotPoint(
         nbar_w=occ.nbar_w, tau_star=tau_star, nbar_c_min=nbar_c_min,
         delta_single_shot=float(nc[0]) - nbar_c_min, delta_dephased=delta_dephased,
-        delta_classical=delta_classical, nbar_c_min_incoherent=nc_min_inc)
+        delta_classical=delta_classical, retained_weight=ensemble.retained_weight,
+        n_sectors=len(ensemble.sectors), nbar_c_min_incoherent=nc_min_inc,
+        tau_incoherent=tau_inc)
 
 
 def fig4_dataset(base: Scenario, nbar_w_values: Sequence[float] | None = None) -> SingleShotStudy:
@@ -797,7 +809,10 @@ def fig4_dataset(base: Scenario, nbar_w_values: Sequence[float] | None = None) -
         _base_metadata(base, "fig4", None),
         deltas="delta_single_shot = nbar_c at the first grid time - nbar_c_min, both from one "
                "truncated ensemble; delta_dephased = the cold ladder's mean - the "
-               "dephased nbar_c"))
+               "dephased nbar_c",
+        incoherent_minimum="nbar_c_min_incoherent is the incoherent twin's grid minimum at "
+                           "tau_incoherent_us; a time at the grid's first or last point is a "
+                           "grid end, not an interior minimum"))
 
 
 # ---------------------------------------------------------------------------

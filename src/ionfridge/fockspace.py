@@ -72,17 +72,17 @@ def select_sectors(p_h: PhononDistribution, p_w: PhononDistribution,
                    p_c: PhononDistribution, policy: TruncationPolicy) -> SectorSelection:
     """Greedy sector selection for a product initial state.
 
-    The joint weight of sector (N, M) is
-    sum_k p_h(k) p_w(N-k) p_c(M-k).  Sectors are taken in descending weight
-    order (ties broken lexicographically by (N, M)) until the running total
-    reaches 1 - epsilon; weights below the 1e-15 floor are never retained.
+    The joint weight of sector (N, M) is sum_k p_h(k) p_w(N-k) p_c(M-k) over
+    the entries at or above the 1e-15 floor, each ladder cut after its last:
+    one floor rule for the three ladders.  Sectors are taken in descending
+    weight order (ties broken lexicographically by (N, M)) until the running
+    total reaches 1 - epsilon; weights below the floor are never retained.
     """
-    # grid[N, M] = sum_k p_h(k) p_w(N - k) p_c(M - k) over hot levels at or
-    # above the floor (the ladder cut after the last), one product of the
-    # two ladders' sliding windows
-    kept = p_h.p >= WEIGHT_FLOOR
-    ph = np.where(kept, p_h.p, 0.0)[:np.flatnonzero(kept)[-1] + 1]
-    grid = (_windows(p_w.p, ph.size) * ph) @ _windows(p_c.p, ph.size).T
+    # grid[N, M] = that sum over the floored, cut ladders: one product of the
+    # work and cold ladders' sliding windows, weighted by the hot ladder
+    ph, pw, pc = (np.trim_zeros(np.where(d.p >= WEIGHT_FLOOR, d.p, 0.0), "b")
+                  for d in (p_h, p_w, p_c))
+    grid = (_windows(pw, ph.size) * ph) @ _windows(pc, ph.size).T
 
     n_idx, m_idx = np.nonzero(grid >= WEIGHT_FLOOR)
     weights = grid[n_idx, m_idx]

@@ -758,12 +758,19 @@ def test_fig4_dataset_uses_sweep(tmp_path):
     (path,) = study.write(tmp_path)
     meta, cols, data = read_dataset_csv(path)
     assert cols[0] == "nbar_w_in"
-    assert data.shape == (2, 7)
+    assert data.shape == (2, 10)
     with pytest.raises(ScenarioError):
         fig4_dataset(s)  # no sweep on the reference scenario
 
 
-def test_fig4_single_shot_delta_takes_both_ends_from_one_ensemble(tmp_path):
+@pytest.fixture(scope="module")
+def single_shot_study():
+    """``scenarios/single_shot.json`` and its fig4 study, built once."""
+    base = load_scenario(_SHIPPED / "single_shot.json")
+    return base, fig4_dataset(base)
+
+
+def test_fig4_single_shot_delta_takes_both_ends_from_one_ensemble(tmp_path, single_shot_study):
     """On ``scenarios/single_shot.json`` (epsilon 1e-4) the cold mode only
     heats at nbar_w 1.1, 0.67, 0.37 and 0.19, so the minimum is the first
     grid point, t = 0, and no single-shot cooling may be reported there;
@@ -774,8 +781,7 @@ def test_fig4_single_shot_delta_takes_both_ends_from_one_ensemble(tmp_path):
     golden-section search, which never evaluates its bracket's ends,
     reported tau* = 0.0430523 us and delta_single_shot -1.5e-8 to -1.3e-7
     there."""
-    base = load_scenario(_SHIPPED / "single_shot.json")
-    study = fig4_dataset(base)
+    base, study = single_shot_study
     # keyed by the sweep's inputs: a point's nbar_w is its ladder's mean
     by_nbar = dict(zip(base.sweep.work_nbar, study.points))
     for nbar_w in (1.1, 0.67, 0.37, 0.19):
@@ -798,6 +804,39 @@ def test_fig4_csv_carries_the_incoherent_minimum(tmp_path):
     (path,) = fig4_dataset(s, nbar_w_values=[4.44]).write(tmp_path)
     _, cols, data = read_dataset_csv(path)
     assert np.all(np.isfinite(data[:, cols.index("nbar_c_min_incoherent")]))
+
+
+def test_fig4_incoherent_minimum_says_where_it_sits(tmp_path, single_shot_study):
+    """On ``scenarios/single_shot.json`` the incoherent twin's minimum sits
+    at the last grid time (600 us) in the two cooling rows and at t = 0 in
+    the four heating rows: a grid end, which the row's tau_incoherent_us and
+    the metadata say.  Before, fig4 wrote the minimum without its time."""
+    base, study = single_shot_study
+    by_nbar = dict(zip(base.sweep.work_nbar, study.points))
+    for nbar_w, tau in ((4.44, 600e-6), (2.16, 600e-6), (1.1, 0.0), (0.67, 0.0),
+                        (0.37, 0.0), (0.19, 0.0)):
+        assert by_nbar[nbar_w].tau_incoherent == tau
+    meta, cols, data = read_dataset_csv(study.write(tmp_path)[0])
+    assert cols.index("tau_incoherent_us") == cols.index("nbar_c_min_incoherent") + 1
+    assert data[:, cols.index("tau_incoherent_us")].tolist() == [600.0, 600.0, 0, 0, 0, 0]
+    assert "grid end" in meta["incoherent_minimum"]
+    assert math.isnan(single_shot_point(with_thermal(base, "work", 4.44)).tau_incoherent)
+
+
+def test_fig4_rows_carry_their_truncation(tmp_path):
+    """Each fig4 row writes the retained weight and sector count of the
+    ensemble it evolved, as fig2's cells do.  Before, fig4 wrote neither."""
+    s = reference_scenario("z570", t_stop=150e-6, num=61)
+    study = fig4_dataset(s, nbar_w_values=[4.44, 1.1])
+    _, cols, data = read_dataset_csv(study.write(tmp_path)[0])
+    for nbar_w, point, row in zip((4.44, 1.1), study.points, data):
+        ensemble = build_ensemble(with_thermal(s, "work", nbar_w))
+        assert point.retained_weight == ensemble.retained_weight >= 1.0 - 1e-4
+        assert point.n_sectors == len(ensemble.sectors)
+        assert row[cols.index("retained_weight")] == pytest.approx(ensemble.retained_weight,
+                                                                    rel=1e-11)
+        assert row[cols.index("n_sectors")] == len(ensemble.sectors)
+    assert study.points[0].n_sectors > study.points[1].n_sectors
 
 
 def test_fig4_reports_nan_delta_classical_at_a_zero_occupation(tmp_path, capsys):
@@ -970,7 +1009,8 @@ _FIG2_SUMMARY = ["nbar_w_in", "crossing", "nc_eq_sim", "nc_eq_formula"]
 _FIG3_TRACES = ["label", "tau_us", "nbar_c", "delta_nbar_c"]
 _FIG3_SUMMARY = ["label", "nbar_w_eff", "nbar_c_in", "nbar_c_ss", "delta_nc0", "measured_ss"]
 _FIG4_SUMMARY = ["nbar_w_in", "tau_star_us", "nbar_c_min", "delta_single_shot",
-                 "delta_dephased", "delta_classical", "nbar_c_min_incoherent"]
+                 "delta_dephased", "delta_classical", "nbar_c_min_incoherent",
+                 "tau_incoherent_us", "retained_weight", "n_sectors"]
 #: past both window presets (240 and 600 us), 8 points
 _FIG3_GRID = {"start": 0.0, "stop": 700.0, "num": 8}
 _SIDEBAND = {"omega_rabi_khz": 20.0, "t_rsb_us": 10.0}

@@ -1,11 +1,19 @@
 """Sector bookkeeping and truncation policy."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ionfridge import fockspace
 from ionfridge.errors import DomainError, TruncationError
-from ionfridge.fockspace import WEIGHT_FLOOR, TruncationPolicy, enumerate_sector, select_sectors
-from ionfridge.states import DEFAULT_CUTOFF, PhononDistribution, thermal_distribution
+from ionfridge.experiments import load_scenario
+from ionfridge.fockspace import (WEIGHT_FLOOR, TruncationPolicy, _windows, enumerate_sector,
+                                 select_sectors)
+from ionfridge.states import (DEFAULT_CUTOFF, PhononDistribution, prep_to_distribution,
+                              thermal_distribution)
+
+_SHIPPED = Path(__file__).resolve().parents[1] / "scenarios"
 
 
 def test_sector_label_dim():
@@ -71,15 +79,58 @@ def test_select_sectors_weights_match_brute_force():
 
 
 def test_select_sectors_skips_hot_levels_below_the_floor():
-    """Hot levels under the floor, inside the ladder and at its end, add
-    nothing; every retained weight is the brute-force sum over the others."""
+    """Levels under the floor, inside a ladder and at its end, add nothing,
+    on the hot ladder as on the work and cold ladders; every retained weight
+    is the brute-force sum over the others."""
     ph = np.array([0.5, 5e-16, 0.3, 0.0, 0.2, 1e-16, 1e-16])
-    dw = thermal_distribution(1.1, cutoff=30)
-    dc = thermal_distribution(0.7, cutoff=30)
+    pw = np.append(thermal_distribution(1.1, cutoff=30).p, [1e-16, 5e-17])
+    pw[[3, 7]] = 8e-16, 2e-16
+    pc = np.append(thermal_distribution(0.7, cutoff=30).p, 1e-16)
+    pc[[2, 5]] = 3e-16, 0.0
+    dw, dc = PhononDistribution(pw / pw.sum()), PhononDistribution(pc / pc.sum())
     sel = select_sectors(PhononDistribution(ph), dw, dc, TruncationPolicy(epsilon=1e-9))
-    floored = np.where(ph >= WEIGHT_FLOOR, ph, 0.0)
+    floored = [np.where(p >= WEIGHT_FLOOR, p, 0.0) for p in (ph, dw.p, dc.p)]
     for (N, M), weight in zip(sel.labels, sel.weights):
-        assert weight == pytest.approx(_joint_weight(N, M, floored, dw.p, dc.p), rel=1e-12)
+        assert weight == pytest.approx(_joint_weight(N, M, *floored), rel=1e-12)
+
+
+def _support(p):
+    """Levels up to the last entry at or above the floor."""
+    return int(np.flatnonzero(p >= WEIGHT_FLOOR)[-1]) + 1
+
+
+def test_select_sectors_multiplies_only_the_levels_that_reach_the_floor(monkeypatch):
+    """The weight grid spans each ladder up to its last entry at or above
+    the floor: the work and cold windows are as long as their ladders'
+    support, as wide as the hot ladder's.  Before, the work and cold ladders
+    entered with all 301 levels."""
+    windows = []
+
+    def recording(p, width):
+        windows.append((p.size, width))
+        return _windows(p, width)
+
+    monkeypatch.setattr(fockspace, "_windows", recording)
+    dists = [thermal_distribution(nbar) for nbar in (0.66, 4.44, 0.48)]
+    select_sectors(*dists, TruncationPolicy(epsilon=1e-4))
+    sh, sw, sc = (_support(d.p) for d in dists)
+    assert max(sh, sw, sc) < DEFAULT_CUTOFF
+    assert windows == [(sw, sh), (sc, sh)]
+
+
+@pytest.mark.parametrize("scenario", sorted(_SHIPPED.glob("*.json")), ids=lambda p: p.stem)
+def test_select_sectors_ignores_levels_appended_below_the_floor(scenario):
+    """Entries of 1e-18 appended to any ladder of a shipped scenario leave
+    the selected labels and weights bitwise unchanged."""
+    s = load_scenario(scenario)
+    dists = [prep_to_distribution(prep) for prep in s.preps]
+    reference = select_sectors(*dists, s.truncation)
+    for mode in range(3):
+        longer = list(dists)
+        longer[mode] = PhononDistribution(np.append(dists[mode].p, np.full(40, 1e-18)))
+        sel = select_sectors(*longer, s.truncation)
+        assert np.array_equal(sel.labels, reference.labels), mode
+        assert np.array_equal(sel.weights, reference.weights), mode
 
 
 def test_select_sectors_requires_normalized_marginals():
