@@ -6,13 +6,16 @@ simulated equilibrium cold occupation; it should track the closed-form
 balance nbar_c_eq = nbar_h (1 + nbar_w) / (nbar_w - nbar_h).
 """
 
-from ionfridge import equilibrium_cold_occupation, fig2_dataset
-from ionfridge.experiments import reference_scenario
+import dataclasses
 
-base = reference_scenario("z570")
-sweep = fig2_dataset(base,
-                     nbar_w_values=[4.44, 2.16, 1.10],
-                     nbar_c_values=[0.6, 1.2, 1.8, 2.4, 3.0])
+from ionfridge import equilibrium_cold_occupation, fig2_dataset
+from ionfridge.experiments import SweepSpec, reference_scenario
+
+# the sweep is part of the scenario, as a scenario file's "sweep" section
+base = dataclasses.replace(reference_scenario("z570"),
+                           sweep=SweepSpec(work_nbar=(4.44, 2.16, 1.10),
+                                           cold_nbar=(0.6, 1.2, 1.8, 2.4, 3.0)))
+sweep = fig2_dataset(base)
 
 print("nbar_w    nc_eq (simulated)   nc_eq (balance formula)")
 for row in sweep.rows:

@@ -22,9 +22,10 @@ from .errors import (CutoffError, DomainError, FitConvergenceError,
                      NumericsError, ScenarioError, SensitivityError,
                      TruncationError, ValidationError)
 from .experiments import (Scenario, SteadyStateRule, TrajectoryResult,
-                          fig2_dataset, fig3_dataset, fig4_dataset,
-                          load_scenario, run_scenario, scenario_from_dict,
-                          single_shot_point, steady_state)
+                          equilibrium_cell, fig2_dataset, fig3_dataset,
+                          fig4_dataset, load_scenario, relaxation_trace,
+                          run_scenario, scenario_from_dict, single_shot_point,
+                          steady_state)
 from .fockspace import (SectorSelection, TruncationPolicy, enumerate_sector,
                         select_sectors)
 from .measurement import (BrightnessRecord, EstimatorConfig,

@@ -36,7 +36,7 @@ from .dynamics import (EnsembleSpectrum, ThreeModeEnsemble, assemble_initial,
 from .errors import DomainError, ScenarioError, ValidationError
 from .fockspace import TruncationPolicy
 from .measurement import SidebandConfig, red_sideband_brightness
-from .states import PREP_KINDS, ModePrep
+from .states import PREP_KINDS, ModePrep, prep_mean
 from .trap import CODATA2014, REFERENCE_SETUPS, TrapConfig, coupling_rate
 
 SCHEMA_VERSION = 1
@@ -475,11 +475,12 @@ def steady_state(s: Scenario, rule: SteadyStateRule = SteadyStateRule()) -> Occu
 
 @dataclass(frozen=True)
 class EquilibriumCell:
-    nbar_w: float
-    nbar_c: float
+    nbar_w: float                   # the work preparation's mean
+    nbar_c: float                   # the cold preparation's mean
+    nbar_h_in: float                # the hot ladder's mean, the balance formula's input
     nbar_h_ss: float
     nbar_c_ss: float
-    eps_h: float                    # nbar_h_in - nbar_h_ss
+    eps_h: float                    # hot mean at t = 0 - nbar_h_ss, one ensemble
     retained_weight: float
     n_sectors: int
 
@@ -518,43 +519,38 @@ class EquilibriumSweep:
         return [cells_path, rows_path]
 
 
-def fig2_dataset(base: Scenario, nbar_c_values: Sequence[float] | None = None,
-                 nbar_w_values: Sequence[float] | None = None) -> EquilibriumSweep:
-    """Hot-mode equilibration sweep.
+def equilibrium_cell(s: Scenario) -> EquilibriumCell:
+    """One fig2 cell: the hot-mode shift eps_h, the hot mean at t = 0 minus the
+    dephased one, both of one truncated ensemble; ``nbar_w`` and ``nbar_c``
+    are the work and cold preparations' means."""
+    ensemble = build_ensemble(s)
+    spectrum = EnsembleSpectrum(ensemble)
+    mom = spectrum.dephased_moments()
+    return EquilibriumCell(
+        nbar_w=prep_mean(s.preps[1]), nbar_c=prep_mean(s.preps[2]),
+        nbar_h_in=ensemble.ladder_means[0], nbar_h_ss=mom.nbar_h, nbar_c_ss=mom.nbar_c,
+        eps_h=float(spectrum.means_at(np.zeros(1))[0, 0]) - mom.nbar_h,
+        retained_weight=ensemble.retained_weight, n_sectors=len(ensemble.sectors))
 
-    For each (work, cold) input occupation the hot-mode shift
-    eps_h = nbar_h_in - nbar_h_ss is recorded, nbar_h_in the mean of the hot
-    ladder the ensemble evolved; per work row the simulated
-    equilibrium cold occupation (zero crossing of eps_h) is extracted and
-    compared to the closed-form balance prediction.
-    """
-    nbar_c_values = list(nbar_c_values if nbar_c_values is not None
-                         else base.sweep.cold_nbar)
-    nbar_w_values = list(nbar_w_values if nbar_w_values is not None
-                         else base.sweep.work_nbar)
-    if not nbar_c_values or not nbar_w_values:
+
+def fig2_dataset(base: Scenario) -> EquilibriumSweep:
+    """Hot-mode equilibration sweep: one :func:`equilibrium_cell` per (work,
+    cold) pair of the scenario's sweep; per work row the zero crossing of
+    eps_h (the simulated equilibrium cold occupation) beside the closed-form
+    balance prediction of the hot ladder's mean."""
+    if not base.sweep.cold_nbar or not base.sweep.work_nbar:
         raise ScenarioError("fig2 needs both work_nbar and cold_nbar sweeps")
-    cells: list[EquilibriumCell] = []
-    rows: list[EquilibriumRow] = []
-    for nw in nbar_w_values:
-        points = []
-        for nc in nbar_c_values:
-            s = with_thermal(with_thermal(base, "work", nw), "cold", nc)
-            ensemble = build_ensemble(s)
-            nbar_h_in = ensemble.ladder_means[0]    # one hot ladder in every cell
-            mom = EnsembleSpectrum(ensemble).dephased_moments()
-            eps_h = nbar_h_in - mom.nbar_h
-            cells.append(EquilibriumCell(
-                nbar_w=nw, nbar_c=nc, nbar_h_ss=mom.nbar_h, nbar_c_ss=mom.nbar_c,
-                eps_h=eps_h, retained_weight=ensemble.retained_weight,
-                n_sectors=len(ensemble.sectors)))
-            points.append((nc, eps_h))
-
-        signs = np.sign([e for _, e in points])
+    cells, rows = [], []
+    for nw in base.sweep.work_nbar:
+        row = [equilibrium_cell(with_thermal(with_thermal(base, "work", nw), "cold", nc))
+               for nc in base.sweep.cold_nbar]
+        cells += row
+        signs = np.sign([c.eps_h for c in row])
         crossing = bool(np.any(signs[:-1] * signs[1:] <= 0.0))
-        nc_eq_sim = extract_equilibrium_nc(points) if crossing else math.nan
+        nc_eq_sim = (extract_equilibrium_nc([(c.nbar_c, c.eps_h) for c in row])
+                     if crossing else math.nan)
         try:
-            nc_eq_formula = equilibrium_cold_occupation(nbar_h_in, nw)
+            nc_eq_formula = equilibrium_cold_occupation(row[-1].nbar_h_in, nw)
         except DomainError:
             nc_eq_formula = math.nan
         rows.append(EquilibriumRow(nbar_w=nw, crossing=crossing,
@@ -645,30 +641,30 @@ def relaxation_scenarios(base: Scenario) -> list[tuple[Scenario, float]]:
     return out
 
 
+def relaxation_trace(s: Scenario, rule: SteadyStateRule, measured: float) -> RelaxationTrace:
+    """One fig3 trace: the cold mode's means on the grid and its steady state
+    under ``rule``, both from the one truncated ensemble; ``nbar_w_eff`` and
+    ``nbar_c_in`` are the means of the work and cold ladders it evolved, and
+    ``measured`` the measured steady state the trace is compared with."""
+    ensemble = build_ensemble(s)
+    spectrum = EnsembleSpectrum(ensemble)
+    return RelaxationTrace(
+        label=s.name, nbar_w_eff=ensemble.ladder_means[1], nbar_c_in=ensemble.ladder_means[2],
+        nbar_c_ss=rule.occupations(spectrum, s).nbar_c, tau=s.time_grid.copy(),
+        nbar_c=spectrum.means_at(s.time_grid)[2], measured_ss=measured)
+
+
 def fig3_dataset(base: Scenario,
                  scenarios: Sequence[tuple[Scenario, float]] | None = None,
                  rule: SteadyStateRule = SteadyStateRule()) -> RelaxationStudy:
-    """Cold-mode relaxation traces relative to the steady state.
-
-    Runs the preset scenarios of :func:`relaxation_scenarios` (or
-    caller-supplied ones) on the base scenario's grid and truncation.  The
-    six thermal presets keep the base coupling; the four squeezed-work
-    presets run at z425's Hamiltonian rate, where they were recorded.
-    Each delta subtracts two means of one truncated ensemble, not a
-    truncated mean from the preparation's; ``nbar_w_eff`` and ``nbar_c_in``
-    are the means of the work and cold ladders the ensemble evolved.
-    """
+    """Cold-mode relaxation traces: one :func:`relaxation_trace` per preset of
+    :func:`relaxation_scenarios` (or caller-supplied scenarios) on the base
+    scenario's grid and truncation.  The six thermal presets keep the base
+    coupling; the four squeezed-work presets run at z425's Hamiltonian
+    rate, where they were recorded."""
     if scenarios is None:
         scenarios = relaxation_scenarios(base)
-    traces = []
-    for s, measured in scenarios:
-        ensemble = build_ensemble(s)
-        spectrum = EnsembleSpectrum(ensemble)
-        traces.append(RelaxationTrace(
-            label=s.name, nbar_w_eff=ensemble.ladder_means[1],
-            nbar_c_in=ensemble.ladder_means[2],
-            nbar_c_ss=rule.occupations(spectrum, s).nbar_c, tau=s.time_grid.copy(),
-            nbar_c=spectrum.means_at(s.time_grid)[2], measured_ss=measured))
+    traces = [relaxation_trace(s, rule, measured) for s, measured in scenarios]
     return RelaxationStudy(traces=traces, metadata=dict(
         _base_metadata(base, "fig3", None),
         deltas="delta_nbar_c = nbar_c - nbar_c_ss and delta_nc0 = nbar_c at the first grid "
@@ -701,7 +697,8 @@ def _golden_minimum(f, a: float, b: float, tol: float) -> float:
 
 @dataclass(frozen=True)
 class SingleShotPoint:
-    nbar_w: float
+    nbar_w_in: float                # the work preparation's mean: the sweep value
+    nbar_w: float                   # the work ladder's mean, as the dynamics ran it
     tau_star: float                 # s
     nbar_c_min: float
     delta_single_shot: float        # nbar_c(first grid time) - nbar_c(tau*), one ensemble
@@ -724,10 +721,10 @@ class SingleShotStudy:
         path = out_dir / "fig4_summary.csv"
         write_dataset_csv(
             path,
-            ["nbar_w_in", "tau_star_us", "nbar_c_min", "delta_single_shot",
+            ["nbar_w_in", "nbar_w", "tau_star_us", "nbar_c_min", "delta_single_shot",
              "delta_dephased", "delta_classical", "nbar_c_min_incoherent",
              "tau_incoherent_us", "retained_weight", "n_sectors"],
-            [[p.nbar_w, p.tau_star * 1e6, p.nbar_c_min, p.delta_single_shot,
+            [[p.nbar_w_in, p.nbar_w, p.tau_star * 1e6, p.nbar_c_min, p.delta_single_shot,
               p.delta_dephased, p.delta_classical, p.nbar_c_min_incoherent,
               p.tau_incoherent * 1e6, p.retained_weight, p.n_sectors]
              for p in self.points],
@@ -743,9 +740,10 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
     where the cold mode only heats or stays put).  ``delta_single_shot``
     subtracts the minimum from the grid's first value, both means of the
     one truncated ensemble, so where the cold mode only heats it is 0.
-    ``nbar_w`` and the inputs of the two benchmarks are the means of the
-    ladders the ensemble evolved (``ladder_means``), so a mode capped at
-    n = 0 enters them at 0.  ``delta_dephased`` subtracts the dephased mean
+    ``nbar_w_in`` is the work preparation's mean (``prep_mean``); ``nbar_w``
+    and the inputs of the two benchmarks are the means of the ladders the
+    ensemble evolved (``ladder_means``), so a mode capped at n = 0 enters
+    them at 0.  ``delta_dephased`` subtracts the dephased mean
     from the cold ladder's.  ``delta_classical`` is
     -:func:`~ionfridge.benchmarks.equilibrium_shift` of the ladders' means,
     NaN where one of them is 0.  ``nbar_c_min_incoherent`` is the incoherent
@@ -790,11 +788,11 @@ def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleSh
         i_inc = int(np.argmin(nc_inc))
         nc_min_inc, tau_inc = float(nc_inc[i_inc]), float(grid[i_inc])
     return SingleShotPoint(
-        nbar_w=occ.nbar_w, tau_star=tau_star, nbar_c_min=nbar_c_min,
-        delta_single_shot=float(nc[0]) - nbar_c_min, delta_dephased=delta_dephased,
-        delta_classical=delta_classical, retained_weight=ensemble.retained_weight,
-        n_sectors=len(ensemble.sectors), nbar_c_min_incoherent=nc_min_inc,
-        tau_incoherent=tau_inc)
+        nbar_w_in=prep_mean(s.preps[1]), nbar_w=occ.nbar_w, tau_star=tau_star,
+        nbar_c_min=nbar_c_min, delta_single_shot=float(nc[0]) - nbar_c_min,
+        delta_dephased=delta_dephased, delta_classical=delta_classical,
+        retained_weight=ensemble.retained_weight, n_sectors=len(ensemble.sectors),
+        nbar_c_min_incoherent=nc_min_inc, tau_incoherent=tau_inc)
 
 
 def fig4_dataset(base: Scenario, nbar_w_values: Sequence[float] | None = None) -> SingleShotStudy:

@@ -19,13 +19,15 @@ from ionfridge.experiments import (GRID_TABLE, MAX_GRID_POINTS, PREP_TABLES,
                                    SWEEP_TABLE, TRAP_TABLE, TRUNCATION_TABLE,
                                    WINDOW_DEFAULT, WINDOW_SQUEEZED, RelaxationStudy,
                                    RelaxationTrace, Scenario, SteadyStateRule, SweepSpec,
-                                   build_ensemble, fig2_dataset, fig3_dataset,
-                                   fig4_dataset, load_scenario, read_dataset_csv,
-                                   reference_scenario, relaxation_scenarios,
+                                   build_ensemble, equilibrium_cell, fig2_dataset,
+                                   fig3_dataset, fig4_dataset, load_scenario,
+                                   read_dataset_csv, reference_scenario,
+                                   relaxation_scenarios, relaxation_trace,
                                    run_scenario, scenario_echo, scenario_from_dict,
                                    single_shot_point, steady_state,
                                    with_thermal, write_dataset_csv,
                                    _prep_echo, _prep_from_dict)
+from ionfridge.benchmarks import equilibrium_cold_occupation
 from ionfridge.dynamics import EnsembleSpectrum
 from ionfridge.fockspace import TruncationPolicy
 from ionfridge.measurement import (FIT_MODELS, SidebandConfig, fit_distribution,
@@ -255,10 +257,12 @@ def _capped_single_shot():
 def test_a_mode_capped_at_zero_enters_the_single_shot_row_at_zero():
     """The row reads the means of the ladders the ensemble evolved, so the
     capped work mode enters at 0: nbar_w is 0.0 and delta_classical is NaN
-    by the zero-occupation rule.  Before, it read the preparation's mean:
-    nbar_w 1.01 and delta_classical -0.0569."""
+    by the zero-occupation rule; nbar_w_in keeps the preparation's 1.01.
+    Before, nbar_w read the preparation's mean, 1.01, and delta_classical
+    -0.0569."""
     point = single_shot_point(_capped_single_shot())
     assert point.nbar_w == 0.0
+    assert point.nbar_w_in == 1.01
     assert math.isnan(point.delta_classical)
 
 
@@ -483,14 +487,16 @@ def test_the_runtime_needs_no_scipy(tmp_path):
 
 
 def test_the_package_exports_names_not_submodules():
-    """``ionfridge.__all__`` lists the 71 public names and none of the
+    """``ionfridge.__all__`` lists the 73 public names and none of the
     submodules, which stay importable as attributes.  Before, its ``dir()``
-    comprehension also picked up the nine submodule objects (80 names)."""
+    comprehension also picked up the nine submodule objects (80 names); the
+    study steps ``equilibrium_cell`` and ``relaxation_trace`` took it from 71
+    to 73."""
     import types
     import ionfridge
     assert not [name for name in ionfridge.__all__
                 if isinstance(getattr(ionfridge, name), types.ModuleType)]
-    assert len(ionfridge.__all__) == 71
+    assert len(ionfridge.__all__) == 73
     assert ionfridge.dynamics.EnsembleSpectrum is ionfridge.EnsembleSpectrum
 
 
@@ -655,13 +661,62 @@ def test_reference_scenario_presets():
 
 
 def test_fig2_single_cell_has_no_crossing():
-    s = reference_scenario("z570", num=2)
-    sweep = fig2_dataset(s, nbar_c_values=[2.63], nbar_w_values=[4.44])
+    s = dataclasses.replace(reference_scenario("z570", num=2),
+                            sweep=SweepSpec(work_nbar=(4.44,), cold_nbar=(2.63,)))
+    sweep = fig2_dataset(s)
     assert len(sweep.cells) == 1
     row = sweep.rows[0]
     assert not row.crossing
     assert math.isnan(row.nc_eq_sim)
     assert row.nc_eq_formula == pytest.approx(0.949841269841, abs=1e-9)
+
+
+@pytest.mark.parametrize("epsilon", [1e-4, 1e-8])
+def test_fig2_eps_h_vanishes_at_the_exchange_balance(epsilon):
+    """At a balanced thermal triple every sector's state is a multiple of the
+    identity, so nothing evolves and eps_h, both ends from one truncated
+    ensemble, is 0 at any epsilon.  Before, eps_h subtracted the truncated
+    dephased mean from the whole hot ladder's and read 3.9e-4 at epsilon
+    1e-4 and 6.6e-8 at 1e-8."""
+    base = load_scenario(_SHIPPED / "equilibrium_sweep.json")
+    base = dataclasses.replace(base, truncation=dataclasses.replace(base.truncation,
+                                                                    epsilon=epsilon))
+    for nbar_w in (4.44, 2.47, 1.82):
+        nbar_c = equilibrium_cold_occupation(0.66, nbar_w)
+        cell = equilibrium_cell(with_thermal(with_thermal(base, "work", nbar_w),
+                                             "cold", nbar_c))
+        assert abs(cell.eps_h) <= 1e-12, (nbar_w, cell.eps_h)
+        assert (cell.nbar_w, cell.nbar_c) == (nbar_w, nbar_c)
+        assert cell.nbar_h_in == pytest.approx(0.66, rel=1e-14)   # the hot ladder's mean
+
+
+def _study_rows(rows):
+    """The fields of each study row, for comparing two studies exactly."""
+    return [vars(row) for row in rows]
+
+
+def test_fig2_is_a_loop_over_equilibrium_cell():
+    base = load_scenario(_SHIPPED / "equilibrium_sweep.json")
+    loop = [equilibrium_cell(with_thermal(with_thermal(base, "work", nw), "cold", nc))
+            for nw in base.sweep.work_nbar for nc in base.sweep.cold_nbar]
+    np.testing.assert_equal(_study_rows(fig2_dataset(base).cells), _study_rows(loop))
+
+
+@pytest.mark.parametrize("name", ["relaxation_thermal", "relaxation_squeezed"])
+@pytest.mark.parametrize("rule", ["dephasing", "window"])
+def test_fig3_is_a_loop_over_relaxation_trace(name, rule):
+    base = load_scenario(_SHIPPED / f"{name}.json")
+    rule = SteadyStateRule.parse(rule)
+    loop = [relaxation_trace(s, rule, measured) for s, measured in relaxation_scenarios(base)]
+    np.testing.assert_equal(_study_rows(fig3_dataset(base, rule=rule).traces),
+                            _study_rows(loop))
+
+
+def test_fig4_is_a_loop_over_single_shot_point(single_shot_study):
+    base, study = single_shot_study
+    loop = [single_shot_point(with_thermal(base, "work", nw), include_incoherent=True)
+            for nw in base.sweep.work_nbar]
+    np.testing.assert_equal(_study_rows(study.points), _study_rows(loop))
 
 
 def test_fig2_requires_sweeps():
@@ -757,8 +812,8 @@ def test_fig4_dataset_uses_sweep(tmp_path):
     assert study.points[0].delta_single_shot > study.points[1].delta_single_shot
     (path,) = study.write(tmp_path)
     meta, cols, data = read_dataset_csv(path)
-    assert cols[0] == "nbar_w_in"
-    assert data.shape == (2, 10)
+    assert cols[:2] == ["nbar_w_in", "nbar_w"]
+    assert data.shape == (2, 11)
     with pytest.raises(ScenarioError):
         fig4_dataset(s)  # no sweep on the reference scenario
 
@@ -768,6 +823,20 @@ def single_shot_study():
     """``scenarios/single_shot.json`` and its fig4 study, built once."""
     base = load_scenario(_SHIPPED / "single_shot.json")
     return base, fig4_dataset(base)
+
+
+def test_fig4_points_carry_their_sweep_input(tmp_path, single_shot_study):
+    """Each point's ``nbar_w_in`` is its sweep value, so points keyed by it
+    hold every value of the sweep; the CSV writes it, then the ladder mean
+    ``nbar_w`` the dynamics ran with.  Before, a point carried only the
+    ladder mean, and the 0.67 point read 0.6700000000000002."""
+    base, study = single_shot_study
+    by_input = {p.nbar_w_in: p for p in study.points}
+    assert list(by_input) == list(base.sweep.work_nbar)
+    _, cols, data = read_dataset_csv(study.write(tmp_path)[0])
+    assert cols[:2] == ["nbar_w_in", "nbar_w"]
+    assert data[:, 0].tolist() == list(base.sweep.work_nbar)
+    assert data[:, 1].tolist() == pytest.approx(base.sweep.work_nbar, rel=1e-12)
 
 
 def test_fig4_single_shot_delta_takes_both_ends_from_one_ensemble(tmp_path, single_shot_study):
@@ -782,8 +851,7 @@ def test_fig4_single_shot_delta_takes_both_ends_from_one_ensemble(tmp_path, sing
     reported tau* = 0.0430523 us and delta_single_shot -1.5e-8 to -1.3e-7
     there."""
     base, study = single_shot_study
-    # keyed by the sweep's inputs: a point's nbar_w is its ladder's mean
-    by_nbar = dict(zip(base.sweep.work_nbar, study.points))
+    by_nbar = {p.nbar_w_in: p for p in study.points}
     for nbar_w in (1.1, 0.67, 0.37, 0.19):
         assert by_nbar[nbar_w].tau_star == 0.0
         assert by_nbar[nbar_w].delta_single_shot == 0.0
@@ -812,7 +880,7 @@ def test_fig4_incoherent_minimum_says_where_it_sits(tmp_path, single_shot_study)
     the four heating rows: a grid end, which the row's tau_incoherent_us and
     the metadata say.  Before, fig4 wrote the minimum without its time."""
     base, study = single_shot_study
-    by_nbar = dict(zip(base.sweep.work_nbar, study.points))
+    by_nbar = {p.nbar_w_in: p for p in study.points}
     for nbar_w, tau in ((4.44, 600e-6), (2.16, 600e-6), (1.1, 0.0), (0.67, 0.0),
                         (0.37, 0.0), (0.19, 0.0)):
         assert by_nbar[nbar_w].tau_incoherent == tau
@@ -1008,7 +1076,7 @@ _FIG2_CELLS = ["nbar_w_in", "nbar_c_in", "nbar_h_ss", "nbar_c_ss", "eps_h",
 _FIG2_SUMMARY = ["nbar_w_in", "crossing", "nc_eq_sim", "nc_eq_formula"]
 _FIG3_TRACES = ["label", "tau_us", "nbar_c", "delta_nbar_c"]
 _FIG3_SUMMARY = ["label", "nbar_w_eff", "nbar_c_in", "nbar_c_ss", "delta_nc0", "measured_ss"]
-_FIG4_SUMMARY = ["nbar_w_in", "tau_star_us", "nbar_c_min", "delta_single_shot",
+_FIG4_SUMMARY = ["nbar_w_in", "nbar_w", "tau_star_us", "nbar_c_min", "delta_single_shot",
                  "delta_dephased", "delta_classical", "nbar_c_min_incoherent",
                  "tau_incoherent_us", "retained_weight", "n_sectors"]
 #: past both window presets (240 and 600 us), 8 points
