@@ -500,23 +500,14 @@ class EquilibriumSweep:
     metadata: dict
 
     def write(self, out_dir) -> list[Path]:
-        out_dir = Path(out_dir)
-        cells_path = out_dir / "fig2_cells.csv"
-        rows_path = out_dir / "fig2_summary.csv"
-        write_dataset_csv(
-            cells_path,
-            ["nbar_w_in", "nbar_c_in", "nbar_h_ss", "nbar_c_ss", "eps_h",
-             "retained_weight", "n_sectors"],
-            [[c.nbar_w, c.nbar_c, c.nbar_h_ss, c.nbar_c_ss, c.eps_h,
-              c.retained_weight, c.n_sectors] for c in self.cells],
-            self.metadata)
-        write_dataset_csv(
-            rows_path,
-            ["nbar_w_in", "crossing", "nc_eq_sim", "nc_eq_formula"],
-            [[r.nbar_w, int(r.crossing), r.nc_eq_sim, r.nc_eq_formula]
-             for r in self.rows],
-            self.metadata)
-        return [cells_path, rows_path]
+        return _write_tables(out_dir, self.metadata, {
+            "fig2_cells": (["nbar_w_in", "nbar_c_in", "nbar_h_ss", "nbar_c_ss", "eps_h",
+                            "retained_weight", "n_sectors"],
+                           [[c.nbar_w, c.nbar_c, c.nbar_h_ss, c.nbar_c_ss, c.eps_h,
+                             c.retained_weight, c.n_sectors] for c in self.cells]),
+            "fig2_summary": (["nbar_w_in", "crossing", "nc_eq_sim", "nc_eq_formula"],
+                             [[r.nbar_w, int(r.crossing), r.nc_eq_sim, r.nc_eq_formula]
+                              for r in self.rows])})
 
 
 def equilibrium_cell(s: Scenario) -> EquilibriumCell:
@@ -600,21 +591,15 @@ class RelaxationStudy:
     metadata: dict
 
     def write(self, out_dir) -> list[Path]:
-        out_dir = Path(out_dir)
-        traces_path = out_dir / "fig3_traces.csv"
-        summary_path = out_dir / "fig3_summary.csv"
-        rows = [[tr.label, t * 1e6, nc, nc - tr.nbar_c_ss]
-                for tr in self.traces for t, nc in zip(tr.tau, tr.nbar_c)]
-        write_dataset_csv(traces_path, ["label", "tau_us", "nbar_c", "delta_nbar_c"],
-                          rows, self.metadata)
-        write_dataset_csv(
-            summary_path,
-            ["label", "nbar_w_eff", "nbar_c_in", "nbar_c_ss", "delta_nc0",
-             "measured_ss"],
-            [[tr.label, tr.nbar_w_eff, tr.nbar_c_in, tr.nbar_c_ss,
-              tr.nbar_c[0] - tr.nbar_c_ss, tr.measured_ss] for tr in self.traces],
-            self.metadata)
-        return [traces_path, summary_path]
+        return _write_tables(out_dir, self.metadata, {
+            "fig3_traces": (["label", "tau_us", "nbar_c", "delta_nbar_c"],
+                            [[tr.label, t * 1e6, nc, nc - tr.nbar_c_ss]
+                             for tr in self.traces for t, nc in zip(tr.tau, tr.nbar_c)]),
+            "fig3_summary": (["label", "nbar_w_eff", "nbar_c_in", "nbar_c_ss", "delta_nc0",
+                              "measured_ss"],
+                             [[tr.label, tr.nbar_w_eff, tr.nbar_c_in, tr.nbar_c_ss,
+                               tr.nbar_c[0] - tr.nbar_c_ss, tr.measured_ss]
+                              for tr in self.traces])})
 
 
 def relaxation_scenarios(base: Scenario) -> list[tuple[Scenario, float]]:
@@ -717,19 +702,14 @@ class SingleShotStudy:
     metadata: dict
 
     def write(self, out_dir) -> list[Path]:
-        out_dir = Path(out_dir)
-        path = out_dir / "fig4_summary.csv"
-        write_dataset_csv(
-            path,
+        return _write_tables(out_dir, self.metadata, {"fig4_summary": (
             ["nbar_w_in", "nbar_w", "tau_star_us", "nbar_c_min", "delta_single_shot",
              "delta_dephased", "delta_classical", "nbar_c_min_incoherent",
              "tau_incoherent_us", "retained_weight", "n_sectors"],
             [[p.nbar_w_in, p.nbar_w, p.tau_star * 1e6, p.nbar_c_min, p.delta_single_shot,
               p.delta_dephased, p.delta_classical, p.nbar_c_min_incoherent,
               p.tau_incoherent * 1e6, p.retained_weight, p.n_sectors]
-             for p in self.points],
-            self.metadata)
-        return [path]
+             for p in self.points])})
 
 
 def single_shot_point(s: Scenario, include_incoherent: bool = False) -> SingleShotPoint:
@@ -839,6 +819,14 @@ def write_dataset_csv(path, columns: Sequence[str], rows, metadata: dict) -> Non
         for row in rows:
             fh.write(",".join(v if isinstance(v, str) else f"{float(v):.12g}"
                               for v in row) + "\n")
+
+
+def _write_tables(out_dir, metadata: dict, tables: dict) -> list[Path]:
+    """Write each ``{name: (columns, rows)}`` table as ``<name>.csv``; the paths, in order."""
+    paths = [Path(out_dir) / f"{name}.csv" for name in tables]
+    for path, (columns, rows) in zip(paths, tables.values()):
+        write_dataset_csv(path, columns, rows, metadata)
+    return paths
 
 
 def read_dataset_csv(path) -> tuple[dict, list[str], np.ndarray]:
