@@ -352,13 +352,20 @@ def build_ensemble(s: Scenario) -> ThreeModeEnsemble:
     return assemble_initial(s.preps, s.truncation, s.xi, detuning=s.detuning)
 
 
-def _base_metadata(s: Scenario, dataset: str, ensemble: ThreeModeEnsemble | None) -> dict:
+def _base_metadata(s: Scenario, dataset: str, ensemble: ThreeModeEnsemble | None,
+                   evolved: Iterable[Scenario]) -> dict:
+    """Metadata of a dataset on base scenario ``s`` whose rows evolved the
+    scenarios ``evolved``; ``phase_randomized_exact`` is true when each of
+    them keeps a number-diagonal mode, where the phase randomization that
+    :class:`~ionfridge.states.ModePrep` documents is exact."""
     md = {
         "schema_version": SCHEMA_VERSION,
         "dataset": dataset,
         "scenario": scenario_echo(s),
         "constants": dataclasses.asdict(CODATA2014),
         "version": __version__,
+        "phase_randomized_exact": all(any(p.number_diagonal for p in e.preps)
+                                      for e in evolved),
     }
     if ensemble is not None:
         md["retained_weight"] = ensemble.retained_weight
@@ -403,7 +410,7 @@ def run_scenario(s: Scenario) -> TrajectoryResult:
                           for column in marg.T]
                          for marg in spectrum.marginals_at(s.time_grid)])
     return TrajectoryResult(tau=s.time_grid.copy(), nbar=nbar, p_up=p_up,
-                            metadata=_base_metadata(s, "trajectory", ensemble))
+                            metadata=_base_metadata(s, "trajectory", ensemble, [s]))
 
 
 # ---------------------------------------------------------------------------
@@ -444,8 +451,7 @@ class SteadyStateRule:
     def start_for(self, s: "Scenario") -> float:
         if self.window_start is not None:
             return self.window_start
-        squeezed = s.preps[1].kind == "squeezed_thermal" and s.preps[1].r > 0.0
-        return WINDOW_SQUEEZED if squeezed else WINDOW_DEFAULT
+        return WINDOW_SQUEEZED if _squeezed_work(s) else WINDOW_DEFAULT
 
     def occupations(self, spectrum: EnsembleSpectrum, s: "Scenario") -> OccupationTriple:
         """Steady-state occupations of ``spectrum``, the ensemble of ``s``, not
@@ -531,10 +537,11 @@ def fig2_dataset(base: Scenario) -> EquilibriumSweep:
     balance prediction of the hot ladder's mean."""
     if not base.sweep.cold_nbar or not base.sweep.work_nbar:
         raise ScenarioError("fig2 needs both work_nbar and cold_nbar sweeps")
+    grid = [[with_thermal(with_thermal(base, "work", nw), "cold", nc)
+             for nc in base.sweep.cold_nbar] for nw in base.sweep.work_nbar]
     cells, rows = [], []
-    for nw in base.sweep.work_nbar:
-        row = [equilibrium_cell(with_thermal(with_thermal(base, "work", nw), "cold", nc))
-               for nc in base.sweep.cold_nbar]
+    for nw, scenarios in zip(base.sweep.work_nbar, grid):
+        row = [equilibrium_cell(s) for s in scenarios]
         cells += row
         signs = np.sign([c.eps_h for c in row])
         crossing = bool(np.any(signs[:-1] * signs[1:] <= 0.0))
@@ -546,8 +553,8 @@ def fig2_dataset(base: Scenario) -> EquilibriumSweep:
             nc_eq_formula = math.nan
         rows.append(EquilibriumRow(nbar_w=nw, crossing=crossing,
                                    nc_eq_sim=nc_eq_sim, nc_eq_formula=nc_eq_formula))
-    return EquilibriumSweep(cells=cells, rows=rows,
-                            metadata=_base_metadata(base, "fig2", None))
+    return EquilibriumSweep(cells=cells, rows=rows, metadata=_base_metadata(
+        base, "fig2", None, [s for scenarios in grid for s in scenarios]))
 
 
 # ---------------------------------------------------------------------------
@@ -639,6 +646,16 @@ def relaxation_trace(s: Scenario, rule: SteadyStateRule, measured: float) -> Rel
         nbar_c=spectrum.means_at(s.time_grid)[2], measured_ss=measured)
 
 
+def _squeezed_work(s: Scenario) -> bool:
+    return s.preps[1].kind == "squeezed_thermal" and s.preps[1].r > 0.0
+
+
+def _thermal_twin(s: Scenario, nbar_w: float) -> Scenario:
+    """``s`` with a thermal work mode at ``nbar_w``, named after its work squeezing r."""
+    return dataclasses.replace(with_thermal(s, "work", nbar_w),
+                               name=f"thermal_twin_r{s.preps[1].r:g}")
+
+
 def fig3_dataset(base: Scenario,
                  scenarios: Sequence[tuple[Scenario, float]] | None = None,
                  rule: SteadyStateRule = SteadyStateRule()) -> RelaxationStudy:
@@ -646,14 +663,25 @@ def fig3_dataset(base: Scenario,
     :func:`relaxation_scenarios` (or caller-supplied scenarios) on the base
     scenario's grid and truncation.  The six thermal presets keep the base
     coupling; the four squeezed-work presets run at z425's Hamiltonian
-    rate, where they were recorded."""
+    rate, where they were recorded.
+
+    After them comes one equal-energy thermal twin per scenario whose work
+    mode is squeezed thermal with r > 0: that scenario with a thermal work
+    mode at its trace's ``nbar_w_eff``, labelled ``thermal_twin_r<r>``, with
+    a NaN ``measured_ss``."""
     if scenarios is None:
         scenarios = relaxation_scenarios(base)
     traces = [relaxation_trace(s, rule, measured) for s, measured in scenarios]
+    twins = [_thermal_twin(s, tr.nbar_w_eff) for (s, _), tr in zip(scenarios, traces)
+             if _squeezed_work(s)]
+    traces += [relaxation_trace(s, rule, math.nan) for s in twins]
     return RelaxationStudy(traces=traces, metadata=dict(
-        _base_metadata(base, "fig3", None),
+        _base_metadata(base, "fig3", None, [s for s, _ in scenarios] + twins),
         deltas="delta_nbar_c = nbar_c - nbar_c_ss and delta_nc0 = nbar_c at the first grid "
-               "time - nbar_c_ss, both ends from one truncated ensemble"))
+               "time - nbar_c_ss, both ends from one truncated ensemble",
+        thermal_twins="after the given scenarios, one thermal_twin_r<r> trace per scenario "
+                      "whose work mode is squeezed thermal with r > 0: that scenario with a "
+                      "thermal work mode at its nbar_w_eff; measured_ss is NaN"))
 
 
 # ---------------------------------------------------------------------------
@@ -781,10 +809,10 @@ def fig4_dataset(base: Scenario, nbar_w_values: Sequence[float] | None = None) -
                          else base.sweep.work_nbar)
     if not nbar_w_values:
         raise ScenarioError("fig4 needs a work_nbar sweep")
-    points = [single_shot_point(with_thermal(base, "work", nw), include_incoherent=True)
-              for nw in nbar_w_values]
+    scenarios = [with_thermal(base, "work", nw) for nw in nbar_w_values]
+    points = [single_shot_point(s, include_incoherent=True) for s in scenarios]
     return SingleShotStudy(points=points, metadata=dict(
-        _base_metadata(base, "fig4", None),
+        _base_metadata(base, "fig4", None, scenarios),
         deltas="delta_single_shot = nbar_c at the first grid time - nbar_c_min, both from one "
                "truncated ensemble; delta_dephased = the cold ladder's mean - the "
                "dephased nbar_c",

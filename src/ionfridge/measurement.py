@@ -224,8 +224,9 @@ class LMSolution:
 #: this close to its bound, with its gradient pointing out, is held there
 _SOLVER_TOL = 1e-10
 #: singular values of the final Jacobian below this share of the largest are
-#: dropped from the covariance (the distribution columns of a fit Jacobian
-#: are forward differences, which resolve no finer)
+#: dropped from the covariance (the distribution columns of a parametric
+#: fit's Jacobian are forward differences, which resolve no finer; the free
+#: model's exact columns keep the same cut)
 _RANK_RTOL = math.sqrt(np.finfo(float).eps)
 #: a parameter whose squared loading on the dropped singular directions
 #: exceeds this is not resolved by the data: its error is reported as inf.
@@ -349,6 +350,12 @@ def _softmax_with_fixed_head(logits: np.ndarray) -> np.ndarray:
     return expv / expv.sum()
 
 
+def _softmax_jacobian(probs: np.ndarray) -> np.ndarray:
+    """dp(n)/dlogit_j = p(j) (delta_nj - p(n)) of the populations p of
+    :func:`_softmax_with_fixed_head`, one column per free logit j >= 1."""
+    return np.diag(probs)[:, 1:] - np.outer(probs, probs[1:])
+
+
 #: model name -> (distribution parameters with their default seeds,
 #: populations on n = 0..cutoff from those parameters' values, in order)
 FIT_MODELS: dict[str, tuple[dict[str, float], Callable[..., np.ndarray]]] = {
@@ -404,30 +411,34 @@ class _FloppingFit:
     :meth:`evaluate` takes the reported parameters theta: the model's
     distribution parameters, then a, b, omega01 and gamma0, the
     ``_NONNEGATIVE_PARAMS`` >= 0.  It builds the populations p and their
-    forward differences once, and takes one set of flopping sums S
+    derivatives dp/dtheta_dist once, and takes one set of flopping sums S
     (:func:`_flopping_sums`) of the columns [p, sqrt(n+1) p, dp/dtheta_dist].
     The curve is (a/2)(1 - Re S_0) + b, and its Jacobian columns are
     d/da = (1 - Re S_0) / 2, d/db = 1, d/d omega01 = (a/2) t Im S_1 and
     d/d gamma0 = (a/2) t Re S_1 (because d e^{z_n t} / d omega01 =
     i sqrt(n+1) t e^{z_n t}), and -(a/2) Re S_dist for the distribution
-    parameters.  dp/dtheta_dist is a forward difference of the populations
-    alone in theta, at the ``_DIFF_STEP`` step, the same for every model; a
-    parameter at 0 steps upward, inside its bound.
+    parameters.  The free model's dp/dtheta_dist is exact
+    (:func:`_softmax_jacobian`); the parametric models' is a forward
+    difference of the populations alone in theta, at the ``_DIFF_STEP``
+    step, upward from their parameters, which are >= 0.
     """
 
     def __init__(self, model: str, ts: np.ndarray, ys: np.ndarray, sigmas: np.ndarray):
         dist_seeds, self.populations = FIT_MODELS[model]
-        self.n_dist = len(dist_seeds)
+        self.n_dist, self.free = len(dist_seeds), model == "free"
         self.ts, self.ys, self.sigmas = ts, ys, sigmas
 
     def evaluate(self, theta: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         probs = self.populations(*theta[:self.n_dist].tolist())
         columns = [probs, np.sqrt(np.arange(probs.size) + 1.0) * probs]
-        for j in range(self.n_dist):
-            step = theta[:self.n_dist].copy()
-            step[j] += _DIFF_STEP * (1.0 if theta[j] >= 0.0 else -1.0) * max(1.0, abs(theta[j]))
-            columns.append((self.populations(*step.tolist()) - probs)
-                           / (step[j] - theta[j]))
+        if self.free:
+            columns.append(_softmax_jacobian(probs))
+        else:
+            for j in range(self.n_dist):
+                step = theta[:self.n_dist].copy()
+                step[j] += _DIFF_STEP * max(1.0, abs(theta[j]))
+                columns.append((self.populations(*step.tolist()) - probs)
+                               / (step[j] - theta[j]))
         sums = _flopping_sums(self.ts, *theta[-2:], np.column_stack(columns))
         a, b = theta[self.n_dist:self.n_dist + 2]
         curve = 0.5 * a * (1.0 - sums[:, 0].real) + b
@@ -510,9 +521,7 @@ def fit_distribution(record: BrightnessRecord, model: str) -> FitResult:
                            n_iter=solution.n_iter, rank=solution.rank, cond=solution.cond,
                            populations=populations(*values[:len(dist_seeds)]))
         if model == "free":
-            # softmax sensitivity to the free logits (head fixed at 0)
-            probs = result.populations
-            smax_jac = np.diag(probs)[:, 1:] - np.outer(probs, probs[1:])
+            smax_jac = _softmax_jacobian(result.populations)
             cov_p = smax_jac @ solution.cov[:FREE_FIT_NMAX, :FREE_FIT_NMAX] @ smax_jac.T
             result.population_errors = np.sqrt(np.clip(np.diag(cov_p), 0.0, None))
         return result

@@ -317,6 +317,13 @@ class ModePrep:
     def squeezed_thermal_state(cls, nbar: float, r: float) -> "ModePrep":
         return cls(kind="squeezed_thermal", nbar=nbar, r=r)
 
+    @property
+    def number_diagonal(self) -> bool:
+        """Whether the phase-definite state is number-diagonal, so that phase
+        randomization leaves it as it is: thermal, Fock, or coherent or
+        squeezed at zero amplitude."""
+        return {"coherent": self.alpha_sq, "squeezed_thermal": self.r}.get(self.kind, 0.0) == 0.0
+
 
 def prep_to_distribution(prep: ModePrep, cutoff: int = DEFAULT_CUTOFF,
                          tail_budget: float = DEFAULT_TAIL_BUDGET) -> PhononDistribution:

@@ -26,7 +26,7 @@ from ionfridge.experiments import (GRID_TABLE, MAX_GRID_POINTS, PREP_TABLES,
                                    run_scenario, scenario_echo, scenario_from_dict,
                                    single_shot_point, steady_state,
                                    with_thermal, write_dataset_csv,
-                                   _prep_echo, _prep_from_dict)
+                                   _prep_echo, _prep_from_dict, _thermal_twin)
 from ionfridge.benchmarks import equilibrium_cold_occupation
 from ionfridge.dynamics import EnsembleSpectrum
 from ionfridge.fockspace import TruncationPolicy
@@ -705,11 +705,50 @@ def test_fig2_is_a_loop_over_equilibrium_cell():
 @pytest.mark.parametrize("name", ["relaxation_thermal", "relaxation_squeezed"])
 @pytest.mark.parametrize("rule", ["dephasing", "window"])
 def test_fig3_is_a_loop_over_relaxation_trace(name, rule):
+    """The presets' traces, then one thermal twin per squeezed preset with r > 0."""
     base = load_scenario(_SHIPPED / f"{name}.json")
     rule = SteadyStateRule.parse(rule)
-    loop = [relaxation_trace(s, rule, measured) for s, measured in relaxation_scenarios(base)]
+    pairs = relaxation_scenarios(base)
+    loop = [relaxation_trace(s, rule, measured) for s, measured in pairs]
+    loop += [relaxation_trace(_thermal_twin(s, tr.nbar_w_eff), rule, math.nan)
+             for (s, _), tr in zip(pairs, loop) if s.preps[1].r > 0.0]
+    assert len(loop) == 13
     np.testing.assert_equal(_study_rows(fig3_dataset(base, rule=rule).traces),
                             _study_rows(loop))
+
+
+def test_fig3_thermal_twins_carry_their_presets_energy():
+    """Each squeezed preset with r > 0 gains a thermal twin after the presets:
+    its work mode thermal at the preset's nbar_w_eff, measured_ss NaN."""
+    study = fig3_dataset(load_scenario(_SHIPPED / "relaxation_squeezed.json"))
+    traces = {tr.label: tr for tr in study.traces}
+    assert [tr.label for tr in study.traces[10:]] == [
+        "thermal_twin_r1.34", "thermal_twin_r1.15", "thermal_twin_r0.77"]
+    for twin in study.traces[10:]:
+        preset = traces[twin.label.replace("thermal_twin", "squeezed")]
+        assert abs(twin.nbar_w_eff - preset.nbar_w_eff) <= 1e-12
+        assert twin.nbar_c_in == preset.nbar_c_in
+        assert math.isnan(twin.measured_ss)
+    assert "thermal_twin_r<r>" in study.metadata["thermal_twins"]
+    assert study.metadata["phase_randomized_exact"] is True
+
+
+@pytest.mark.parametrize("rule", ["dephasing", "window"])
+def test_thermal_twin_of_the_r0_preset_is_that_preset(rule):
+    """At r = 0 the squeezed preset's work mode is thermal already: the twin
+    rule reproduces its trace, and fig3 adds no twin for it."""
+    base = load_scenario(_SHIPPED / "relaxation_squeezed.json")
+    rule = SteadyStateRule.parse(rule)
+    s, measured = relaxation_scenarios(base)[9]
+    assert (s.name, s.preps[1].r) == ("squeezed_r0", 0.0)
+    preset = relaxation_trace(s, rule, measured)
+    twin = relaxation_trace(_thermal_twin(s, preset.nbar_w_eff), rule, measured)
+    assert twin.label == "thermal_twin_r0"
+    for field in ("nbar_w_eff", "nbar_c_in", "nbar_c_ss"):
+        assert abs(getattr(twin, field) - getattr(preset, field)) <= 1e-12, field
+    np.testing.assert_allclose(twin.nbar_c, preset.nbar_c, rtol=0.0, atol=1e-12)
+    assert [tr.label for tr in fig3_dataset(base, [(s, measured)], rule).traces] == [
+        "squeezed_r0"]
 
 
 def test_fig4_is_a_loop_over_single_shot_point(single_shot_study):
@@ -1092,9 +1131,9 @@ _SIDEBAND = {"omega_rabi_khz": 20.0, "t_rsb_us": 10.0}
     (["fig2"], {"sweep": {"work_nbar": [4.44, 0.3], "cold_nbar": [0.5, 1.5, 2.5]}},
      {"fig2_cells.csv": (_FIG2_CELLS, 6), "fig2_summary.csv": (_FIG2_SUMMARY, 2)}),
     (["fig3"], {"time_grid_us": _FIG3_GRID},
-     {"fig3_traces.csv": (_FIG3_TRACES, 80), "fig3_summary.csv": (_FIG3_SUMMARY, 10)}),
+     {"fig3_traces.csv": (_FIG3_TRACES, 104), "fig3_summary.csv": (_FIG3_SUMMARY, 13)}),
     (["fig3", "--rule", "window"], {"time_grid_us": _FIG3_GRID},
-     {"fig3_traces.csv": (_FIG3_TRACES, 80), "fig3_summary.csv": (_FIG3_SUMMARY, 10)}),
+     {"fig3_traces.csv": (_FIG3_TRACES, 104), "fig3_summary.csv": (_FIG3_SUMMARY, 13)}),
     (["fig4"], {"time_grid_us": {"start": 0.0, "stop": 60.0, "num": 13},
                 "sweep": {"work_nbar": [4.44, 1.1]}},
      {"fig4_summary.csv": (_FIG4_SUMMARY, 2)}),
@@ -1121,6 +1160,19 @@ def test_cli_scenario_subcommand_output(tmp_path, capsys, argv, changes, csvs):
         _, cols, data = read_dataset_csv(tmp_path / "out" / "fig2_summary.csv")
         formula = data[:, cols.index("nc_eq_formula")]
         assert np.isfinite(formula[0]) and math.isnan(formula[1])
+
+
+def test_simulate_three_coherent_modes_is_not_phase_randomized_exact(tmp_path):
+    """With number coherences in all three modes the sector dynamics are the
+    phase-randomized state's, not the phase-definite one's: simulate says so.
+    A coherent mode at zero amplitude is number-diagonal."""
+    d = {**_base_dict(), "time_grid_us": {"start": 0.0, "stop": 100.0, "num": 3},
+         "preps": {mode: {"kind": "coherent", "mbar": 0.5} for mode in ("hot", "work", "cold")}}
+    for cold_mbar, exact in ((0.5, False), (0.0, True)):
+        d["preps"]["cold"]["mbar"] = cold_mbar
+        assert cli_main(["simulate", _write_scenario(tmp_path, d), "--out", str(tmp_path)]) == 0
+        meta, _, _ = read_dataset_csv(tmp_path / "unit_trajectory.csv")
+        assert meta["phase_randomized_exact"] is exact
 
 
 def test_cli_bad_scenario_exit_code(tmp_path, capsys):
@@ -1348,6 +1400,16 @@ def test_scenario_name_must_be_one_file_name(tmp_path, capsys, name):
     assert cli_main(["simulate", _write_scenario(tmp_path, d), "--out", str(out)]) == 2
     assert "name must be a nonempty file name" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.rglob("*")) == ["scenario.json"]
+
+
+@pytest.mark.parametrize("path", sorted(_SHIPPED.glob("*.json")), ids=lambda p: p.stem)
+def test_shipped_scenarios_are_phase_randomized_exact(tmp_path, path):
+    """Every shipped scenario keeps a number-diagonal mode; simulate, on a
+    two-point grid, writes phase_randomized_exact: true."""
+    d = {**json.loads(path.read_text()), "time_grid_us": [0.0, 10.0]}
+    assert cli_main(["simulate", _write_scenario(tmp_path, d), "--out", str(tmp_path)]) == 0
+    meta, _, _ = read_dataset_csv(next(tmp_path.glob("*_trajectory.csv")))
+    assert meta["phase_randomized_exact"] is True
 
 
 def _undecodable(tmp_path):

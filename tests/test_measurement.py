@@ -579,6 +579,19 @@ def test_free_fit_reports_infinite_errors_along_dropped_directions():
     assert np.all(np.isfinite(res.population_errors))
 
 
+def test_free_fit_builds_one_softmax_per_evaluation(monkeypatch):
+    """The free model's population derivatives are exact, so a free fit
+    builds its populations once per evaluation (the start and n_iter
+    trials) and once for its result.  Forward differences built 14 per
+    evaluation."""
+    calls = []
+    softmax = measurement._softmax_with_fixed_head
+    monkeypatch.setattr(measurement, "_softmax_with_fixed_head",
+                        lambda logits: calls.append(logits) or softmax(logits))
+    res = fit_distribution(_bench_record(16)[0], "free")
+    assert len(calls) == res.n_iter + 2
+
+
 def test_fit_is_deterministic_for_fixed_data():
     p = thermal_distribution(0.9, cutoff=150, tail_budget=1.0)
     samples = _samples(p, np.random.default_rng(3))

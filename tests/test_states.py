@@ -279,6 +279,17 @@ def test_non_finite_parameters_raise_domain_error(make, value):
         make(value)
 
 
+@pytest.mark.parametrize("prep,diagonal", [
+    (ModePrep.thermal_state(0.66), True), (ModePrep(kind="fock", n_fock=3), True),
+    (ModePrep(kind="coherent", alpha_sq=0.0), True),
+    (ModePrep.squeezed_thermal_state(0.5, 0.0), True),
+    (ModePrep(kind="coherent", alpha_sq=0.5), False),
+    (ModePrep.squeezed_thermal_state(0.0, 0.3), False),
+    (ModePrep(kind="thermal", nbar=1.0, r=0.3), True)])     # r is not read for thermal
+def test_mode_prep_number_diagonal(prep, diagonal):
+    assert prep.number_diagonal is diagonal
+
+
 def test_mode_prep_validation_and_dispatch():
     with pytest.raises(DomainError):
         ModePrep(kind="displaced")
